@@ -45,7 +45,7 @@ from .estim import (
     km_fit,
     km_median,
 )
-from .infer import logrank_test, mw_pivot_ci, wald_test_cox
+from .infer import _two_sided_p, logrank_test, mw_pivot_ci
 from .sim import (
     DEFAULT_MASTER_SEED,
     ScenarioConfig,
@@ -318,7 +318,8 @@ def _cmd_analyze(args):
 
     def cox_section():
         log_hr, se = cox_fit_two_arm(sample)
-        z, p = wald_test_cox(sample)
+        z = log_hr / se
+        p = _two_sided_p(z)
         return {
             "log_hr": log_hr,
             "hr": float(np.exp(log_hr)),

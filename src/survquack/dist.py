@@ -20,7 +20,6 @@ __all__ = [
     "SurvivalCurve",
     "WeibullDist",
     "LehmannCurve",
-    "LehmannPair",
     "MixtureCurve",
     "survival_at",
     "quantile",
@@ -55,9 +54,6 @@ def _positive(value, name):
 class SurvivalCurve:
     """Interface for survival functions S(t) = P(T > t)."""
 
-    has_density = False
-    is_step = False
-
     def survival(self, t):
         raise NotImplementedError
 
@@ -67,6 +63,14 @@ class SurvivalCurve:
 
     def density(self, t):
         raise DomainError(f"{type(self).__name__} exposes no density")
+
+    def inverse_cumhaz(self, s):
+        """Time t at which the cumulative hazard -log S(t) equals ``s``.
+
+        Defined for absolutely continuous curves, where it is the
+        quantile at survival exp(-s).
+        """
+        raise DomainError(f"{type(self).__name__} exposes no inverse cumulative hazard")
 
     def final_survival(self):
         """Limit of S(t) as t grows (nonzero only for plateaued step curves)."""
@@ -86,14 +90,11 @@ class WeibullDist(SurvivalCurve):
     """Two-parameter Weibull law, S(t) = exp(-(t/scale)^shape).
 
     ``shape`` is dimensionless and ``scale`` carries the time unit. For
-    shape < 1 the density diverges at t = 0; that is the true limit, and
-    integration routines avoid evaluating it there.
+    shape < 1 the density diverges at t = 0; that is the true limit.
     """
 
     shape: float
     scale: float
-
-    has_density = True
 
     def __post_init__(self):
         object.__setattr__(self, "shape", _positive(self.shape, "shape"))
@@ -115,6 +116,9 @@ class WeibullDist(SurvivalCurve):
         with np.errstate(divide="ignore"):
             out = (self.shape / self.scale) * np.power(tt / self.scale, self.shape - 1.0)
         return _match(out, t)
+
+    def inverse_cumhaz(self, s):
+        return self.scale * np.power(s, 1.0 / self.shape)
 
     @property
     def median(self):
@@ -141,14 +145,6 @@ class LehmannCurve(SurvivalCurve):
             raise DomainError("reference must be a SurvivalCurve")
         object.__setattr__(self, "hr", _positive(self.hr, "hr"))
 
-    @property
-    def has_density(self):
-        return self.reference.has_density
-
-    @property
-    def is_step(self):
-        return self.reference.is_step
-
     def survival(self, t):
         return _match(np.power(self.reference.survival(t), self.hr), t)
 
@@ -163,6 +159,10 @@ class LehmannCurve(SurvivalCurve):
         out[ok] = self.hr * np.power(s[ok], self.hr - 1.0) * f[ok]
         return float(out[0]) if np.ndim(t) == 0 else out
 
+    def inverse_cumhaz(self, s):
+        # the cumulative hazard is hr times the reference's
+        return self.reference.inverse_cumhaz(np.asarray(s) / self.hr)
+
     def final_survival(self):
         return self.reference.final_survival() ** self.hr
 
@@ -171,25 +171,6 @@ class LehmannCurve(SurvivalCurve):
 
     def jump_times(self):
         return self.reference.jump_times()
-
-
-@dataclass(frozen=True)
-class LehmannPair:
-    """A control curve bundled with the hazard ratio of its treated arm."""
-
-    reference: SurvivalCurve
-    hr: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "hr", _positive(self.hr, "hr"))
-
-    @property
-    def treated(self) -> SurvivalCurve:
-        return lehmann_transform(self.reference, self.hr)
-
-    def curves(self):
-        """(treated, control) in that order."""
-        return self.treated, self.reference
 
 
 @dataclass(frozen=True)
@@ -215,10 +196,6 @@ class MixtureCurve(SurvivalCurve):
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"prevalences sum to {total!r}, not 1")
         object.__setattr__(self, "components", comps)
-
-    @property
-    def has_density(self):
-        return all(c.has_density for _, c in self.components)
 
     def _accumulate(self, evaluate, t):
         acc = None

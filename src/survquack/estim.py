@@ -156,8 +156,6 @@ class KMCurve(SurvivalCurve):
     survival_after: np.ndarray
     max_time: float
 
-    is_step = True
-
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "at_risk", np.asarray(self.at_risk, dtype=np.int64))
@@ -272,6 +270,19 @@ def _weibull_loglik_parts(a, b, logt, d, sum_e_logt):
     return k, u, z, sum_z, ll
 
 
+def _weibull_newton_terms(a, b, logt, d, sum_e_logt):
+    """Log-likelihood, gradient and Hessian in (log shape, log scale)."""
+    k, u, z, sum_z, ll = _weibull_loglik_parts(a, b, logt, d, sum_e_logt)
+    sum_e_u = sum_e_logt - d * b
+    zu = z * u
+    sum_zu = float(zu.sum())
+    grad = (d + k * sum_e_u - k * sum_zu, k * (sum_z - d))
+    h_aa = k * sum_e_u - k * sum_zu - k * k * float((zu * u).sum())
+    h_ab = -k * d + k * k * sum_zu + k * sum_z
+    h_bb = -k * k * sum_z
+    return ll, grad, np.array([[h_aa, h_ab], [h_ab, h_bb]])
+
+
 def weibull_mle(times, events, fixed_shape=None):
     """Censored Weibull fit by Newton iteration on (log shape, log scale).
 
@@ -317,22 +328,12 @@ def weibull_mle(times, events, fixed_shape=None):
     a, b = _km_regression_init(t, e)
     d = float(d)
 
-    ll = None
     for iteration in range(100):
-        k, u, z, sum_z, ll = _weibull_loglik_parts(a, b, logt, d, sum_e_logt)
-        sum_e_u = sum_e_logt - d * b
-        zu = z * u
-        zu2 = zu * u
-        g_a = d + k * sum_e_u - k * float(zu.sum())
-        g_b = k * (sum_z - d)
+        ll, (g_a, g_b), hess = _weibull_newton_terms(a, b, logt, d, sum_e_logt)
         if not (math.isfinite(g_a) and math.isfinite(g_b)):
             raise NumericalError("gradient overflow", iteration=iteration, params=(a, b))
         if math.hypot(g_a, g_b) <= 1e-8:
             break
-        h_aa = k * sum_e_u - k * float(zu.sum()) - k * k * float(zu2.sum())
-        h_ab = -k * d + k * k * float(zu.sum()) + k * sum_z
-        h_bb = -k * k * sum_z
-        hess = np.array([[h_aa, h_ab], [h_ab, h_bb]])
         try:
             step = np.linalg.solve(hess, [-g_a, -g_b])
         except np.linalg.LinAlgError as exc:
@@ -356,13 +357,7 @@ def weibull_mle(times, events, fixed_shape=None):
         )
 
     # observed information at the solution
-    k, u, z, sum_z, _ = _weibull_loglik_parts(a, b, logt, d, sum_e_logt)
-    sum_e_u = sum_e_logt - d * b
-    zu = z * u
-    h_aa = k * sum_e_u - k * float(zu.sum()) - k * k * float((zu * u).sum())
-    h_ab = -k * d + k * k * float(zu.sum()) + k * sum_z
-    h_bb = -k * k * sum_z
-    info = -np.array([[h_aa, h_ab], [h_ab, h_bb]])
+    info = -_weibull_newton_terms(a, b, logt, d, sum_e_logt)[2]
     det = info[0, 0] * info[1, 1] - info[0, 1] * info[1, 0]
     if not (det > 0.0 and info[0, 0] > 0.0):
         raise NumericalError("observed information is not positive definite", info=info.tolist())
@@ -502,11 +497,14 @@ def cox_fit_two_arm(sample: SurvivalSample, strata_factor=None):
         score, info = _cox_score_info(tables, beta)
         if not math.isfinite(score):
             raise NumericalError("partial-likelihood score overflow", beta=beta)
-        if abs(score) <= 1e-10:
-            break
         if info <= 0.0:
             raise NumericalError("partial likelihood has no curvature", beta=beta)
         step = max(min(score / info, 2.0), -2.0)
+        # Stop on the step, not the score: on thousands of subjects rounding
+        # alone keeps |score| above any fixed bound near 1e-10.
+        if abs(step) <= 1e-10:
+            beta += step
+            break
         ll0 = _cox_logpl(tables, beta)
         scale = 1.0
         for _ in range(40):

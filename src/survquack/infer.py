@@ -21,7 +21,6 @@ __all__ = [
     "ConfidenceSet",
     "logrank_test",
     "wald_test_cox",
-    "wald_test_weibull",
     "decision_procedure",
     "mw_pair_count",
     "mw_acceptance_region",
@@ -102,23 +101,6 @@ def wald_test_cox(sample: SurvivalSample, strata_factor=None):
     return z, _two_sided_p(z)
 
 
-def wald_test_weibull(rx_fit, c_fit):
-    """(z, p) for the log time ratio from two independent Weibull fits.
-
-    Each fit is a (WeibullDist, cov) pair as returned by ``weibull_mle``;
-    the tested quantity is log(scale_Rx) - log(scale_C) with variances
-    added across arms.
-    """
-    rx_dist, rx_cov = rx_fit
-    c_dist, c_cov = c_fit
-    log_tr = math.log(rx_dist.scale) - math.log(c_dist.scale)
-    var = float(rx_cov[1][1]) + float(c_cov[1][1])
-    if not (math.isfinite(var) and var > 0.0):
-        raise DomainError("combined variance of the log time ratio must be positive")
-    z = log_tr / math.sqrt(var)
-    return z, _two_sided_p(z)
-
-
 def _directional_claim(p, alpha, median_rx, median_c):
     if p >= alpha:
         return Claim.NO_CLAIM, False
@@ -157,16 +139,22 @@ def mw_pair_count(rx_times, c_times) -> float:
 
 
 def _cross_counts(b, a):
-    """Per-row counts of pairs with b[i] < a[j]; b and a are (reps, n)/(reps, m)."""
-    reps, n = b.shape
+    """Per-row counts of pairs with b[i] <= a[j]; b and a are (reps, n)/(reps, m).
+
+    Both hold values in [0, 1], whose IEEE bit patterns order like the
+    values, so each row sorts as integers with the lowest bit flagging the
+    reference side: on a tie the b value sorts first and the pair counts.
+    The a value at sorted position p has p - (number of a before it) b
+    values before it, so the row's count is the sum of the a positions
+    minus m(m - 1)/2.
+    """
+    n = b.shape[1]
     m = a.shape[1]
-    vals = np.concatenate([b, a], axis=1)
-    is_ref = np.zeros(n + m, dtype=bool)
-    is_ref[n:] = True
-    order = np.argsort(vals, axis=1, kind="stable")
-    ref_sorted = is_ref[order]
-    seen_ref = np.cumsum(ref_sorted, axis=1)
-    return ((m - seen_ref) * ~ref_sorted).sum(axis=1)
+    keys = np.concatenate([b, a], axis=1).view(np.uint64) << np.uint64(1)
+    keys[:, n:] |= np.uint64(1)
+    keys.sort(axis=1)
+    keys &= np.uint64(1)
+    return keys.view(np.int64) @ np.arange(n + m) - m * (m - 1) // 2
 
 
 def mw_acceptance_region(n, m, theta, level, mc_reps, rng):

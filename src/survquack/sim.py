@@ -42,8 +42,6 @@ __all__ = [
     "run_replication",
     "DirectionalErrorReport",
     "run_study",
-    "SweepEntry",
-    "sweep",
     "wilson_interval",
 ]
 
@@ -466,31 +464,3 @@ def run_study(
         cox_rejections=int(counts[_N_COX]),
     )
 
-
-@dataclass(frozen=True)
-class SweepEntry:
-    """One sweep point: its config and either a report or an error note."""
-
-    index: int
-    config: ScenarioConfig
-    report: DirectionalErrorReport | None
-    error: str | None = None
-
-
-def sweep(configs, workers: int | None = None):
-    """Run a study per config, capturing per-point failures instead of raising.
-
-    Infeasible or invalid points come back with ``report=None`` and the
-    error message; valid points carry their tallies. Useful for mapping
-    where an equal-median construction stops being achievable.
-    """
-    entries = []
-    for i, config in enumerate(configs):
-        try:
-            realized = realize_scenario(config)
-            report = run_study(realized, workers=workers)
-        except Exception as exc:  # noqa: BLE001 - sweep isolates per-point failures
-            entries.append(SweepEntry(i, config, None, f"{type(exc).__name__}: {exc}"))
-        else:
-            entries.append(SweepEntry(i, config, report))
-    return entries

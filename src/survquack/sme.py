@@ -33,7 +33,6 @@ from .estim import (
 )
 
 __all__ = [
-    "QuadraturePolicy",
     "SubgroupRow",
     "SubgroupTable",
     "StratifiedComparison",
@@ -46,19 +45,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadraturePolicy:
-    """Controls the integration behind curve-based win probabilities.
-
-    ``tail_cutoff`` sets the horizon: integration stops once both arms'
-    mixtures have survival below it. ``abs_tol`` is the absolute error
-    budget of the adaptive Simpson rule; ``max_depth`` bounds its
-    recursion before NumericalError is raised.
-    """
-
-    tail_cutoff: float = 1e-8
-    abs_tol: float = 1e-9
-    max_depth: int = 48
+# The win probability against a continuous control component is integrated
+# over y = log H_c(t) on this range; the tails outside it carry less than
+# exp(-38) and exp(-e^4) of the control's mass.
+_Y_RANGE = (-38.0, 4.0)
+_FIRST_STEP = 0.5
+_TOL = 1e-13
+_MAX_HALVINGS = 12
 
 
 @dataclass(frozen=True)
@@ -154,18 +147,18 @@ def sme_overall_tr(table: SubgroupTable, tol=1e-10) -> EfficacySummary:
     return EfficacySummary(Measure.TR, medians["Rx"] / medians["C"])
 
 
-def sme_overall_hr(table: SubgroupTable, policy: QuadraturePolicy = QuadraturePolicy()) -> EfficacySummary:
+def sme_overall_hr(table: SubgroupTable) -> EfficacySummary:
     """Overall hazard ratio through the win-probability bijection.
 
     Each arm's curves are mixed over prevalences, the probability that a
     treated draw outlives a control draw is integrated, and the result is
     mapped through hr = (1 - llp) / llp. For a single subgroup whose arms
     are a power pair with exponent theta this recovers theta exactly (up
-    to quadrature error).
+    to integration error).
     """
     if table.measure is not Measure.HR:
         raise DomainError("sme_overall_hr needs an HR table")
-    llp = mixture_llp(table.arm_mixture(True), table.arm_mixture(False), policy)
+    llp = mixture_llp(table.arm_mixture(True), table.arm_mixture(False))
     if not (0.0 < llp < 1.0):
         raise NumericalError("integrated win probability left (0, 1)", llp=llp)
     return EfficacySummary(Measure.HR, hr_from_llp(llp))
@@ -180,40 +173,37 @@ def _flatten_components(curve, weight=1.0):
     return [(weight, curve)]
 
 
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise NumericalError("quadrature failed to converge", interval=(a, b), residual=delta)
-    return _adaptive_simpson(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _adaptive_simpson(
-        f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-    )
+def _trapezoid_llp(rx_curve, comp):
+    """P(T_rx > T_c) for a control component with an inverse cumulative hazard.
+
+    With s = H_c(t) the control's mass is exp(-s) ds, and with s = e^y the
+    win probability is the integral of S_rx(H_c^-1(e^y)) exp(y - e^y) over
+    the real line. That integrand is analytic with tails decaying at least
+    exponentially, so the trapezoid rule converges geometrically; the step
+    is halved until two successive sums agree.
+    """
+    lo, hi = _Y_RANGE
+
+    def integrand(y):
+        s = np.exp(y)
+        return np.asarray(rx_curve.survival(comp.inverse_cumhaz(s)), dtype=float) * np.exp(y - s)
+
+    n = round((hi - lo) / _FIRST_STEP)
+    h = _FIRST_STEP
+    f = integrand(np.linspace(lo, hi, n + 1))
+    acc = float(f.sum()) - 0.5 * float(f[0] + f[-1])
+    value = h * acc
+    for _ in range(_MAX_HALVINGS):
+        acc += float(integrand(lo + h * (np.arange(n) + 0.5)).sum())
+        n *= 2
+        h *= 0.5
+        prev, value = value, h * acc
+        if abs(value - prev) <= _TOL:
+            return value
+    raise NumericalError("win-probability integral did not converge", step=h, value=value)
 
 
-def _integrate(f, a, b, tol, max_depth):
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def _horizon(rx_curve, c_curve, cutoff):
-    t = max(rx_curve.scale_hint(), c_curve.scale_hint(), 1e-6)
-    for _ in range(1000):
-        if rx_curve.survival(t) < cutoff and c_curve.survival(t) < cutoff:
-            return t
-        t *= 2.0
-    raise NumericalError("no finite horizon where both curves vanish", cutoff=cutoff)
-
-
-def _llp_against_component(rx_curve, comp, policy):
+def _llp_against_component(rx_curve, comp):
     jumps = comp.jump_times()
     if jumps is not None:
         if jumps.size == 0:
@@ -233,38 +223,25 @@ def _llp_against_component(rx_curve, comp, policy):
         vals = np.concatenate(([1.0], np.asarray(rx_curve.survival(rx_jumps))))
         bounds = np.concatenate(([1.0], np.asarray(comp.survival(rx_jumps)), [0.0]))
         return float(np.sum(vals * (bounds[:-1] - bounds[1:])))
-    if not comp.has_density:
-        raise DomainError("control curve exposes neither jumps nor a density")
-    horizon = _horizon(rx_curve, comp, policy.tail_cutoff)
-
-    def integrand(x):
-        # quartic substitution t = horizon * x^4 keeps the integrand finite
-        # at the origin for shapes above 1/4 and spreads the mass evenly
-        t = horizon * x**4
-        if t <= 0.0:
-            return 0.0
-        return float(rx_curve.survival(t)) * float(comp.density(t)) * 4.0 * horizon * x**3
-
-    cuts = np.linspace(0.0, 1.0, 9)
-    tol = policy.abs_tol / (cuts.size - 1)
-    return math.fsum(
-        _integrate(integrand, float(a), float(b), tol, policy.max_depth)
-        for a, b in zip(cuts[:-1], cuts[1:])
-    )
+    return _trapezoid_llp(rx_curve, comp)
 
 
-def mixture_llp(rx_curve: SurvivalCurve, c_curve: SurvivalCurve, policy: QuadraturePolicy = QuadraturePolicy()) -> float:
+def mixture_llp(rx_curve: SurvivalCurve, c_curve: SurvivalCurve) -> float:
     """Probability that a draw from ``rx_curve`` outlives one from ``c_curve``.
 
-    The control side is decomposed into mixture components; step components
+    The control side is decomposed into mixture components. Step components
     contribute exact sums over their jumps (ties get half credit, matching
-    the pairwise estimator), absolutely continuous components are handled
-    by adaptive Simpson quadrature against an exact step-side shortcut when
-    the Rx curve is piecewise constant.
+    the pairwise estimator). Against a continuous component, a piecewise
+    constant Rx curve is summed exactly over its constant pieces; any other
+    Rx curve is integrated by the trapezoid rule on the component's log
+    cumulative-hazard scale, to about 1e-13. A component exposing neither
+    jumps nor an inverse cumulative hazard raises DomainError, and an
+    integral that does not converge (say, against an Rx mixture of step and
+    continuous curves) raises NumericalError.
     """
     total = 0.0
     for w, comp in _flatten_components(c_curve):
-        total += w * _llp_against_component(rx_curve, comp, policy)
+        total += w * _llp_against_component(rx_curve, comp)
     return min(max(total, 0.0), 1.0)
 
 
@@ -304,7 +281,6 @@ def stratified_audit(
     factors,
     measure: Measure = Measure.HR,
     curve_source: str = "auto",
-    policy: QuadraturePolicy = QuadraturePolicy(),
 ):
     """Contrast both pooling rules against the marginal value, factor by factor.
 
@@ -373,7 +349,7 @@ def stratified_audit(
         naive = naive_stratified_ratio(zip(ratios, prevalences))
         table = SubgroupTable(measure, tuple(rows))
         if measure is Measure.HR:
-            sme = sme_overall_hr(table, policy).value
+            sme = sme_overall_hr(table).value
         else:
             sme = sme_overall_tr(table).value
         comparisons.append(

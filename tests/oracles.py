@@ -65,6 +65,34 @@ def logrank_by_hand(times, events, is_rx):
     return oe, var
 
 
+def breslow_score(times, events, is_rx):
+    """The two-arm Breslow partial-likelihood score U(beta), as a function.
+
+    At each distinct death time u with d1 treated and d0 control deaths and
+    n1, n0 subjects at risk (time >= u): U gains d1 - (d1 + d0) n1 e^b / (n0 + n1 e^b).
+    """
+    t = np.asarray(times, dtype=float)
+    e = np.asarray(events, dtype=bool)
+    x = np.asarray(is_rx, dtype=bool)
+    u = np.unique(t[e])
+
+    def at_risk(group):
+        return group.size - np.searchsorted(np.sort(group), u, side="left")
+
+    def deaths(group):
+        group = np.sort(group)
+        return np.searchsorted(group, u, side="right") - np.searchsorted(group, u, side="left")
+
+    n1, n0 = at_risk(t[x]), at_risk(t[~x])
+    d1, d0 = deaths(t[e & x]), deaths(t[e & ~x])
+
+    def score(beta):
+        r = math.exp(beta)
+        return float(np.sum(d1 - (d1 + d0) * n1 * r / (n0 + n1 * r)))
+
+    return score
+
+
 def logrank_moments_scipy(times, events, is_rx):
     """Same statistic through scipy's hypergeometric moments."""
     rows = [(float(t), bool(e), bool(x)) for t, e, x in zip(times, events, is_rx)]
@@ -126,6 +154,25 @@ def quad_llp(rx_survival, c_density, upper=np.inf):
         epsrel=1e-10,
     )
     if err > 1e-8:
+        raise AssertionError(f"quadrature oracle error estimate too large: {err}")
+    return value
+
+
+def quantile_llp(rx_survival, c_quantile):
+    """P(T_rx > T_c) = integral of S_rx(Q_c(u)) over u in (0, 1) by scipy quadrature.
+
+    ``c_quantile`` maps a survival level u to the control time where S_c = u;
+    the integrand is bounded by 1, so no time horizon is needed.
+    """
+    value, err = integrate.quad(
+        lambda u: rx_survival(c_quantile(u)),
+        0.0,
+        1.0,
+        limit=400,
+        epsabs=1e-13,
+        epsrel=1e-12,
+    )
+    if err > 1e-11:
         raise AssertionError(f"quadrature oracle error estimate too large: {err}")
     return value
 

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: every command is run in-process through main()."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 from survquack._version import __version__
 from survquack.cli import main, parse_scenario_config, read_dataset
 from survquack.errors import NumericalError, ValidationError
-from survquack.estim import Measure
+from survquack.estim import Measure, SurvivalSample
 from survquack.fixtures import (
     FactorSpec,
     OakAnalogSpec,
     generate_prognostic_sample,
+    load_oak_analog_spec,
     write_dataset_csv,
 )
 from survquack.report import strip_volatile, validate_report
@@ -187,6 +189,23 @@ class TestAnalyze:
                 assert row["sme"] == comp.sme_value
                 assert row["marginal"] == comp.marginal_value
                 assert row["dropped_levels"] == list(comp.dropped_levels)
+
+    def test_hr_audit_survives_small_fitted_shapes(self, tmp_path, capsys):
+        # Weibull shape 0.3 with 25% censoring: the per-level fits have shapes
+        # near 0.3, which put much of each control curve's mass near t = 0.
+        full = generate_prognostic_sample(dataclasses.replace(load_oak_analog_spec(), shape=0.3))
+        c = derive_rng(99, "censor").exponential(500.0, full.n)
+        sample = SurvivalSample(
+            np.minimum(full.time, c), full.time <= c, full.is_rx, full.strata
+        )
+        path = tmp_path / "shape03.csv"
+        write_dataset_csv(sample, path)
+        rc, out, _ = run_cli(["analyze", str(path), "--strata", "sex,kras"], capsys)
+        assert rc == 0
+        audit = parse_report(out)["sections"]["stratified_audit_hr"]
+        assert audit["ok"] is True
+        for row in audit["data"]["factors"]:
+            assert 0.5 < row["sme"] < 0.75
 
     def test_failed_section_is_embedded_not_fatal(self, tmp_path, capsys):
         # complete separation: the Cox fit must fail without sinking the report

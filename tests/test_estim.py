@@ -1,10 +1,12 @@
 """Product-limit estimation, Weibull MLE, Cox fit, and scale conversions."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from survquack import (
     ARM_C,
@@ -16,11 +18,13 @@ from survquack import (
     cox_fit_two_arm,
     derive_rng,
     empirical_llp,
+    generate_prognostic_sample,
     hr_from_llp,
     hr_to_tr,
     km_fit,
     km_median,
     llp_from_hr,
+    load_oak_analog_spec,
     sample_times,
     sample_tr,
     tr_to_hr,
@@ -34,7 +38,13 @@ from survquack.errors import (
     UnsupportedCensoring,
 )
 
-from oracles import empirical_survival, km_by_hand, pairwise_win_fraction, weibull_loglik
+from oracles import (
+    breslow_score,
+    empirical_survival,
+    km_by_hand,
+    pairwise_win_fraction,
+    weibull_loglik,
+)
 
 
 # --------------------------------------------------------------------- km_fit
@@ -331,6 +341,26 @@ def test_cox_stratified_iid_copies_match_pooled():
     b_strat, _ = cox_fit_two_arm(s, strata_factor="copy")
     b_pool, _ = cox_fit_two_arm(s)
     assert abs(b_strat - b_pool) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "seed, censor_mean, factor, level, n",
+    [(1031, 80.0, "sex", "male", 3699), (2011, None, "egfr", "wild", 5381)],
+)
+def test_cox_converges_when_rounding_keeps_the_score_off_zero(seed, censor_mean, factor, level, n):
+    # On these levels of the packaged cohort the score at the optimum rounds
+    # to about 2e-10, so no bound on |score| near 1e-10 can be met.
+    sample = generate_prognostic_sample(dataclasses.replace(load_oak_analog_spec(), seed=seed))
+    if censor_mean is not None:
+        c = derive_rng(99, "censor", seed).exponential(censor_mean, sample.n)
+        sample = SurvivalSample(
+            np.minimum(sample.time, c), sample.time <= c, sample.is_rx, sample.strata
+        )
+    sub = sample.subset(sample.strata[factor] == level)
+    assert sub.n == n
+    log_hr, _ = cox_fit_two_arm(sub)
+    root = brentq(breslow_score(sub.time, sub.event, sub.is_rx), -2.0, 2.0, xtol=1e-14)
+    assert log_hr == pytest.approx(root, abs=1e-9)
 
 
 def test_cox_monotone_likelihood_raises():

@@ -19,12 +19,10 @@ from survquack import (
     mw_pivot_ci,
     sample_times,
     wald_test_cox,
-    wald_test_weibull,
     weibull_from_median,
-    weibull_mle,
 )
 from survquack.errors import DomainError
-from survquack.infer import mw_acceptance_region
+from survquack.infer import _cross_counts, mw_acceptance_region
 
 from oracles import logrank_by_hand, logrank_moments_scipy, mw_exact_region
 
@@ -116,35 +114,6 @@ def test_wald_cox_antisymmetric_and_strong_effect():
     # True hazard ratio 0.5 at n = 1000 per arm: overwhelming evidence.
     assert z < -8.0
     assert p < 1e-10
-
-
-# ---------------------------------------------------------- wald_test_weibull
-
-def test_wald_weibull_identical_fits_are_null():
-    fit = weibull_mle([1.0, 2.0, 3.0, 4.0, 5.0], [True] * 5)
-    z, p = wald_test_weibull(fit, fit)
-    assert z == 0.0
-    assert p == 1.0
-
-
-def test_wald_weibull_detects_scale_doubling():
-    rng = derive_rng(34, "waldw")
-    rx = sample_times(WeibullDist(1.3, 2.0), rng, 400)
-    c = sample_times(WeibullDist(1.3, 1.0), rng, 400)
-    ones = np.ones(400, bool)
-    z, p = wald_test_weibull(weibull_mle(rx, ones), weibull_mle(c, ones))
-    assert z > 8.0
-    assert p < 1e-10
-
-
-def test_wald_weibull_rejects_degenerate_variance():
-    dist = WeibullDist(1.0, 1.0)
-    flat = ((dist, [[0.0, 0.0], [0.0, 0.0]]), (dist, [[0.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(DomainError):
-        wald_test_weibull(*flat)
-    bad = (dist, [[0.0, 0.0], [0.0, float("nan")]])
-    with pytest.raises(DomainError):
-        wald_test_weibull(bad, bad)
 
 
 # --------------------------------------------------------- decision_procedure
@@ -244,6 +213,19 @@ def test_mw_acceptance_region_bounds_and_determinism():
     assert (lo, hi) == (lo2, hi2)
     assert 0.0 <= lo <= hi <= 20.0
     assert lo == int(lo) or (lo * 2) == int(lo * 2)  # counts move in half steps
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 7), (7, 3), (50, 50)])
+def test_cross_counts_match_pairwise_comparison_with_ties(n, m):
+    rng = derive_rng(17, "cross-counts", n, m)
+    a = rng.random((300, m))
+    b = np.power(rng.random((300, n)), 1.0 / 3.0)
+    k = min(n, m)
+    b[::3, :k] = a[::3, :k]  # exact ties count as b <= a
+    b[::5, 0] = 0.0
+    a[::7, -1] = 0.0
+    expected = (b[:, :, None] <= a[:, None, :]).sum(axis=(1, 2))
+    assert np.array_equal(_cross_counts(b, a), expected)
 
 
 @pytest.mark.parametrize("theta", [0.0, -1.0, float("inf"), float("nan")])

@@ -15,7 +15,6 @@ from survquack import (
     realize_scenario,
     run_replication,
     run_study,
-    sweep,
     tr_to_hr,
     weibull_from_median,
 )
@@ -287,45 +286,3 @@ def test_wilson_edges_and_validation():
         wilson_interval(11, 10)
     with pytest.raises(DomainError):
         wilson_interval(5, 10, level=1.0)
-
-
-# ----------------------------------------------------------------------- sweep
-
-def test_sweep_isolates_infeasible_points():
-    good = build_section3_scenario(n_total=100, replications=5)
-    bad = ScenarioConfig(
-        subgroups=(
-            SubgroupSpec("g+", 0.8, 1.0, rx_median=16.0, c_median=16.0),
-            SubgroupSpec("g-", 0.2, 1.0),
-        ),
-        overall_median=8.0,
-        solve_subgroup="g-",
-        n_total=100,
-        replications=5,
-    )
-    entries = sweep([good, bad])
-    assert [e.index for e in entries] == [0, 1]
-    assert entries[0].config is good and entries[1].config is bad
-    assert entries[0].report is not None and entries[0].error is None
-    assert entries[1].report is None
-    assert entries[1].error.startswith("InfeasibleScenario:")
-
-
-def test_sweep_empty_and_structural():
-    assert sweep([]) == []
-    base = build_section3_scenario(n_total=100, replications=30)
-    gp, gm = base.subgroups
-    configs = [
-        dataclasses.replace(
-            base,
-            subgroups=(
-                dataclasses.replace(gp, prevalence=p),
-                dataclasses.replace(gm, prevalence=1.0 - p),
-            ),
-        )
-        for p in (0.3, 0.5, 0.7)
-    ]
-    entries = sweep(configs)
-    assert len(entries) == 3
-    assert all(e.report is not None for e in entries)
-    assert all(e.report.replications == 30 for e in entries)

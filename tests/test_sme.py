@@ -13,7 +13,6 @@ from survquack import (
     ARM_RX,
     Measure,
     MixtureCurve,
-    QuadraturePolicy,
     SubgroupRow,
     SubgroupTable,
     SurvivalSample,
@@ -31,9 +30,10 @@ from survquack import (
     stratified_audit,
     weibull_from_median,
 )
+from survquack import sme
 from survquack.errors import DomainError, NotReachedError, NumericalError
 
-from oracles import quad_llp
+from oracles import quad_llp, quantile_llp
 
 
 def lehmann_pair(shape, scale, theta):
@@ -228,21 +228,22 @@ def test_sme_hr_mixing_dilutes_a_shared_exponent_toward_one():
     table = SubgroupTable(Measure.HR, tuple(rows))
     value = sme_overall_hr(table).value
     assert theta < value < 1.0
-    assert value == pytest.approx(0.5519793254455887, rel=1e-9)
+    assert value == pytest.approx(0.5519793259652118, rel=1e-9)
     rx_mix = table.arm_mixture(True)
     c_mix = table.arm_mixture(False)
     oracle = quad_llp(lambda t: float(rx_mix.survival(t)), lambda t: float(c_mix.density(t)))
     assert mixture_llp(rx_mix, c_mix) == pytest.approx(oracle, abs=1e-7)
 
 
-def test_sme_hr_starved_quadrature_raises():
+def test_sme_hr_starved_quadrature_raises(monkeypatch):
     theta = 0.5
     c = weibull_from_median(1.1, 6.0)
     table = SubgroupTable(
         Measure.HR, (SubgroupRow("a", 1.0, lehmann_transform(c, theta), c),)
     )
+    monkeypatch.setattr(sme, "_MAX_HALVINGS", 0)
     with pytest.raises(NumericalError):
-        sme_overall_hr(table, QuadraturePolicy(max_depth=1))
+        sme_overall_hr(table)
 
 
 def test_sme_hr_degenerate_win_probability_raises():
@@ -363,7 +364,39 @@ def test_mixture_llp_smooth_mixtures_match_quadrature_oracle():
     value = mixture_llp(rx, c)
     oracle = quad_llp(lambda t: float(rx.survival(t)), lambda t: float(c.density(t)))
     assert value == pytest.approx(oracle, abs=1e-8)
-    assert value == pytest.approx(0.5765925629712287, rel=1e-12)
+    assert value == pytest.approx(0.5765925629675359, rel=1e-12)
+
+
+def _weibull_quantile(shape, scale):
+    return lambda u: scale * (-math.log(u)) ** (1.0 / shape)
+
+
+@pytest.mark.parametrize("shape", [0.05, 0.1, 0.15, 0.2, 0.35, 1.0, 3.0, 5.0])
+def test_mixture_llp_matches_survival_scale_oracle_for_any_shape(shape):
+    # Small control shapes put much of the control's mass at times near 0
+    # and spread the rest over decades. At shape 0.15 the first two pairs
+    # are 0.613281058440 and 0.568852450583 (mpmath, 40 digits).
+    q_small = _weibull_quantile(shape, 8.0)
+    q_two = _weibull_quantile(2.0, 8.0)
+    small = WeibullDist(shape, 8.0)
+    rx = WeibullDist(1.0, 10.0)
+    rx_mix = MixtureCurve(((0.4, WeibullDist(shape, 12.0)), (0.6, WeibullDist(1.5, 6.0))))
+    cases = (
+        (rx, small, [(1.0, q_small)]),
+        (
+            rx,
+            MixtureCurve(((0.5, WeibullDist(2.0, 8.0)), (0.5, small))),
+            [(0.5, q_two), (0.5, q_small)],
+        ),
+        (rx_mix, small, [(1.0, q_small)]),
+        # S = S_ref^0.7 reaches u where S_ref reaches u^(1/0.7)
+        (rx, lehmann_transform(small, 0.7), [(1.0, lambda u: q_small(u ** (1.0 / 0.7)))]),
+    )
+    for rx_curve, c_curve, parts in cases:
+        oracle = math.fsum(
+            w * quantile_llp(lambda t: float(rx_curve.survival(t)), q) for w, q in parts
+        )
+        assert mixture_llp(rx_curve, c_curve) == pytest.approx(oracle, abs=1e-10)
 
 
 # ------------------------------------------------------------ stratified_audit
