@@ -42,7 +42,6 @@ from .estim import (
     cox_fit_two_arm,
     empirical_llp,
     hr_from_llp,
-    km_fit,
     km_median,
 )
 from .infer import _two_sided_p, logrank_test, mw_pivot_ci
@@ -59,24 +58,33 @@ __all__ = ["main", "read_dataset", "parse_scenario_config"]
 
 _ENV_SEED = "SURVQUACK_SEED"
 
-_SCENARIO_KEYS = {
-    "n_total": int,
-    "allocation": float,
-    "alpha": float,
-    "overall_median": float,
-    "solve_subgroup": str,
-    "membership": str,
-    "censoring": str,
-    "replications": int,
-    "master_seed": int,
-}
-_SUBGROUP_KEYS = {
-    "prevalence": float,
-    "shape": float,
-    "rx_median": float,
-    "c_median": float,
-    "rx_scale": float,
-    "c_scale": float,
+# typed INI schemas: section (or "prefix:<placeholder>") -> ({key: parse}, required keys)
+_SCENARIO_SCHEMA = {
+    "scenario": (
+        {
+            "n_total": int,
+            "allocation": float,
+            "alpha": float,
+            "overall_median": float,
+            "solve_subgroup": str,
+            "membership": str,
+            "censoring": str,
+            "replications": int,
+            "master_seed": int,
+        },
+        (),
+    ),
+    "subgroup:<label>": (
+        {
+            "prevalence": float,
+            "shape": float,
+            "rx_median": float,
+            "c_median": float,
+            "rx_scale": float,
+            "c_scale": float,
+        },
+        ("prevalence", "shape"),
+    ),
 }
 
 
@@ -182,62 +190,64 @@ def _config_text(spec: str):
         raise ValidationError(f"cannot open config: {exc}") from exc
 
 
-def _parse_scenario(spec: str):
-    """Parse an INI scenario config into (ScenarioConfig, raw scenario fields)."""
-    text, source = _config_text(spec)
+def _read_config(spec, what: str, schema) -> dict:
+    """Parse a typed INI config into {section: {key: value}}, in file order.
+
+    ``spec`` is a path or ``builtin:<name>``. ``schema`` maps each section
+    name, or ``prefix:<placeholder>`` for labelled sections, to
+    ({key: parse}, required keys), and each entry must appear at least
+    once. Unknown sections and keys, values ``parse`` rejects with
+    ValueError and missing keys are collected into one ValidationError.
+    """
+    text, source = _config_text(os.fspath(spec))
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:
         raise ValidationError(f"{source}: {exc}") from exc
-    if not parser.has_section("scenario"):
-        raise ValidationError(f"{source}: missing [scenario] section")
 
     problems = []
-    fields = {}
-    for key, raw in parser["scenario"].items():
-        if key not in _SCENARIO_KEYS:
-            problems.append(f"[scenario] unknown key {key!r}")
-            continue
-        try:
-            fields[key] = _SCENARIO_KEYS[key](raw)
-        except ValueError:
-            problems.append(f"[scenario] {key}: cannot parse {raw!r}")
-
-    subgroups = []
+    found = {}
+    seen = set()
     for section in parser.sections():
-        if section == "scenario":
-            continue
-        if not section.startswith("subgroup:") or len(section) <= len("subgroup:"):
+        head, sep, label = section.partition(":")
+        names = [k for k in schema if k == section or (label and k.startswith(head + sep))]
+        if not names:
             problems.append(f"unrecognized section [{section}]")
             continue
-        label = section.split(":", 1)[1]
-        sub_fields = {}
-        sub_problems = []
+        seen.add(names[0])
+        types, required = schema[names[0]]
+        fields = {}
         for key, raw in parser[section].items():
-            if key not in _SUBGROUP_KEYS:
-                sub_problems.append(f"[{section}] unknown key {key!r}")
+            if key not in types:
+                problems.append(f"[{section}] unknown key {key!r}")
                 continue
             try:
-                sub_fields[key] = _SUBGROUP_KEYS[key](raw)
+                fields[key] = types[key](raw)
             except ValueError:
-                sub_problems.append(f"[{section}] {key}: cannot parse {raw!r}")
-        for req in ("prevalence", "shape"):
-            if req not in sub_fields:
-                sub_problems.append(f"[{section}] missing required key {req!r}")
-        if sub_problems:
-            problems.extend(sub_problems)
-        else:
-            subgroups.append(SubgroupSpec(label=label, **sub_fields))
-    if not subgroups and not problems:
-        problems.append("no [subgroup:<label>] sections")
+                problems.append(f"[{section}] {key}: cannot parse {raw!r}")
+        problems.extend(
+            f"[{section}] missing required key {k!r}" for k in required if k not in parser[section]
+        )
+        found[section] = fields
+    for name in schema:
+        if name not in seen:
+            problems.append(f"no [{name}] sections" if ":" in name else f"missing [{name}] section")
     if problems:
         raise ValidationError(
-            f"{source}: invalid scenario ({'; '.join(problems[:4])}"
+            f"{source}: invalid {what} ({'; '.join(problems[:4])}"
             + (f"; +{len(problems) - 4} more)" if len(problems) > 4 else ")"),
             details=problems,
         )
-    return ScenarioConfig(subgroups=tuple(subgroups), **fields), fields
+    return found
+
+
+def _parse_scenario(spec: str):
+    """Parse an INI scenario config into (ScenarioConfig, raw scenario fields)."""
+    sections = _read_config(spec, "scenario", _SCENARIO_SCHEMA)
+    fields = sections.pop("scenario")
+    subgroups = tuple(SubgroupSpec(label=s.split(":", 1)[1], **f) for s, f in sections.items())
+    return ScenarioConfig(subgroups=subgroups, **fields), fields
 
 
 def parse_scenario_config(spec: str) -> ScenarioConfig:
@@ -288,8 +298,6 @@ def _cmd_analyze(args):
             )
 
     sections = {}
-    rx_t, rx_e = sample.arm(True)
-    c_t, c_e = sample.arm(False)
     sections["dataset"] = report_mod.section(
         data={
             "n": sample.n,
@@ -330,8 +338,8 @@ def _cmd_analyze(args):
         }
 
     def medians_section():
-        med_rx = km_median(km_fit(rx_t, rx_e))
-        med_c = km_median(km_fit(c_t, c_e))
+        med_rx = km_median(sample.km(True))
+        med_c = km_median(sample.km(False))
         reached = med_rx is not NOT_REACHED and med_c is not NOT_REACHED
         return {
             "median_rx": _median_entry(med_rx),
@@ -340,6 +348,8 @@ def _cmd_analyze(args):
         }
 
     def win_section():
+        rx_t, rx_e = sample.arm(True)
+        c_t, c_e = sample.arm(False)
         llp = empirical_llp(rx_t, c_t, rx_e, c_e)
         return {"llp": llp, "hr_from_llp": hr_from_llp(llp)}
 

@@ -44,6 +44,17 @@ def _match(values, t):
     return float(values) if np.ndim(t) == 0 else values
 
 
+def _check_prevalences(prevalences):
+    """Each prevalence in (0, 1] and their total 1 within 1e-12, else DomainError."""
+    prevalences = [float(p) for p in prevalences]
+    for p in prevalences:
+        if not (0.0 < p <= 1.0):
+            raise DomainError(f"prevalence {p!r} outside (0, 1]")
+    total = math.fsum(prevalences)
+    if abs(total - 1.0) > 1e-12:
+        raise DomainError(f"prevalences sum to {total!r}, not 1")
+
+
 def _positive(value, name):
     value = float(value)
     if not (math.isfinite(value) and value > 0.0):
@@ -187,14 +198,9 @@ class MixtureCurve(SurvivalCurve):
         comps = tuple((float(p), c) for p, c in self.components)
         if not comps:
             raise DomainError("mixture needs at least one component")
-        for p, c in comps:
-            if not (0.0 < p <= 1.0):
-                raise DomainError(f"component prevalence {p!r} outside (0, 1]")
-            if not isinstance(c, SurvivalCurve):
-                raise DomainError("mixture components must be SurvivalCurve instances")
-        total = math.fsum(p for p, _ in comps)
-        if abs(total - 1.0) > 1e-12:
-            raise DomainError(f"prevalences sum to {total!r}, not 1")
+        _check_prevalences(p for p, _ in comps)
+        if not all(isinstance(c, SurvivalCurve) for _, c in comps):
+            raise DomainError("mixture components must be SurvivalCurve instances")
         object.__setattr__(self, "components", comps)
 
     def _accumulate(self, evaluate, t):

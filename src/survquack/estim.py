@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .errors import (
 
 __all__ = [
     "Measure",
-    "EfficacySummary",
     "SurvivalSample",
     "KMCurve",
     "ARM_RX",
@@ -56,31 +56,13 @@ class Measure(str, Enum):
 
 
 @dataclass(frozen=True)
-class EfficacySummary:
-    """A point estimate on a named scale, optionally with a log-scale SE."""
-
-    measure: Measure
-    value: float
-    log_se: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "measure", Measure(self.measure))
-        value = float(self.value)
-        if not (math.isfinite(value) and value > 0.0):
-            raise DomainError(f"{self.measure.value} estimate must be positive, got {value!r}")
-        if self.measure is Measure.LLP and not value < 1.0:
-            raise DomainError("LLP must lie strictly inside (0, 1)")
-        if self.log_se is not None and not (math.isfinite(self.log_se) and self.log_se >= 0.0):
-            raise DomainError("log_se must be a nonnegative float")
-        object.__setattr__(self, "value", value)
-
-
-@dataclass(frozen=True)
 class SurvivalSample:
     """Patient-level records: time on study, death indicator, arm, strata labels.
 
     ``is_rx`` is True for the treated arm. ``strata`` maps factor names to
-    per-subject label arrays; every factor covers every subject.
+    per-subject label arrays; every factor covers every subject. The risk
+    table (``tables``) is built on first use and then shared by every
+    estimate, so the arrays must not be mutated after construction.
     """
 
     time: np.ndarray
@@ -118,6 +100,18 @@ class SurvivalSample:
         m = self.is_rx if rx else ~self.is_rx
         return self.time[m], self.event[m]
 
+    @cached_property
+    def tables(self) -> "_RiskTables":
+        """The risk table, built on first use and shared; callers must not modify it."""
+        return _risk_tables(self.time, self.event, self.is_rx)
+
+    def km(self, rx: bool) -> "KMCurve":
+        """Product-limit curve of one arm, read off the shared risk table."""
+        in_arm = self.is_rx == rx
+        if not in_arm.any():
+            raise DomainError(f"the {ARM_RX if rx else ARM_C} arm is empty")
+        return KMCurve(*self.tables.km(rx), float(self.time[in_arm].max()))
+
     def subset(self, mask) -> "SurvivalSample":
         mask = np.asarray(mask, dtype=bool)
         return SurvivalSample(
@@ -142,7 +136,7 @@ class SurvivalSample:
 
 @dataclass(frozen=True)
 class KMCurve(SurvivalCurve):
-    """Right-continuous product-limit estimate with its risk-set bookkeeping.
+    """Right-continuous product-limit estimate.
 
     Rows cover the distinct event times only; ``survival_after[j]`` is the
     estimate just after ``times[j]``. When the largest observation is
@@ -151,15 +145,11 @@ class KMCurve(SurvivalCurve):
     """
 
     times: np.ndarray
-    at_risk: np.ndarray
-    events: np.ndarray
     survival_after: np.ndarray
     max_time: float
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "at_risk", np.asarray(self.at_risk, dtype=np.int64))
-        object.__setattr__(self, "events", np.asarray(self.events, dtype=np.int64))
         object.__setattr__(self, "survival_after", np.asarray(self.survival_after, dtype=float))
 
     def _lookup(self, t, side):
@@ -190,13 +180,21 @@ class KMCurve(SurvivalCurve):
 
 @dataclass(frozen=True)
 class _RiskTables:
-    """Per-distinct-event-time counts shared by the rank tests and the Cox fit."""
+    """Per-distinct-event-time counts behind the rank tests, product-limit curves and Cox fit."""
 
     times: np.ndarray
     events: np.ndarray       # d_j, total deaths at the time
     events_rx: np.ndarray    # deaths in the Rx arm
     at_risk: np.ndarray      # n_j, subjects still under observation
     at_risk_rx: np.ndarray
+
+    def km(self, rx: bool):
+        """(death times, survival just after each) of one arm's product-limit
+        curve; its counts are those of the arm's own table, so the curve is too."""
+        d = self.events_rx if rx else self.events - self.events_rx
+        n = self.at_risk_rx if rx else self.at_risk - self.at_risk_rx
+        keep = d > 0
+        return self.times[keep], np.cumprod(1.0 - d[keep] / n[keep])
 
 
 def _risk_tables(time, event, is_rx) -> _RiskTables:
@@ -223,15 +221,7 @@ def km_fit(times, events) -> KMCurve:
         raise DomainError("km_fit needs aligned, non-empty time and event arrays")
     if not np.all(np.isfinite(t)) or np.any(t <= 0.0):
         raise DomainError("observation times must be finite and > 0")
-    tables = _risk_tables(t, e, np.zeros(t.size, bool))
-    surv = np.cumprod(1.0 - tables.events / tables.at_risk)
-    return KMCurve(
-        times=tables.times,
-        at_risk=tables.at_risk,
-        events=tables.events,
-        survival_after=surv,
-        max_time=float(t.max()),
-    )
+    return KMCurve(*_risk_tables(t, e, np.ones(t.size, bool)).km(True), float(t.max()))
 
 
 def km_median(curve: KMCurve):
@@ -464,18 +454,17 @@ def cox_fit_two_arm(sample: SurvivalSample, strata_factor=None):
     if not sample.is_rx.any() or sample.is_rx.all():
         raise DomainError("both arms must be present")
     if strata_factor is None:
-        masks = [np.ones(sample.n, bool)]
+        tables = [sample.tables]
     else:
         if strata_factor not in sample.strata:
             raise DomainError(f"unknown stratum factor {strata_factor!r}")
         labels = sample.strata[strata_factor]
-        masks = [labels == lv for lv in np.unique(labels)]
-    tables = []
-    for m in masks:
-        tb = _risk_tables(sample.time[m], sample.event[m], sample.is_rx[m])
-        if tb.events.sum() == 0:
-            raise DomainError("every stratum used in the fit needs at least one death")
-        tables.append(tb)
+        tables = [
+            _risk_tables(sample.time[m], sample.event[m], sample.is_rx[m])
+            for m in (labels == lv for lv in np.unique(labels))
+        ]
+    if any(tb.events.sum() == 0 for tb in tables):
+        raise DomainError("every stratum used in the fit needs at least one death")
 
     # The score is strictly decreasing in beta, so a finite root exists only
     # when its limits bracket zero. Otherwise the likelihood is monotone.
@@ -525,16 +514,16 @@ def cox_fit_two_arm(sample: SurvivalSample, strata_factor=None):
     return float(beta), float(1.0 / math.sqrt(info))
 
 
-def sample_tr(rx_times, rx_events, c_times, c_events) -> EfficacySummary:
+def sample_tr(sample: SurvivalSample) -> float:
     """Ratio of product-limit median times, Rx over C.
 
     Raises NotReachedError (carrying the arm) when either curve never
     reaches its median.
     """
-    med_rx = km_median(km_fit(rx_times, rx_events))
+    med_rx = km_median(sample.km(True))
     if med_rx is NOT_REACHED:
         raise NotReachedError("Rx median never reached", arm=ARM_RX)
-    med_c = km_median(km_fit(c_times, c_events))
+    med_c = km_median(sample.km(False))
     if med_c is NOT_REACHED:
         raise NotReachedError("C median never reached", arm=ARM_C)
-    return EfficacySummary(Measure.TR, med_rx / med_c)
+    return med_rx / med_c

@@ -12,15 +12,14 @@ while mixture-based summaries stay put.
 
 from __future__ import annotations
 
-import configparser
 import csv
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .cli import _read_config
+from .errors import DomainError
 from .estim import ARM_C, ARM_RX, SurvivalSample
 from .rng import derive_rng
 
@@ -77,56 +76,38 @@ class OakAnalogSpec:
             raise DomainError("factor names must be unique")
 
 
-def _parse_pair(raw, cast, where):
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 2:
-        raise ValidationError(f"{where}: expected two comma-separated values, got {raw!r}")
-    try:
+def _pair(cast):
+    """Parser for two comma-separated values."""
+
+    def parse(raw):
+        parts = [p.strip() for p in raw.split(",")]
+        if len(parts) != 2:
+            raise ValueError(f"expected two comma-separated values, got {raw!r}")
         return tuple(cast(p) for p in parts)
-    except ValueError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+
+    return parse
+
+
+_SPEC_SCHEMA = {
+    "dataset": (
+        {"n": int, "theta": float, "shape": float, "base_scale": float, "seed": int},
+        ("n", "theta", "shape", "base_scale", "seed"),
+    ),
+    "factor:<name>": (
+        {"labels": _pair(str), "prevalence": float, "multipliers": _pair(float)},
+        ("labels", "prevalence", "multipliers"),
+    ),
+}
 
 
 def load_oak_analog_spec(path=None) -> OakAnalogSpec:
     """Read a fixture spec from an INI file (default: the packaged one)."""
-    parser = configparser.ConfigParser(interpolation=None)
-    if path is None:
-        text = resources.files("survquack").joinpath("data/oak_analog.cfg").read_text()
-        parser.read_string(text, source="builtin:oak_analog")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    if not parser.has_section("dataset"):
-        raise ValidationError("fixture config needs a [dataset] section")
-    ds = parser["dataset"]
-    try:
-        n = ds.getint("n")
-        theta = ds.getfloat("theta")
-        shape = ds.getfloat("shape")
-        base_scale = ds.getfloat("base_scale")
-        seed = ds.getint("seed")
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"[dataset]: {exc}") from exc
-    fields = {"n": n, "theta": theta, "shape": shape, "base_scale": base_scale, "seed": seed}
-    missing = [k for k, v in fields.items() if v is None]
-    if missing:
-        raise ValidationError(f"[dataset]: missing required key(s) {', '.join(missing)}")
-    factors = []
-    for section in parser.sections():
-        if not section.startswith("factor:"):
-            if section != "dataset":
-                raise ValidationError(f"unrecognized section [{section}]")
-            continue
-        name = section.split(":", 1)[1]
-        sec = parser[section]
-        labels = _parse_pair(sec.get("labels", ""), str, f"[{section}] labels")
-        multipliers = _parse_pair(sec.get("multipliers", ""), float, f"[{section}] multipliers")
-        try:
-            prevalence = sec.getfloat("prevalence")
-        except (ValueError, TypeError) as exc:
-            raise ValidationError(f"[{section}] prevalence: {exc}") from exc
-        factors.append(FactorSpec(name, labels, prevalence, multipliers))
-    return OakAnalogSpec(n, theta, shape, base_scale, seed, tuple(factors))
+    sections = _read_config(
+        "builtin:oak_analog" if path is None else path, "fixture config", _SPEC_SCHEMA
+    )
+    dataset = sections.pop("dataset")
+    factors = tuple(FactorSpec(s.split(":", 1)[1], **f) for s, f in sections.items())
+    return OakAnalogSpec(factors=factors, **dataset)
 
 
 def generate_prognostic_sample(spec: OakAnalogSpec) -> SurvivalSample:

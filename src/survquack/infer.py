@@ -11,7 +11,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NOT_REACHED, DomainError
-from .estim import SurvivalSample, _pair_stats, _risk_tables, cox_fit_two_arm, km_fit, km_median
+from .estim import SurvivalSample, _pair_stats, cox_fit_two_arm, km_median
 from .rng import derive_rng
 
 __all__ = [
@@ -79,7 +79,7 @@ def logrank_test(sample: SurvivalSample) -> LogRankResult:
         raise DomainError("both arms must be present")
     if not sample.event.any():
         raise DomainError("at least one death is required")
-    tb = _risk_tables(sample.time, sample.event, sample.is_rx)
+    tb = sample.tables
     n = tb.at_risk.astype(float)
     n1 = tb.at_risk_rx.astype(float)
     d = tb.events.astype(float)
@@ -124,10 +124,8 @@ def decision_procedure(sample: SurvivalSample, alpha) -> DecisionOutcome:
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must lie in (0, 1)")
     result = logrank_test(sample)
-    rx_t, rx_e = sample.arm(True)
-    c_t, c_e = sample.arm(False)
-    median_rx = km_median(km_fit(rx_t, rx_e))
-    median_c = km_median(km_fit(c_t, c_e))
+    median_rx = km_median(sample.km(True))
+    median_c = km_median(sample.km(False))
     claim, tie = _directional_claim(result.p_two_sided, alpha, median_rx, median_c)
     return DecisionOutcome(claim, result.p_two_sided, median_rx, median_c, tie, result)
 

@@ -20,6 +20,7 @@ import numpy as np
 from .dist import (
     MixtureCurve,
     WeibullDist,
+    _check_prevalences,
     quantile,
     sample_times,
     solve_complement_scale,
@@ -156,12 +157,8 @@ def _validate_config(config: ScenarioConfig):
     labels = [g.label for g in config.subgroups]
     if len(set(labels)) != len(labels):
         raise DomainError("subgroup labels must be unique")
-    total = math.fsum(g.prevalence for g in config.subgroups)
-    if abs(total - 1.0) > 1e-12:
-        raise DomainError(f"subgroup prevalences sum to {total!r}, not 1")
+    _check_prevalences(g.prevalence for g in config.subgroups)
     for g in config.subgroups:
-        if not (0.0 < g.prevalence < 1.0) and len(labels) > 1:
-            raise DomainError(f"prevalence of {g.label!r} outside (0, 1)")
         if g.shape <= 0.0:
             raise DomainError(f"shape of {g.label!r} must be positive")
         if not g.is_open:

@@ -19,18 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import MixtureCurve, SurvivalCurve, quantile
+from .dist import MixtureCurve, SurvivalCurve, _check_prevalences, quantile
 from .errors import DomainError, NotReachedError, NumericalError
-from .estim import (
-    EfficacySummary,
-    Measure,
-    SurvivalSample,
-    cox_fit_two_arm,
-    hr_from_llp,
-    km_fit,
-    sample_tr,
-    weibull_mle,
-)
+from .estim import Measure, SurvivalSample, cox_fit_two_arm, hr_from_llp, sample_tr, weibull_mle
 
 __all__ = [
     "SubgroupRow",
@@ -80,12 +71,8 @@ class SubgroupTable:
         rows = tuple(self.rows)
         if not rows:
             raise DomainError("subgroup table needs at least one row")
-        total = math.fsum(r.prevalence for r in rows)
-        if abs(total - 1.0) > 1e-12:
-            raise DomainError(f"prevalences sum to {total!r}, not 1")
+        _check_prevalences(r.prevalence for r in rows)
         for r in rows:
-            if not (0.0 < r.prevalence <= 1.0):
-                raise DomainError(f"prevalence {r.prevalence!r} outside (0, 1]")
             if measure is Measure.RR:
                 for p in (r.rx, r.c):
                     if not (0.0 <= float(p) <= 1.0):
@@ -123,7 +110,7 @@ def naive_stratified_ratio(pairs) -> float:
     return math.exp(math.fsum(w * math.log(r) for r, w in pairs))
 
 
-def sme_overall_rr(table: SubgroupTable) -> EfficacySummary:
+def sme_overall_rr(table: SubgroupTable) -> float:
     """Overall response ratio: mix response rates per arm, then divide."""
     if table.measure is not Measure.RR:
         raise DomainError("sme_overall_rr needs an RR table")
@@ -131,10 +118,12 @@ def sme_overall_rr(table: SubgroupTable) -> EfficacySummary:
     den = math.fsum(r.prevalence * float(r.c) for r in table.rows)
     if den <= 0.0:
         raise DomainError("overall control response is zero; the ratio is undefined")
-    return EfficacySummary(Measure.RR, num / den)
+    if num <= 0.0:
+        raise DomainError("overall Rx response is zero; the ratio is not positive")
+    return num / den
 
 
-def sme_overall_tr(table: SubgroupTable, tol=1e-10) -> EfficacySummary:
+def sme_overall_tr(table: SubgroupTable, tol=1e-10) -> float:
     """Overall time ratio: median of each arm's mixture curve, then divide."""
     if table.measure is not Measure.TR:
         raise DomainError("sme_overall_tr needs a TR table")
@@ -144,10 +133,10 @@ def sme_overall_tr(table: SubgroupTable, tol=1e-10) -> EfficacySummary:
             medians[arm] = quantile(table.arm_mixture(rx), 0.5, tol=tol)
         except NotReachedError as exc:
             raise NotReachedError(f"{arm} mixture median never reached", arm=arm) from exc
-    return EfficacySummary(Measure.TR, medians["Rx"] / medians["C"])
+    return medians["Rx"] / medians["C"]
 
 
-def sme_overall_hr(table: SubgroupTable) -> EfficacySummary:
+def sme_overall_hr(table: SubgroupTable) -> float:
     """Overall hazard ratio through the win-probability bijection.
 
     Each arm's curves are mixed over prevalences, the probability that a
@@ -161,7 +150,7 @@ def sme_overall_hr(table: SubgroupTable) -> EfficacySummary:
     llp = mixture_llp(table.arm_mixture(True), table.arm_mixture(False))
     if not (0.0 < llp < 1.0):
         raise NumericalError("integrated win probability left (0, 1)", llp=llp)
-    return EfficacySummary(Measure.HR, hr_from_llp(llp))
+    return hr_from_llp(llp)
 
 
 def _flatten_components(curve, weight=1.0):
@@ -229,19 +218,21 @@ def _llp_against_component(rx_curve, comp):
 def mixture_llp(rx_curve: SurvivalCurve, c_curve: SurvivalCurve) -> float:
     """Probability that a draw from ``rx_curve`` outlives one from ``c_curve``.
 
-    The control side is decomposed into mixture components. Step components
-    contribute exact sums over their jumps (ties get half credit, matching
-    the pairwise estimator). Against a continuous component, a piecewise
-    constant Rx curve is summed exactly over its constant pieces; any other
-    Rx curve is integrated by the trapezoid rule on the component's log
-    cumulative-hazard scale, to about 1e-13. A component exposing neither
-    jumps nor an inverse cumulative hazard raises DomainError, and an
-    integral that does not converge (say, against an Rx mixture of step and
-    continuous curves) raises NumericalError.
+    Both sides are decomposed into mixture components and the probability,
+    linear in each curve, is summed over the pairs. A step control component
+    contributes an exact sum over its jumps (ties get half credit, matching
+    the pairwise estimator). Against a continuous control component, a step
+    Rx component is summed exactly over its constant pieces and a continuous
+    one is integrated by the trapezoid rule on the control's log
+    cumulative-hazard scale, to about 1e-13. A control component exposing
+    neither jumps nor an inverse cumulative hazard raises DomainError, and
+    an integral that does not converge raises NumericalError.
     """
+    c_parts = _flatten_components(c_curve)
     total = 0.0
-    for w, comp in _flatten_components(c_curve):
-        total += w * _llp_against_component(rx_curve, comp)
+    for wr, rc in _flatten_components(rx_curve):
+        for wc, cc in c_parts:
+            total += wr * wc * _llp_against_component(rc, cc)
     return min(max(total, 0.0), 1.0)
 
 
@@ -257,23 +248,16 @@ class StratifiedComparison:
 
 
 def _level_curves(sub: SurvivalSample, curve_source: str):
-    curves = {}
-    for arm, rx in (("Rx", True), ("C", False)):
-        t, e = sub.arm(rx)
-        if curve_source == "km":
-            curves[arm] = km_fit(t, e)
-        else:
-            curves[arm] = weibull_mle(t, e)[0]
-    return curves["Rx"], curves["C"]
+    if curve_source == "km":
+        return sub.km(True), sub.km(False)
+    return weibull_mle(*sub.arm(True))[0], weibull_mle(*sub.arm(False))[0]
 
 
 def _marginal_value(sample: SurvivalSample, measure: Measure) -> float:
     if measure is Measure.HR:
         log_hr, _ = cox_fit_two_arm(sample)
         return math.exp(log_hr)
-    rx_t, rx_e = sample.arm(True)
-    c_t, c_e = sample.arm(False)
-    return sample_tr(rx_t, rx_e, c_t, c_e).value
+    return sample_tr(sample)
 
 
 def stratified_audit(
@@ -340,18 +324,16 @@ def stratified_audit(
                 log_hr, _ = cox_fit_two_arm(sub)
                 ratios.append(math.exp(log_hr))
             else:
-                rx_t, rx_e = sub.arm(True)
-                c_t, c_e = sub.arm(False)
-                ratios.append(sample_tr(rx_t, rx_e, c_t, c_e).value)
+                ratios.append(sample_tr(sub))
             rx_curve, c_curve = _level_curves(sub, source)
             rows.append(SubgroupRow(level, float(prev), rx_curve, c_curve))
 
         naive = naive_stratified_ratio(zip(ratios, prevalences))
         table = SubgroupTable(measure, tuple(rows))
         if measure is Measure.HR:
-            sme = sme_overall_hr(table).value
+            sme = sme_overall_hr(table)
         else:
-            sme = sme_overall_tr(table).value
+            sme = sme_overall_tr(table)
         comparisons.append(
             StratifiedComparison(str(factor), naive, sme, marginal, tuple(dropped))
         )

@@ -95,7 +95,7 @@ def test_criterion_05_bijections_and_recovery(criterion):
                 Measure.HR,
                 (SubgroupRow("all", 1.0, lehmann_transform(control, theta), control),),
             )
-            assert abs(sme_overall_hr(table).value - theta) < 1e-6
+            assert abs(sme_overall_hr(table) - theta) < 1e-6
 
 
 def test_criterion_06_logic_respecting_suites(criterion):
@@ -111,7 +111,7 @@ def test_criterion_06_logic_respecting_suites(criterion):
                 SubgroupRow(f"s{j}", float(weights[j]), float(rx_p[j]), float(c_p[j]))
                 for j in range(k)
             )
-            value = sme_overall_rr(SubgroupTable(Measure.RR, rows)).value
+            value = sme_overall_rr(SubgroupTable(Measure.RR, rows))
             ratios = rx_p / c_p
             if not (ratios.min() - 1e-12 <= value <= ratios.max() + 1e-12):
                 violations += 1
@@ -130,7 +130,7 @@ def test_criterion_06_logic_respecting_suites(criterion):
                     float(shapes[j]), float(c_medians[j] * ratios[j])
                 )
                 rows.append(SubgroupRow(f"s{j}", weight, treated, control))
-            value = sme_overall_tr(SubgroupTable(Measure.TR, tuple(rows))).value
+            value = sme_overall_tr(SubgroupTable(Measure.TR, tuple(rows)))
             lo, hi = min(ratios), max(ratios)
             # quantile bisection stops at 1e-10, so allow that much slack
             if not (lo - 1e-8 * hi <= value <= hi + 1e-8 * hi):
@@ -148,7 +148,7 @@ def test_criterion_07_hazard_ratio_dilution(criterion):
                     SubgroupRow("near", 0.5, lehmann_transform(near, theta), near),
                     SubgroupRow("far", 0.5, lehmann_transform(far, theta), far),
                 )
-                value = sme_overall_hr(SubgroupTable(Measure.HR, rows)).value
+                value = sme_overall_hr(SubgroupTable(Measure.HR, rows))
                 assert theta < value < 1.0
 
 

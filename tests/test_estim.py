@@ -11,7 +11,6 @@ from scipy.optimize import brentq
 from survquack import (
     ARM_C,
     ARM_RX,
-    Measure,
     NOT_REACHED,
     SurvivalSample,
     WeibullDist,
@@ -99,6 +98,46 @@ def test_km_plateau_flag():
     assert km.terminates_above_zero
     assert km.final_survival() == pytest.approx(0.5)
     assert not km_fit([1.0, 2.0], [True, True]).terminates_above_zero
+
+
+@st.composite
+def _two_arm_samples(draw):
+    n = draw(st.integers(2, 40))
+    # few distinct times force ties within and across arms
+    time = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    event = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    is_rx = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return SurvivalSample(np.asarray(time, float) / 4.0, event, is_rx)
+
+
+def _assert_km_from_table_is_km_fit(sample):
+    for rx in (True, False):
+        if not (sample.is_rx == rx).any():
+            continue
+        shared, alone = sample.km(rx), km_fit(*sample.arm(rx))
+        assert shared.times.tobytes() == alone.times.tobytes()
+        assert shared.survival_after.tobytes() == alone.survival_after.tobytes()
+        assert shared.max_time == alone.max_time
+
+
+@given(_two_arm_samples())
+@settings(max_examples=200, deadline=None)
+def test_km_read_off_the_shared_table_is_bitwise_km_fit(sample):
+    _assert_km_from_table_is_km_fit(sample)
+
+
+def test_km_read_off_the_shared_table_with_a_censored_last_observation():
+    # Rx ends censored at 9 and C at 7; both arms share tied times 2 and 5
+    sample = SurvivalSample(
+        [2.0, 2.0, 5.0, 9.0, 2.0, 5.0, 5.0, 7.0, 1.0],
+        [True, False, True, False, True, True, False, False, True],
+        [True, True, True, True, False, False, False, False, False],
+    )
+    assert sample.km(True).terminates_above_zero and sample.km(False).terminates_above_zero
+    _assert_km_from_table_is_km_fit(sample)
+    rng = derive_rng(17, "km-shared")
+    t = np.round(sample_times(WeibullDist(1.1, 9.0), rng, 300), 1) + 0.1
+    _assert_km_from_table_is_km_fit(SurvivalSample(t, rng.random(300) < 0.7, rng.random(300) < 0.5))
 
 
 # ------------------------------------------------------------------- km_median
@@ -379,11 +418,10 @@ def test_cox_requires_both_arms():
 # -------------------------------------------------------------------- sample_tr
 
 def test_sample_tr_examples():
-    ones = np.ones(3, bool)
-    same = sample_tr([1.0, 2.0, 3.0], ones, [1.0, 2.0, 3.0], ones)
-    assert same.measure is Measure.TR and same.value == 1.0
-    double = sample_tr([1.0, 2.0, 3.0], ones, [2.0, 4.0, 6.0], ones)
-    assert double.value == 0.5
+    same = sample_tr(SurvivalSample.from_arms([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]))
+    assert same == 1.0
+    double = sample_tr(SurvivalSample.from_arms([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]))
+    assert double == 0.5
 
 
 def test_sample_tr_on_favorable_subgroup(section3):
@@ -391,18 +429,18 @@ def test_sample_tr_on_favorable_subgroup(section3):
     rng = derive_rng(55, "tr-check")
     rx = sample_times(gplus.rx, rng, 4000)
     c = sample_times(gplus.c, rng, 4000)
-    tr = sample_tr(rx, np.ones(4000, bool), c, np.ones(4000, bool))
-    assert tr.value == pytest.approx(2.0, abs=0.15)
+    tr = sample_tr(SurvivalSample.from_arms(rx, c))
+    assert tr == pytest.approx(2.0, abs=0.15)
 
 
 def test_sample_tr_reports_unreached_arm():
-    ones = np.ones(3, bool)
-    heavy = np.asarray([True, False, False])
+    t = [1.0, 2.0, 3.0]
+    heavy = [True, False, False]
     with pytest.raises(NotReachedError) as err:
-        sample_tr([1.0, 2.0, 3.0], heavy, [1.0, 2.0, 3.0], ones)
+        sample_tr(SurvivalSample.from_arms(t, t, rx_events=heavy))
     assert err.value.arm == ARM_RX
     with pytest.raises(NotReachedError) as err:
-        sample_tr([1.0, 2.0, 3.0], ones, [1.0, 2.0, 3.0], heavy)
+        sample_tr(SurvivalSample.from_arms(t, t, c_events=heavy))
     assert err.value.arm == ARM_C
 
 

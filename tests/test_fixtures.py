@@ -61,6 +61,17 @@ def test_spec_loads_from_explicit_path(tmp_path):
             "[dataset]\nn = 50\ntheta = maybe\nshape = 1.0\nbase_scale = 9.0\nseed = 3\n",
             r"\[dataset\]",
         ),
+        ("n = 50\n[dataset]\nseed = 3\n", "section header"),
+        (
+            "[dataset]\nn = 50\ntheta = 0.5\nshape = 1.0\nbase_scale = 9.0\nseed = 3\nsede = 4\n"
+            "[factor:grp]\nlabels = a, b\nprevalence = 0.5\nmultipliers = 1, 2\n",
+            r"\[dataset\] unknown key 'sede'",
+        ),
+        (
+            "[dataset]\nn = 50\ntheta = 0.5\nshape = 1.0\nbase_scale = 9.0\nseed = 3\n"
+            "[factor:grp]\nlabels = a, b\nprevalence = 0.5\nmultipliers = 1, 2\nmultiplier = 3\n",
+            r"\[factor:grp\] unknown key 'multiplier'",
+        ),
     ],
 )
 def test_spec_parse_failures(tmp_path, text, match):
@@ -68,6 +79,11 @@ def test_spec_parse_failures(tmp_path, text, match):
     path.write_text(text)
     with pytest.raises(ValidationError, match=match):
         load_oak_analog_spec(path)
+
+
+def test_spec_missing_file_is_a_validation_error(tmp_path):
+    with pytest.raises(ValidationError, match="cannot open config"):
+        load_oak_analog_spec(tmp_path / "absent.cfg")
 
 
 def test_factor_spec_validation():

@@ -18,6 +18,7 @@ from survquack import (
     tr_to_hr,
     weibull_from_median,
 )
+from survquack import estim
 from survquack.errors import (
     DomainError,
     InfeasibleScenario,
@@ -233,6 +234,21 @@ def test_run_replication_is_deterministic(small_scenario):
     assert a == b
     assert a.rep == 7
     assert isinstance(a.cox_rejected, bool)
+
+
+def test_run_replication_builds_one_risk_table(small_scenario, monkeypatch):
+    # the log-rank test, both product-limit medians and the Cox fit share it
+    calls = []
+    original = estim._risk_tables
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(estim, "_risk_tables", counting)
+    for rep in range(3):
+        run_replication(small_scenario, rep)
+    assert len(calls) == 3
 
 
 def test_run_study_worker_count_is_invisible(small_scenario):

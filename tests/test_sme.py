@@ -101,10 +101,9 @@ def test_sme_rr_mixes_rates_before_dividing():
         (SubgroupRow("a", 0.5, 0.2, 0.3), SubgroupRow("b", 0.5, 0.3, 0.4)),
     )
     out = sme_overall_rr(table)
-    assert out.measure is Measure.RR
     # mixed responses 0.25 / 0.35; inside the stratum range [2/3, 3/4]
-    assert out.value == pytest.approx(5.0 / 7.0, rel=1e-15)
-    assert 2.0 / 3.0 < out.value < 3.0 / 4.0
+    assert out == pytest.approx(5.0 / 7.0, rel=1e-15)
+    assert 2.0 / 3.0 < out < 3.0 / 4.0
 
 
 def test_sme_rr_shared_ratio_passes_through():
@@ -112,12 +111,12 @@ def test_sme_rr_shared_ratio_passes_through():
         Measure.RR,
         (SubgroupRow("a", 0.25, 0.36, 0.6), SubgroupRow("b", 0.75, 0.18, 0.3)),
     )
-    assert sme_overall_rr(table).value == pytest.approx(0.6, rel=1e-12)
+    assert sme_overall_rr(table) == pytest.approx(0.6, rel=1e-12)
 
 
 def test_sme_rr_single_row():
     table = SubgroupTable(Measure.RR, (SubgroupRow("a", 1.0, 0.42, 0.84),))
-    assert sme_overall_rr(table).value == pytest.approx(0.5, rel=1e-15)
+    assert sme_overall_rr(table) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_sme_rr_zero_control_response_is_domain_error():
@@ -125,6 +124,14 @@ def test_sme_rr_zero_control_response_is_domain_error():
         Measure.RR, (SubgroupRow("a", 0.5, 0.1, 0.0), SubgroupRow("b", 0.5, 0.2, 0.0))
     )
     with pytest.raises(DomainError):
+        sme_overall_rr(table)
+
+
+def test_sme_rr_zero_rx_response_is_domain_error():
+    table = SubgroupTable(
+        Measure.RR, (SubgroupRow("a", 0.5, 0.0, 0.1), SubgroupRow("b", 0.5, 0.0, 0.2))
+    )
+    with pytest.raises(DomainError, match="Rx response is zero"):
         sme_overall_rr(table)
 
 
@@ -148,7 +155,7 @@ def test_sme_rr_is_logic_respecting(data):
     rows = tuple(
         SubgroupRow(f"g{i}", prev[i], rx[i], c[i]) for i in range(k)
     )
-    value = sme_overall_rr(SubgroupTable(Measure.RR, rows)).value
+    value = sme_overall_rr(SubgroupTable(Measure.RR, rows))
     ratios = [x / y for x, y in zip(rx, c)]
     assert min(ratios) * (1.0 - 1e-12) <= value <= max(ratios) * (1.0 + 1e-12)
 
@@ -160,7 +167,7 @@ def test_sme_tr_identical_arms_is_exactly_one():
     table = SubgroupTable(
         Measure.TR, (SubgroupRow("a", 0.6, c1, c1), SubgroupRow("b", 0.4, c2, c2))
     )
-    assert sme_overall_tr(table).value == 1.0
+    assert sme_overall_tr(table) == 1.0
 
 
 def test_sme_tr_uniform_time_stretch():
@@ -171,14 +178,14 @@ def test_sme_tr_uniform_time_stretch():
     table = SubgroupTable(
         Measure.TR, (SubgroupRow("a", 0.6, r1, c1), SubgroupRow("b", 0.4, r2, c2))
     )
-    assert sme_overall_tr(table).value == pytest.approx(1.5, abs=1e-12)
+    assert sme_overall_tr(table) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_sme_tr_of_the_balanced_scenario_is_one(section3):
     rows = tuple(
         SubgroupRow(g.label, g.prevalence, g.rx, g.c) for g in section3.subgroups
     )
-    value = sme_overall_tr(SubgroupTable(Measure.TR, rows)).value
+    value = sme_overall_tr(SubgroupTable(Measure.TR, rows))
     assert abs(value - 1.0) < 1e-6
 
 
@@ -204,7 +211,7 @@ def test_sme_tr_rejects_wrong_measure_table():
 def test_sme_hr_identical_arms_is_one():
     base = WeibullDist(1.3, 9.0)
     table = SubgroupTable(Measure.HR, (SubgroupRow("a", 1.0, base, base),))
-    assert sme_overall_hr(table).value == pytest.approx(1.0, abs=1e-8)
+    assert sme_overall_hr(table) == pytest.approx(1.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("theta", [0.5, 2.0])
@@ -213,7 +220,7 @@ def test_sme_hr_recovers_single_subgroup_exponent(theta):
     table = SubgroupTable(
         Measure.HR, (SubgroupRow("a", 1.0, lehmann_transform(base, theta), base),)
     )
-    assert sme_overall_hr(table).value == pytest.approx(theta, abs=1e-6)
+    assert sme_overall_hr(table) == pytest.approx(theta, abs=1e-6)
 
 
 def test_sme_hr_mixing_dilutes_a_shared_exponent_toward_one():
@@ -226,7 +233,7 @@ def test_sme_hr_mixing_dilutes_a_shared_exponent_toward_one():
         c = weibull_from_median(1.1, median)
         rows.append(SubgroupRow(label, 0.5, lehmann_transform(c, theta), c))
     table = SubgroupTable(Measure.HR, tuple(rows))
-    value = sme_overall_hr(table).value
+    value = sme_overall_hr(table)
     assert theta < value < 1.0
     assert value == pytest.approx(0.5519793259652118, rel=1e-9)
     rx_mix = table.arm_mixture(True)
@@ -301,9 +308,9 @@ def test_subgroup_table_refinement_is_harmless():
             SubgroupRow("b2", 0.2, r2, c2),
         ),
     )
-    v = sme_overall_tr(base).value
-    assert sme_overall_tr(split_first).value == v
-    assert sme_overall_tr(split_last).value == pytest.approx(v, abs=1e-9)
+    v = sme_overall_tr(base)
+    assert sme_overall_tr(split_first) == v
+    assert sme_overall_tr(split_last) == pytest.approx(v, abs=1e-9)
 
 
 def test_refining_rr_rows_is_bitwise_neutral_anywhere():
@@ -313,8 +320,8 @@ def test_refining_rr_rows_is_bitwise_neutral_anywhere():
         SubgroupRow("b1", 0.2, 0.52, 0.47),
         SubgroupRow("b2", 0.2, 0.52, 0.47),
     )
-    a = sme_overall_rr(SubgroupTable(Measure.RR, rows)).value
-    b = sme_overall_rr(SubgroupTable(Measure.RR, split_last)).value
+    a = sme_overall_rr(SubgroupTable(Measure.RR, rows))
+    b = sme_overall_rr(SubgroupTable(Measure.RR, split_last))
     assert a == b
 
 
@@ -356,6 +363,22 @@ def test_mixture_llp_step_against_smooth_is_an_exact_piece_sum():
     backward = mixture_llp(smooth, km_rx)
     assert forward == pytest.approx(oracle, abs=1e-12)
     assert forward + backward == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mixture_llp_rx_mixture_of_step_and_smooth_curves():
+    # The Rx integrand jumps, so no single trapezoid rule over it converges;
+    # each (Rx, control) component pair has an exact or smooth route.
+    rng = derive_rng(41, "llp-steps")
+    t = np.maximum(np.round(sample_times(WeibullDist(1.1, 8.0), rng, 60), 1), 0.1)
+    ev = rng.random(60) < 0.8
+    km = km_fit(t, ev)
+    smooth = WeibullDist(1.0, 9.0)
+    c = WeibullDist(1.1, 7.0)
+    oracle = 0.5 * mixture_llp(km, c) + 0.5 * quantile_llp(
+        lambda x: float(smooth.survival(x)), _weibull_quantile(1.1, 7.0)
+    )
+    value = mixture_llp(MixtureCurve(((0.5, km), (0.5, smooth))), c)
+    assert value == pytest.approx(oracle, abs=1e-10)
 
 
 def test_mixture_llp_smooth_mixtures_match_quadrature_oracle():
