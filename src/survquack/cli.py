@@ -39,7 +39,6 @@ from .estim import (
     Measure,
     NOT_REACHED,
     SurvivalSample,
-    cox_fit_two_arm,
     empirical_llp,
     hr_from_llp,
     km_median,
@@ -325,7 +324,7 @@ def _cmd_analyze(args):
         }
 
     def cox_section():
-        log_hr, se = cox_fit_two_arm(sample)
+        log_hr, se = sample.cox
         z = log_hr / se
         p = _two_sided_p(z)
         return {

@@ -72,9 +72,6 @@ class SurvivalCurve:
         """Left limit S(t-); differs from survival() only for step curves."""
         return self.survival(t)
 
-    def density(self, t):
-        raise DomainError(f"{type(self).__name__} exposes no density")
-
     def inverse_cumhaz(self, s):
         """Time t at which the cumulative hazard -log S(t) equals ``s``.
 
@@ -115,13 +112,6 @@ class WeibullDist(SurvivalCurve):
         tt = _as_times(t)
         return _match(np.exp(-np.power(tt / self.scale, self.shape)), t)
 
-    def density(self, t):
-        tt = _as_times(t)
-        z = tt / self.scale
-        with np.errstate(divide="ignore"):
-            out = (self.shape / self.scale) * np.power(z, self.shape - 1.0) * np.exp(-np.power(z, self.shape))
-        return _match(out, t)
-
     def hazard(self, t):
         tt = _as_times(t)
         with np.errstate(divide="ignore"):
@@ -161,14 +151,6 @@ class LehmannCurve(SurvivalCurve):
 
     def survival_left(self, t):
         return _match(np.power(self.reference.survival_left(t), self.hr), t)
-
-    def density(self, t):
-        s = np.atleast_1d(np.asarray(self.reference.survival(t), dtype=float))
-        f = np.atleast_1d(np.asarray(self.reference.density(t), dtype=float))
-        out = np.zeros_like(s)
-        ok = (f > 0.0) & (s > 0.0)
-        out[ok] = self.hr * np.power(s[ok], self.hr - 1.0) * f[ok]
-        return float(out[0]) if np.ndim(t) == 0 else out
 
     def inverse_cumhaz(self, s):
         # the cumulative hazard is hr times the reference's
@@ -215,9 +197,6 @@ class MixtureCurve(SurvivalCurve):
 
     def survival_left(self, t):
         return self._accumulate(lambda c, x: c.survival_left(x), t)
-
-    def density(self, t):
-        return self._accumulate(lambda c, x: c.density(x), t)
 
     def final_survival(self):
         return math.fsum(p * c.final_survival() for p, c in self.components)

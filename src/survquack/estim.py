@@ -61,8 +61,9 @@ class SurvivalSample:
 
     ``is_rx`` is True for the treated arm. ``strata`` maps factor names to
     per-subject label arrays; every factor covers every subject. The risk
-    table (``tables``) is built on first use and then shared by every
-    estimate, so the arrays must not be mutated after construction.
+    table (``tables``) and the unstratified Cox fit (``cox``) are built on
+    first use and then shared by every estimate, so the arrays must not be
+    mutated after construction.
     """
 
     time: np.ndarray
@@ -104,6 +105,12 @@ class SurvivalSample:
     def tables(self) -> "_RiskTables":
         """The risk table, built on first use and shared; callers must not modify it."""
         return _risk_tables(self.time, self.event, self.is_rx)
+
+    @cached_property
+    def cox(self):
+        """(log hazard ratio, standard error) of the unstratified two-arm Cox
+        fit, computed on first use and shared; a failed fit is not kept."""
+        return cox_fit_two_arm(self)
 
     def km(self, rx: bool) -> "KMCurve":
         """Product-limit curve of one arm, read off the shared risk table."""

@@ -136,7 +136,7 @@ def mw_pair_count(rx_times, c_times) -> float:
     return wins + 0.5 * ties
 
 
-def _cross_counts(b, a):
+def _cross_counts(b, a, keys, positions):
     """Per-row counts of pairs with b[i] <= a[j]; b and a are (reps, n)/(reps, m).
 
     Both hold values in [0, 1], whose IEEE bit patterns order like the
@@ -144,18 +144,32 @@ def _cross_counts(b, a):
     reference side: on a tie the b value sorts first and the pair counts.
     The a value at sorted position p has p - (number of a before it) b
     values before it, so the row's count is the sum of the a positions
-    minus m(m - 1)/2.
+    minus m(m - 1)/2. ``keys`` is a (reps, n + m) uint64 buffer whose
+    contents are overwritten; ``positions`` is arange(n + m).
     """
     n = b.shape[1]
     m = a.shape[1]
-    keys = np.concatenate([b, a], axis=1).view(np.uint64) << np.uint64(1)
-    keys[:, n:] |= np.uint64(1)
+    one = np.uint64(1)
+    np.left_shift(b.view(np.uint64), one, out=keys[:, :n])
+    np.left_shift(a.view(np.uint64), one, out=keys[:, n:])
+    keys[:, n:] |= one
     keys.sort(axis=1)
-    keys &= np.uint64(1)
-    return keys.view(np.int64) @ np.arange(n + m) - m * (m - 1) // 2
+    keys &= one
+    return keys.view(np.int64) @ positions - m * (m - 1) // 2
 
 
-def mw_acceptance_region(n, m, theta, level, mc_reps, rng):
+def _mc_workspace(n, m, mc_reps):
+    """Buffers one acceptance region fills: reference draws, treated draws,
+    sort keys and key positions."""
+    return (
+        np.empty((mc_reps, m)),
+        np.empty((mc_reps, n)),
+        np.empty((mc_reps, n + m), dtype=np.uint64),
+        np.arange(n + m),
+    )
+
+
+def mw_acceptance_region(n, m, theta, level, mc_reps, rng, *, _workspace=None):
     """Equal-tailed null acceptance interval [lo, hi] for the pair count.
 
     The null at exponent ``theta`` is simulated on the survival-probability
@@ -164,14 +178,22 @@ def mw_acceptance_region(n, m, theta, level, mc_reps, rng):
     lives. Cutoffs keep the boundary counts inside the region, so the
     acceptance probability is at least the nominal level up to Monte Carlo
     error, never below it by construction.
+
+    ``_workspace`` (from ``_mc_workspace``) holds buffers refilled in place, shared
+    across the grid points of one ``mw_pivot_ci`` call; it never changes the result.
     """
     theta = float(theta)
     if not (math.isfinite(theta) and theta > 0.0):
         raise DomainError("theta must be positive and finite")
-    a = rng.random((mc_reps, m))
-    w = rng.random((mc_reps, n))
-    b = np.power(np.maximum(w, np.finfo(float).tiny), 1.0 / theta)
-    counts = np.sort(_cross_counts(b, a))
+    if _workspace is None:
+        _workspace = _mc_workspace(n, m, mc_reps)
+    a, b, keys, positions = _workspace
+    rng.random(out=a)
+    rng.random(out=b)
+    np.maximum(b, np.finfo(float).tiny, out=b)
+    np.power(b, 1.0 / theta, out=b)
+    counts = _cross_counts(b, a, keys, positions)
+    counts.sort()
     k = int(math.floor(0.5 * (1.0 - level) * mc_reps))
     return float(counts[k]), float(counts[mc_reps - 1 - k])
 
@@ -227,9 +249,12 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, mc_reps=2000, seed=0) 
     c = np.asarray(c_times, dtype=float)
     observed = mw_pair_count(rx, c)
     accepted = np.zeros(grid.size, dtype=bool)
+    workspace = _mc_workspace(rx.size, c.size, mc_reps)
     for i, theta in enumerate(grid):
         rng = derive_rng(seed, "mw-pivot", i)
-        lo_cnt, hi_cnt = mw_acceptance_region(rx.size, c.size, theta, level, mc_reps, rng)
+        lo_cnt, hi_cnt = mw_acceptance_region(
+            rx.size, c.size, theta, level, mc_reps, rng, _workspace=workspace
+        )
         accepted[i] = lo_cnt <= observed <= hi_cnt
     idx = np.flatnonzero(accepted)
     if idx.size == 0:

@@ -255,8 +255,7 @@ def _level_curves(sub: SurvivalSample, curve_source: str):
 
 def _marginal_value(sample: SurvivalSample, measure: Measure) -> float:
     if measure is Measure.HR:
-        log_hr, _ = cox_fit_two_arm(sample)
-        return math.exp(log_hr)
+        return math.exp(sample.cox[0])
     return sample_tr(sample)
 
 

@@ -158,6 +158,31 @@ def quad_llp(rx_survival, c_density, upper=np.inf):
     return value
 
 
+def weibull_density(shape, scale):
+    """f(t) = (shape / scale) (t / scale)^(shape - 1) exp(-(t / scale)^shape), t > 0."""
+
+    def f(t):
+        z = t / scale
+        return shape / scale * z ** (shape - 1.0) * math.exp(-(z**shape))
+
+    return f
+
+
+def power_curve_density(reference_survival, reference_density, theta):
+    """Density of S(t)^theta: theta * S(t)^(theta - 1) * f(t), and 0 where S = 0."""
+
+    def f(t):
+        s = float(reference_survival(t))
+        return theta * s ** (theta - 1.0) * reference_density(t) if s > 0.0 else 0.0
+
+    return f
+
+
+def mixture_density(parts):
+    """Density of a mixture given (prevalence, density) pairs."""
+    return lambda t: math.fsum(p * f(t) for p, f in parts)
+
+
 def quantile_llp(rx_survival, c_quantile):
     """P(T_rx > T_c) = integral of S_rx(Q_c(u)) over u in (0, 1) by scipy quadrature.
 

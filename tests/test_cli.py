@@ -221,6 +221,42 @@ class TestAnalyze:
         assert rep["sections"]["logrank"]["ok"] is True
         assert rep["sections"]["medians"]["ok"] is True
 
+    def test_whole_sample_cox_fit_runs_once(self, oak_small_csv, capsys, monkeypatch):
+        # cox_wald and the HR audit's marginal value read one shared fit
+        import survquack.cli as cli_mod
+        import survquack.estim as estim_mod
+        import survquack.sme as sme_mod
+
+        sizes = []
+        original = estim_mod.cox_fit_two_arm
+
+        def counting(sample, *args, **kwargs):
+            sizes.append(sample.n)
+            return original(sample, *args, **kwargs)
+
+        for module in (estim_mod, sme_mod, cli_mod):
+            monkeypatch.setattr(module, "cox_fit_two_arm", counting, raising=False)
+        rc, _, _ = run_cli(["analyze", oak_small_csv, "--strata", "sex,kras"], capsys)
+        assert rc == 0
+        assert sizes.count(read_dataset(oak_small_csv).n) == 1
+        assert len(sizes) == 5  # plus one fit per level of each two-level factor
+
+    def test_failed_whole_sample_fit_fails_only_its_sections(self, tmp_path, capsys):
+        path = tmp_path / "sep_strata.csv"
+        rows = [(t, "Rx", "a" if t % 2 else "b") for t in (10, 11, 12, 13)]
+        rows += [(t, "C", "a" if t % 2 else "b") for t in (1, 2, 3, 4)]
+        path.write_text("time,event,arm,s:grp\n" + "".join(f"{t},1,{a},{g}\n" for t, a, g in rows))
+        rc, out, _ = run_cli(
+            ["analyze", str(path), "--strata", "grp", "--measure", "HR", "--measure", "TR"], capsys
+        )
+        assert rc == 0
+        sections = parse_report(out)["sections"]
+        for name in ("cox_wald", "stratified_audit_hr"):
+            assert sections[name]["ok"] is False
+            assert sections[name]["error"].startswith("NumericalError: monotone partial likelihood")
+        for name in ("logrank", "medians", "stratified_audit_tr"):
+            assert sections[name]["ok"] is True
+
     def test_unknown_factor_rejected(self, ident_csv, capsys):
         rc, out, err = run_cli(["analyze", ident_csv, "--strata", "bogus"], capsys)
         assert rc == 2 and out == ""

@@ -1,6 +1,7 @@
 """Log-rank test, Wald tests, the test-then-declare rule, and the MW pivot."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from survquack import (
     weibull_from_median,
 )
 from survquack.errors import DomainError
-from survquack.infer import _cross_counts, mw_acceptance_region
+from survquack.infer import _cross_counts, _mc_workspace, mw_acceptance_region
 
 from oracles import logrank_by_hand, logrank_moments_scipy, mw_exact_region
 
@@ -225,7 +226,8 @@ def test_cross_counts_match_pairwise_comparison_with_ties(n, m):
     b[::5, 0] = 0.0
     a[::7, -1] = 0.0
     expected = (b[:, :, None] <= a[:, None, :]).sum(axis=(1, 2))
-    assert np.array_equal(_cross_counts(b, a), expected)
+    keys = np.full((300, n + m), np.iinfo(np.uint64).max, dtype=np.uint64)  # stale contents
+    assert np.array_equal(_cross_counts(b, a, keys, np.arange(n + m)), expected)
 
 
 @pytest.mark.parametrize("theta", [0.0, -1.0, float("inf"), float("nan")])
@@ -241,6 +243,64 @@ def test_mw_acceptance_region_matches_exact_enumeration(n, m, theta):
     exact = mw_exact_region(n, m, theta, 0.95, margin=0.002)
     mc = mw_acceptance_region(n, m, theta, 0.95, 200_000, derive_rng(2026, "mw-exact", n, m))
     assert (int(mc[0]), int(mc[1])) == (int(exact[0]), int(exact[1]))
+
+
+def _reference_region(n, m, theta, level, mc_reps, rng):
+    # Fresh draws, plain power and a broadcast pair count: no buffers, no keys.
+    a = rng.random((mc_reps, m))
+    w = rng.random((mc_reps, n))
+    b = np.maximum(w, np.finfo(float).tiny) ** (1.0 / theta)
+    counts = np.sort((b[:, :, None] <= a[:, None, :]).sum(axis=(1, 2)))
+    k = math.floor(0.5 * (1.0 - level) * mc_reps)
+    return float(counts[k]), float(counts[mc_reps - 1 - k])
+
+
+_PIVOT_GRID = np.geomspace(0.3, 3.0, 9)
+
+
+@pytest.mark.parametrize("n,m", [(37, 23), (23, 37)])
+def test_mw_pivot_in_place_kernel_matches_fresh_draw_reference(n, m):
+    rng = derive_rng(41, "pivot-data", n, m)
+    rx = rng.exponential(1.0, n)
+    c = rng.exponential(1.3, m)
+    ci = mw_pivot_ci(rx, c, level=0.9, grid=_PIVOT_GRID, seed=41)
+    obs = mw_pair_count(rx, c)
+    expected = []
+    for i, theta in enumerate(_PIVOT_GRID):
+        lo, hi = _reference_region(n, m, theta, 0.9, 2000, derive_rng(41, "mw-pivot", i))
+        region = mw_acceptance_region(n, m, theta, 0.9, 2000, derive_rng(41, "mw-pivot", i))
+        assert region == (lo, hi)
+        expected.append(lo <= obs <= hi)
+    assert 0 < sum(expected) < len(expected)
+    assert ci.accepted.tolist() == expected
+
+
+@pytest.mark.parametrize("n,m", [(37, 23), (23, 37)])
+def test_mw_acceptance_region_shared_workspace_leaks_nothing(n, m):
+    workspace = _mc_workspace(n, m, 2000)
+    order = list(range(_PIVOT_GRID.size))
+    for i in order[::-1] + order:
+        theta = float(_PIVOT_GRID[i])
+        shared = mw_acceptance_region(
+            n, m, theta, 0.9, 2000, derive_rng(41, "mw-pivot", i), _workspace=workspace
+        )
+        fresh = mw_acceptance_region(n, m, theta, 0.9, 2000, derive_rng(41, "mw-pivot", i))
+        assert shared == fresh
+
+
+def test_mw_pivot_allocates_one_buffer_set_per_call():
+    # One buffer set at n = m = 100 and 2000 draws is 6.4 MB; allocating
+    # fresh draws and keys at every grid point peaks near 11 MB.
+    rng = derive_rng(8, "pivot-memory")
+    rx = rng.exponential(1.0, 100)
+    c = rng.exponential(1.5, 100)
+    tracemalloc.start()
+    try:
+        mw_pivot_ci(rx, c, grid=np.geomspace(0.2, 5.0, 20), mc_reps=2000, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9_000_000
 
 
 # ----------------------------------------------------------------- mw_pivot_ci

@@ -33,7 +33,7 @@ from survquack import (
 from survquack import sme
 from survquack.errors import DomainError, NotReachedError, NumericalError
 
-from oracles import quad_llp, quantile_llp
+from oracles import mixture_density, power_curve_density, quad_llp, quantile_llp, weibull_density
 
 
 def lehmann_pair(shape, scale, theta):
@@ -238,8 +238,18 @@ def test_sme_hr_mixing_dilutes_a_shared_exponent_toward_one():
     assert value == pytest.approx(0.5519793259652118, rel=1e-9)
     rx_mix = table.arm_mixture(True)
     c_mix = table.arm_mixture(False)
-    oracle = quad_llp(lambda t: float(rx_mix.survival(t)), lambda t: float(c_mix.density(t)))
+    c_density = mixture_density(
+        [(p, weibull_density(c.shape, c.scale)) for p, c in c_mix.components]
+    )
+    oracle = quad_llp(lambda t: float(rx_mix.survival(t)), c_density)
     assert mixture_llp(rx_mix, c_mix) == pytest.approx(oracle, abs=1e-7)
+    # the same pair the other way round: a control mixture of power curves
+    rx_parts = []
+    for p, r in rx_mix.components:
+        ref = r.reference
+        rx_parts.append((p, power_curve_density(ref.survival, weibull_density(ref.shape, ref.scale), r.hr)))
+    oracle = quad_llp(lambda t: float(c_mix.survival(t)), mixture_density(rx_parts))
+    assert mixture_llp(c_mix, rx_mix) == pytest.approx(oracle, abs=1e-7)
 
 
 def test_sme_hr_starved_quadrature_raises(monkeypatch):
@@ -385,7 +395,8 @@ def test_mixture_llp_smooth_mixtures_match_quadrature_oracle():
     rx = MixtureCurve(((0.3, WeibullDist(0.9, 5.0)), (0.7, WeibullDist(1.6, 11.0))))
     c = MixtureCurve(((0.5, WeibullDist(1.2, 6.0)), (0.5, WeibullDist(1.0, 9.0))))
     value = mixture_llp(rx, c)
-    oracle = quad_llp(lambda t: float(rx.survival(t)), lambda t: float(c.density(t)))
+    c_density = mixture_density([(p, weibull_density(w.shape, w.scale)) for p, w in c.components])
+    oracle = quad_llp(lambda t: float(rx.survival(t)), c_density)
     assert value == pytest.approx(oracle, abs=1e-8)
     assert value == pytest.approx(0.5765925629675359, rel=1e-12)
 
