@@ -56,6 +56,9 @@ from .sme import naive_stratified_ratio, stratified_audit
 __all__ = ["main", "read_dataset", "parse_scenario_config"]
 
 _ENV_SEED = "SURVQUACK_SEED"
+# a quote, or ASCII whitespace other than a line end, which the line-by-line pass strips
+_NOT_PLAIN = '" \t\x0b\x0c\x1c\x1d\x1e\x1f'
+_BLOCK_ROWS = 1024  # data rows the column-wise parse splits into cells at a time
 
 # typed INI schemas: section (or "prefix:<placeholder>") -> ({key: parse}, required keys)
 _SCENARIO_SCHEMA = {
@@ -93,7 +96,8 @@ def read_dataset(path) -> SurvivalSample:
     Required columns: time (positive decimal), event (0/1), arm (Rx/C).
     Columns named ``s:<factor>`` carry stratum labels. Every malformed
     line is reported with its 1-based line number; nothing is dropped
-    silently.
+    silently. Valid data rows of plain ASCII cells (no quotes, whitespace or
+    blank lines) are parsed column by column, with the same result.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -128,6 +132,11 @@ def read_dataset(path) -> SurvivalSample:
             )
         i_time, i_event, i_arm = (header.index(c) for c in required)
 
+        plain = _plain_columns(fh.read(), len(header), [i_time, i_event, i_arm, *factor_cols.values()])
+        if plain is not None:
+            return SurvivalSample(*plain[:3], dict(zip(factor_cols, plain[3:])))
+        fh.seek(0)  # back to the first data row for the line-by-line pass
+        next(reader)
         times, events, arms = [], [], []
         labels = {name: [] for name in factor_cols}
         problems = []
@@ -172,6 +181,34 @@ def read_dataset(path) -> SurvivalSample:
         np.asarray(arms, dtype=bool),
         {name: np.asarray(vals) for name, vals in labels.items()},
     )
+
+
+def _plain_columns(text, width, columns):
+    """[time, event, arm, labels...] of data rows of plain, valid cells, else
+    None. Rows become cells a block at a time, so that few cells exist at once."""
+    if not text.isascii() or any(c in text for c in _NOT_PLAIN):
+        return None
+    # trailing line ends make only blank rows, which the line-by-line pass skips
+    rows = text.rstrip("\r\n").split("\r\n" if "\r\n" in text else "\n")
+    if {row.count(",") for row in rows} != {width - 1}:
+        return None
+    i_time, i_event, i_arm, *i_labels = columns
+    blocks = []
+    for first in range(0, len(rows), _BLOCK_ROWS):
+        cells = ",".join(rows[first:first + _BLOCK_ROWS])
+        if "\r" in cells or "\n" in cells:  # a line end other than the first one's
+            return None
+        cells = cells.split(",")
+        try:
+            time = np.array(list(map(float, cells[i_time::width])))
+        except ValueError:
+            return None
+        event, arm = np.array(cells[i_event::width]), np.array(cells[i_arm::width])
+        died, is_rx = event == "1", arm == ARM_RX
+        if not np.all((time > 0) & np.isfinite(time) & (died | (event == "0")) & (is_rx | (arm == ARM_C))):
+            return None
+        blocks.append([time, died, is_rx, *(np.asarray(cells[i::width]) for i in i_labels)])
+    return [np.concatenate(column) for column in zip(*blocks)]
 
 
 def _config_text(spec: str):
@@ -304,10 +341,7 @@ def _cmd_analyze(args):
             "n_c": int((~sample.is_rx).sum()),
             "events": int(sample.event.sum()),
             "censored": int((~sample.event).sum()),
-            "factors": {
-                name: {str(lv): int((vals == lv).sum()) for lv in np.unique(vals)}
-                for name, vals in sample.strata.items()
-            },
+            "factors": {name: {lv: sub.n for lv, sub in sample.levels(name)} for name in sample.strata},
         }
     )
 
@@ -350,7 +384,10 @@ def _cmd_analyze(args):
         rx_t, rx_e = sample.arm(True)
         c_t, c_e = sample.arm(False)
         llp = empirical_llp(rx_t, c_t, rx_e, c_e)
-        return {"llp": llp, "hr_from_llp": hr_from_llp(llp)}
+        if 0.0 < llp < 1.0:
+            return {"llp": llp, "hr_from_llp": hr_from_llp(llp)}
+        reason = f"the arms separate completely (llp = {llp!r}); no finite positive hr matches"
+        return {"llp": llp, "hr_from_llp": None, "hr_from_llp_reason": reason}
 
     _guarded(sections, "logrank", logrank_section)
     _guarded(sections, "cox_wald", cox_section)

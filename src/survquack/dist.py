@@ -84,10 +84,6 @@ class SurvivalCurve:
         """Limit of S(t) as t grows (nonzero only for plateaued step curves)."""
         return 0.0
 
-    def scale_hint(self):
-        """Rough time scale used to seed bracket searches."""
-        return 1.0
-
     def jump_times(self):
         """Ascending jump locations for piecewise-constant curves, else None."""
         return None
@@ -112,21 +108,12 @@ class WeibullDist(SurvivalCurve):
         tt = _as_times(t)
         return _match(np.exp(-np.power(tt / self.scale, self.shape)), t)
 
-    def hazard(self, t):
-        tt = _as_times(t)
-        with np.errstate(divide="ignore"):
-            out = (self.shape / self.scale) * np.power(tt / self.scale, self.shape - 1.0)
-        return _match(out, t)
-
     def inverse_cumhaz(self, s):
         return self.scale * np.power(s, 1.0 / self.shape)
 
     @property
     def median(self):
         return self.scale * _LN2 ** (1.0 / self.shape)
-
-    def scale_hint(self):
-        return self.scale
 
 
 @dataclass(frozen=True)
@@ -158,9 +145,6 @@ class LehmannCurve(SurvivalCurve):
 
     def final_survival(self):
         return self.reference.final_survival() ** self.hr
-
-    def scale_hint(self):
-        return self.reference.scale_hint()
 
     def jump_times(self):
         return self.reference.jump_times()
@@ -201,9 +185,6 @@ class MixtureCurve(SurvivalCurve):
     def final_survival(self):
         return math.fsum(p * c.final_survival() for p, c in self.components)
 
-    def scale_hint(self):
-        return max(c.scale_hint() for _, c in self.components)
-
     def jump_times(self):
         pieces = [c.jump_times() for _, c in self.components]
         if any(p is None for p in pieces):
@@ -218,37 +199,50 @@ def survival_at(curve: SurvivalCurve, t):
 
 
 def quantile(curve: SurvivalCurve, p, tol=1e-10):
-    """Smallest time where survival reaches ``p``, by bracketed bisection.
-
-    The bracket grows geometrically from the curve's scale hint and the
-    bisection runs to an absolute time tolerance of ``tol``. For continuous,
-    strictly decreasing curves the returned t also satisfies
-    |S(t) - p| <= ~tol * |S'|; for step curves it is the jump time where the
-    curve first drops through ``p``, located to within ``tol``.
-    """
+    """Smallest time where survival reaches ``p``: exact for step curves (the
+    first jump to ``p`` or below) and curves with an inverse cumulative
+    hazard; for a mixture, the upper end of a bracket narrowed to ``tol``
+    between its components' own quantiles."""
     p = float(p)
     if not (0.0 < p < 1.0):
         raise DomainError(f"quantile level must lie in (0, 1), got {p!r}")
-    if curve.final_survival() >= p:
+    return _quantile(curve, p, tol)
+
+
+def _quantile(curve, p, tol):
+    final = curve.final_survival()
+    if final >= p:
         raise NotReachedError(f"curve never falls to survival {p}")
-    lo = 0.0
-    hi = max(float(curve.scale_hint()), tol)
-    for _ in range(300):
-        if curve.survival(hi) <= p:
-            break
-        lo = hi
-        hi *= 2.0
-    else:  # pragma: no cover - final_survival() check makes this unreachable
-        raise NotReachedError(f"no finite time reaches survival {p}")
+    jumps = curve.jump_times()
+    if jumps is not None:
+        hits = np.flatnonzero(np.asarray(curve.survival(jumps)) <= p)
+        if hits.size == 0:
+            raise NotReachedError(f"curve never falls to survival {p}")
+        return float(jumps[hits[0]])
+    if isinstance(curve, LehmannCurve):
+        return _quantile(curve.reference, p ** (1.0 / curve.hr), tol)
+    if not isinstance(curve, MixtureCurve):
+        return float(curve.inverse_cumhaz(-math.log(p)))
+    # Below the first component quantile every component is above p. Where
+    # each component is within p - final of its own limit, the mixture is
+    # at most final + (p - final) = p.
+    comps = [c for _, c in curve.components]
+    lo = min(_quantile(c, p, tol) for c in comps if c.final_survival() < p)
+    levels = [c.final_survival() + p - final for c in comps]
+    hi = max(_quantile(c, level, tol) if level < 1.0 else 0.0 for c, level in zip(comps, levels))
+    # Illinois false position keeps f_lo > 0 >= f_hi; halving the value kept
+    # at an end that stays twice keeps both ends moving.
+    f_lo, f_hi, side = float(curve.survival(lo)) - p, float(curve.survival(hi)) - p, 0
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= tol or f_lo <= 0.0 or f_hi > 0.0:  # rounding can collapse the bracket
             break
-        mid = 0.5 * (lo + hi)
-        if curve.survival(mid) > p:
-            lo = mid
+        x = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + 0.25 * tol), hi - 0.25 * tol)
+        fx = float(curve.survival(x)) - p
+        if fx > 0.0:
+            lo, f_lo, f_hi, side = x, fx, f_hi * (0.5 if side < 0 else 1.0), -1
         else:
-            hi = mid
-    return hi
+            hi, f_hi, f_lo, side = x, fx, f_lo * (0.5 if side > 0 else 1.0), 1
+    return lo if f_lo <= 0.0 else hi
 
 
 def weibull_from_median(shape, median) -> WeibullDist:

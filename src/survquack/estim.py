@@ -61,9 +61,10 @@ class SurvivalSample:
 
     ``is_rx`` is True for the treated arm. ``strata`` maps factor names to
     per-subject label arrays; every factor covers every subject. The risk
-    table (``tables``) and the unstratified Cox fit (``cox``) are built on
-    first use and then shared by every estimate, so the arrays must not be
-    mutated after construction.
+    table (``tables``), the unstratified Cox fit (``cox``), the per-arm
+    Weibull fits (``weibull``) and each factor's level subsamples
+    (``levels``) are built on first use and then shared by every estimate,
+    so the arrays must not be mutated after construction.
     """
 
     time: np.ndarray
@@ -91,6 +92,7 @@ class SurvivalSample:
         object.__setattr__(self, "event", event)
         object.__setattr__(self, "is_rx", is_rx)
         object.__setattr__(self, "strata", strata)
+        object.__setattr__(self, "_levels", {})
 
     @property
     def n(self) -> int:
@@ -112,21 +114,31 @@ class SurvivalSample:
         fit, computed on first use and shared; a failed fit is not kept."""
         return cox_fit_two_arm(self)
 
+    @cached_property
+    def weibull(self):
+        """(Rx fit, C fit), each started from its arm's product-limit curve,
+        computed on first use and shared; a failed fit is not kept."""
+        return tuple(weibull_mle(*self.arm(rx), km=self.km(rx))[0] for rx in (True, False))
+
+    def levels(self, factor) -> tuple:
+        """((label, subsample), ...) in label order, built on first use and shared;
+        a subsample holds only time, event and arm, and caches its own fits."""
+        if factor not in self.strata:
+            raise DomainError(f"unknown stratum factor {factor!r}")
+        if factor not in self._levels:
+            labels = self.strata[factor]
+            self._levels[factor] = tuple(
+                (str(lv), SurvivalSample(self.time[m], self.event[m], self.is_rx[m]))
+                for lv, m in ((lv, labels == lv) for lv in np.unique(labels))
+            )
+        return self._levels[factor]
+
     def km(self, rx: bool) -> "KMCurve":
         """Product-limit curve of one arm, read off the shared risk table."""
         in_arm = self.is_rx == rx
         if not in_arm.any():
             raise DomainError(f"the {ARM_RX if rx else ARM_C} arm is empty")
         return KMCurve(*self.tables.km(rx), float(self.time[in_arm].max()))
-
-    def subset(self, mask) -> "SurvivalSample":
-        mask = np.asarray(mask, dtype=bool)
-        return SurvivalSample(
-            self.time[mask],
-            self.event[mask],
-            self.is_rx[mask],
-            {k: v[mask] for k, v in self.strata.items()},
-        )
 
     @classmethod
     def from_arms(cls, rx_times, c_times, rx_events=None, c_events=None):
@@ -147,8 +159,7 @@ class KMCurve(SurvivalCurve):
 
     Rows cover the distinct event times only; ``survival_after[j]`` is the
     estimate just after ``times[j]``. When the largest observation is
-    censored the curve plateaus above zero, which
-    ``terminates_above_zero`` flags.
+    censored the curve plateaus above ``final_survival()``.
     """
 
     times: np.ndarray
@@ -173,13 +184,6 @@ class KMCurve(SurvivalCurve):
 
     def final_survival(self):
         return float(self.survival_after[-1]) if self.survival_after.size else 1.0
-
-    @property
-    def terminates_above_zero(self) -> bool:
-        return self.final_survival() > 0.0
-
-    def scale_hint(self):
-        return max(self.max_time, np.finfo(float).tiny)
 
     def jump_times(self):
         return self.times
@@ -239,9 +243,8 @@ def km_median(curve: KMCurve):
     return float(curve.times[hits[0]])
 
 
-def _km_regression_init(t, e):
+def _km_regression_init(t, e, km):
     """Starting point (log shape, log scale) from the product-limit plot."""
-    km = km_fit(t, e)
     s = km.survival_after
     usable = (s > 0.0) & (s < 1.0)
     if usable.sum() >= 2:
@@ -280,21 +283,18 @@ def _weibull_newton_terms(a, b, logt, d, sum_e_logt):
     return ll, grad, np.array([[h_aa, h_ab], [h_ab, h_bb]])
 
 
-def weibull_mle(times, events, fixed_shape=None):
+def weibull_mle(times, events, km=None):
     """Censored Weibull fit by Newton iteration on (log shape, log scale).
 
     Parameters
     ----------
     times, events : aligned arrays; events flags deaths (False = censored).
-    fixed_shape : pin the shape and solve the scale in closed form. With
-        ``fixed_shape=1.0`` this is the exponential cross-check mode, where
-        the fitted scale equals total time over number of deaths.
+    km : the data's product-limit curve, if built; the start is read off it.
 
     Returns
     -------
     (WeibullDist, cov) where cov is the 2x2 covariance of
-    (log shape, log scale) from the observed information. In fixed-shape
-    mode the shape row and column are zero.
+    (log shape, log scale) from the observed information.
     """
     t = np.asarray(times, dtype=float)
     e = np.asarray(events, dtype=bool)
@@ -306,15 +306,6 @@ def weibull_mle(times, events, fixed_shape=None):
     if d < 2:
         raise DomainError("weibull_mle needs at least two deaths")
 
-    if fixed_shape is not None:
-        k = float(fixed_shape)
-        if not (math.isfinite(k) and k > 0.0):
-            raise DomainError("fixed_shape must be positive")
-        lam = (float(np.power(t, k).sum()) / d) ** (1.0 / k)
-        cov = np.zeros((2, 2))
-        cov[1, 1] = 1.0 / (k * k * d)
-        return WeibullDist(k, lam), cov
-
     if np.unique(t[e]).size < 2:
         raise NumericalError(
             "degenerate sample: fewer than two distinct event times", n_events=d
@@ -322,7 +313,7 @@ def weibull_mle(times, events, fixed_shape=None):
 
     logt = np.log(t)
     sum_e_logt = float(logt[e].sum())
-    a, b = _km_regression_init(t, e)
+    a, b = _km_regression_init(t, e, km_fit(t, e) if km is None else km)
     d = float(d)
 
     for iteration in range(100):
@@ -463,13 +454,7 @@ def cox_fit_two_arm(sample: SurvivalSample, strata_factor=None):
     if strata_factor is None:
         tables = [sample.tables]
     else:
-        if strata_factor not in sample.strata:
-            raise DomainError(f"unknown stratum factor {strata_factor!r}")
-        labels = sample.strata[strata_factor]
-        tables = [
-            _risk_tables(sample.time[m], sample.event[m], sample.is_rx[m])
-            for m in (labels == lv for lv in np.unique(labels))
-        ]
+        tables = [sub.tables for _, sub in sample.levels(strata_factor)]
     if any(tb.events.sum() == 0 for tb in tables):
         raise DomainError("every stratum used in the fit needs at least one death")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dist import MixtureCurve, SurvivalCurve, _check_prevalences, quantile
 from .errors import DomainError, NotReachedError, NumericalError
-from .estim import Measure, SurvivalSample, cox_fit_two_arm, hr_from_llp, sample_tr, weibull_mle
+from .estim import Measure, SurvivalSample, hr_from_llp, sample_tr
 
 __all__ = [
     "SubgroupRow",
@@ -247,16 +247,9 @@ class StratifiedComparison:
     dropped_levels: tuple = ()
 
 
-def _level_curves(sub: SurvivalSample, curve_source: str):
-    if curve_source == "km":
-        return sub.km(True), sub.km(False)
-    return weibull_mle(*sub.arm(True))[0], weibull_mle(*sub.arm(False))[0]
-
-
-def _marginal_value(sample: SurvivalSample, measure: Measure) -> float:
-    if measure is Measure.HR:
-        return math.exp(sample.cox[0])
-    return sample_tr(sample)
+def _fewest_distinct_death_times(sub: SurvivalSample) -> int:
+    tb = sub.tables
+    return min(np.count_nonzero(tb.events_rx), np.count_nonzero(tb.events - tb.events_rx))
 
 
 def stratified_audit(
@@ -272,8 +265,9 @@ def stratified_audit(
     rule; the mixable value builds per-level, per-arm curves, mixes them
     over pooled level prevalences, and summarizes the mixtures; the
     marginal value refits the whole sample with the factor ignored.
-    Levels lacking a death in either arm are dropped with a warning and
-    the remaining prevalences are renormalized.
+    Levels whose arms cannot carry the curves are dropped with a warning
+    and the remaining prevalences are renormalized: product-limit curves
+    need a death in each arm, Weibull fits two distinct death times.
 
     ``curve_source`` picks the per-level curves: "km", "weibull", or
     "auto" (product-limit when the data are complete, Weibull fits when
@@ -288,30 +282,21 @@ def stratified_audit(
     if source == "auto":
         source = "km" if bool(sample.event.all()) else "weibull"
 
-    marginal = _marginal_value(sample, measure)
+    marginal = math.exp(sample.cox[0]) if measure is Measure.HR else sample_tr(sample)
+    need = 1 if source == "km" else 2
     comparisons = []
     for factor in factors:
-        if factor not in sample.strata:
-            raise DomainError(f"unknown stratum factor {factor!r}")
-        labels = sample.strata[factor]
-        usable, dropped, counts = [], [], []
-        for level in np.unique(labels):
-            mask = labels == level
-            sub = sample.subset(mask)
-            has_both_arms = sub.is_rx.any() and not sub.is_rx.all()
-            if has_both_arms and sub.event[sub.is_rx].any() and sub.event[~sub.is_rx].any():
-                usable.append((str(level), sub))
-                counts.append(int(mask.sum()))
-            else:
-                dropped.append(str(level))
+        levels = sample.levels(factor)
+        usable = [(level, sub) for level, sub in levels if _fewest_distinct_death_times(sub) >= need]
+        dropped = [level for level, sub in levels if _fewest_distinct_death_times(sub) < need]
         if not usable:
-            raise DomainError(f"factor {factor!r} has no level with deaths in both arms")
+            raise DomainError(f"factor {factor!r} has no level with enough deaths in both arms")
         if dropped:
             warnings.warn(
                 f"factor {factor!r}: dropped sparse level(s) {dropped}; prevalences renormalized",
                 stacklevel=2,
             )
-        prevalences = np.asarray(counts, dtype=float)
+        prevalences = np.asarray([sub.n for _, sub in usable], dtype=float)
         prevalences /= prevalences.sum()
         # exact renormalization so the mixture constructor's 1e-12 check holds
         prevalences[-1] = 1.0 - prevalences[:-1].sum()
@@ -320,12 +305,11 @@ def stratified_audit(
         rows = []
         for (level, sub), prev in zip(usable, prevalences):
             if measure is Measure.HR:
-                log_hr, _ = cox_fit_two_arm(sub)
-                ratios.append(math.exp(log_hr))
+                ratios.append(math.exp(sub.cox[0]))
             else:
                 ratios.append(sample_tr(sub))
-            rx_curve, c_curve = _level_curves(sub, source)
-            rows.append(SubgroupRow(level, float(prev), rx_curve, c_curve))
+            curves = (sub.km(True), sub.km(False)) if source == "km" else sub.weibull
+            rows.append(SubgroupRow(level, float(prev), *curves))
 
         naive = naive_stratified_ratio(zip(ratios, prevalences))
         table = SubgroupTable(measure, tuple(rows))

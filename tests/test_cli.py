@@ -2,9 +2,14 @@
 
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import survquack.cli as cli_module
+import survquack.estim as estim
 
 from survquack._version import __version__
 from survquack.cli import main, parse_scenario_config, read_dataset
@@ -96,6 +101,66 @@ def small_cfg(tmp_path):
     return str(path)
 
 
+def _read_outcome(path, fast=True):
+    """read_dataset's arrays as bytes with their dtypes, or its error message."""
+    with mock.patch.object(
+        cli_module, "_plain_columns", cli_module._plain_columns if fast else (lambda *args: None)
+    ):
+        try:
+            s = read_dataset(path)
+        except ValidationError as exc:
+            return str(exc), exc.details
+    arrays = [s.time, s.event, s.is_rx, *(s.strata[k] for k in sorted(s.strata))]
+    return sorted(s.strata), [(a.dtype.str, a.tobytes()) for a in arrays]
+
+
+_PLAIN_CELLS = {
+    "time": ["1", "2.5", "2.5", "0.25", "1e1", "1_0"],
+    "event": ["0", "1"],
+    "arm": ["Rx", "C"],
+    "s:g": ["a", "b", "bb", ""],
+}
+_OFF_CELLS = {
+    "time": [" 3", "4 ", "0", "-1", "nan", "x", ""],
+    "event": [" 1", "2", ""],
+    "arm": [" Rx", "rx", ""],
+    "s:g": [" a", "b ", "a b", "\t", "é"],
+}
+
+
+@st.composite
+def _csv_texts(draw):
+    """Small dataset files with tied times, each with up to three things off:
+    a bad or padded cell, a quoted cell, a line end inside a cell, a short
+    or long row, a blank line, CRLF or mixed line ends."""
+    header = draw(st.permutations(list(_PLAIN_CELLS)))
+    rows = [
+        [draw(st.sampled_from(_PLAIN_CELLS[name])) for name in header]
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    for r in draw(st.sets(st.integers(0, len(rows) - 1), max_size=3)) if rows else ():
+        row = rows[r]
+        i = draw(st.integers(0, len(header) - 1))
+        kind = draw(st.sampled_from(["cell", "quoted", "line end", "short", "long", "blank"]))
+        if kind == "cell":
+            row[i] = draw(st.sampled_from(_OFF_CELLS[header[i]]))
+        elif kind == "quoted":
+            row[i] = f'"{row[i]}"'
+        elif kind == "line end":
+            row[i] += draw(st.sampled_from(["\r", "\n", "\r\n"])) + draw(st.sampled_from(["", "b"]))
+        elif kind == "short":
+            row.pop()
+        elif kind == "long":
+            row.append("a")
+        else:
+            row.clear()
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    ending = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    if ending == "mixed":
+        return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    return ending.join(lines) + draw(st.sampled_from([ending, ""]))
+
+
 class TestReadDataset:
     def test_strata_and_blank_lines(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -142,6 +207,26 @@ class TestReadDataset:
         assert len(excinfo.value.details) == 7
         assert excinfo.value.details[0].startswith("line 2:")
         assert excinfo.value.details[-1].startswith("line 8:")
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_plain_file_is_read_column_wise(self, tmp_path, ending):
+        path = tmp_path / "plain.csv"
+        lines = ["time,event,arm,s:grp", "1.5,1,Rx,a", "2.5,0,C,bb", "1.5,1,C,a"]
+        path.write_bytes((ending.join(lines) + ending).encode())
+        data = ending.join(lines[1:]) + ending
+        assert cli_module._plain_columns(data, 4, [0, 1, 2, 3]) is not None
+        assert _read_outcome(path) == _read_outcome(path, fast=False)
+        sample = read_dataset(path)
+        assert list(sample.time) == [1.5, 2.5, 1.5]
+        assert list(sample.strata["grp"]) == ["a", "bb", "a"]
+
+    @given(text=_csv_texts(), block_rows=st.sampled_from([1, 3, 1024]))
+    @settings(max_examples=300, deadline=None)
+    def test_column_wise_read_matches_line_by_line(self, tmp_path_factory, text, block_rows):
+        path = tmp_path_factory.mktemp("fuzz") / "d.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(cli_module, "_BLOCK_ROWS", block_rows):
+            assert _read_outcome(path) == _read_outcome(path, fast=False)
 
 
 class TestAnalyze:
@@ -256,6 +341,71 @@ class TestAnalyze:
             assert sections[name]["error"].startswith("NumericalError: monotone partial likelihood")
         for name in ("logrank", "medians", "stratified_audit_tr"):
             assert sections[name]["ok"] is True
+
+    def test_analyze_builds_each_level_and_fit_once(self, tmp_path, capsys, monkeypatch):
+        # both audits read the same level subsamples, tables and Weibull fits
+        full = generate_prognostic_sample(dataclasses.replace(load_oak_analog_spec(), n=800))
+        c = derive_rng(99, "censor-count").exponential(60.0, full.n)
+        sample = SurvivalSample(np.minimum(full.time, c), full.time <= c, full.is_rx, full.strata)
+        path = tmp_path / "censored.csv"
+        write_dataset_csv(sample, path)
+        calls = {"_risk_tables": 0, "weibull_mle": 0, "km_fit": 0}
+        for name in calls:
+            original = getattr(estim, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(estim, name, counting)
+        rc, out, _ = run_cli(
+            ["analyze", str(path), "--strata", "sex,histology,kras,egfr",
+             "--measure", "HR", "--measure", "TR"],
+            capsys,
+        )
+        assert rc == 0
+        sections = parse_report(out)["sections"]
+        assert sections["stratified_audit_hr"]["ok"] and sections["stratified_audit_tr"]["ok"]
+        # one whole-sample table plus one per level; two fits per level
+        assert calls == {"_risk_tables": 9, "weibull_mle": 16, "km_fit": 0}
+
+    def test_weibull_audit_drops_levels_without_two_death_times(self, tmp_path, capsys):
+        rng = derive_rng(31, "sparse-level")
+        rows = []
+        for level in ("a", "b"):
+            for arm in ("Rx", "C"):
+                t = rng.exponential(10.0, 30)
+                rows += [(float(x), int(d), arm, level) for x, d in zip(t, rng.random(30) < 0.75)]
+        # level c: one Rx death; level d: two Rx deaths at one time
+        rows += [(3.5, 1, "Rx", "c"), (4.5, 0, "Rx", "c"), (2.0, 1, "C", "c"), (5.0, 1, "C", "c")]
+        rows += [(3.0, 1, "Rx", "d"), (3.0, 1, "Rx", "d"), (2.0, 1, "C", "d"), (6.0, 1, "C", "d")]
+        path = tmp_path / "sparse.csv"
+        path.write_text("time,event,arm,s:g\n" + "".join(f"{t!r},{e},{a},{g}\n" for t, e, a, g in rows))
+        with pytest.warns(UserWarning, match="dropped sparse level"):
+            rc, out, _ = run_cli(
+                ["analyze", str(path), "--strata", "g", "--measure", "HR", "--measure", "TR"], capsys
+            )
+        assert rc == 0
+        sections = parse_report(out)["sections"]
+        for name in ("stratified_audit_hr", "stratified_audit_tr"):
+            assert sections[name]["ok"] is True, sections[name]["error"]
+            row, = sections[name]["data"]["factors"]
+            assert row["dropped_levels"] == ["c", "d"]
+
+    @pytest.mark.parametrize("rx_first", [False, True])
+    def test_win_fraction_kept_on_separated_arms(self, tmp_path, capsys, rx_first):
+        late, early = (10, 11, 12, 13), (1, 2, 3, 4)
+        rx, c = (early, late) if rx_first else (late, early)
+        rows = [(float(t), 1, "Rx") for t in rx] + [(float(t), 1, "C") for t in c]
+        rc, out, _ = run_cli(["analyze", write_csv(tmp_path / "sep.csv", rows)], capsys)
+        assert rc == 0
+        sections = parse_report(out)["sections"]
+        win = sections["win_probability"]
+        assert win["ok"] is True
+        assert win["data"]["llp"] == (0.0 if rx_first else 1.0)
+        assert win["data"]["hr_from_llp"] is None
+        assert "separate completely" in win["data"]["hr_from_llp_reason"]
+        assert sections["cox_wald"]["error"].startswith("NumericalError: monotone partial likelihood")
 
     def test_unknown_factor_rejected(self, ident_csv, capsys):
         rc, out, err = run_cli(["analyze", ident_csv, "--strata", "bogus"], capsys)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from survquack import (
     LehmannCurve,
@@ -87,6 +88,53 @@ def test_quantile_not_reached_on_plateaued_step_curve():
     km = km_fit([1.0, 2.0, 3.0], [True, False, False])
     with pytest.raises(NotReachedError):
         quantile(km, 0.5)
+
+
+def test_quantile_of_step_mixture_is_its_first_jump_through_p():
+    # 0.5 * km([1, 2, 3, 4]) + 0.5 * km([2.6, 5]) first falls to 1/2 at 2.6
+    mix = MixtureCurve(((0.5, km_fit([1.0, 2.0, 3.0, 4.0], [True] * 4)), (0.5, km_fit([2.6, 5.0], [True] * 2))))
+    assert quantile(mix, 0.5) == 2.6
+    assert quantile(mix, 0.8) == 2.0
+
+
+def _assert_first_crossing(curve, p, q, tol=1e-10):
+    assert curve.survival(q) <= p < curve.survival(max(q - tol, 0.0))
+
+
+_WEIBULL_MIXTURES = (
+    ((0.2, WeibullDist(0.4, 3.0)), (0.5, WeibullDist(1.0, 10.0)), (0.3, WeibullDist(3.0, 40.0))),
+    ((0.5, WeibullDist(3.0, 10.0)), (0.5, WeibullDist(4.0, 12.0))),  # concave near p = 0.9
+)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("components", _WEIBULL_MIXTURES)
+def test_quantile_of_weibull_mixture_matches_root_finder(components, p, monkeypatch):
+    mix = MixtureCurve(components)
+    calls = []
+    survival = MixtureCurve.survival
+    monkeypatch.setattr(MixtureCurve, "survival", lambda self, t: calls.append(t) or survival(self, t))
+    q = quantile(mix, p)
+    # false position that keeps both bracket ends moving needs at most 11 here
+    assert len(calls) <= 15
+    monkeypatch.undo()
+    root = brentq(lambda t: mix.survival(t) - p, 1e-9, 1e3, xtol=1e-14)
+    assert q == pytest.approx(root, abs=1e-10)
+    _assert_first_crossing(mix, p, q)
+
+
+def test_quantile_of_mixture_with_a_plateaued_step_component():
+    # after t = 1 the step half stays at 2/3, so the Weibull half must reach 1/3
+    mix = MixtureCurve(((0.5, km_fit([1.0, 2.0, 3.0], [True, False, False])), (0.5, WeibullDist(1.0, 10.0))))
+    q = quantile(mix, 0.5)
+    assert q == pytest.approx(10.0 * math.log(3.0), abs=1e-10)
+    _assert_first_crossing(mix, 0.5, q)
+
+
+def test_quantile_of_power_of_a_mixture():
+    mix = MixtureCurve(((0.5, WeibullDist(1.0, 10.0)), (0.5, WeibullDist(2.0, 20.0))))
+    powered = LehmannCurve(mix, 2.0)
+    _assert_first_crossing(powered, 0.5, quantile(powered, 0.5))
 
 
 @given(shape=shapes, scale=scales, frac=st.floats(0.05, 0.95))

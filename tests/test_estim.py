@@ -42,6 +42,7 @@ from oracles import (
     empirical_survival,
     km_by_hand,
     pairwise_win_fraction,
+    weibull_density,
     weibull_loglik,
 )
 
@@ -95,9 +96,8 @@ def test_km_matches_empirical_survival_everywhere():
 
 def test_km_plateau_flag():
     km = km_fit([1.0, 2.0], [True, False])
-    assert km.terminates_above_zero
     assert km.final_survival() == pytest.approx(0.5)
-    assert not km_fit([1.0, 2.0], [True, True]).terminates_above_zero
+    assert km_fit([1.0, 2.0], [True, True]).final_survival() == 0.0
 
 
 @st.composite
@@ -133,7 +133,7 @@ def test_km_read_off_the_shared_table_with_a_censored_last_observation():
         [True, False, True, False, True, True, False, False, True],
         [True, True, True, True, False, False, False, False, False],
     )
-    assert sample.km(True).terminates_above_zero and sample.km(False).terminates_above_zero
+    assert sample.km(True).final_survival() > 0 and sample.km(False).final_survival() > 0
     _assert_km_from_table_is_km_fit(sample)
     rng = derive_rng(17, "km-shared")
     t = np.round(sample_times(WeibullDist(1.1, 9.0), rng, 300), 1) + 0.1
@@ -169,13 +169,6 @@ def test_weibull_mle_consistency():
     assert abs(fit.shape - 1.2) < 0.05
     assert abs(fit.scale - 10.0) < 0.3
     assert np.all(np.isfinite(cov)) and cov[0][0] > 0.0 and cov[1][1] > 0.0
-
-
-def test_weibull_mle_fixed_exponential_shape_is_the_mean():
-    t = np.array([2.0, 5.0, 1.0, 8.0, 4.0])
-    fit, _ = weibull_mle(t, np.ones(5, bool), fixed_shape=1.0)
-    assert fit.shape == 1.0
-    assert fit.scale == pytest.approx(t.mean(), rel=1e-12)
 
 
 def test_weibull_mle_degenerate_sample():
@@ -325,8 +318,11 @@ def test_tr_to_hr_matches_pointwise_hazard_ratio():
     # doubling the median at common shape scales hazards by 2^(-shape)
     fast = weibull_from_median(1.2, 6.0)
     slow = weibull_from_median(1.2, 12.0)
+    f_fast = weibull_density(fast.shape, fast.scale)
+    f_slow = weibull_density(slow.shape, slow.scale)
     for t in np.linspace(0.5, 30.0, 40):
-        assert slow.hazard(t) / fast.hazard(t) == pytest.approx(tr_to_hr(2.0, 1.2), rel=1e-12)
+        ratio = (f_slow(t) / slow.survival(t)) / (f_fast(t) / fast.survival(t))
+        assert ratio == pytest.approx(tr_to_hr(2.0, 1.2), rel=1e-12)
 
 
 @given(hr=st.floats(1e-4, 1e4), shape=st.floats(0.3, 5.0))
@@ -395,7 +391,7 @@ def test_cox_converges_when_rounding_keeps_the_score_off_zero(seed, censor_mean,
         sample = SurvivalSample(
             np.minimum(sample.time, c), sample.time <= c, sample.is_rx, sample.strata
         )
-    sub = sample.subset(sample.strata[factor] == level)
+    sub = dict(sample.levels(factor))[level]
     assert sub.n == n
     log_hr, _ = cox_fit_two_arm(sub)
     root = brentq(breslow_score(sub.time, sub.event, sub.is_rx), -2.0, 2.0, xtol=1e-14)
@@ -467,8 +463,12 @@ def test_sample_subset_and_arnames():
     rx_t, rx_e = s.arm(True)
     np.testing.assert_array_equal(rx_t, [1.0, 3.0])
     np.testing.assert_array_equal(rx_e, [True, False])
-    sub = s.subset(s.strata["site"] == "b")
-    assert sub.n == 2
+    levels = s.levels("site")
+    assert s.levels("site") is levels  # built once
+    assert [label for label, _ in levels] == ["a", "b"]
+    sub = levels[1][1]
+    assert sub.n == 2 and sub.strata == {}
     np.testing.assert_array_equal(sub.time, [3.0, 4.0])
-    np.testing.assert_array_equal(sub.strata["site"], ["b", "b"])
+    with pytest.raises(DomainError):
+        s.levels("nope")
     assert ARM_RX == "Rx" and ARM_C == "C"
