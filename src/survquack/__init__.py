@@ -5,154 +5,22 @@ Cox and Weibull fits) with aggregation that mixes each arm's survival
 over subgroup prevalences before forming any ratio, a Monte Carlo study
 of directional errors made by test-then-read-the-medians reasoning, and
 a rank-test confidence set for the survival-curve power parameter.
+
+The package re-exports the ``__all__`` of each library module; reports
+and the command line stay in ``survquack.report`` and ``survquack.cli``.
 """
 
+from . import dist, errors, estim, fixtures, infer, rng, sim, sme
 from ._version import __version__
-from .dist import (
-    LehmannCurve,
-    MixtureCurve,
-    SurvivalCurve,
-    WeibullDist,
-    lehmann_transform,
-    quantile,
-    sample_times,
-    solve_complement_scale,
-    survival_at,
-    weibull_from_median,
-)
-from .errors import (
-    NOT_REACHED,
-    DomainError,
-    InfeasibleScenario,
-    NotReachedError,
-    NumericalError,
-    SurvquackError,
-    UnsupportedCensoring,
-    ValidationError,
-)
-from .estim import (
-    ARM_C,
-    ARM_RX,
-    KMCurve,
-    Measure,
-    SurvivalSample,
-    cox_fit_two_arm,
-    empirical_llp,
-    hr_from_llp,
-    hr_to_tr,
-    km_fit,
-    km_median,
-    llp_from_hr,
-    sample_tr,
-    tr_to_hr,
-    weibull_mle,
-)
-from .fixtures import (
-    OakAnalogSpec,
-    generate_prognostic_sample,
-    load_oak_analog_spec,
-    write_dataset_csv,
-)
-from .infer import (
-    Claim,
-    ConfidenceSet,
-    DecisionOutcome,
-    LogRankResult,
-    decision_procedure,
-    logrank_test,
-    mw_pair_count,
-    mw_pivot_ci,
-    wald_test_cox,
-)
-from .rng import derive_rng
-from .sim import (
-    DEFAULT_MASTER_SEED,
-    DirectionalErrorReport,
-    RealizedScenario,
-    ScenarioConfig,
-    SubgroupSpec,
-    build_section3_scenario,
-    realize_scenario,
-    run_replication,
-    run_study,
-)
-from .sme import (
-    SubgroupRow,
-    SubgroupTable,
-    StratifiedComparison,
-    mixture_llp,
-    naive_stratified_ratio,
-    sme_overall_hr,
-    sme_overall_rr,
-    sme_overall_tr,
-    stratified_audit,
-)
+from .dist import *
+from .errors import *
+from .estim import *
+from .fixtures import *
+from .infer import *
+from .rng import *
+from .sim import *
+from .sme import *
 
-__all__ = [
-    "__version__",
-    "ARM_C",
-    "ARM_RX",
-    "Claim",
-    "ConfidenceSet",
-    "DEFAULT_MASTER_SEED",
-    "DecisionOutcome",
-    "DirectionalErrorReport",
-    "DomainError",
-    "InfeasibleScenario",
-    "KMCurve",
-    "LehmannCurve",
-    "LogRankResult",
-    "Measure",
-    "MixtureCurve",
-    "NOT_REACHED",
-    "NotReachedError",
-    "NumericalError",
-    "OakAnalogSpec",
-    "RealizedScenario",
-    "ScenarioConfig",
-    "StratifiedComparison",
-    "SubgroupRow",
-    "SubgroupSpec",
-    "SubgroupTable",
-    "SurvivalCurve",
-    "SurvivalSample",
-    "SurvquackError",
-    "UnsupportedCensoring",
-    "ValidationError",
-    "WeibullDist",
-    "build_section3_scenario",
-    "cox_fit_two_arm",
-    "decision_procedure",
-    "derive_rng",
-    "empirical_llp",
-    "generate_prognostic_sample",
-    "hr_from_llp",
-    "hr_to_tr",
-    "km_fit",
-    "km_median",
-    "lehmann_transform",
-    "llp_from_hr",
-    "load_oak_analog_spec",
-    "logrank_test",
-    "mixture_llp",
-    "mw_pair_count",
-    "mw_pivot_ci",
-    "naive_stratified_ratio",
-    "quantile",
-    "realize_scenario",
-    "run_replication",
-    "run_study",
-    "sample_times",
-    "sample_tr",
-    "sme_overall_hr",
-    "sme_overall_rr",
-    "sme_overall_tr",
-    "solve_complement_scale",
-    "stratified_audit",
-    "survival_at",
-    "tr_to_hr",
-    "wald_test_cox",
-    "weibull_from_median",
-    "weibull_mle",
-    "write_dataset_csv",
+__all__ = ["__version__"] + [
+    name for module in (dist, errors, estim, fixtures, infer, rng, sim, sme) for name in module.__all__
 ]

@@ -13,16 +13,16 @@ log-averaging example. Every command emits one JSON report (see
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import dataclasses
+import io
 import os
 import sys
-from importlib import resources
 
 import numpy as np
 
 from . import report as report_mod
+from ._config import _read_config
 from ._version import __version__
 from .errors import (
     DomainError,
@@ -70,7 +70,6 @@ _SCENARIO_SCHEMA = {
             "overall_median": float,
             "solve_subgroup": str,
             "membership": str,
-            "censoring": str,
             "replications": int,
             "master_seed": int,
         },
@@ -97,13 +96,20 @@ def read_dataset(path) -> SurvivalSample:
     Columns named ``s:<factor>`` carry stratum labels. Every malformed
     line is reported with its 1-based line number; nothing is dropped
     silently. Valid data rows of plain ASCII cells (no quotes, whitespace or
-    blank lines) are parsed column by column, with the same result.
+    blank lines) are parsed column by column, with the same result. A file
+    that is not UTF-8 is reported with the offset of its first bad byte.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot open dataset: {exc}") from exc
-    with fh:
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = raw[exc.start:exc.end]
+        raise ValidationError(f"{path}: not UTF-8 text ({bad!r} at byte offset {exc.start})") from None
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -209,73 +215,6 @@ def _plain_columns(text, width, columns):
             return None
         blocks.append([time, died, is_rx, *(np.asarray(cells[i::width]) for i in i_labels)])
     return [np.concatenate(column) for column in zip(*blocks)]
-
-
-def _config_text(spec: str):
-    """Resolve a config path; ``builtin:<name>`` loads a packaged file."""
-    if spec.startswith("builtin:"):
-        name = spec.split(":", 1)[1]
-        res = resources.files("survquack").joinpath(f"data/{name}.cfg")
-        if not res.is_file():
-            raise ValidationError(f"no builtin config named {name!r}")
-        return res.read_text(), spec
-    try:
-        with open(spec, encoding="utf-8") as fh:
-            return fh.read(), spec
-    except OSError as exc:
-        raise ValidationError(f"cannot open config: {exc}") from exc
-
-
-def _read_config(spec, what: str, schema) -> dict:
-    """Parse a typed INI config into {section: {key: value}}, in file order.
-
-    ``spec`` is a path or ``builtin:<name>``. ``schema`` maps each section
-    name, or ``prefix:<placeholder>`` for labelled sections, to
-    ({key: parse}, required keys), and each entry must appear at least
-    once. Unknown sections and keys, values ``parse`` rejects with
-    ValueError and missing keys are collected into one ValidationError.
-    """
-    text, source = _config_text(os.fspath(spec))
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text, source=source)
-    except configparser.Error as exc:
-        raise ValidationError(f"{source}: {exc}") from exc
-
-    problems = []
-    found = {}
-    seen = set()
-    for section in parser.sections():
-        head, sep, label = section.partition(":")
-        names = [k for k in schema if k == section or (label and k.startswith(head + sep))]
-        if not names:
-            problems.append(f"unrecognized section [{section}]")
-            continue
-        seen.add(names[0])
-        types, required = schema[names[0]]
-        fields = {}
-        for key, raw in parser[section].items():
-            if key not in types:
-                problems.append(f"[{section}] unknown key {key!r}")
-                continue
-            try:
-                fields[key] = types[key](raw)
-            except ValueError:
-                problems.append(f"[{section}] {key}: cannot parse {raw!r}")
-        problems.extend(
-            f"[{section}] missing required key {k!r}" for k in required if k not in parser[section]
-        )
-        found[section] = fields
-    for name in schema:
-        if name not in seen:
-            problems.append(f"no [{name}] sections" if ":" in name else f"missing [{name}] section")
-    if problems:
-        raise ValidationError(
-            f"{source}: invalid {what} ({'; '.join(problems[:4])}"
-            + (f"; +{len(problems) - 4} more)" if len(problems) > 4 else ")"),
-            details=problems,
-        )
-    return found
 
 
 def _parse_scenario(spec: str):

@@ -21,7 +21,6 @@ __all__ = [
     "WeibullDist",
     "LehmannCurve",
     "MixtureCurve",
-    "survival_at",
     "quantile",
     "weibull_from_median",
     "solve_complement_scale",
@@ -30,6 +29,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_QUANTILE_TOL = 1e-10  # bracket width at which a mixture quantile stops
 
 
 def _as_times(t):
@@ -192,24 +192,18 @@ class MixtureCurve(SurvivalCurve):
         return np.unique(np.concatenate(pieces)) if pieces else None
 
 
-def survival_at(curve: SurvivalCurve, t):
-    """Evaluate S(t); negative or non-finite times are domain errors."""
-    _as_times(t)
-    return curve.survival(t)
-
-
-def quantile(curve: SurvivalCurve, p, tol=1e-10):
+def quantile(curve: SurvivalCurve, p):
     """Smallest time where survival reaches ``p``: exact for step curves (the
     first jump to ``p`` or below) and curves with an inverse cumulative
-    hazard; for a mixture, the upper end of a bracket narrowed to ``tol``
+    hazard; for a mixture, the upper end of a bracket narrowed to 1e-10
     between its components' own quantiles."""
     p = float(p)
     if not (0.0 < p < 1.0):
         raise DomainError(f"quantile level must lie in (0, 1), got {p!r}")
-    return _quantile(curve, p, tol)
+    return _quantile(curve, p)
 
 
-def _quantile(curve, p, tol):
+def _quantile(curve, p):
     final = curve.final_survival()
     if final >= p:
         raise NotReachedError(f"curve never falls to survival {p}")
@@ -220,23 +214,24 @@ def _quantile(curve, p, tol):
             raise NotReachedError(f"curve never falls to survival {p}")
         return float(jumps[hits[0]])
     if isinstance(curve, LehmannCurve):
-        return _quantile(curve.reference, p ** (1.0 / curve.hr), tol)
+        return _quantile(curve.reference, p ** (1.0 / curve.hr))
     if not isinstance(curve, MixtureCurve):
         return float(curve.inverse_cumhaz(-math.log(p)))
     # Below the first component quantile every component is above p. Where
     # each component is within p - final of its own limit, the mixture is
     # at most final + (p - final) = p.
     comps = [c for _, c in curve.components]
-    lo = min(_quantile(c, p, tol) for c in comps if c.final_survival() < p)
+    lo = min(_quantile(c, p) for c in comps if c.final_survival() < p)
     levels = [c.final_survival() + p - final for c in comps]
-    hi = max(_quantile(c, level, tol) if level < 1.0 else 0.0 for c, level in zip(comps, levels))
+    hi = max(_quantile(c, level) if level < 1.0 else 0.0 for c, level in zip(comps, levels))
     # Illinois false position keeps f_lo > 0 >= f_hi; halving the value kept
     # at an end that stays twice keeps both ends moving.
     f_lo, f_hi, side = float(curve.survival(lo)) - p, float(curve.survival(hi)) - p, 0
     for _ in range(200):
-        if hi - lo <= tol or f_lo <= 0.0 or f_hi > 0.0:  # rounding can collapse the bracket
+        if hi - lo <= _QUANTILE_TOL or f_lo <= 0.0 or f_hi > 0.0:  # rounding can collapse the bracket
             break
-        x = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + 0.25 * tol), hi - 0.25 * tol)
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        x = min(max(x, lo + 0.25 * _QUANTILE_TOL), hi - 0.25 * _QUANTILE_TOL)
         fx = float(curve.survival(x)) - p
         if fx > 0.0:
             lo, f_lo, f_hi, side = x, fx, f_hi * (0.5 if side < 0 else 1.0), -1
@@ -266,7 +261,7 @@ def solve_complement_scale(shape_minus, overall_median, prevalence_plus, plus_cu
     prevalence_plus = float(prevalence_plus)
     if not (0.0 < prevalence_plus < 1.0):
         raise DomainError("prevalence_plus must lie strictly inside (0, 1)")
-    s_plus = float(survival_at(plus_curve, overall_median))
+    s_plus = float(plus_curve.survival(overall_median))
     target = (0.5 - prevalence_plus * s_plus) / (1.0 - prevalence_plus)
     if not (0.0 < target < 1.0):
         raise InfeasibleScenario(

@@ -1,5 +1,16 @@
 """Exception taxonomy and sentinel values shared across the package."""
 
+__all__ = [
+    "SurvquackError",
+    "DomainError",
+    "InfeasibleScenario",
+    "NumericalError",
+    "UnsupportedCensoring",
+    "NotReachedError",
+    "ValidationError",
+    "NOT_REACHED",
+]
+
 
 class SurvquackError(Exception):
     """Base class for every package-specific failure."""

@@ -52,7 +52,6 @@ class Measure(str, Enum):
     RR = "RR"
     TR = "TR"
     HR = "HR"
-    LLP = "LLP"
 
 
 @dataclass(frozen=True)

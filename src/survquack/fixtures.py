@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cli import _read_config
+from ._config import _read_config
 from .errors import DomainError
 from .estim import ARM_C, ARM_RX, SurvivalSample
 from .rng import derive_rng

@@ -94,9 +94,9 @@ def logrank_test(sample: SurvivalSample) -> LogRankResult:
     return LogRankResult(oe, variance, z, _two_sided_p(z))
 
 
-def wald_test_cox(sample: SurvivalSample, strata_factor=None):
+def wald_test_cox(sample: SurvivalSample):
     """(z, p) for the treatment coefficient of the two-arm Cox fit."""
-    log_hr, se = cox_fit_two_arm(sample, strata_factor=strata_factor)
+    log_hr, se = cox_fit_two_arm(sample)
     z = log_hr / se
     return z, _two_sided_p(z)
 

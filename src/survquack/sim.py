@@ -2,10 +2,11 @@
 
 A scenario is a two-arm trial whose event times come from a mixture of
 Weibull subgroups. One subgroup's scales may be left open and solved so
-that both arms share a prescribed overall median survival; the built-in
-scenario does exactly that, producing arms with identical medians whose
-hazards still cross. Replications are driven by counter-based seed
-derivation, so results do not depend on worker count or execution order.
+that both arms share a prescribed overall median survival; the packaged
+``builtin:section3`` config does exactly that, producing arms with
+identical medians whose hazards still cross. Replications are driven by
+counter-based seed derivation, so results do not depend on worker count
+or execution order.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .dist import (
     solve_complement_scale,
     weibull_from_median,
 )
-from .errors import DomainError, NumericalError, UnsupportedCensoring
+from .errors import DomainError, NumericalError
 from .estim import ARM_C, ARM_RX, SurvivalSample, tr_to_hr
 from .infer import Claim, DecisionOutcome, decision_procedure, wald_test_cox
 from .rng import derive_rng
@@ -38,7 +39,6 @@ __all__ = [
     "RealizedSubgroup",
     "RealizedScenario",
     "realize_scenario",
-    "build_section3_scenario",
     "ReplicationResult",
     "run_replication",
     "DirectionalErrorReport",
@@ -93,7 +93,6 @@ class ScenarioConfig:
     overall_median: float | None = None
     solve_subgroup: str | None = None
     membership: str = "stochastic"
-    censoring: str = "none"
     replications: int = 1000
     master_seed: int = DEFAULT_MASTER_SEED
 
@@ -137,8 +136,6 @@ class RealizedScenario:
 
 
 def _validate_config(config: ScenarioConfig):
-    if config.censoring != "none":
-        raise UnsupportedCensoring(f"censoring scheme {config.censoring!r} is not implemented")
     if config.membership not in ("stochastic", "quota"):
         raise DomainError(f"unknown membership rule {config.membership!r}")
     if config.n_total < 20:
@@ -231,42 +228,6 @@ def realize_scenario(config: ScenarioConfig) -> RealizedScenario:
                     target=config.overall_median,
                 )
     return realized
-
-
-def build_section3_scenario(
-    n_total: int = 1000,
-    alpha: float = 0.05,
-    replications: int = 1000,
-    master_seed: int = DEFAULT_MASTER_SEED,
-) -> ScenarioConfig:
-    """Built-in equal-median scenario with crossing hazards.
-
-    Half the population responds well (shape 1.05, median 12 vs 6
-    months); the other half (shape 1.2) has its scales solved so both
-    arms' overall median is 8. The solved subgroup necessarily fares
-    worse under treatment, so the within-subgroup effects point in
-    opposite directions while the marginal medians agree exactly.
-
-    Shape assignment note: giving the favorable subgroup the heavier
-    1.2 shape instead produces marginal mixtures so close together
-    that the test almost never rejects; only this assignment yields
-    the intended one-in-three rejection rate at n=1000.
-    """
-    return ScenarioConfig(
-        subgroups=(
-            SubgroupSpec("g+", 0.5, 1.05, rx_median=12.0, c_median=6.0),
-            SubgroupSpec("g-", 0.5, 1.2),
-        ),
-        n_total=n_total,
-        allocation=0.5,
-        alpha=alpha,
-        overall_median=8.0,
-        solve_subgroup="g-",
-        membership="stochastic",
-        censoring="none",
-        replications=replications,
-        master_seed=master_seed,
-    )
 
 
 @dataclass(frozen=True)
@@ -426,20 +387,14 @@ class DirectionalErrorReport:
         return self.cox_rejections / self.replications
 
 
-def run_study(
-    scenario: RealizedScenario,
-    replications: int | None = None,
-    workers: int | None = None,
-) -> DirectionalErrorReport:
-    """Run the full study and tally directional claims.
+def run_study(scenario: RealizedScenario, workers: int | None = None) -> DirectionalErrorReport:
+    """Run the config's replications and tally directional claims.
 
     Replication ``i`` always uses the stream derived from
     (master_seed, i), so the tally is bit-identical for any ``workers``
     value; parallel chunks merge by addition.
     """
-    reps = scenario.config.replications if replications is None else int(replications)
-    if reps < 1:
-        raise DomainError("replications must be >= 1")
+    reps = scenario.config.replications
     indices = range(reps)
     if workers is not None and workers > 1:
         n_chunks = min(workers * 4, reps)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import MixtureCurve, SurvivalCurve, _check_prevalences, quantile
-from .errors import DomainError, NotReachedError, NumericalError
+from .errors import DomainError, NotReachedError, NumericalError, SurvquackError
 from .estim import Measure, SurvivalSample, hr_from_llp, sample_tr
 
 __all__ = [
@@ -123,14 +123,14 @@ def sme_overall_rr(table: SubgroupTable) -> float:
     return num / den
 
 
-def sme_overall_tr(table: SubgroupTable, tol=1e-10) -> float:
+def sme_overall_tr(table: SubgroupTable) -> float:
     """Overall time ratio: median of each arm's mixture curve, then divide."""
     if table.measure is not Measure.TR:
         raise DomainError("sme_overall_tr needs a TR table")
     medians = {}
     for arm, rx in (("Rx", True), ("C", False)):
         try:
-            medians[arm] = quantile(table.arm_mixture(rx), 0.5, tol=tol)
+            medians[arm] = quantile(table.arm_mixture(rx), 0.5)
         except NotReachedError as exc:
             raise NotReachedError(f"{arm} mixture median never reached", arm=arm) from exc
     return medians["Rx"] / medians["C"]
@@ -247,77 +247,52 @@ class StratifiedComparison:
     dropped_levels: tuple = ()
 
 
-def _fewest_distinct_death_times(sub: SurvivalSample) -> int:
-    tb = sub.tables
-    return min(np.count_nonzero(tb.events_rx), np.count_nonzero(tb.events - tb.events_rx))
-
-
-def stratified_audit(
-    sample: SurvivalSample,
-    factors,
-    measure: Measure = Measure.HR,
-    curve_source: str = "auto",
-):
+def stratified_audit(sample: SurvivalSample, factors, measure: Measure = Measure.HR):
     """Contrast both pooling rules against the marginal value, factor by factor.
 
     For each factor: the naive value pools per-level two-arm fits (Cox
     hazard ratios for HR, median ratios for TR) with the geometric-mean
-    rule; the mixable value builds per-level, per-arm curves, mixes them
-    over pooled level prevalences, and summarizes the mixtures; the
-    marginal value refits the whole sample with the factor ignored.
-    Levels whose arms cannot carry the curves are dropped with a warning
-    and the remaining prevalences are renormalized: product-limit curves
-    need a death in each arm, Weibull fits two distinct death times.
-
-    ``curve_source`` picks the per-level curves: "km", "weibull", or
-    "auto" (product-limit when the data are complete, Weibull fits when
-    censoring is present).
+    rule; the mixable value builds per-level, per-arm curves (product-limit
+    curves when the data are complete, Weibull fits when censoring is
+    present), mixes them over pooled level prevalences, and summarizes the
+    mixtures; the marginal value refits the whole sample with the factor
+    ignored. A level whose own ratio or curves raise a SurvquackError is
+    dropped with a warning and the remaining prevalences are renormalized;
+    a failure of the marginal value fails the audit.
     """
     measure = Measure(measure)
     if measure not in (Measure.HR, Measure.TR):
         raise DomainError("stratified_audit supports the HR and TR measures")
-    if curve_source not in ("auto", "km", "weibull"):
-        raise DomainError(f"unknown curve_source {curve_source!r}")
-    source = curve_source
-    if source == "auto":
-        source = "km" if bool(sample.event.all()) else "weibull"
-
+    complete = bool(sample.event.all())
     marginal = math.exp(sample.cox[0]) if measure is Measure.HR else sample_tr(sample)
-    need = 1 if source == "km" else 2
     comparisons = []
     for factor in factors:
-        levels = sample.levels(factor)
-        usable = [(level, sub) for level, sub in levels if _fewest_distinct_death_times(sub) >= need]
-        dropped = [level for level, sub in levels if _fewest_distinct_death_times(sub) < need]
+        usable, dropped = [], {}
+        for level, sub in sample.levels(factor):
+            try:
+                ratio = math.exp(sub.cox[0]) if measure is Measure.HR else sample_tr(sub)
+                curves = (sub.km(True), sub.km(False)) if complete else sub.weibull
+            except SurvquackError as exc:
+                dropped[level] = f"{type(exc).__name__}: {exc}"
+                continue
+            usable.append((level, sub.n, ratio, curves))
         if not usable:
-            raise DomainError(f"factor {factor!r} has no level with enough deaths in both arms")
+            raise DomainError(f"factor {factor!r} has no level whose ratio and curves can be estimated")
         if dropped:
             warnings.warn(
                 f"factor {factor!r}: dropped sparse level(s) {dropped}; prevalences renormalized",
                 stacklevel=2,
             )
-        prevalences = np.asarray([sub.n for _, sub in usable], dtype=float)
+        prevalences = np.asarray([n for _, n, _, _ in usable], dtype=float)
         prevalences /= prevalences.sum()
         # exact renormalization so the mixture constructor's 1e-12 check holds
         prevalences[-1] = 1.0 - prevalences[:-1].sum()
 
-        ratios = []
-        rows = []
-        for (level, sub), prev in zip(usable, prevalences):
-            if measure is Measure.HR:
-                ratios.append(math.exp(sub.cox[0]))
-            else:
-                ratios.append(sample_tr(sub))
-            curves = (sub.km(True), sub.km(False)) if source == "km" else sub.weibull
-            rows.append(SubgroupRow(level, float(prev), *curves))
-
-        naive = naive_stratified_ratio(zip(ratios, prevalences))
-        table = SubgroupTable(measure, tuple(rows))
-        if measure is Measure.HR:
-            sme = sme_overall_hr(table)
-        else:
-            sme = sme_overall_tr(table)
-        comparisons.append(
-            StratifiedComparison(str(factor), naive, sme, marginal, tuple(dropped))
+        naive = naive_stratified_ratio(zip((ratio for _, _, ratio, _ in usable), prevalences))
+        rows = tuple(
+            SubgroupRow(level, float(prev), *curves) for (level, _, _, curves), prev in zip(usable, prevalences)
         )
+        table = SubgroupTable(measure, rows)
+        sme = sme_overall_hr(table) if measure is Measure.HR else sme_overall_tr(table)
+        comparisons.append(StratifiedComparison(str(factor), naive, sme, marginal, tuple(dropped)))
     return comparisons

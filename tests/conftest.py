@@ -7,6 +7,7 @@ gate in test_acceptance.py. The terminal summary prints one PASS/FAIL
 line per acceptance criterion.
 """
 
+import dataclasses
 import time
 from contextlib import contextmanager
 
@@ -16,13 +17,13 @@ from survquack import (
     Measure,
     ScenarioConfig,
     SubgroupSpec,
-    build_section3_scenario,
     generate_prognostic_sample,
     load_oak_analog_spec,
     realize_scenario,
     run_study,
     stratified_audit,
 )
+from survquack.cli import parse_scenario_config
 
 _ACCEPTANCE_LINES = []
 
@@ -55,7 +56,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def section3():
-    return realize_scenario(build_section3_scenario())
+    return realize_scenario(parse_scenario_config("builtin:section3"))
 
 
 @pytest.fixture(scope="session")
@@ -72,7 +73,9 @@ def study_1k(section3):
 
 @pytest.fixture(scope="session")
 def study_10k(section3):
-    return run_study(section3, replications=10_000, workers=4)
+    return run_study(
+        realize_scenario(dataclasses.replace(section3.config, replications=10_000)), workers=4
+    )
 
 
 @pytest.fixture(scope="session")

@@ -132,7 +132,7 @@ def test_criterion_06_logic_respecting_suites(criterion):
                 rows.append(SubgroupRow(f"s{j}", weight, treated, control))
             value = sme_overall_tr(SubgroupTable(Measure.TR, tuple(rows)))
             lo, hi = min(ratios), max(ratios)
-            # quantile bisection stops at 1e-10, so allow that much slack
+            # false position closes a mixture quantile's bracket to 1e-10, so allow that much slack
             if not (lo - 1e-8 * hi <= value <= hi + 1e-8 * hi):
                 violations += 1
         assert violations == 0

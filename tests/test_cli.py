@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -24,7 +27,7 @@ from survquack.fixtures import (
 )
 from survquack.report import strip_volatile, validate_report
 from survquack.rng import derive_rng
-from survquack.sim import build_section3_scenario, realize_scenario, run_study
+from survquack.sim import realize_scenario, run_study
 from survquack.sme import naive_stratified_ratio, stratified_audit
 
 
@@ -228,6 +231,15 @@ class TestReadDataset:
         with mock.patch.object(cli_module, "_BLOCK_ROWS", block_rows):
             assert _read_outcome(path) == _read_outcome(path, fast=False)
 
+    def test_non_utf8_file_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"time,event,arm\n1.0,1,Rx\n2.0,1,C\xff\n")
+        with pytest.raises(ValidationError, match=r"not UTF-8 text \(b'\\xff' at byte offset 31\)"):
+            read_dataset(path)
+        rc, out, err = run_cli(["analyze", str(path)], capsys)
+        assert rc == 2 and out == ""
+        assert "survquack: error:" in err and "byte offset 31" in err
+
 
 class TestAnalyze:
     def test_identical_arms(self, ident_csv, capsys):
@@ -392,6 +404,31 @@ class TestAnalyze:
             row, = sections[name]["data"]["factors"]
             assert row["dropped_levels"] == ["c", "d"]
 
+    def test_audit_drops_levels_whose_own_fits_fail(self, tmp_path, capsys):
+        rng = derive_rng(32, "failing-level")
+        rows = []
+        for level in ("a", "b"):
+            for arm in ("Rx", "C"):
+                t = rng.exponential(10.0, 40)
+                rows += [(float(x), int(d), arm, level) for x, d in zip(t, rng.random(40) < 0.75)]
+        # level c passes any death count: its Rx Weibull fit does not converge
+        # (two early deaths, late censoring) and its Rx median is never reached
+        rows += [(1.0, 1, "Rx", "c"), (2.0, 1, "Rx", "c")]
+        rows += [(float(t), 0, "Rx", "c") for t in range(30, 36)]
+        rows += [(float(t), 1, "C", "c") for t in range(3, 9)]
+        path = tmp_path / "failing.csv"
+        path.write_text("time,event,arm,s:g\n" + "".join(f"{t!r},{e},{a},{g}\n" for t, e, a, g in rows))
+        with pytest.warns(UserWarning, match="dropped sparse level"):
+            rc, out, _ = run_cli(
+                ["analyze", str(path), "--strata", "g", "--measure", "HR", "--measure", "TR"], capsys
+            )
+        assert rc == 0
+        sections = parse_report(out)["sections"]
+        for name in ("stratified_audit_hr", "stratified_audit_tr"):
+            assert sections[name]["ok"] is True, sections[name]["error"]
+            row, = sections[name]["data"]["factors"]
+            assert row["dropped_levels"] == ["c"]
+
     @pytest.mark.parametrize("rx_first", [False, True])
     def test_win_fraction_kept_on_separated_arms(self, tmp_path, capsys, rx_first):
         late, early = (10, 11, 12, 13), (1, 2, 3, 4)
@@ -501,9 +538,6 @@ class TestSimulate:
         assert study["rejection_rate"] == pytest.approx(0.307, rel=1e-15)
         lo, hi = study["rejection_ci95"]
         assert lo < 0.307 < hi
-
-    def test_builtin_config_equals_builder(self):
-        assert parse_scenario_config("builtin:section3") == build_section3_scenario()
 
     def test_small_config_deterministic_and_matches_library(
         self, small_cfg, tmp_path, capsys
@@ -726,6 +760,17 @@ class TestMainPlumbing:
         rc, out, err = run_cli(["eq1-demo"], capsys)
         assert rc == 3 and out == ""
         assert "survquack: numerical failure: synthetic pivot failure" in err
+
+    def test_module_run_is_warning_free(self):
+        # importing the package must not load survquack.cli, or runpy warns
+        # that the module is already in sys.modules
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli_module.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "survquack.cli", "eq1-demo"],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["command"] == "eq1-demo"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -17,7 +17,6 @@ from survquack import (
     quantile,
     sample_times,
     solve_complement_scale,
-    survival_at,
     weibull_from_median,
 )
 from survquack.errors import DomainError, InfeasibleScenario, NotReachedError
@@ -31,27 +30,27 @@ scales = st.floats(0.1, 100.0)
 ratios = st.floats(0.05, 20.0)
 
 
-# ---------------------------------------------------------------- survival_at
+# -------------------------------------------------------- WeibullDist.survival
 
-def test_survival_at_known_points():
+def test_weibull_survival_known_points():
     w = WeibullDist(1.0, 1.0)
-    assert survival_at(w, 0.0) == 1.0
-    assert survival_at(w, LN2) == pytest.approx(0.5, rel=1e-15)
+    assert w.survival(0.0) == 1.0
+    assert w.survival(LN2) == pytest.approx(0.5, rel=1e-15)
 
 
-def test_survival_at_shifted_median_curve():
+def test_weibull_survival_shifted_median_curve():
     # weibull_from_median(1.2, 12) evaluated two thirds of the way to its median
     w = weibull_from_median(1.2, 12.0)
-    s = survival_at(w, 8.0)
+    s = w.survival(8.0)
     assert s == pytest.approx(0.6530, abs=5e-5)
     # direct-formula oracle, frozen
     assert s == pytest.approx(math.exp(-((8.0 / w.scale) ** 1.2)), rel=0, abs=0)
     assert s == pytest.approx(0.6530482042988376, rel=1e-15)
 
 
-def test_survival_at_rejects_negative_time():
+def test_weibull_survival_rejects_negative_time():
     with pytest.raises(DomainError):
-        survival_at(WeibullDist(1.0, 1.0), -0.5)
+        WeibullDist(1.0, 1.0).survival(-0.5)
 
 
 def test_weibull_rejects_bad_parameters():
@@ -155,8 +154,8 @@ def test_weibull_from_median_exponential():
 
 
 def test_weibull_from_median_hits_its_median():
-    assert survival_at(weibull_from_median(1.2, 12.0), 12.0) == pytest.approx(0.5, rel=1e-14)
-    assert survival_at(weibull_from_median(1.05, 6.0), 6.0) == pytest.approx(0.5, rel=1e-14)
+    assert weibull_from_median(1.2, 12.0).survival(12.0) == pytest.approx(0.5, rel=1e-14)
+    assert weibull_from_median(1.05, 6.0).survival(6.0) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_weibull_from_median_rejects_nonpositive():

@@ -11,7 +11,6 @@ from survquack import (
     Claim,
     ScenarioConfig,
     SubgroupSpec,
-    build_section3_scenario,
     realize_scenario,
     run_replication,
     run_study,
@@ -19,32 +18,33 @@ from survquack import (
     weibull_from_median,
 )
 from survquack import estim
-from survquack.errors import (
-    DomainError,
-    InfeasibleScenario,
-    UnsupportedCensoring,
-)
+from survquack.cli import parse_scenario_config
+from survquack.errors import DomainError, InfeasibleScenario
 from survquack.sim import simulate_sample, wilson_interval
 
 from oracles import bisect_complement_scale
 
 
+def section3_config(**changes):
+    """The packaged equal-median scenario, with ``changes`` applied."""
+    return dataclasses.replace(parse_scenario_config("builtin:section3"), **changes)
+
+
 @pytest.fixture(scope="module")
 def small_scenario():
-    return realize_scenario(build_section3_scenario(n_total=60, replications=40))
+    return realize_scenario(section3_config(n_total=60, replications=40))
 
 
-# ------------------------------------------------------ build_section3_scenario
+# ------------------------------------------------------ builtin:section3
 
 def test_builtin_scenario_config_fields():
-    cfg = build_section3_scenario()
+    cfg = section3_config()
     assert cfg.n_total == 1000
     assert cfg.allocation == 0.5
     assert cfg.alpha == 0.05
     assert cfg.overall_median == 8.0
     assert cfg.solve_subgroup == "g-"
     assert cfg.membership == "stochastic"
-    assert cfg.censoring == "none"
     assert cfg.replications == 1000
     gp, gm = cfg.subgroups
     assert (gp.label, gp.prevalence, gp.shape) == ("g+", 0.5, 1.05)
@@ -54,7 +54,7 @@ def test_builtin_scenario_config_fields():
 
 
 def test_realized_scenario_matches_bisection_oracle():
-    sc = realize_scenario(build_section3_scenario())
+    sc = realize_scenario(section3_config())
     gp, gm = sc.subgroups
     assert gp.rx.median == pytest.approx(12.0, rel=1e-12)
     assert gp.c.median == pytest.approx(6.0, rel=1e-12)
@@ -84,9 +84,7 @@ def _replace(cfg, **kw):
     return dataclasses.replace(cfg, **kw)
 
 def test_config_validation_gates():
-    cfg = build_section3_scenario()
-    with pytest.raises(UnsupportedCensoring):
-        realize_scenario(_replace(cfg, censoring="uniform"))
+    cfg = section3_config()
     with pytest.raises(DomainError):
         realize_scenario(_replace(cfg, membership="blocks"))
     with pytest.raises(DomainError):
@@ -106,7 +104,7 @@ def test_config_validation_gates():
 
 
 def test_subgroup_validation_gates():
-    cfg = build_section3_scenario()
+    cfg = section3_config()
     gp, gm = cfg.subgroups
     dup = _replace(cfg, subgroups=(gp, dataclasses.replace(gm, label="g+")))
     with pytest.raises(DomainError):
@@ -131,7 +129,7 @@ def test_subgroup_validation_gates():
 
 
 def test_solve_subgroup_wiring_is_checked():
-    cfg = build_section3_scenario()
+    cfg = section3_config()
     gp, gm = cfg.subgroups
     with pytest.raises(DomainError):
         realize_scenario(_replace(cfg, solve_subgroup=None))
@@ -203,9 +201,7 @@ def test_simulate_sample_is_deterministic(small_scenario):
 
 
 def test_quota_membership_hits_exact_counts():
-    cfg = dataclasses.replace(
-        build_section3_scenario(), membership="quota", n_total=20, replications=1
-    )
+    cfg = section3_config(membership="quota", n_total=20, replications=1)
     sample = simulate_sample(realize_scenario(cfg), 0)
     for arm in (True, False):
         labels = sample.strata["subgroup"][sample.is_rx == arm]
@@ -256,13 +252,6 @@ def test_run_study_worker_count_is_invisible(small_scenario):
     par = run_study(small_scenario, workers=2)
     assert seq == par
     assert seq.replications == 40
-
-
-def test_run_study_replication_override_and_validation(small_scenario):
-    short = run_study(small_scenario, replications=5)
-    assert short.replications == 5
-    with pytest.raises(DomainError):
-        run_study(small_scenario, replications=0)
 
 
 def test_builtin_study_frozen_tallies(study_1k):

@@ -487,21 +487,20 @@ def test_audit_drops_sparse_levels_with_a_warning():
     assert comp.naive_value == ref.naive_value
 
 
-def test_audit_curve_source_selection():
+def test_audit_curves_follow_the_data():
+    # product-limit curves on complete data, Weibull fits under censoring
     rx_t, c_t = _lehmann_sample((58, "audit-single"), 150, 0.5, 1.2, 10.0)
     base = SurvivalSample.from_arms(rx_t, c_t)
     labels = np.where(derive_rng(59, "audit-noise").random(300) < 0.5, "L", "R")
-    complete = SurvivalSample(base.time, base.event, base.is_rx, {"noise": labels})
-    auto, = stratified_audit(complete, ["noise"], measure=Measure.HR)
-    km, = stratified_audit(complete, ["noise"], measure=Measure.HR, curve_source="km")
-    assert auto.sme_value == km.sme_value
-
-    censored_events = np.ones(300, bool)
-    censored_events[::7] = False
-    censored = SurvivalSample(base.time, censored_events, base.is_rx, {"noise": labels})
-    auto_c, = stratified_audit(censored, ["noise"], measure=Measure.HR)
-    weib, = stratified_audit(censored, ["noise"], measure=Measure.HR, curve_source="weibull")
-    assert auto_c.sme_value == weib.sme_value
+    for events, curves in ((base.event, lambda sub: (sub.km(True), sub.km(False))),
+                           (np.arange(300) % 7 != 0, lambda sub: sub.weibull)):
+        sample = SurvivalSample(base.time, events, base.is_rx, {"noise": labels})
+        comp, = stratified_audit(sample, ["noise"], measure=Measure.HR)
+        levels = sample.levels("noise")
+        weights = [sub.n / sample.n for _, sub in levels]
+        weights[-1] = 1.0 - sum(weights[:-1])
+        rows = tuple(SubgroupRow(lv, w, *curves(sub)) for (lv, sub), w in zip(levels, weights))
+        assert comp.sme_value == sme_overall_hr(SubgroupTable(Measure.HR, rows))
 
 
 def test_audit_validates_inputs():
@@ -513,8 +512,6 @@ def test_audit_validates_inputs():
         stratified_audit(sample, ["nope"])
     with pytest.raises(DomainError):
         stratified_audit(sample, ["noise"], measure=Measure.RR)
-    with pytest.raises(DomainError):
-        stratified_audit(sample, ["noise"], curve_source="spline")
 
 
 def test_audit_needs_one_usable_level():
