@@ -25,8 +25,6 @@ from . import report as report_mod
 from ._config import _read_config
 from ._version import __version__
 from .errors import (
-    DomainError,
-    InfeasibleScenario,
     NotReachedError,
     NumericalError,
     SurvquackError,
@@ -43,19 +41,12 @@ from .estim import (
     hr_from_llp,
     km_median,
 )
-from .infer import _two_sided_p, logrank_test, mw_pivot_ci
-from .sim import (
-    DEFAULT_MASTER_SEED,
-    ScenarioConfig,
-    SubgroupSpec,
-    realize_scenario,
-    run_study,
-)
+from .infer import logrank_test, mw_pivot_ci, wald_test_cox
+from .sim import ScenarioConfig, SubgroupSpec, realize_scenario, run_study
 from .sme import naive_stratified_ratio, stratified_audit
 
 __all__ = ["main", "read_dataset", "parse_scenario_config"]
 
-_ENV_SEED = "SURVQUACK_SEED"
 # a quote, or ASCII whitespace other than a line end, which the line-by-line pass strips
 _NOT_PLAIN = '" \t\x0b\x0c\x1c\x1d\x1e\x1f'
 _BLOCK_ROWS = 1024  # data rows the column-wise parse splits into cells at a time
@@ -81,8 +72,6 @@ _SCENARIO_SCHEMA = {
             "shape": float,
             "rx_median": float,
             "c_median": float,
-            "rx_scale": float,
-            "c_scale": float,
         },
         ("prevalence", "shape"),
     ),
@@ -217,32 +206,12 @@ def _plain_columns(text, width, columns):
     return [np.concatenate(column) for column in zip(*blocks)]
 
 
-def _parse_scenario(spec: str):
-    """Parse an INI scenario config into (ScenarioConfig, raw scenario fields)."""
+def parse_scenario_config(spec: str) -> ScenarioConfig:
+    """Parse an INI scenario config ([scenario] plus [subgroup:<label>])."""
     sections = _read_config(spec, "scenario", _SCENARIO_SCHEMA)
     fields = sections.pop("scenario")
     subgroups = tuple(SubgroupSpec(label=s.split(":", 1)[1], **f) for s, f in sections.items())
-    return ScenarioConfig(subgroups=subgroups, **fields), fields
-
-
-def parse_scenario_config(spec: str) -> ScenarioConfig:
-    """Parse an INI scenario config ([scenario] plus [subgroup:<label>])."""
-    return _parse_scenario(spec)[0]
-
-
-def _resolve_seed(cli_seed, config_seed=None, fallback=None):
-    """--seed beats the config value, which beats $SURVQUACK_SEED."""
-    if cli_seed is not None:
-        return int(cli_seed)
-    if config_seed is not None:
-        return int(config_seed)
-    env = os.environ.get(_ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"{_ENV_SEED} must be an integer, got {env!r}") from None
-    return fallback
+    return ScenarioConfig(subgroups=subgroups, **fields)
 
 
 def _median_entry(value):
@@ -298,8 +267,7 @@ def _cmd_analyze(args):
 
     def cox_section():
         log_hr, se = sample.cox
-        z = log_hr / se
-        p = _two_sided_p(z)
+        z, p = wald_test_cox(sample)
         return {
             "log_hr": log_hr,
             "hr": float(np.exp(log_hr)),
@@ -362,10 +330,9 @@ def _cmd_analyze(args):
 
 
 def _cmd_simulate(args):
-    config, raw_fields = _parse_scenario(args.config)
-    seed = _resolve_seed(args.seed, raw_fields.get("master_seed"), DEFAULT_MASTER_SEED)
-    if seed != config.master_seed:
-        config = dataclasses.replace(config, master_seed=seed)
+    config = parse_scenario_config(args.config)
+    if args.seed is not None:
+        config = dataclasses.replace(config, master_seed=args.seed)
     if args.replications is not None:
         if args.replications < 1:
             raise ValidationError("--replications must be >= 1")
@@ -425,7 +392,7 @@ def _cmd_simulate(args):
         "replications": config.replications,
         "workers": args.workers,
     }
-    return report_mod.build_report("simulate", seed, inputs, sections)
+    return report_mod.build_report("simulate", config.master_seed, inputs, sections)
 
 
 def _cmd_pivot_ci(args):
@@ -436,7 +403,6 @@ def _cmd_pivot_ci(args):
             f"pivot-ci needs fully observed data; {censored} censored row(s) present"
         )
     level = float(args.level)
-    seed = _resolve_seed(args.seed, None, 0)
     if not (args.grid_min > 0 and args.grid_max > args.grid_min):
         raise ValidationError("grid bounds must satisfy 0 < min < max")
     if args.grid_points < 2:
@@ -444,9 +410,7 @@ def _cmd_pivot_ci(args):
     grid = np.geomspace(args.grid_min, args.grid_max, int(args.grid_points))
     rx_t, _ = sample.arm(True)
     c_t, _ = sample.arm(False)
-    result = mw_pivot_ci(
-        rx_t, c_t, level=level, grid=grid, mc_reps=int(args.mc_reps), seed=seed
-    )
+    result = mw_pivot_ci(rx_t, c_t, level=level, grid=grid, seed=args.seed)
     sections = {
         "pivot_ci": report_mod.section(
             data={
@@ -471,10 +435,10 @@ def _cmd_pivot_ci(args):
     inputs = {
         "dataset": str(args.dataset),
         "level": level,
-        "mc_reps": int(args.mc_reps),
+        "mc_reps": result.mc_reps,
         "grid": {"min": float(args.grid_min), "max": float(args.grid_max), "points": int(args.grid_points)},
     }
-    return report_mod.build_report("pivot-ci", seed, inputs, sections)
+    return report_mod.build_report("pivot-ci", result.seed, inputs, sections)
 
 
 def _cmd_eq1_demo(args):
@@ -545,8 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="write the JSON report here instead of stdout")
+    output.add_argument("--tables", metavar="DIR", help="also export per-section CSV tables")
 
-    pa = sub.add_parser("analyze", help="run the analysis battery on a dataset CSV")
+    pa = sub.add_parser("analyze", parents=[output], help="run the analysis battery on a dataset CSV")
     pa.add_argument("dataset", help="CSV with columns time,event,arm and optional s:<factor>")
     pa.add_argument("--alpha", type=float, default=0.05, help="two-sided test level (default 0.05)")
     pa.add_argument(
@@ -562,34 +529,29 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[Measure.HR.value, Measure.TR.value],
         help="efficacy measure for the stratified audit (repeatable, default HR)",
     )
-    pa.add_argument("--out", help="write the JSON report here instead of stdout")
-    pa.add_argument("--tables", metavar="DIR", help="also export per-section CSV tables")
     pa.set_defaults(func=_cmd_analyze)
 
-    ps = sub.add_parser("simulate", help="run a scenario config's Monte Carlo study")
+    ps = sub.add_parser("simulate", parents=[output], help="run a scenario config's Monte Carlo study")
     ps.add_argument("config", help="scenario INI path, or builtin:section3")
     ps.add_argument("--seed", type=int, help="override the config's master seed")
     ps.add_argument("--replications", type=int, help="override the config's replication count")
     ps.add_argument("--workers", type=int, help="parallel worker processes (result is identical)")
-    ps.add_argument("--out", help="write the JSON report here instead of stdout")
-    ps.add_argument("--tables", metavar="DIR", help="also export per-section CSV tables")
     ps.set_defaults(func=_cmd_simulate)
 
-    pp = sub.add_parser("pivot-ci", help="rank-test confidence set for the curve-power parameter")
+    pp = sub.add_parser(
+        "pivot-ci", parents=[output], help="rank-test confidence set for the curve-power parameter"
+    )
     pp.add_argument("dataset", help="CSV with columns time,event,arm (no censoring)")
     pp.add_argument("--level", type=float, default=0.95, help="confidence level (default 0.95)")
-    pp.add_argument("--mc-reps", type=int, default=2000, help="Monte Carlo reps per grid point")
     pp.add_argument("--grid-min", type=float, default=1.0 / 50.0, help="smallest grid value")
     pp.add_argument("--grid-max", type=float, default=50.0, help="largest grid value")
     pp.add_argument("--grid-points", type=int, default=200, help="grid size (log-spaced)")
-    pp.add_argument("--seed", type=int, help="seed for the acceptance-region draws")
-    pp.add_argument("--out", help="write the JSON report here instead of stdout")
-    pp.add_argument("--tables", metavar="DIR", help="also export per-section CSV tables")
+    pp.add_argument("--seed", type=int, default=0, help="seed for the acceptance-region draws")
     pp.set_defaults(func=_cmd_pivot_ci)
 
-    pe = sub.add_parser("eq1-demo", help="worked example of the log-averaging pooling rule")
-    pe.add_argument("--out", help="write the JSON report here instead of stdout")
-    pe.add_argument("--tables", metavar="DIR", help="also export per-section CSV tables")
+    pe = sub.add_parser(
+        "eq1-demo", parents=[output], help="worked example of the log-averaging pooling rule"
+    )
     pe.set_defaults(func=_cmd_eq1_demo)
     return parser
 
@@ -599,20 +561,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except (ValidationError, DomainError, UnsupportedCensoring, InfeasibleScenario) as exc:
-        print(f"survquack: error: {exc}", file=sys.stderr)
-        if isinstance(exc, ValidationError) and exc.details:
-            for line in exc.details[:20]:
-                print(f"  - {line}", file=sys.stderr)
-        return 2
     except (NumericalError, NotReachedError) as exc:
         print(f"survquack: numerical failure: {exc}", file=sys.stderr)
         return 3
     except SurvquackError as exc:
         print(f"survquack: error: {exc}", file=sys.stderr)
+        for line in exc.details[:20] if isinstance(exc, ValidationError) else ():
+            print(f"  - {line}", file=sys.stderr)
         return 2
     report_mod.write_report(report, path=args.out, stream=sys.stdout)
-    if getattr(args, "tables", None):
+    if args.tables:
         _write_tables(report, args.tables)
     return 0
 

@@ -60,7 +60,7 @@ class SurvivalSample:
 
     ``is_rx`` is True for the treated arm. ``strata`` maps factor names to
     per-subject label arrays; every factor covers every subject. The risk
-    table (``tables``), the unstratified Cox fit (``cox``), the per-arm
+    table (``tables``), the two-arm Cox fit (``cox``), the per-arm
     Weibull fits (``weibull``) and each factor's level subsamples
     (``levels``) are built on first use and then shared by every estimate,
     so the arrays must not be mutated after construction.
@@ -109,8 +109,8 @@ class SurvivalSample:
 
     @cached_property
     def cox(self):
-        """(log hazard ratio, standard error) of the unstratified two-arm Cox
-        fit, computed on first use and shared; a failed fit is not kept."""
+        """(log hazard ratio, standard error) of the two-arm Cox fit,
+        computed on first use and shared; a failed fit is not kept."""
         return cox_fit_two_arm(self)
 
     @cached_property
@@ -416,55 +416,40 @@ def hr_to_tr(hr, shape) -> float:
     return hr ** (-1.0 / shape)
 
 
-def _cox_score_info(tables, beta):
+def _cox_score_info(tb, beta):
     eb = math.exp(beta)
-    score = 0.0
-    info = 0.0
-    for tb in tables:
-        n1 = tb.at_risk_rx.astype(float)
-        n0 = (tb.at_risk - tb.at_risk_rx).astype(float)
-        d = tb.events.astype(float)
-        denom = n0 + n1 * eb
-        score += float((tb.events_rx - d * n1 * eb / denom).sum())
-        info += float((d * n0 * n1 * eb / (denom * denom)).sum())
+    n1 = tb.at_risk_rx.astype(float)
+    n0 = (tb.at_risk - tb.at_risk_rx).astype(float)
+    d = tb.events.astype(float)
+    denom = n0 + n1 * eb
+    score = float((tb.events_rx - d * n1 * eb / denom).sum())
+    info = float((d * n0 * n1 * eb / (denom * denom)).sum())
     return score, info
 
 
-def _cox_logpl(tables, beta):
-    eb = math.exp(beta)
-    total = 0.0
-    for tb in tables:
-        n1 = tb.at_risk_rx.astype(float)
-        n0 = (tb.at_risk - tb.at_risk_rx).astype(float)
-        total += float((tb.events_rx * beta - tb.events * np.log(n0 + n1 * eb)).sum())
-    return total
+def _cox_logpl(tb, beta):
+    n1 = tb.at_risk_rx.astype(float)
+    n0 = (tb.at_risk - tb.at_risk_rx).astype(float)
+    return float((tb.events_rx * beta - tb.events * np.log(n0 + n1 * math.exp(beta))).sum())
 
 
-def cox_fit_two_arm(sample: SurvivalSample, strata_factor=None):
+def cox_fit_two_arm(sample: SurvivalSample):
     """Breslow partial-likelihood fit of the single treatment coefficient.
 
-    Returns (log hazard ratio, standard error). With ``strata_factor`` the
-    partial likelihood is a product over the factor's levels, each keeping
-    its own risk sets. Monotone likelihoods (the arms separate the event
-    order) are reported as NumericalError rather than a huge estimate.
+    Returns (log hazard ratio, standard error) from the sample's risk
+    table. Monotone likelihoods (the arms separate the event order) are
+    reported as NumericalError rather than a huge estimate.
     """
     if not sample.is_rx.any() or sample.is_rx.all():
         raise DomainError("both arms must be present")
-    if strata_factor is None:
-        tables = [sample.tables]
-    else:
-        tables = [sub.tables for _, sub in sample.levels(strata_factor)]
-    if any(tb.events.sum() == 0 for tb in tables):
-        raise DomainError("every stratum used in the fit needs at least one death")
+    tb = sample.tables
+    if tb.events.sum() == 0:
+        raise DomainError("at least one death is required")
 
     # The score is strictly decreasing in beta, so a finite root exists only
     # when its limits bracket zero. Otherwise the likelihood is monotone.
-    score_lo = 0.0
-    score_hi = 0.0
-    for tb in tables:
-        n0 = tb.at_risk - tb.at_risk_rx
-        score_lo += float((tb.events_rx - tb.events * (n0 == 0)).sum())
-        score_hi += float((tb.events_rx - tb.events * (tb.at_risk_rx > 0)).sum())
+    score_lo = float((tb.events_rx - tb.events * (tb.at_risk == tb.at_risk_rx)).sum())
+    score_hi = float((tb.events_rx - tb.events * (tb.at_risk_rx > 0)).sum())
     if score_lo <= 0.0 or score_hi >= 0.0:
         raise NumericalError(
             "monotone partial likelihood: the arms separate the event order",
@@ -474,7 +459,7 @@ def cox_fit_two_arm(sample: SurvivalSample, strata_factor=None):
 
     beta = 0.0
     for _ in range(100):
-        score, info = _cox_score_info(tables, beta)
+        score, info = _cox_score_info(tb, beta)
         if not math.isfinite(score):
             raise NumericalError("partial-likelihood score overflow", beta=beta)
         if info <= 0.0:
@@ -485,10 +470,10 @@ def cox_fit_two_arm(sample: SurvivalSample, strata_factor=None):
         if abs(step) <= 1e-10:
             beta += step
             break
-        ll0 = _cox_logpl(tables, beta)
+        ll0 = _cox_logpl(tb, beta)
         scale = 1.0
         for _ in range(40):
-            if _cox_logpl(tables, beta + scale * step) >= ll0 - 1e-12:
+            if _cox_logpl(tb, beta + scale * step) >= ll0 - 1e-12:
                 break
             scale *= 0.5
         beta += scale * step
@@ -499,7 +484,7 @@ def cox_fit_two_arm(sample: SurvivalSample, strata_factor=None):
     else:
         raise NumericalError("no convergence after 100 Newton iterations", beta=beta)
 
-    _, info = _cox_score_info(tables, beta)
+    _, info = _cox_score_info(tb, beta)
     if info <= 0.0:
         raise NumericalError("no information about the treatment coefficient", beta=beta)
     return float(beta), float(1.0 / math.sqrt(info))

@@ -11,10 +11,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import NOT_REACHED, DomainError
-from .estim import SurvivalSample, _pair_stats, cox_fit_two_arm, km_median
+from .estim import SurvivalSample, _pair_stats, km_median
 from .rng import derive_rng
 
 __all__ = [
+    "MC_REPS",
     "LogRankResult",
     "Claim",
     "DecisionOutcome",
@@ -28,6 +29,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+MC_REPS = 2000  # Monte Carlo draws per acceptance region of the pivot
 
 
 def _two_sided_p(z):
@@ -95,8 +97,8 @@ def logrank_test(sample: SurvivalSample) -> LogRankResult:
 
 
 def wald_test_cox(sample: SurvivalSample):
-    """(z, p) for the treatment coefficient of the two-arm Cox fit."""
-    log_hr, se = cox_fit_two_arm(sample)
+    """(z, p) for the treatment coefficient of the sample's two-arm Cox fit."""
+    log_hr, se = sample.cox
     z = log_hr / se
     return z, _two_sided_p(z)
 
@@ -222,13 +224,13 @@ class ConfidenceSet:
     empty: bool
 
 
-def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, mc_reps=2000, seed=0) -> ConfidenceSet:
+def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, seed=0) -> ConfidenceSet:
     """Invert the Mann-Whitney count over a grid of survival-curve exponents.
 
-    For every grid exponent, a Monte Carlo null acceptance region for the
-    pair count is built from a seed derived as (seed, "mw-pivot", index),
-    so the result is deterministic and independent of evaluation order.
-    Exponents whose region contains the observed count are accepted.
+    For every grid exponent, a null acceptance region for the pair count is
+    built from ``MC_REPS`` Monte Carlo draws seeded by (seed, "mw-pivot",
+    index), so the result is deterministic and independent of evaluation
+    order. Exponents whose region contains the observed count are accepted.
 
     Exponents above 1 mean the Rx arm dies faster, so data with Rx living
     much longer pushes the whole accepted hull below 1.
@@ -236,9 +238,6 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, mc_reps=2000, seed=0) 
     level = float(level)
     if not (0.0 < level < 1.0):
         raise DomainError("confidence level must lie strictly inside (0, 1)")
-    mc_reps = int(mc_reps)
-    if mc_reps < 2000:
-        raise DomainError("mc_reps must be at least 2000")
     if grid is None:
         grid = np.geomspace(1.0 / 50.0, 50.0, 200)
     else:
@@ -249,11 +248,11 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, mc_reps=2000, seed=0) 
     c = np.asarray(c_times, dtype=float)
     observed = mw_pair_count(rx, c)
     accepted = np.zeros(grid.size, dtype=bool)
-    workspace = _mc_workspace(rx.size, c.size, mc_reps)
+    workspace = _mc_workspace(rx.size, c.size, MC_REPS)
     for i, theta in enumerate(grid):
         rng = derive_rng(seed, "mw-pivot", i)
         lo_cnt, hi_cnt = mw_acceptance_region(
-            rx.size, c.size, theta, level, mc_reps, rng, _workspace=workspace
+            rx.size, c.size, theta, level, MC_REPS, rng, _workspace=workspace
         )
         accepted[i] = lo_cnt <= observed <= hi_cnt
     idx = np.flatnonzero(accepted)
@@ -278,7 +277,7 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, mc_reps=2000, seed=0) 
         observed_count=float(observed),
         n_rx=int(rx.size),
         n_c=int(c.size),
-        mc_reps=mc_reps,
+        mc_reps=MC_REPS,
         seed=int(seed),
         non_convex=non_convex,
         empty=empty,

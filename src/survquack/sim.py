@@ -12,6 +12,7 @@ or execution order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -51,11 +52,10 @@ DEFAULT_MASTER_SEED = 210615
 
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """One latent subgroup: prevalence, Weibull shape, per-arm laws.
+    """One latent subgroup: prevalence, Weibull shape, per-arm medians.
 
-    Each arm is pinned by either its median or its scale (not both).
-    Leave all four unset for the subgroup whose scales should be solved
-    from the overall-median constraint.
+    Leave both medians unset for the subgroup whose scales should be
+    solved from the overall-median constraint.
     """
 
     label: str
@@ -63,23 +63,16 @@ class SubgroupSpec:
     shape: float
     rx_median: float | None = None
     c_median: float | None = None
-    rx_scale: float | None = None
-    c_scale: float | None = None
 
     @property
     def is_open(self) -> bool:
-        return all(v is None for v in (self.rx_median, self.c_median, self.rx_scale, self.c_scale))
+        return self.rx_median is None and self.c_median is None
 
     def _arm_dist(self, rx: bool) -> WeibullDist:
         median = self.rx_median if rx else self.c_median
-        scale = self.rx_scale if rx else self.c_scale
-        if (median is None) == (scale is None):
-            raise DomainError(
-                f"subgroup {self.label!r} must pin each arm by exactly one of median or scale"
-            )
-        if median is not None:
-            return weibull_from_median(self.shape, median)
-        return WeibullDist(self.shape, scale)
+        if median is None:
+            raise DomainError(f"subgroup {self.label!r} must pin each arm by its median")
+        return weibull_from_median(self.shape, median)
 
 
 @dataclass(frozen=True)
@@ -392,11 +385,15 @@ def run_study(scenario: RealizedScenario, workers: int | None = None) -> Directi
 
     Replication ``i`` always uses the stream derived from
     (master_seed, i), so the tally is bit-identical for any ``workers``
-    value; parallel chunks merge by addition.
+    value; parallel chunks merge by addition. The pool never holds more
+    processes than there are CPUs or chunks.
     """
+    if workers is not None and workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     reps = scenario.config.replications
     indices = range(reps)
-    if workers is not None and workers > 1:
+    workers = min(workers or 1, os.cpu_count() or 1, reps)
+    if workers > 1:
         n_chunks = min(workers * 4, reps)
         chunks = [list(indices[i::n_chunks]) for i in range(n_chunks)]
         counts = np.zeros(5, dtype=np.int64)

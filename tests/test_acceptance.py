@@ -179,7 +179,7 @@ def test_criterion_09_pivot_coverage_and_exact_regions(criterion):
             rng = derive_rng(4242, "coverage", i)
             c_t = sample_times(control_dist, rng, 50)
             rx_t = sample_times(treated_dist, rng, 50)
-            result = mw_pivot_ci(rx_t, c_t, level=0.95, grid=grid, mc_reps=2000, seed=i)
+            result = mw_pivot_ci(rx_t, c_t, level=0.95, grid=grid, seed=i)
             point_hits += bool(result.accepted[16])
             hull_hits += bool(not result.empty and result.lo <= 2.0 <= result.hi)
         assert 0.93 <= point_hits / 500 <= 0.98

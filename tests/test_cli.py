@@ -1,10 +1,13 @@
 """End-to-end CLI tests: every command is run in-process through main()."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,11 +15,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import survquack.cli as cli_module
+import survquack.errors as errors_module
 import survquack.estim as estim
 
 from survquack._version import __version__
 from survquack.cli import main, parse_scenario_config, read_dataset
-from survquack.errors import NumericalError, ValidationError
+from survquack.errors import (
+    DomainError,
+    InfeasibleScenario,
+    NotReachedError,
+    NumericalError,
+    SurvquackError,
+    UnsupportedCensoring,
+    ValidationError,
+)
 from survquack.estim import Measure, SurvivalSample
 from survquack.fixtures import (
     FactorSpec,
@@ -29,12 +41,6 @@ from survquack.report import strip_volatile, validate_report
 from survquack.rng import derive_rng
 from survquack.sim import realize_scenario, run_study
 from survquack.sme import naive_stratified_ratio, stratified_audit
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    """Keep ambient SURVQUACK_SEED from leaking into seed resolution."""
-    monkeypatch.delenv("SURVQUACK_SEED", raising=False)
 
 
 def run_cli(argv, capsys):
@@ -577,6 +583,20 @@ class TestSimulate:
         assert rc == 2 and out == ""
         assert "--replications must be >= 1" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, small_cfg, capsys, workers):
+        rc, out, err = run_cli(["simulate", small_cfg, "--workers", workers], capsys)
+        assert rc == 2 and out == ""
+        assert f"workers must be >= 1, got {workers}" in err
+
+    @pytest.mark.parametrize("key", ["rx_scale", "c_scale"])
+    def test_scale_keys_are_unknown(self, tmp_path, capsys, key):
+        path = tmp_path / "scale.cfg"
+        path.write_text(SMALL_SCENARIO + f"{key} = 3.0\n")
+        rc, out, err = run_cli(["simulate", str(path)], capsys)
+        assert rc == 2 and out == ""
+        assert f"unknown key '{key}'" in err
+
     def test_unknown_builtin(self, capsys):
         rc, _, err = run_cli(["simulate", "builtin:nope"], capsys)
         assert rc == 2 and "no builtin config named" in err
@@ -627,6 +647,13 @@ class TestPivotCi:
         assert lo < 1.0 < hi
         assert not data["empty"]
         assert data["n_rx"] == data["n_c"] == 8
+        assert data["mc_reps"] == rep["inputs"]["mc_reps"] == 2000
+
+    def test_mc_reps_is_not_an_option(self, ident_csv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pivot-ci", ident_csv, "--mc-reps", "4000"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --mc-reps" in capsys.readouterr().err
 
     def test_lehmann_effect_recovered(self, tmp_path, capsys):
         # power parameter 2: treated survival is the control curve squared,
@@ -699,25 +726,19 @@ class TestSeedPrecedence:
             "2",
             "--grid-points",
             "3",
-            "--mc-reps",
-            "2000",
         ]
 
     def test_pivot_fallback_is_zero(self, ident_csv, capsys):
         rc, out, _ = run_cli(self.pivot_args(ident_csv), capsys)
         assert rc == 0 and parse_report(out)["seed"] == 0
 
-    def test_env_seed_used(self, ident_csv, capsys, monkeypatch):
-        monkeypatch.setenv("SURVQUACK_SEED", "99")
-        rc, out, _ = run_cli(self.pivot_args(ident_csv), capsys)
-        assert rc == 0 and parse_report(out)["seed"] == 99
-
-    def test_cli_seed_beats_env(self, ident_csv, capsys, monkeypatch):
-        monkeypatch.setenv("SURVQUACK_SEED", "99")
+    def test_pivot_cli_seed_used(self, ident_csv, capsys):
         rc, out, _ = run_cli(self.pivot_args(ident_csv) + ["--seed", "5"], capsys)
-        assert rc == 0 and parse_report(out)["seed"] == 5
+        rep = parse_report(out)
+        assert rc == 0 and rep["seed"] == rep["sections"]["pivot_ci"]["data"]["seed"] == 5
 
-    def test_config_seed_beats_env(self, small_cfg, capsys, monkeypatch):
+    def test_config_seed_used(self, small_cfg, capsys, monkeypatch):
+        # SURVQUACK_SEED is not read
         monkeypatch.setenv("SURVQUACK_SEED", "99")
         rc, out, _ = run_cli(["simulate", small_cfg], capsys)
         assert rc == 0 and parse_report(out)["seed"] == 4242
@@ -726,10 +747,54 @@ class TestSeedPrecedence:
         rc, out, _ = run_cli(["simulate", small_cfg, "--seed", "7"], capsys)
         assert rc == 0 and parse_report(out)["seed"] == 7
 
-    def test_non_integer_env_rejected(self, ident_csv, capsys, monkeypatch):
-        monkeypatch.setenv("SURVQUACK_SEED", "abc")
-        rc, _, err = run_cli(self.pivot_args(ident_csv), capsys)
-        assert rc == 2 and "SURVQUACK_SEED must be an integer" in err
+
+_ERROR_PREFIXES = tuple(
+    f"{cls.__name__}: "
+    for cls in vars(errors_module).values()
+    if isinstance(cls, type) and issubclass(cls, SurvquackError)
+)
+
+
+@st.composite
+def _trial_rows(draw):
+    """Small two-arm datasets in one factor g: tied times a thousandfold
+    apart, censored last observations, levels and arms with one subject or
+    none, and (one time in three) every Rx time after every C time."""
+    row = st.tuples(
+        st.sampled_from([0.001, 1, 2, 3, 5, 8, 1000]),
+        st.sampled_from([0, 1]),
+        st.sampled_from(["Rx", "C"]),
+        st.sampled_from(["a", "b"]),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=14))
+    if draw(st.integers(0, 2)) == 0:
+        rows = [(t + 2000 if arm == "Rx" else t, e, arm, g) for t, e, arm, g in rows]
+    return rows
+
+
+class TestFuzzedDatasets:
+    @given(rows=_trial_rows())
+    @settings(max_examples=80, deadline=None)
+    def test_every_failure_is_typed(self, tmp_path_factory, rows):
+        work = tmp_path_factory.mktemp("trial")
+        path = work / "d.csv"
+        path.write_text("time,event,arm,s:g\n" + "".join(f"{t},{e},{a},{g}\n" for t, e, a, g in rows))
+        for argv in (
+            ["analyze", str(path), "--strata", "g", "--measure", "HR", "--measure", "TR"],
+            ["pivot-ci", str(path), "--grid-points", "8"],
+        ):
+            out = work / f"{argv[0]}.json"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rc = main(argv + ["--out", str(out)])
+            assert rc in (0, 2, 3), (argv[0], rows)
+            if rc:
+                assert not out.exists()
+                assert err.getvalue().startswith(("survquack: error: ", "survquack: numerical failure: "))
+                continue
+            for name, sec in parse_report(out.read_text(encoding="utf-8"))["sections"].items():
+                assert sec["ok"] or sec["error"].startswith(_ERROR_PREFIXES), (argv[0], name, sec, rows)
 
 
 class TestEq1Demo:
@@ -760,6 +825,35 @@ class TestMainPlumbing:
         rc, out, err = run_cli(["eq1-demo"], capsys)
         assert rc == 3 and out == ""
         assert "survquack: numerical failure: synthetic pivot failure" in err
+
+    @pytest.mark.parametrize(
+        "exc, rc, prefix",
+        [
+            (ValidationError("bad input", details=["line 2: x", "line 3: y"]), 2, "error: bad input"),
+            (DomainError("off the domain"), 2, "error: off the domain"),
+            (InfeasibleScenario("no such scale"), 2, "error: no such scale"),
+            (UnsupportedCensoring("censored"), 2, "error: censored"),
+            (NumericalError("stalled", beta=1.0), 3, "numerical failure: stalled"),
+            (NotReachedError("never reached", arm="Rx"), 3, "numerical failure: never reached"),
+        ],
+    )
+    def test_error_exit_codes(self, capsys, monkeypatch, exc, rc, prefix):
+        def boom(args):
+            raise exc
+
+        monkeypatch.setattr("survquack.cli._cmd_eq1_demo", boom)
+        got, out, err = run_cli(["eq1-demo"], capsys)
+        assert got == rc and out == ""
+        details = [f"  - {line}" for line in getattr(exc, "details", [])]
+        assert err.splitlines() == [f"survquack: {prefix}"] + details
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "d.csv"], ["simulate", "x.cfg"], ["pivot-ci", "d.csv"], ["eq1-demo"]],
+    )
+    def test_every_command_takes_out_and_tables(self, argv):
+        args = cli_module.build_parser().parse_args(argv + ["--out", "r.json", "--tables", "t"])
+        assert (args.out, args.tables) == ("r.json", "t")
 
     def test_module_run_is_warning_free(self):
         # importing the package must not load survquack.cli, or runpy warns

@@ -365,19 +365,6 @@ def test_cox_consistency_under_proportional_hazards():
     assert 0.0 < se < 0.1
 
 
-def test_cox_stratified_iid_copies_match_pooled():
-    rng = derive_rng(22, "coxdup")
-    c = sample_times(WeibullDist(1.0, 10.0), rng, 80)
-    rx = sample_times(WeibullDist(1.0, 15.0), rng, 80)
-    t2 = np.concatenate([rx, c, rx, c])
-    x2 = np.asarray([True] * 80 + [False] * 80 + [True] * 80 + [False] * 80)
-    copies = np.asarray(["A"] * 160 + ["B"] * 160)
-    s = SurvivalSample(t2, np.ones(320, bool), x2, {"copy": copies})
-    b_strat, _ = cox_fit_two_arm(s, strata_factor="copy")
-    b_pool, _ = cox_fit_two_arm(s)
-    assert abs(b_strat - b_pool) <= 1e-6
-
-
 @pytest.mark.parametrize(
     "seed, censor_mean, factor, level, n",
     [(1031, 80.0, "sex", "male", 3699), (2011, None, "egfr", "wild", 5381)],

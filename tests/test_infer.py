@@ -22,8 +22,9 @@ from survquack import (
     wald_test_cox,
     weibull_from_median,
 )
+from survquack import estim, infer
 from survquack.errors import DomainError
-from survquack.infer import _cross_counts, _mc_workspace, mw_acceptance_region
+from survquack.infer import MC_REPS, _cross_counts, _mc_workspace, mw_acceptance_region
 
 from oracles import logrank_by_hand, logrank_moments_scipy, mw_exact_region
 
@@ -115,6 +116,28 @@ def test_wald_cox_antisymmetric_and_strong_effect():
     # True hazard ratio 0.5 at n = 1000 per arm: overwhelming evidence.
     assert z < -8.0
     assert p < 1e-10
+
+
+def test_wald_cox_reads_the_cached_fit(monkeypatch):
+    rng = derive_rng(34, "wald")
+    sample = SurvivalSample.from_arms(
+        sample_times(WeibullDist(1.0, 2.0), rng, 60), sample_times(WeibullDist(1.0, 1.0), rng, 60)
+    )
+    calls = []
+    original = estim.cox_fit_two_arm
+
+    def counting(s):
+        calls.append(s)
+        return original(s)
+
+    for module in (estim, infer):
+        monkeypatch.setattr(module, "cox_fit_two_arm", counting, raising=False)
+    log_hr, se = sample.cox
+    z, p = wald_test_cox(sample)
+    assert wald_test_cox(sample) == (z, p)
+    assert calls == [sample]
+    assert z == log_hr / se
+    assert p == math.erfc(abs(z) / math.sqrt(2.0))
 
 
 # --------------------------------------------------------- decision_procedure
@@ -296,7 +319,7 @@ def test_mw_pivot_allocates_one_buffer_set_per_call():
     c = rng.exponential(1.5, 100)
     tracemalloc.start()
     try:
-        mw_pivot_ci(rx, c, grid=np.geomspace(0.2, 5.0, 20), mc_reps=2000, seed=8)
+        mw_pivot_ci(rx, c, grid=np.geomspace(0.2, 5.0, 20), seed=8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -313,7 +336,7 @@ def test_mw_pivot_identical_arms_straddles_one():
     assert not ci.empty and not ci.non_convex
     assert ci.accepted.sum() > 0
     assert ci.n_rx == ci.n_c == 8
-    assert ci.level == 0.95 and ci.mc_reps == 2000 and ci.seed == 5
+    assert ci.level == 0.95 and ci.mc_reps == MC_REPS == 2000 and ci.seed == 5
 
 
 def test_mw_pivot_rx_dominating_pushes_hull_below_one():
@@ -364,8 +387,6 @@ def test_mw_pivot_is_deterministic_and_matches_manual_regions():
 
 def test_mw_pivot_validates_inputs():
     rx, c = [1.0, 2.0], [3.0, 4.0]
-    with pytest.raises(DomainError):
-        mw_pivot_ci(rx, c, mc_reps=1999)
     with pytest.raises(DomainError):
         mw_pivot_ci(rx, c, level=1.0)
     with pytest.raises(DomainError):

@@ -1,5 +1,8 @@
 """The package's one public-name list and what importing it loads."""
 
+import ast
+import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -32,3 +35,25 @@ def test_import_leaves_the_cli_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def _span_targets():
+    """perfbench/spans.py's TARGETS, read as a literal without importing it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py has no TARGETS")
+
+
+def test_benchmark_trace_targets_resolve():
+    # the traced benchmark run wraps each target and reads the fifth
+    # argument of mw_acceptance_region as its draw count
+    targets = _span_targets()
+    assert targets
+    for module, name in targets:
+        assert callable(getattr(importlib.import_module(f"survquack.{module}"), name, None)), (module, name)
+    params = list(inspect.signature(survquack.infer.mw_acceptance_region).parameters)
+    assert params[4] == "mc_reps"

@@ -17,7 +17,7 @@ from survquack import (
     tr_to_hr,
     weibull_from_median,
 )
-from survquack import estim
+from survquack import estim, sim
 from survquack.cli import parse_scenario_config
 from survquack.errors import DomainError, InfeasibleScenario
 from survquack.sim import simulate_sample, wilson_interval
@@ -121,11 +121,9 @@ def test_subgroup_validation_gates():
     bad_shape = _replace(cfg, subgroups=(dataclasses.replace(gp, shape=-1.0), gm))
     with pytest.raises(DomainError):
         realize_scenario(bad_shape)
-    double_pin = _replace(
-        cfg, subgroups=(dataclasses.replace(gp, rx_scale=3.0), gm)
-    )
-    with pytest.raises(DomainError):
-        realize_scenario(double_pin)
+    half_pinned = _replace(cfg, subgroups=(dataclasses.replace(gp, c_median=None), gm))
+    with pytest.raises(DomainError, match="must pin each arm by its median"):
+        realize_scenario(half_pinned)
 
 
 def test_solve_subgroup_wiring_is_checked():
@@ -252,6 +250,47 @@ def test_run_study_worker_count_is_invisible(small_scenario):
     par = run_study(small_scenario, workers=2)
     assert seq == par
     assert seq.replications == 40
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the pool size it is asked
+    for and maps in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, pool",
+    [(5000, 2, [2]), (3, 8, [3]), (64, 64, [40]), (2, 1, []), (2, None, []), (1, 8, [])],
+)
+def test_run_study_pool_is_capped_by_cpus_and_chunks(small_scenario, monkeypatch, workers, cpus, pool):
+    # small_scenario has 40 replications, so at most 40 chunks
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+    _InlinePool.sizes = []
+    assert run_study(small_scenario, workers=workers) == run_study(small_scenario)
+    assert _InlinePool.sizes == pool
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_study_rejects_fewer_than_one_worker(small_scenario, monkeypatch, workers):
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", _InlinePool)
+    _InlinePool.sizes = []
+    with pytest.raises(DomainError, match="workers must be >= 1"):
+        run_study(small_scenario, workers=workers)
+    assert _InlinePool.sizes == []
 
 
 def test_builtin_study_frozen_tallies(study_1k):
