@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -223,6 +223,39 @@ def _risk_tables(time, event, is_rx) -> _RiskTables:
     return _RiskTables(uniq[keep], d[keep], d_rx[keep], at_risk[keep], at_risk_rx[keep])
 
 
+def _complete_tables(times, n_rx):
+    """Risk tables of complete samples stacked as the rows of ``times``,
+    each with its Rx subjects in the first ``n_rx`` columns.
+
+    A sample without tied times has one table entry per subject, so the
+    tables share their shape and their ``events`` and ``at_risk``
+    columns. Returns (block of tables, irregular): an irregular row holds
+    a tied time, whose entries its own table would merge, or a time that
+    is not finite and positive; its block table is not its own.
+    """
+    order = np.argsort(times, axis=1)
+    t = np.take_along_axis(times, order, axis=1)
+    x = order < n_rx
+    irregular = (t[:, 1:] == t[:, :-1]).any(axis=1) | ~(t[:, 0] > 0.0) | ~np.isfinite(t[:, -1])
+    # float counts, exact for any sample size, are what the formulas read
+    at_risk_rx = np.cumsum(x, axis=1, dtype=float)
+    at_risk_rx -= x
+    np.subtract(n_rx, at_risk_rx, out=at_risk_rx)
+    m = t.shape[1]
+    tb = _RiskTables(t, np.ones(m), x.astype(float), np.arange(m, 0.0, -1.0), at_risk_rx)
+    return tb, irregular
+
+
+@lru_cache(maxsize=None)
+def _complete_median_rank(n):
+    """0-based rank of the product-limit median among the sorted times of a
+    complete sample of ``n`` without ties: its curve depends on n alone."""
+    at_risk = np.arange(n, 0, -1)
+    ones = np.ones(n, dtype=np.int64)
+    curve = KMCurve(*_RiskTables(np.arange(n), ones, ones, at_risk, at_risk).km(True), n - 1)
+    return int(km_median(curve))
+
+
 def km_fit(times, events) -> KMCurve:
     """Product-limit estimate from one group's times and death indicators."""
     t = np.asarray(times, dtype=float)
@@ -416,21 +449,48 @@ def hr_to_tr(hr, shape) -> float:
     return hr ** (-1.0 / shape)
 
 
-def _cox_score_info(tb, beta):
-    eb = math.exp(beta)
-    n1 = tb.at_risk_rx.astype(float)
-    n0 = (tb.at_risk - tb.at_risk_rx).astype(float)
-    d = tb.events.astype(float)
+def _exp(beta):
+    # math.exp, as a column against the rows of a block when ``beta`` holds
+    # one value per row: np.exp can differ from it in the last bit
+    if np.ndim(beta) == 0:
+        return math.exp(beta)
+    return np.array([math.exp(b) for b in beta.tolist()])[:, None]
+
+
+def _cox_counts(tb):
+    """(d_rx, d, n0, n1) of a risk table as floats: deaths in Rx, all deaths,
+    and the numbers at risk in C and in Rx."""
+    return (
+        np.asarray(tb.events_rx, dtype=float),
+        np.asarray(tb.events, dtype=float),
+        np.asarray(tb.at_risk - tb.at_risk_rx, dtype=float),
+        np.asarray(tb.at_risk_rx, dtype=float),
+    )
+
+
+# The partial-likelihood terms below sum over the table's last axis, so they
+# serve one table with a float beta and a block of tables (one per row, as
+# built by _complete_tables) with one beta per row alike.
+
+
+def _cox_score_limits(counts):
+    """The score's limits as beta goes to -inf and to +inf."""
+    d_rx, d, n0, n1 = counts
+    return (d_rx - d * (n0 == 0.0)).sum(axis=-1), (d_rx - d * (n1 > 0.0)).sum(axis=-1)
+
+
+def _cox_score_info(counts, beta):
+    d_rx, d, n0, n1 = counts
+    eb = _exp(beta)
     denom = n0 + n1 * eb
-    score = float((tb.events_rx - d * n1 * eb / denom).sum())
-    info = float((d * n0 * n1 * eb / (denom * denom)).sum())
+    score = (d_rx - d * n1 * eb / denom).sum(axis=-1)
+    info = (d * n0 * n1 * eb / (denom * denom)).sum(axis=-1)
     return score, info
 
 
-def _cox_logpl(tb, beta):
-    n1 = tb.at_risk_rx.astype(float)
-    n0 = (tb.at_risk - tb.at_risk_rx).astype(float)
-    return float((tb.events_rx * beta - tb.events * np.log(n0 + n1 * math.exp(beta))).sum())
+def _cox_logpl(counts, beta):
+    d_rx, d, n0, n1 = counts
+    return (d_rx * np.asarray(beta)[..., None] - d * np.log(n0 + n1 * _exp(beta))).sum(axis=-1)
 
 
 def cox_fit_two_arm(sample: SurvivalSample):
@@ -445,11 +505,11 @@ def cox_fit_two_arm(sample: SurvivalSample):
     tb = sample.tables
     if tb.events.sum() == 0:
         raise DomainError("at least one death is required")
+    counts = _cox_counts(tb)
 
     # The score is strictly decreasing in beta, so a finite root exists only
     # when its limits bracket zero. Otherwise the likelihood is monotone.
-    score_lo = float((tb.events_rx - tb.events * (tb.at_risk == tb.at_risk_rx)).sum())
-    score_hi = float((tb.events_rx - tb.events * (tb.at_risk_rx > 0)).sum())
+    score_lo, score_hi = map(float, _cox_score_limits(counts))
     if score_lo <= 0.0 or score_hi >= 0.0:
         raise NumericalError(
             "monotone partial likelihood: the arms separate the event order",
@@ -459,7 +519,7 @@ def cox_fit_two_arm(sample: SurvivalSample):
 
     beta = 0.0
     for _ in range(100):
-        score, info = _cox_score_info(tb, beta)
+        score, info = map(float, _cox_score_info(counts, beta))
         if not math.isfinite(score):
             raise NumericalError("partial-likelihood score overflow", beta=beta)
         if info <= 0.0:
@@ -470,10 +530,10 @@ def cox_fit_two_arm(sample: SurvivalSample):
         if abs(step) <= 1e-10:
             beta += step
             break
-        ll0 = _cox_logpl(tb, beta)
+        ll0 = _cox_logpl(counts, beta)
         scale = 1.0
         for _ in range(40):
-            if _cox_logpl(tb, beta + scale * step) >= ll0 - 1e-12:
+            if _cox_logpl(counts, beta + scale * step) >= ll0 - 1e-12:
                 break
             scale *= 0.5
         beta += scale * step
@@ -484,10 +544,51 @@ def cox_fit_two_arm(sample: SurvivalSample):
     else:
         raise NumericalError("no convergence after 100 Newton iterations", beta=beta)
 
-    _, info = _cox_score_info(tb, beta)
+    _, info = _cox_score_info(counts, beta)
     if info <= 0.0:
         raise NumericalError("no information about the treatment coefficient", beta=beta)
     return float(beta), float(1.0 / math.sqrt(info))
+
+
+def _cox_rows(tb):
+    """``cox_fit_two_arm`` on each row of a block of risk tables.
+
+    Every row takes the steps, line search and guards of its own fit, with
+    the same arithmetic. Returns (beta, se, failed); ``failed`` marks every
+    row on which ``cox_fit_two_arm`` raises, and any whose information is
+    not a positive number; beta and se mean nothing there.
+    """
+    counts = _cox_counts(tb)
+    score_lo, score_hi = _cox_score_limits(counts)
+    failed = (score_lo <= 0.0) | (score_hi >= 0.0)
+    beta = np.zeros(failed.size)
+    active = ~failed
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(100):
+            score, info = _cox_score_info(counts, beta)
+            failed |= active & ~(np.isfinite(score) & (info > 0.0))
+            active &= ~failed
+            step = np.clip(score / info, -2.0, 2.0)
+            done = active & (np.abs(step) <= 1e-10)
+            beta[done] += step[done]
+            active &= ~done
+            if not active.any():
+                break
+            ll0 = _cox_logpl(counts, beta)
+            scale = np.ones(beta.size)
+            pending = active.copy()
+            for _ in range(40):
+                pending &= ~(_cox_logpl(counts, beta + scale * step) >= ll0 - 1e-12)
+                if not pending.any():
+                    break
+                scale[pending] *= 0.5
+            beta[active] += (scale * step)[active]
+            failed |= active & (np.abs(beta) > 30.0)
+            active &= ~failed
+        failed |= active
+        _, info = _cox_score_info(counts, beta)
+        failed |= ~(info > 0.0)
+        return beta, 1.0 / np.sqrt(info), failed
 
 
 def sample_tr(sample: SurvivalSample) -> float:

@@ -71,6 +71,27 @@ class DecisionOutcome:
     logrank: LogRankResult | None = None
 
 
+def _logrank_terms(tb):
+    """(O - E, variance) of a risk table, summed over its last axis: one
+    pair per row of a block of tables."""
+    n = np.asarray(tb.at_risk, dtype=float)
+    n1 = np.asarray(tb.at_risk_rx, dtype=float)
+    d = np.asarray(tb.events, dtype=float)
+    frac = n1 / n
+    oe = (tb.events_rx - d * frac).sum(axis=-1)
+    with np.errstate(invalid="ignore"):
+        terms = np.where(n > 1.0, d * frac * (1.0 - frac) * (n - d) / np.maximum(n - 1.0, 1.0), 0.0)
+    return oe, terms.sum(axis=-1)
+
+
+def _logrank_result(oe, variance) -> LogRankResult:
+    oe, variance = float(oe), float(variance)
+    if variance <= 0.0:
+        return LogRankResult(oe, 0.0, 0.0, 1.0, zero_variance=True)
+    z = oe / math.sqrt(variance)
+    return LogRankResult(oe, variance, z, _two_sided_p(z))
+
+
 def logrank_test(sample: SurvivalSample) -> LogRankResult:
     """Two-arm log-rank test (unweighted, ties by the hypergeometric rule).
 
@@ -81,38 +102,30 @@ def logrank_test(sample: SurvivalSample) -> LogRankResult:
         raise DomainError("both arms must be present")
     if not sample.event.any():
         raise DomainError("at least one death is required")
-    tb = sample.tables
-    n = tb.at_risk.astype(float)
-    n1 = tb.at_risk_rx.astype(float)
-    d = tb.events.astype(float)
-    frac = n1 / n
-    oe = float((tb.events_rx - d * frac).sum())
-    with np.errstate(invalid="ignore"):
-        terms = np.where(n > 1.0, d * frac * (1.0 - frac) * (n - d) / np.maximum(n - 1.0, 1.0), 0.0)
-    variance = float(terms.sum())
-    if variance <= 0.0:
-        return LogRankResult(oe, 0.0, 0.0, 1.0, zero_variance=True)
-    z = oe / math.sqrt(variance)
-    return LogRankResult(oe, variance, z, _two_sided_p(z))
+    return _logrank_result(*_logrank_terms(sample.tables))
 
 
-def wald_test_cox(sample: SurvivalSample):
-    """(z, p) for the treatment coefficient of the sample's two-arm Cox fit."""
-    log_hr, se = sample.cox
+def _wald(log_hr, se):
     z = log_hr / se
     return z, _two_sided_p(z)
 
 
-def _directional_claim(p, alpha, median_rx, median_c):
+def wald_test_cox(sample: SurvivalSample):
+    """(z, p) for the treatment coefficient of the sample's two-arm Cox fit."""
+    return _wald(*sample.cox)
+
+
+def _decide(logrank, alpha, median_rx, median_c) -> DecisionOutcome:
+    p = logrank.p_two_sided
     if p >= alpha:
-        return Claim.NO_CLAIM, False
-    if median_rx is NOT_REACHED or median_c is NOT_REACHED:
-        return Claim.NO_CLAIM, True
-    if median_rx == median_c:
-        return Claim.NO_CLAIM, True
-    if median_rx > median_c:
-        return Claim.RX_LONGER_MEDIAN, False
-    return Claim.C_LONGER_MEDIAN, False
+        claim, tie = Claim.NO_CLAIM, False
+    elif median_rx is NOT_REACHED or median_c is NOT_REACHED or median_rx == median_c:
+        claim, tie = Claim.NO_CLAIM, True
+    elif median_rx > median_c:
+        claim, tie = Claim.RX_LONGER_MEDIAN, False
+    else:
+        claim, tie = Claim.C_LONGER_MEDIAN, False
+    return DecisionOutcome(claim, p, median_rx, median_c, tie, logrank)
 
 
 def decision_procedure(sample: SurvivalSample, alpha) -> DecisionOutcome:
@@ -125,11 +138,9 @@ def decision_procedure(sample: SurvivalSample, alpha) -> DecisionOutcome:
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must lie in (0, 1)")
-    result = logrank_test(sample)
-    median_rx = km_median(sample.km(True))
-    median_c = km_median(sample.km(False))
-    claim, tie = _directional_claim(result.p_two_sided, alpha, median_rx, median_c)
-    return DecisionOutcome(claim, result.p_two_sided, median_rx, median_c, tie, result)
+    return _decide(
+        logrank_test(sample), alpha, km_median(sample.km(True)), km_median(sample.km(False))
+    )
 
 
 def mw_pair_count(rx_times, c_times) -> float:

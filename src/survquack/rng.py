@@ -13,6 +13,7 @@ replications, arms, and grid points can be drawn concurrently (or in any
 order) and still reproduce the sequential results bit for bit.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -31,9 +32,15 @@ def encode_path_part(part):
             raise DomainError("integer stream path parts must be nonnegative")
         return int(part)
     if isinstance(part, str):
-        digest = hashlib.sha256(part.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big")
+        return _encode_tag(part)
     raise DomainError(f"cannot encode stream path part of type {type(part).__name__}")
+
+
+@functools.lru_cache(maxsize=256)
+def _encode_tag(tag):
+    # a study derives the same few tags on every replication
+    digest = hashlib.sha256(tag.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 def derive_rng(master_seed, *path):

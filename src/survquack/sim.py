@@ -6,7 +6,8 @@ that both arms share a prescribed overall median survival; the packaged
 ``builtin:section3`` config does exactly that, producing arms with
 identical medians whose hazards still cross. Replications are driven by
 counter-based seed derivation, so results do not depend on worker count
-or execution order.
+or execution order. A study draws them in blocks of stacked samples and
+evaluates each block at once, with the arithmetic of the one-sample path.
 """
 
 from __future__ import annotations
@@ -29,8 +30,25 @@ from .dist import (
     weibull_from_median,
 )
 from .errors import DomainError, NumericalError
-from .estim import ARM_C, ARM_RX, SurvivalSample, tr_to_hr
-from .infer import Claim, DecisionOutcome, decision_procedure, wald_test_cox
+from .estim import (
+    ARM_C,
+    ARM_RX,
+    SurvivalSample,
+    _complete_median_rank,
+    _complete_tables,
+    _cox_rows,
+    tr_to_hr,
+)
+from .infer import (
+    Claim,
+    DecisionOutcome,
+    _decide,
+    _logrank_result,
+    _logrank_terms,
+    _wald,
+    decision_procedure,
+    wald_test_cox,
+)
 from .rng import derive_rng
 
 __all__ = [
@@ -230,6 +248,7 @@ class ReplicationResult:
     rep: int
     outcome: DecisionOutcome
     cox_rejected: bool
+    cox: tuple  # (log hazard ratio, standard error) of the two-arm Cox fit
 
 
 def _quota_counts(prevalences, n):
@@ -242,8 +261,9 @@ def _quota_counts(prevalences, n):
     return base
 
 
-def simulate_sample(scenario: RealizedScenario, rep: int) -> SurvivalSample:
-    """Draw one trial's data. Fully determined by (master_seed, rep).
+def _draw(scenario: RealizedScenario, rep: int, time) -> np.ndarray:
+    """Write trial ``rep``'s event times into ``time`` (Rx subjects first) and
+    return each subject's subgroup index. Fully determined by (master_seed, rep).
 
     Membership and event times use separate derived streams; times are
     drawn arm by arm in subgroup order, one uniform per subject.
@@ -253,8 +273,6 @@ def simulate_sample(scenario: RealizedScenario, rep: int) -> SurvivalSample:
     prev = np.array([g.prevalence for g in scenario.subgroups])
     n_groups = prev.size
 
-    is_rx = np.zeros(n_total, dtype=bool)
-    is_rx[:n_rx] = True
     if cfg.membership == "stochastic":
         rng = derive_rng(cfg.master_seed, rep, "membership")
         u = rng.random(n_total)
@@ -264,18 +282,24 @@ def simulate_sample(scenario: RealizedScenario, rep: int) -> SurvivalSample:
             [np.repeat(np.arange(n_groups), _quota_counts(prev, n)) for n in (n_rx, n_total - n_rx)]
         )
 
-    time = np.empty(n_total)
-    for arm_label, arm_mask in ((ARM_RX, is_rx), (ARM_C, ~is_rx)):
+    for arm_label, arm in ((ARM_RX, slice(0, n_rx)), (ARM_C, slice(n_rx, n_total))):
         rng_t = derive_rng(cfg.master_seed, rep, "times", arm_label)
+        arm_time, arm_g = time[arm], g_idx[arm]
         for gi, row in enumerate(scenario.subgroups):
-            members = arm_mask & (g_idx == gi)
+            members = arm_g == gi
             dist = row.rx if arm_label == ARM_RX else row.c
-            time[members] = sample_times(dist, rng_t, int(members.sum()))
+            arm_time[members] = sample_times(dist, rng_t, int(members.sum()))
+    return g_idx
 
+
+def simulate_sample(scenario: RealizedScenario, rep: int) -> SurvivalSample:
+    """Draw one trial's data. Fully determined by (master_seed, rep)."""
+    n_total = scenario.config.n_total
+    time = np.empty(n_total)
+    g_idx = _draw(scenario, rep, time)
     labels = np.array([g.label for g in scenario.subgroups])
-    return SurvivalSample(
-        time, np.ones(n_total, dtype=bool), is_rx, {"subgroup": labels[g_idx]}
-    )
+    is_rx = np.arange(n_total) < scenario.n_rx
+    return SurvivalSample(time, np.ones(n_total, dtype=bool), is_rx, {"subgroup": labels[g_idx]})
 
 
 def run_replication(scenario: RealizedScenario, rep: int) -> ReplicationResult:
@@ -283,8 +307,44 @@ def run_replication(scenario: RealizedScenario, rep: int) -> ReplicationResult:
     sample = simulate_sample(scenario, rep)
     outcome = decision_procedure(sample, scenario.config.alpha)
     _, p_cox = wald_test_cox(sample)
-    return ReplicationResult(rep, outcome, bool(p_cox < scenario.config.alpha))
+    return ReplicationResult(rep, outcome, bool(p_cox < scenario.config.alpha), sample.cox)
 
+
+def _evaluate_block(scenario: RealizedScenario, reps, time) -> list:
+    """``run_replication``'s results for the trials ``reps``, whose times
+    (from ``_draw``) fill the rows of ``time``.
+
+    Every row is read off one block of risk tables, with the arithmetic of
+    the per-sample path: the log-rank terms, both product-limit medians
+    (each the same order statistic of its arm in every row) and a row-wise
+    Cox fit. An irregular row (a tied time, or one that is not finite and
+    positive) or a row whose Cox fit fails goes to ``run_replication`` on
+    its own sample instead, which gives it the per-sample numbers and
+    raises the same errors.
+    """
+    alpha, n_rx = scenario.config.alpha, scenario.n_rx
+    rows, n_c = time.shape[0], time.shape[1] - n_rx
+    tb, irregular = _complete_tables(time, n_rx)
+    oe, variance = _logrank_terms(tb)
+    beta, se, cox_failed = _cox_rows(tb)
+    in_rx = tb.events_rx > 0
+    median_rx = tb.times[in_rx].reshape(rows, n_rx)[:, _complete_median_rank(n_rx)]
+    median_c = tb.times[~in_rx].reshape(rows, n_c)[:, _complete_median_rank(n_c)]
+    results = []
+    for i, rep in enumerate(reps):
+        if irregular[i] or cox_failed[i]:
+            results.append(run_replication(scenario, rep))
+            continue
+        outcome = _decide(
+            _logrank_result(oe[i], variance[i]), alpha, float(median_rx[i]), float(median_c[i])
+        )
+        cox = (float(beta[i]), float(se[i]))
+        results.append(ReplicationResult(rep, outcome, bool(_wald(*cox)[1] < alpha), cox))
+    return results
+
+
+# replications drawn into one (_BLOCK, n_total) buffer and evaluated together
+_BLOCK = 8
 
 # counter layout for the mergeable per-chunk tallies
 _N_REJECT, _N_RX, _N_C, _N_TIE, _N_COX = range(5)
@@ -292,18 +352,24 @@ _N_REJECT, _N_RX, _N_C, _N_TIE, _N_COX = range(5)
 
 def _tally_chunk(scenario: RealizedScenario, reps) -> np.ndarray:
     counts = np.zeros(5, dtype=np.int64)
-    for rep in reps:
-        res = run_replication(scenario, rep)
-        if res.outcome.claim is not Claim.NO_CLAIM or res.outcome.tie:
-            counts[_N_REJECT] += 1
-        if res.outcome.claim is Claim.RX_LONGER_MEDIAN:
-            counts[_N_RX] += 1
-        elif res.outcome.claim is Claim.C_LONGER_MEDIAN:
-            counts[_N_C] += 1
-        elif res.outcome.tie:
-            counts[_N_TIE] += 1
-        if res.cox_rejected:
-            counts[_N_COX] += 1
+    reps = list(reps)
+    buffer = np.empty((min(_BLOCK, len(reps)), scenario.config.n_total))
+    for start in range(0, len(reps), _BLOCK):
+        block = reps[start:start + _BLOCK]
+        time = buffer[: len(block)]
+        for row, rep in zip(time, block):
+            _draw(scenario, rep, row)
+        for res in _evaluate_block(scenario, block, time):
+            if res.outcome.claim is not Claim.NO_CLAIM or res.outcome.tie:
+                counts[_N_REJECT] += 1
+            if res.outcome.claim is Claim.RX_LONGER_MEDIAN:
+                counts[_N_RX] += 1
+            elif res.outcome.claim is Claim.C_LONGER_MEDIAN:
+                counts[_N_C] += 1
+            elif res.outcome.tie:
+                counts[_N_TIE] += 1
+            if res.cox_rejected:
+                counts[_N_COX] += 1
     return counts
 
 

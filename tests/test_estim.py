@@ -30,6 +30,7 @@ from survquack import (
     weibull_from_median,
     weibull_mle,
 )
+from survquack import estim
 from survquack.errors import (
     DomainError,
     NotReachedError,
@@ -158,6 +159,13 @@ def test_km_median_of_scenario_sample(section3):
     med = km_median(km_fit(t, np.ones(t.size, bool)))
     assert med == pytest.approx(8.554587319734248, rel=1e-12)  # frozen draw
     assert abs(med - 8.0) < 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 10, 499, 500, 501])
+def test_complete_median_rank_matches_km_median(n):
+    t = derive_rng(7, "median-rank", n).permutation(np.arange(1.0, n + 1.0))
+    rank = estim._complete_median_rank(n)
+    assert km_median(km_fit(t, np.ones(n, bool))) == rank + 1.0
 
 
 # ------------------------------------------------------------------ weibull_mle

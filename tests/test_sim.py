@@ -1,6 +1,7 @@
 """Scenario realization and the directional-error Monte Carlo machinery."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -18,8 +19,8 @@ from survquack import (
     weibull_from_median,
 )
 from survquack import estim, sim
-from survquack.cli import parse_scenario_config
-from survquack.errors import DomainError, InfeasibleScenario
+from survquack.cli import main, parse_scenario_config
+from survquack.errors import DomainError, InfeasibleScenario, NumericalError
 from survquack.sim import simulate_sample, wilson_interval
 
 from oracles import bisect_complement_scale
@@ -250,6 +251,116 @@ def test_run_study_worker_count_is_invisible(small_scenario):
     par = run_study(small_scenario, workers=2)
     assert seq == par
     assert seq.replications == 40
+
+
+# ----------------------------------------------------------- block evaluation
+
+def _evaluate_drawn_block(scenario, reps):
+    time = np.empty((len(reps), scenario.config.n_total))
+    for row, rep in zip(time, reps):
+        sim._draw(scenario, rep, row)
+    return sim._evaluate_block(scenario, reps, time)
+
+
+@pytest.mark.parametrize(
+    "config, reps",
+    [
+        (section3_config(), 40),
+        (ScenarioConfig(subgroups=(SubgroupSpec("all", 1.0, 1.0, rx_median=8.0, c_median=8.0),)), 40),
+        (section3_config(membership="quota", n_total=20), 64),
+    ],
+    ids=["section3", "criterion4-null", "quota-n20"],
+)
+def test_block_matches_run_replication_row_by_row(config, reps):
+    scenario = realize_scenario(config)
+    block = _evaluate_drawn_block(scenario, list(range(reps)))
+    for got in block:
+        want = run_replication(scenario, got.rep)
+        assert got.outcome.claim is want.outcome.claim
+        assert got.outcome.tie == want.outcome.tie
+        assert got.cox_rejected == want.cox_rejected
+        assert (got.outcome.median_rx, got.outcome.median_c) == (
+            want.outcome.median_rx,
+            want.outcome.median_c,
+        )
+        assert got.outcome.p_value == pytest.approx(want.outcome.p_value, rel=1e-12, abs=0)
+        z_got, z_want = (r.cox[0] / r.cox[1] for r in (got, want))
+        assert z_got == pytest.approx(z_want, rel=1e-12, abs=0)
+
+
+def test_block_of_seed_153_keeps_the_fit_that_once_stalled():
+    # replication 3 of master seed 153 stalled under the old absolute-score stop
+    scenario = realize_scenario(section3_config(master_seed=153))
+    got = _evaluate_drawn_block(scenario, [0, 1, 2, 3, 4])[3]
+    log_hr, se = estim.cox_fit_two_arm(simulate_sample(scenario, 3))
+    assert got.cox[0] == pytest.approx(log_hr, rel=1e-12, abs=0)
+    assert got.cox[1] == pytest.approx(se, rel=1e-12, abs=0)
+
+
+def test_simulate_seed_153_tally(tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["simulate", "builtin:section3", "--seed", "153", "--replications", "250", "--out", str(out)]
+    assert main(argv) == 0
+    study = json.loads(out.read_text())["sections"]["study"]["data"]
+    assert (study["rejections"], study["rx_longer"], study["cox_rejections"]) == (65, 54, 65)
+
+
+def test_tied_and_separated_rows_fall_back_to_their_own_samples(monkeypatch):
+    scenario = realize_scenario(section3_config(membership="quota", n_total=20))
+    tied = np.arange(1.0, 21.0)
+    tied[3] = tied[12]
+    separated = np.concatenate([np.arange(11.0, 21.0), np.arange(1.0, 11.0)])
+    rows = {0: tied, 1: separated}
+
+    def draw(scenario, rep, time):
+        time[:] = rows[rep]
+        return np.zeros(time.size, dtype=int)
+
+    fallbacks = []
+
+    def counting(scenario, rep):
+        fallbacks.append(rep)
+        return run_replication(scenario, rep)
+
+    monkeypatch.setattr(sim, "_draw", draw)
+    with pytest.raises(NumericalError) as per_sample:
+        estim.cox_fit_two_arm(simulate_sample(scenario, 1))
+    tied_result = run_replication(scenario, 0)
+    monkeypatch.setattr(sim, "run_replication", counting)
+    time = np.stack([tied, separated])
+    with pytest.raises(NumericalError) as batched:
+        sim._evaluate_block(scenario, [0, 1], time)
+    assert fallbacks == [0, 1]
+    assert str(batched.value) == str(per_sample.value)
+    assert batched.value.diagnostics == per_sample.value.diagnostics
+    assert sim._evaluate_block(scenario, [0], time[:1]) == [tied_result]
+
+
+def test_run_study_blocks_are_invisible():
+    # 37 is not a multiple of the block size, and each of the 8 parallel
+    # chunks ends its own partial block
+    scenario = realize_scenario(section3_config(replications=37))
+    seq = run_study(scenario)
+    assert run_study(scenario, workers=2) == seq
+    per_sample = [run_replication(scenario, rep) for rep in range(37)]
+    assert seq.rejections == sum(r.outcome.p_value < 0.05 for r in per_sample)
+    assert seq.rx_longer == sum(r.outcome.claim is Claim.RX_LONGER_MEDIAN for r in per_sample)
+    assert seq.c_longer == sum(r.outcome.claim is Claim.C_LONGER_MEDIAN for r in per_sample)
+    assert seq.cox_rejections == sum(r.cox_rejected for r in per_sample)
+
+
+def test_run_study_evaluates_section3_without_fallback(monkeypatch):
+    calls = {"_risk_tables": 0, "run_replication": 0}
+    for module, name in ((estim, "_risk_tables"), (sim, "run_replication")):
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    run_study(realize_scenario(section3_config(replications=40)))
+    assert calls == {"_risk_tables": 0, "run_replication": 0}
 
 
 class _InlinePool:
