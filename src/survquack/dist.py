@@ -30,6 +30,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _QUANTILE_TOL = 1e-10  # bracket width at which a mixture quantile stops
+_TINY = np.finfo(float).tiny  # floor for uniforms, which can be exactly 0.0
 
 
 def _as_times(t):
@@ -290,5 +291,5 @@ def sample_times(dist: WeibullDist, rng, n):
         raise DomainError("sample size must be >= 0")
     u = rng.random(n)
     # rng.random() can return exactly 0.0, which would map to an infinite time
-    u = np.maximum(u, np.finfo(float).tiny)
+    u = np.maximum(u, _TINY)
     return dist.scale * np.power(-np.log(u), 1.0 / dist.shape)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._config import _read_config
+from .dist import _TINY
 from .errors import DomainError
 from .estim import ARM_C, ARM_RX, SurvivalSample
 from .rng import derive_rng
@@ -137,7 +138,7 @@ def generate_prognostic_sample(spec: OakAnalogSpec) -> SurvivalSample:
     time = np.empty(n)
     for arm, mask in ((ARM_RX, is_rx), (ARM_C, ~is_rx)):
         rng = derive_rng(spec.seed, "times", arm)
-        u = np.maximum(rng.random(int(mask.sum())), np.finfo(float).tiny)
+        u = np.maximum(rng.random(int(mask.sum())), _TINY)
         time[mask] = np.exp(log_scale[mask]) * np.power(-np.log(u), 1.0 / spec.shape)
 
     return SurvivalSample(time, np.ones(n, dtype=bool), is_rx, strata)

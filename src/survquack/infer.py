@@ -5,14 +5,16 @@ from __future__ import annotations
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .dist import _TINY
 from .errors import NOT_REACHED, DomainError
 from .estim import SurvivalSample, _pair_stats, km_median
-from .rng import derive_rng
+from .rng import _usable_cpus, derive_rng
 
 __all__ = [
     "MC_REPS",
@@ -30,6 +32,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 MC_REPS = 2000  # Monte Carlo draws per acceptance region of the pivot
+_BLOCK_KEYS = 50_000  # sort keys per row block of an acceptance region (about 400 kB)
 
 
 def _two_sided_p(z):
@@ -172,12 +175,14 @@ def _cross_counts(b, a, keys, positions):
 
 
 def _mc_workspace(n, m, mc_reps):
-    """Buffers one acceptance region fills: reference draws, treated draws,
-    sort keys and key positions."""
+    """Buffers for one row block of an acceptance region: reference draws,
+    treated draws, sort keys and key positions. A block holds about
+    ``_BLOCK_KEYS`` sort keys and never more than ``mc_reps`` rows."""
+    rows = min(mc_reps, max(1, _BLOCK_KEYS // (n + m)))
     return (
-        np.empty((mc_reps, m)),
-        np.empty((mc_reps, n)),
-        np.empty((mc_reps, n + m), dtype=np.uint64),
+        np.empty((rows, m)),
+        np.empty((rows, n)),
+        np.empty((rows, n + m), dtype=np.uint64),
         np.arange(n + m),
     )
 
@@ -192,8 +197,12 @@ def mw_acceptance_region(n, m, theta, level, mc_reps, rng, *, _workspace=None):
     acceptance probability is at least the nominal level up to Monte Carlo
     error, never below it by construction.
 
-    ``_workspace`` (from ``_mc_workspace``) holds buffers refilled in place, shared
-    across the grid points of one ``mw_pivot_ci`` call; it never changes the result.
+    ``rng`` is a PCG64 generator (as ``derive_rng`` returns). It supplies
+    all ``mc_reps * m`` reference uniforms, then all ``mc_reps * n`` treated
+    ones, and is left just past them. The draws are filled and counted in
+    row blocks of ``_workspace`` (from ``_mc_workspace``, one block of
+    buffers refilled in place); a workspace may be reused across calls in
+    one thread and never changes the result.
     """
     theta = float(theta)
     if not (math.isfinite(theta) and theta > 0.0):
@@ -201,11 +210,23 @@ def mw_acceptance_region(n, m, theta, level, mc_reps, rng, *, _workspace=None):
     if _workspace is None:
         _workspace = _mc_workspace(n, m, mc_reps)
     a, b, keys, positions = _workspace
-    rng.random(out=a)
-    rng.random(out=b)
-    np.maximum(b, np.finfo(float).tiny, out=b)
-    np.power(b, 1.0 / theta, out=b)
-    counts = _cross_counts(b, a, keys, positions)
+    # the treated uniforms come from a copy of the stream advanced past the
+    # reference ones, so each block reads its rows of both in stream order
+    bits = np.random.PCG64(0)
+    bits.state = rng.bit_generator.state
+    bits.advance(mc_reps * m)
+    treated = np.random.Generator(bits)
+    power = 1.0 / theta
+    counts = np.empty(mc_reps, dtype=np.int64)
+    for start in range(0, mc_reps, a.shape[0]):
+        rows = min(a.shape[0], mc_reps - start)
+        a_rows, b_rows = a[:rows], b[:rows]
+        rng.random(out=a_rows)
+        treated.random(out=b_rows)
+        np.maximum(b_rows, _TINY, out=b_rows)
+        np.power(b_rows, power, out=b_rows)
+        counts[start:start + rows] = _cross_counts(b_rows, a_rows, keys[:rows], positions)
+    rng.bit_generator.advance(mc_reps * n)
     counts.sort()
     k = int(math.floor(0.5 * (1.0 - level) * mc_reps))
     return float(counts[k]), float(counts[mc_reps - 1 - k])
@@ -242,6 +263,9 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, seed=0) -> ConfidenceS
     built from ``MC_REPS`` Monte Carlo draws seeded by (seed, "mw-pivot",
     index), so the result is deterministic and independent of evaluation
     order. Exponents whose region contains the observed count are accepted.
+    The grid points are spread over one thread per usable CPU (at most one
+    per point), each with its own workspace; the thread count never changes
+    the result.
 
     Exponents above 1 mean the Rx arm dies faster, so data with Rx living
     much longer pushes the whole accepted hull below 1.
@@ -258,14 +282,21 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, seed=0) -> ConfidenceS
     rx = np.asarray(rx_times, dtype=float)
     c = np.asarray(c_times, dtype=float)
     observed = mw_pair_count(rx, c)
+    n, m = rx.size, c.size
     accepted = np.zeros(grid.size, dtype=bool)
-    workspace = _mc_workspace(rx.size, c.size, MC_REPS)
-    for i, theta in enumerate(grid):
-        rng = derive_rng(seed, "mw-pivot", i)
-        lo_cnt, hi_cnt = mw_acceptance_region(
-            rx.size, c.size, theta, level, MC_REPS, rng, _workspace=workspace
-        )
-        accepted[i] = lo_cnt <= observed <= hi_cnt
+
+    def accept(indices):
+        workspace = _mc_workspace(n, m, MC_REPS)
+        for i in indices:
+            rng = derive_rng(seed, "mw-pivot", i)
+            lo_cnt, hi_cnt = mw_acceptance_region(
+                n, m, grid[i], level, MC_REPS, rng, _workspace=workspace
+            )
+            accepted[i] = lo_cnt <= observed <= hi_cnt
+
+    threads = min(_usable_cpus(), grid.size)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(accept, [range(t, grid.size, threads) for t in range(threads)]))
     idx = np.flatnonzero(accepted)
     if idx.size == 0:
         warnings.warn(

@@ -11,10 +11,12 @@ their SHA-256 digest, read big-endian. Equal inputs always yield the same
 generator and distinct paths yield statistically independent streams, so
 replications, arms, and grid points can be drawn concurrently (or in any
 order) and still reproduce the sequential results bit for bit.
+``_usable_cpus`` sizes the pools that do so.
 """
 
 import functools
 import hashlib
+import os
 
 import numpy as np
 
@@ -51,3 +53,12 @@ def derive_rng(master_seed, *path):
     key = tuple(encode_path_part(p) for p in path)
     seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.PCG64(seq))
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count, and at least 1."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1

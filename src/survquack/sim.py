@@ -13,9 +13,9 @@ evaluates each block at once, with the arithmetic of the one-sample path.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -49,7 +49,7 @@ from .infer import (
     decision_procedure,
     wald_test_cox,
 )
-from .rng import derive_rng
+from .rng import _usable_cpus, derive_rng
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
@@ -144,6 +144,22 @@ class RealizedScenario:
 
     def arm_median(self, rx: bool) -> float:
         return quantile(self.arm_mixture(rx), 0.5)
+
+    @cached_property
+    def _cum_prevalence(self) -> np.ndarray:
+        # stochastic membership: a subject's uniform falls into one bin
+        return np.cumsum([g.prevalence for g in self.subgroups])
+
+    @cached_property
+    def _quota_index(self) -> np.ndarray:
+        # quota membership: the same subgroup index in every trial
+        prev = np.array([g.prevalence for g in self.subgroups])
+        n_rx, n_total = self.n_rx, self.config.n_total
+        index = np.concatenate(
+            [np.repeat(np.arange(prev.size), _quota_counts(prev, n)) for n in (n_rx, n_total - n_rx)]
+        )
+        index.flags.writeable = False
+        return index
 
 
 def _validate_config(config: ScenarioConfig):
@@ -266,21 +282,19 @@ def _draw(scenario: RealizedScenario, rep: int, time) -> np.ndarray:
     return each subject's subgroup index. Fully determined by (master_seed, rep).
 
     Membership and event times use separate derived streams; times are
-    drawn arm by arm in subgroup order, one uniform per subject.
+    drawn arm by arm in subgroup order, one uniform per subject. Under quota
+    membership the index is the scenario's own read-only array.
     """
     cfg = scenario.config
     n_total, n_rx = cfg.n_total, scenario.n_rx
-    prev = np.array([g.prevalence for g in scenario.subgroups])
-    n_groups = prev.size
 
     if cfg.membership == "stochastic":
         rng = derive_rng(cfg.master_seed, rep, "membership")
         u = rng.random(n_total)
-        g_idx = np.minimum(np.searchsorted(np.cumsum(prev), u, side="right"), n_groups - 1)
+        bins = np.searchsorted(scenario._cum_prevalence, u, side="right")
+        g_idx = np.minimum(bins, len(scenario.subgroups) - 1)
     else:
-        g_idx = np.concatenate(
-            [np.repeat(np.arange(n_groups), _quota_counts(prev, n)) for n in (n_rx, n_total - n_rx)]
-        )
+        g_idx = scenario._quota_index
 
     for arm_label, arm in ((ARM_RX, slice(0, n_rx)), (ARM_C, slice(n_rx, n_total))):
         rng_t = derive_rng(cfg.master_seed, rep, "times", arm_label)
@@ -452,13 +466,13 @@ def run_study(scenario: RealizedScenario, workers: int | None = None) -> Directi
     Replication ``i`` always uses the stream derived from
     (master_seed, i), so the tally is bit-identical for any ``workers``
     value; parallel chunks merge by addition. The pool never holds more
-    processes than there are CPUs or chunks.
+    processes than there are usable CPUs (``rng._usable_cpus``) or chunks.
     """
     if workers is not None and workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     reps = scenario.config.replications
     indices = range(reps)
-    workers = min(workers or 1, os.cpu_count() or 1, reps)
+    workers = min(workers or 1, _usable_cpus(), reps)
     if workers > 1:
         n_chunks = min(workers * 4, reps)
         chunks = [list(indices[i::n_chunks]) for i in range(n_chunks)]

@@ -1,8 +1,10 @@
 """Log-rank test, Wald tests, the test-then-declare rule, and the MW pivot."""
 
 import math
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -298,6 +300,22 @@ def test_mw_pivot_in_place_kernel_matches_fresh_draw_reference(n, m):
     assert ci.accepted.tolist() == expected
 
 
+@pytest.mark.parametrize(
+    "n,m,theta,mc_reps",
+    [(23, 37, 1.7, 2000), (37, 23, 0.4, 2000), (3, 6, 2.5, 200_000)],
+)
+def test_mw_acceptance_region_streams_blocks_like_one_fresh_draw(n, m, theta, mc_reps):
+    # mc_reps is no multiple of the block rows, so the last block is short;
+    # the generator must end where one draw of every uniform leaves it
+    rows = _mc_workspace(n, m, mc_reps)[0].shape[0]
+    assert rows < mc_reps and mc_reps % rows != 0
+    rng = derive_rng(43, "mw-stream", n, m)
+    ref_rng = derive_rng(43, "mw-stream", n, m)
+    region = mw_acceptance_region(n, m, theta, 0.95, mc_reps, rng)
+    assert region == _reference_region(n, m, theta, 0.95, mc_reps, ref_rng)
+    assert rng.random() == ref_rng.random()
+
+
 @pytest.mark.parametrize("n,m", [(37, 23), (23, 37)])
 def test_mw_acceptance_region_shared_workspace_leaks_nothing(n, m):
     workspace = _mc_workspace(n, m, 2000)
@@ -311,9 +329,12 @@ def test_mw_acceptance_region_shared_workspace_leaks_nothing(n, m):
         assert shared == fresh
 
 
-def test_mw_pivot_allocates_one_buffer_set_per_call():
-    # One buffer set at n = m = 100 and 2000 draws is 6.4 MB; allocating
-    # fresh draws and keys at every grid point peaks near 11 MB.
+def test_mw_pivot_allocates_one_buffer_set_per_call(monkeypatch):
+    # Each thread refills one block of buffers: at n = m = 100 a block is
+    # 250 rows, 0.8 MB of draws and keys, and two threads peaked at 1.92 MB
+    # (numpy 2.4); 2.3 MB leaves 20% headroom. A block per grid point, or
+    # whole-region buffers (6.4 MB per thread), goes far past it.
+    monkeypatch.setattr(infer, "_usable_cpus", lambda: 2)
     rng = derive_rng(8, "pivot-memory")
     rx = rng.exponential(1.0, 100)
     c = rng.exponential(1.5, 100)
@@ -323,7 +344,68 @@ def test_mw_pivot_allocates_one_buffer_set_per_call():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9_000_000
+    assert peak < 2_300_000
+
+
+def _fields(ci):
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(ci).items()}
+
+
+class _RecordingPool(ThreadPoolExecutor):
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+@pytest.mark.parametrize("grid", [_PIVOT_GRID, _PIVOT_GRID[4:6]])
+def test_mw_pivot_result_does_not_depend_on_thread_count(monkeypatch, grid):
+    rng = derive_rng(44, "pivot-threads")
+    rx = rng.exponential(1.0, 37)
+    c = rng.exponential(1.3, 23)
+    monkeypatch.setattr(infer, "ThreadPoolExecutor", _RecordingPool)
+    _RecordingPool.sizes = []
+    results = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(infer, "_usable_cpus", lambda: cpus)
+        results.append(_fields(mw_pivot_ci(rx, c, level=0.9, grid=grid, seed=44)))
+    assert results[0] == results[1] == results[2]
+    assert _RecordingPool.sizes == [min(k, grid.size) for k in (1, 2, 3)]
+
+
+def test_mw_pivot_threads_share_nothing_under_stress(monkeypatch):
+    # more threads than cores, switching every few microseconds: a lost or
+    # misplaced write to ``accepted`` or a shared buffer changes the set
+    grid = np.geomspace(0.02, 50.0, 24)
+    rx, c = [2.0, 3.0, 5.0, 7.0, 9.5], [1.0, 4.5, 6.5, 8.5]
+    monkeypatch.setattr(infer, "_usable_cpus", lambda: 1)
+    expected = _fields(mw_pivot_ci(rx, c, grid=grid, seed=12))
+    assert 0 < sum(expected["accepted"]) < grid.size
+    monkeypatch.setattr(infer, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            assert _fields(mw_pivot_ci(rx, c, grid=grid, seed=12)) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_mw_pivot_worker_error_reaches_the_caller(monkeypatch):
+    boom = RuntimeError("region failed")
+    original = infer.mw_acceptance_region
+
+    def failing(n, m, theta, *args, **kwargs):
+        if theta == _PIVOT_GRID[5]:
+            raise boom
+        return original(n, m, theta, *args, **kwargs)
+
+    monkeypatch.setattr(infer, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(infer, "mw_acceptance_region", failing)
+    with pytest.raises(RuntimeError) as excinfo:
+        mw_pivot_ci([1.0, 2.0, 3.0], [1.5, 2.5], grid=_PIVOT_GRID, seed=3)
+    assert excinfo.value is boom
 
 
 # ----------------------------------------------------------------- mw_pivot_ci
@@ -355,6 +437,16 @@ def test_mw_pivot_empty_set_warns_and_reports_grid_range():
     assert not ci.non_convex
     assert (ci.lo, ci.hi) == (1.0, 1.0)
     assert not ci.accepted.any()
+
+
+def test_mw_pivot_empty_set_warns_in_the_callers_thread(monkeypatch):
+    # a warning raised in a worker thread would point into the thread pool
+    monkeypatch.setattr(infer, "_usable_cpus", lambda: 3)
+    base = [float(x) for x in range(1, 9)]
+    with pytest.warns(UserWarning, match="no grid exponent") as record:
+        ci = mw_pivot_ci([x + 100.0 for x in base], base, grid=[0.9, 1.0, 1.1], seed=5)
+    assert ci.empty
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_mw_pivot_stretching_rx_times_shifts_hull_down():

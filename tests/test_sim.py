@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -387,9 +388,22 @@ class _InlinePool:
     [(5000, 2, [2]), (3, 8, [3]), (64, 64, [40]), (2, 1, []), (2, None, []), (1, 8, [])],
 )
 def test_run_study_pool_is_capped_by_cpus_and_chunks(small_scenario, monkeypatch, workers, cpus, pool):
-    # small_scenario has 40 replications, so at most 40 chunks
+    # small_scenario has 40 replications, so at most 40 chunks; without an
+    # affinity set the CPU count is what the process may use
     monkeypatch.setattr(sim, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    _InlinePool.sizes = []
+    assert run_study(small_scenario, workers=workers) == run_study(small_scenario)
+    assert _InlinePool.sizes == pool
+
+
+@pytest.mark.parametrize("workers, affinity, pool", [(3, {0}, []), (64, {0, 2, 5}, [3])])
+def test_run_study_pool_is_capped_by_the_affinity_set(small_scenario, monkeypatch, workers, affinity, pool):
+    # the machine has 64 CPUs, but the process may run on only a few of them
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     _InlinePool.sizes = []
     assert run_study(small_scenario, workers=workers) == run_study(small_scenario)
     assert _InlinePool.sizes == pool
