@@ -6,7 +6,7 @@ CSV dataset; ``simulate`` runs a scenario's Monte Carlo study;
 ``pivot-ci`` inverts the rank test into a confidence set for the
 survival-curve power parameter; ``eq1-demo`` prints the worked
 log-averaging example. Every command emits one JSON report (see
-``report``). Exit codes: 0 success, 2 input or validation error,
+``report``). Exit codes: 0 success, 2 input, validation or output error,
 3 numerical failure.
 """
 
@@ -403,8 +403,8 @@ def _cmd_pivot_ci(args):
             f"pivot-ci needs fully observed data; {censored} censored row(s) present"
         )
     level = float(args.level)
-    if not (args.grid_min > 0 and args.grid_max > args.grid_min):
-        raise ValidationError("grid bounds must satisfy 0 < min < max")
+    if not (np.isfinite([args.grid_min, args.grid_max]).all() and 0 < args.grid_min < args.grid_max):
+        raise ValidationError("grid bounds must be finite and satisfy 0 < min < max")
     if args.grid_points < 2:
         raise ValidationError("--grid-points must be >= 2")
     grid = np.geomspace(args.grid_min, args.grid_max, int(args.grid_points))
@@ -569,9 +569,13 @@ def main(argv=None) -> int:
         for line in exc.details[:20] if isinstance(exc, ValidationError) else ():
             print(f"  - {line}", file=sys.stderr)
         return 2
-    report_mod.write_report(report, path=args.out, stream=sys.stdout)
-    if args.tables:
-        _write_tables(report, args.tables)
+    try:
+        report_mod.write_report(report, path=args.out, stream=sys.stdout)
+        if args.tables:
+            _write_tables(report, args.tables)
+    except OSError as exc:
+        print(f"survquack: error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

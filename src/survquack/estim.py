@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dist import SurvivalCurve, WeibullDist, _as_times, _match
+from .dist import SurvivalCurve, WeibullDist, _as_times, _match, _positive
 from .errors import (
     NOT_REACHED,
     DomainError,
@@ -421,56 +421,38 @@ def hr_from_llp(llp) -> float:
 
 def llp_from_hr(hr) -> float:
     """Living-longer probability implied by a hazard ratio: 1/(1+hr)."""
-    hr = float(hr)
-    if not (math.isfinite(hr) and hr > 0.0):
-        raise DomainError(f"hr must be positive and finite, got {hr!r}")
-    return 1.0 / (1.0 + hr)
+    return 1.0 / (1.0 + _positive(hr, "hr"))
 
 
 def tr_to_hr(tr, shape) -> float:
     """Weibull bridge from a time ratio to its hazard ratio: tr ** -shape."""
-    tr = float(tr)
-    shape = float(shape)
-    if not (math.isfinite(tr) and tr > 0.0):
-        raise DomainError("tr must be positive and finite")
-    if not (math.isfinite(shape) and shape > 0.0):
-        raise DomainError("shape must be positive and finite")
-    return tr ** -shape
+    return _positive(tr, "tr") ** -_positive(shape, "shape")
 
 
 def hr_to_tr(hr, shape) -> float:
     """Weibull bridge from a hazard ratio to its time ratio: hr ** (-1/shape)."""
-    hr = float(hr)
-    shape = float(shape)
-    if not (math.isfinite(hr) and hr > 0.0):
-        raise DomainError("hr must be positive and finite")
-    if not (math.isfinite(shape) and shape > 0.0):
-        raise DomainError("shape must be positive and finite")
-    return hr ** (-1.0 / shape)
+    return _positive(hr, "hr") ** (-1.0 / _positive(shape, "shape"))
 
 
 def _exp(beta):
-    # math.exp, as a column against the rows of a block when ``beta`` holds
-    # one value per row: np.exp can differ from it in the last bit
-    if np.ndim(beta) == 0:
-        return math.exp(beta)
+    # math.exp of each row's beta, as a column against the rows of a block:
+    # np.exp can differ from it in the last bit
     return np.array([math.exp(b) for b in beta.tolist()])[:, None]
 
 
 def _cox_counts(tb):
-    """(d_rx, d, n0, n1) of a risk table as floats: deaths in Rx, all deaths,
-    and the numbers at risk in C and in Rx."""
-    return (
-        np.asarray(tb.events_rx, dtype=float),
-        np.asarray(tb.events, dtype=float),
-        np.asarray(tb.at_risk - tb.at_risk_rx, dtype=float),
-        np.asarray(tb.at_risk_rx, dtype=float),
+    """(d_rx, d, n0, n1) of a risk table as float rows: deaths in Rx, all
+    deaths, and the numbers at risk in C and in Rx. A block of tables (one
+    per row, as built by _complete_tables) keeps its rows; a single table
+    becomes a one-row block."""
+    return tuple(
+        np.atleast_2d(np.asarray(c, dtype=float))
+        for c in (tb.events_rx, tb.events, tb.at_risk - tb.at_risk_rx, tb.at_risk_rx)
     )
 
 
-# The partial-likelihood terms below sum over the table's last axis, so they
-# serve one table with a float beta and a block of tables (one per row, as
-# built by _complete_tables) with one beta per row alike.
+# The partial-likelihood terms below sum over each row of a block of tables,
+# with one beta per row.
 
 
 def _cox_score_limits(counts):
@@ -490,85 +472,54 @@ def _cox_score_info(counts, beta):
 
 def _cox_logpl(counts, beta):
     d_rx, d, n0, n1 = counts
-    return (d_rx * np.asarray(beta)[..., None] - d * np.log(n0 + n1 * _exp(beta))).sum(axis=-1)
+    return (d_rx * beta[:, None] - d * np.log(n0 + n1 * _exp(beta))).sum(axis=-1)
 
 
-def cox_fit_two_arm(sample: SurvivalSample):
-    """Breslow partial-likelihood fit of the single treatment coefficient.
+_MONOTONE = "monotone partial likelihood: the arms separate the event order"
+# Messages of the failure codes of _cox_rows; code 0 is a fit.
+_COX_FAILURES = (
+    None,
+    _MONOTONE,  # the score's limits do not bracket zero
+    "partial-likelihood score overflow",
+    "partial likelihood has no curvature",
+    _MONOTONE,  # |beta| passed 30
+    "no convergence after 100 Newton iterations",
+    "no information about the treatment coefficient",
+)
+_LIMITS, _OVERFLOW, _FLAT, _DIVERGED, _STALLED, _NO_INFO = range(1, 7)
 
-    Returns (log hazard ratio, standard error) from the sample's risk
-    table. Monotone likelihoods (the arms separate the event order) are
-    reported as NumericalError rather than a huge estimate.
-    """
-    if not sample.is_rx.any() or sample.is_rx.all():
-        raise DomainError("both arms must be present")
-    tb = sample.tables
-    if tb.events.sum() == 0:
-        raise DomainError("at least one death is required")
-    counts = _cox_counts(tb)
 
-    # The score is strictly decreasing in beta, so a finite root exists only
-    # when its limits bracket zero. Otherwise the likelihood is monotone.
-    score_lo, score_hi = map(float, _cox_score_limits(counts))
-    if score_lo <= 0.0 or score_hi >= 0.0:
-        raise NumericalError(
-            "monotone partial likelihood: the arms separate the event order",
-            score_at_minus_inf=score_lo,
-            score_at_plus_inf=score_hi,
-        )
-
-    beta = 0.0
-    for _ in range(100):
-        score, info = map(float, _cox_score_info(counts, beta))
-        if not math.isfinite(score):
-            raise NumericalError("partial-likelihood score overflow", beta=beta)
-        if info <= 0.0:
-            raise NumericalError("partial likelihood has no curvature", beta=beta)
-        step = max(min(score / info, 2.0), -2.0)
-        # Stop on the step, not the score: on thousands of subjects rounding
-        # alone keeps |score| above any fixed bound near 1e-10.
-        if abs(step) <= 1e-10:
-            beta += step
-            break
-        ll0 = _cox_logpl(counts, beta)
-        scale = 1.0
-        for _ in range(40):
-            if _cox_logpl(counts, beta + scale * step) >= ll0 - 1e-12:
-                break
-            scale *= 0.5
-        beta += scale * step
-        if abs(beta) > 30.0:
-            raise NumericalError(
-                "monotone partial likelihood: the arms separate the event order", beta=beta
-            )
-    else:
-        raise NumericalError("no convergence after 100 Newton iterations", beta=beta)
-
-    _, info = _cox_score_info(counts, beta)
-    if info <= 0.0:
-        raise NumericalError("no information about the treatment coefficient", beta=beta)
-    return float(beta), float(1.0 / math.sqrt(info))
+def _retire(code, active, mask, reason):
+    """Give the active rows in ``mask`` the failure code ``reason`` and stop them."""
+    mask = active & mask
+    code[mask] = reason
+    active &= ~mask
 
 
 def _cox_rows(tb):
-    """``cox_fit_two_arm`` on each row of a block of risk tables.
+    """Breslow partial-likelihood fits of the treatment coefficient, one per
+    row of a block of risk tables (or of a single table, as one row).
 
-    Every row takes the steps, line search and guards of its own fit, with
-    the same arithmetic. Returns (beta, se, failed); ``failed`` marks every
-    row on which ``cox_fit_two_arm`` raises, and any whose information is
-    not a positive number; beta and se mean nothing there.
+    Every row takes its own Newton steps and line search, so its numbers
+    never depend on the other rows. Returns (beta, se, code): ``code`` is 0
+    where the fit succeeded and otherwise indexes ``_COX_FAILURES``; se
+    means nothing on a failed row, and beta is where its fit stopped.
     """
     counts = _cox_counts(tb)
+    # The score is strictly decreasing in beta, so a finite root exists only
+    # when its limits bracket zero. Otherwise the likelihood is monotone.
     score_lo, score_hi = _cox_score_limits(counts)
-    failed = (score_lo <= 0.0) | (score_hi >= 0.0)
-    beta = np.zeros(failed.size)
-    active = ~failed
+    code = np.where((score_lo <= 0.0) | (score_hi >= 0.0), _LIMITS, 0).astype(np.int8)
+    beta = np.zeros(code.size)
+    active = code == 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(100):
             score, info = _cox_score_info(counts, beta)
-            failed |= active & ~(np.isfinite(score) & (info > 0.0))
-            active &= ~failed
+            _retire(code, active, ~np.isfinite(score), _OVERFLOW)
+            _retire(code, active, ~(info > 0.0), _FLAT)
             step = np.clip(score / info, -2.0, 2.0)
+            # Stop on the step, not the score: on thousands of subjects
+            # rounding alone keeps |score| above any fixed bound near 1e-10.
             done = active & (np.abs(step) <= 1e-10)
             beta[done] += step[done]
             active &= ~done
@@ -583,12 +534,34 @@ def _cox_rows(tb):
                     break
                 scale[pending] *= 0.5
             beta[active] += (scale * step)[active]
-            failed |= active & (np.abs(beta) > 30.0)
-            active &= ~failed
-        failed |= active
+            _retire(code, active, np.abs(beta) > 30.0, _DIVERGED)
+        code[active] = _STALLED
         _, info = _cox_score_info(counts, beta)
-        failed |= ~(info > 0.0)
-        return beta, 1.0 / np.sqrt(info), failed
+        code[(code == 0) & ~(info > 0.0)] = _NO_INFO
+        return beta, 1.0 / np.sqrt(info), code
+
+
+def cox_fit_two_arm(sample: SurvivalSample):
+    """Breslow partial-likelihood fit of the single treatment coefficient.
+
+    Returns (log hazard ratio, standard error) from the sample's risk
+    table. Monotone likelihoods (the arms separate the event order) are
+    reported as NumericalError rather than a huge estimate.
+    """
+    if not sample.is_rx.any() or sample.is_rx.all():
+        raise DomainError("both arms must be present")
+    tb = sample.tables
+    if tb.events.sum() == 0:
+        raise DomainError("at least one death is required")
+    (beta,), (se,), (code,) = _cox_rows(tb)
+    if code == _LIMITS:
+        score_lo, score_hi = _cox_score_limits(_cox_counts(tb))
+        raise NumericalError(
+            _MONOTONE, score_at_minus_inf=float(score_lo[0]), score_at_plus_inf=float(score_hi[0])
+        )
+    if code:
+        raise NumericalError(_COX_FAILURES[code], beta=float(beta))
+    return float(beta), float(se)
 
 
 def sample_tr(sample: SurvivalSample) -> float:

@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dist import _TINY
+from .dist import _TINY, _positive
 from .errors import NOT_REACHED, DomainError
 from .estim import SurvivalSample, _pair_stats, km_median
 from .rng import _usable_cpus, derive_rng
@@ -174,20 +174,7 @@ def _cross_counts(b, a, keys, positions):
     return keys.view(np.int64) @ positions - m * (m - 1) // 2
 
 
-def _mc_workspace(n, m, mc_reps):
-    """Buffers for one row block of an acceptance region: reference draws,
-    treated draws, sort keys and key positions. A block holds about
-    ``_BLOCK_KEYS`` sort keys and never more than ``mc_reps`` rows."""
-    rows = min(mc_reps, max(1, _BLOCK_KEYS // (n + m)))
-    return (
-        np.empty((rows, m)),
-        np.empty((rows, n)),
-        np.empty((rows, n + m), dtype=np.uint64),
-        np.arange(n + m),
-    )
-
-
-def mw_acceptance_region(n, m, theta, level, mc_reps, rng, *, _workspace=None):
+def mw_acceptance_region(n, m, theta, level, mc_reps, rng):
     """Equal-tailed null acceptance interval [lo, hi] for the pair count.
 
     The null at exponent ``theta`` is simulated on the survival-probability
@@ -200,16 +187,14 @@ def mw_acceptance_region(n, m, theta, level, mc_reps, rng, *, _workspace=None):
     ``rng`` is a PCG64 generator (as ``derive_rng`` returns). It supplies
     all ``mc_reps * m`` reference uniforms, then all ``mc_reps * n`` treated
     ones, and is left just past them. The draws are filled and counted in
-    row blocks of ``_workspace`` (from ``_mc_workspace``, one block of
-    buffers refilled in place); a workspace may be reused across calls in
-    one thread and never changes the result.
+    row blocks of about ``_BLOCK_KEYS`` sort keys, one block of buffers
+    refilled in place.
     """
-    theta = float(theta)
-    if not (math.isfinite(theta) and theta > 0.0):
-        raise DomainError("theta must be positive and finite")
-    if _workspace is None:
-        _workspace = _mc_workspace(n, m, mc_reps)
-    a, b, keys, positions = _workspace
+    theta = _positive(theta, "theta")
+    rows = min(mc_reps, max(1, _BLOCK_KEYS // (n + m)))
+    a, b = np.empty((rows, m)), np.empty((rows, n))
+    keys = np.empty((rows, n + m), dtype=np.uint64)
+    positions = np.arange(n + m)
     # the treated uniforms come from a copy of the stream advanced past the
     # reference ones, so each block reads its rows of both in stream order
     bits = np.random.PCG64(0)
@@ -264,8 +249,7 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, seed=0) -> ConfidenceS
     index), so the result is deterministic and independent of evaluation
     order. Exponents whose region contains the observed count are accepted.
     The grid points are spread over one thread per usable CPU (at most one
-    per point), each with its own workspace; the thread count never changes
-    the result.
+    per point); the thread count never changes the result.
 
     Exponents above 1 mean the Rx arm dies faster, so data with Rx living
     much longer pushes the whole accepted hull below 1.
@@ -277,8 +261,14 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, seed=0) -> ConfidenceS
         grid = np.geomspace(1.0 / 50.0, 50.0, 200)
     else:
         grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
-            raise DomainError("grid must be a strictly increasing positive 1-d array")
+        if (
+            grid.ndim != 1
+            or grid.size == 0
+            or not np.all(np.isfinite(grid))
+            or np.any(grid <= 0.0)
+            or np.any(np.diff(grid) <= 0.0)
+        ):
+            raise DomainError("grid must be a strictly increasing, positive and finite 1-d array")
     rx = np.asarray(rx_times, dtype=float)
     c = np.asarray(c_times, dtype=float)
     observed = mw_pair_count(rx, c)
@@ -286,12 +276,9 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, seed=0) -> ConfidenceS
     accepted = np.zeros(grid.size, dtype=bool)
 
     def accept(indices):
-        workspace = _mc_workspace(n, m, MC_REPS)
         for i in indices:
             rng = derive_rng(seed, "mw-pivot", i)
-            lo_cnt, hi_cnt = mw_acceptance_region(
-                n, m, grid[i], level, MC_REPS, rng, _workspace=workspace
-            )
+            lo_cnt, hi_cnt = mw_acceptance_region(n, m, grid[i], level, MC_REPS, rng)
             accepted[i] = lo_cnt <= observed <= hi_cnt
 
     threads = min(_usable_cpus(), grid.size)

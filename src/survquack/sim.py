@@ -340,13 +340,13 @@ def _evaluate_block(scenario: RealizedScenario, reps, time) -> list:
     rows, n_c = time.shape[0], time.shape[1] - n_rx
     tb, irregular = _complete_tables(time, n_rx)
     oe, variance = _logrank_terms(tb)
-    beta, se, cox_failed = _cox_rows(tb)
+    beta, se, cox_code = _cox_rows(tb)
     in_rx = tb.events_rx > 0
     median_rx = tb.times[in_rx].reshape(rows, n_rx)[:, _complete_median_rank(n_rx)]
     median_c = tb.times[~in_rx].reshape(rows, n_c)[:, _complete_median_rank(n_c)]
     results = []
     for i, rep in enumerate(reps):
-        if irregular[i] or cox_failed[i]:
+        if irregular[i] or cox_code[i]:
             results.append(run_replication(scenario, rep))
             continue
         outcome = _decide(

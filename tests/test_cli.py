@@ -708,11 +708,13 @@ class TestPivotCi:
             ["--grid-min", "0"],
             ["--grid-min", "2", "--grid-max", "1"],
             ["--grid-points", "1"],
+            ["--grid-max", "inf"],
+            ["--grid-min", "nan"],
         ],
     )
     def test_bad_grid_rejected(self, ident_csv, capsys, extra):
         rc, _, err = run_cli(["pivot-ci", ident_csv] + extra, capsys)
-        assert rc == 2 and "survquack: error:" in err
+        assert rc == 2 and err.startswith("survquack: error:") and "grid" in err
 
 
 class TestSeedPrecedence:
@@ -846,6 +848,19 @@ class TestMainPlumbing:
         assert got == rc and out == ""
         details = [f"  - {line}" for line in getattr(exc, "details", [])]
         assert err.splitlines() == [f"survquack: {prefix}"] + details
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "r.json"
+        rc, out, err = run_cli(["eq1-demo", "--out", str(path)], capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith("survquack: error: cannot write output:") and err.count("\n") == 1
+
+    def test_tables_on_an_existing_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text("")
+        rc, out, err = run_cli(["eq1-demo", "--tables", str(path)], capsys)
+        assert rc == 2 and json.loads(out)["command"] == "eq1-demo"
+        assert err.startswith("survquack: error: cannot write output:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -393,11 +393,63 @@ def test_cox_converges_when_rounding_keeps_the_score_off_zero(seed, censor_mean,
     assert log_hr == pytest.approx(root, abs=1e-9)
 
 
+def test_cox_on_tied_censored_data_solves_the_breslow_score():
+    rng = derive_rng(7, "cox-ties")
+    time = np.round(
+        np.concatenate([
+            sample_times(WeibullDist(1.2, 6.0), rng, 60),
+            sample_times(WeibullDist(1.2, 4.0), rng, 50),
+        ]),
+        1,
+    ) + 0.1
+    censor = np.round(rng.exponential(8.0, time.size), 1) + 0.1
+    sample = SurvivalSample(np.minimum(time, censor), time <= censor, np.arange(time.size) < 60)
+    deaths = sample.time[sample.event]
+    assert np.unique(deaths).size < deaths.size and not sample.event.all()
+    log_hr, se = cox_fit_two_arm(sample)
+    score = breslow_score(sample.time, sample.event, sample.is_rx)
+    root = brentq(score, -2.0, 2.0, xtol=1e-14)
+    assert log_hr == pytest.approx(root, abs=1e-9)
+    h = 1e-5
+    info = (score(root - h) - score(root + h)) / (2.0 * h)
+    assert se == pytest.approx(1.0 / math.sqrt(info), rel=1e-6)
+
+
 def test_cox_monotone_likelihood_raises():
-    # complete separation of event order
-    s = SurvivalSample.from_arms([10.0, 11.0, 12.0], [1.0, 2.0, 3.0])
-    with pytest.raises(NumericalError):
-        cox_fit_two_arm(s)
+    # (Rx times, C times, death flags, score limits at -inf and +inf)
+    cases = [
+        ([10.0, 11.0, 12.0], [1.0, 2.0, 3.0], None, (0.0, -3.0)),  # Rx outlives C
+        ([1.0, 2.0, 3.0], [10.0, 11.0, 12.0], None, (3.0, 0.0)),  # C outlives Rx
+        ([1.0, 2.0, 3.0], [1.5, 2.5], [False, True, False, False, False], (1.0, 0.0)),  # one death
+    ]
+    for rx, c, events, (lo, hi) in cases:
+        time = np.array(rx + c)
+        events = np.ones(time.size, bool) if events is None else events
+        s = SurvivalSample(time, events, np.arange(time.size) < len(rx))
+        with pytest.raises(NumericalError, match="^monotone partial likelihood") as excinfo:
+            cox_fit_two_arm(s)
+        assert excinfo.value.diagnostics == {"score_at_minus_inf": lo, "score_at_plus_inf": hi}
+
+
+@pytest.mark.parametrize(
+    "code, message",
+    [
+        (estim._OVERFLOW, "partial-likelihood score overflow"),
+        (estim._FLAT, "partial likelihood has no curvature"),
+        (estim._DIVERGED, "monotone partial likelihood: the arms separate the event order"),
+        (estim._STALLED, "no convergence after 100 Newton iterations"),
+        (estim._NO_INFO, "no information about the treatment coefficient"),
+    ],
+)
+def test_cox_failure_codes_raise_their_messages(monkeypatch, code, message):
+    # these failures need data no test can build; the solve's code and the
+    # beta it stopped at must still reach the caller
+    failed = (np.array([31.5]), np.array([np.nan]), np.array([code], dtype=np.int8))
+    monkeypatch.setattr(estim, "_cox_rows", lambda tb: failed)
+    with pytest.raises(NumericalError) as excinfo:
+        cox_fit_two_arm(_two_arm_sample(3))
+    assert str(excinfo.value) == message
+    assert excinfo.value.diagnostics == {"beta": 31.5}
 
 
 def test_cox_requires_both_arms():

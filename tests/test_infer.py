@@ -26,7 +26,7 @@ from survquack import (
 )
 from survquack import estim, infer
 from survquack.errors import DomainError
-from survquack.infer import MC_REPS, _cross_counts, _mc_workspace, mw_acceptance_region
+from survquack.infer import MC_REPS, _BLOCK_KEYS, _cross_counts, mw_acceptance_region
 
 from oracles import logrank_by_hand, logrank_moments_scipy, mw_exact_region
 
@@ -307,7 +307,7 @@ def test_mw_pivot_in_place_kernel_matches_fresh_draw_reference(n, m):
 def test_mw_acceptance_region_streams_blocks_like_one_fresh_draw(n, m, theta, mc_reps):
     # mc_reps is no multiple of the block rows, so the last block is short;
     # the generator must end where one draw of every uniform leaves it
-    rows = _mc_workspace(n, m, mc_reps)[0].shape[0]
+    rows = min(mc_reps, max(1, _BLOCK_KEYS // (n + m)))
     assert rows < mc_reps and mc_reps % rows != 0
     rng = derive_rng(43, "mw-stream", n, m)
     ref_rng = derive_rng(43, "mw-stream", n, m)
@@ -316,24 +316,11 @@ def test_mw_acceptance_region_streams_blocks_like_one_fresh_draw(n, m, theta, mc
     assert rng.random() == ref_rng.random()
 
 
-@pytest.mark.parametrize("n,m", [(37, 23), (23, 37)])
-def test_mw_acceptance_region_shared_workspace_leaks_nothing(n, m):
-    workspace = _mc_workspace(n, m, 2000)
-    order = list(range(_PIVOT_GRID.size))
-    for i in order[::-1] + order:
-        theta = float(_PIVOT_GRID[i])
-        shared = mw_acceptance_region(
-            n, m, theta, 0.9, 2000, derive_rng(41, "mw-pivot", i), _workspace=workspace
-        )
-        fresh = mw_acceptance_region(n, m, theta, 0.9, 2000, derive_rng(41, "mw-pivot", i))
-        assert shared == fresh
-
-
 def test_mw_pivot_allocates_one_buffer_set_per_call(monkeypatch):
-    # Each thread refills one block of buffers: at n = m = 100 a block is
-    # 250 rows, 0.8 MB of draws and keys, and two threads peaked at 1.92 MB
-    # (numpy 2.4); 2.3 MB leaves 20% headroom. A block per grid point, or
-    # whole-region buffers (6.4 MB per thread), goes far past it.
+    # Each region refills one block of buffers it allocates itself: at
+    # n = m = 100 a block is 250 rows, 0.8 MB of draws and keys, and two
+    # threads peaked at 1.92 MB (numpy 2.4); 2.3 MB leaves 20% headroom.
+    # Whole-region buffers (6.4 MB per thread) go far past it.
     monkeypatch.setattr(infer, "_usable_cpus", lambda: 2)
     rng = derive_rng(8, "pivot-memory")
     rx = rng.exponential(1.0, 100)
@@ -491,3 +478,6 @@ def test_mw_pivot_validates_inputs():
         mw_pivot_ci(rx, c, grid=[])
     with pytest.raises(DomainError):
         mw_pivot_ci(rx, c, grid=[[1.0, 2.0]])
+    for grid in ([1.0, math.inf], [math.nan, 1.0], [0.5, math.nan, 2.0]):
+        with pytest.raises(DomainError, match="grid must be .*finite"):
+            mw_pivot_ci(rx, c, grid=grid)
