@@ -292,4 +292,4 @@ def sample_times(dist: WeibullDist, rng, n):
     u = rng.random(n)
     # rng.random() can return exactly 0.0, which would map to an infinite time
     u = np.maximum(u, _TINY)
-    return dist.scale * np.power(-np.log(u), 1.0 / dist.shape)
+    return dist.inverse_cumhaz(-np.log(u))

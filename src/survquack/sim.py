@@ -21,11 +21,11 @@ from statistics import NormalDist
 import numpy as np
 
 from .dist import (
+    _TINY,
     MixtureCurve,
     WeibullDist,
     _check_prevalences,
     quantile,
-    sample_times,
     solve_complement_scale,
     weibull_from_median,
 )
@@ -49,7 +49,7 @@ from .infer import (
     decision_procedure,
     wald_test_cox,
 )
-from .rng import _usable_cpus, derive_rng
+from .rng import _pcg64_states, _usable_cpus
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
@@ -150,6 +150,12 @@ class RealizedScenario:
         # stochastic membership: a subject's uniform falls into one bin
         return np.cumsum([g.prevalence for g in self.subgroups])
 
+    @property
+    def _index_dtype(self) -> np.dtype:
+        # the smallest unsigned type that holds a subgroup index; numpy's
+        # stable sort orders such small integers by radix
+        return np.min_scalar_type(len(self.subgroups) - 1)
+
     @cached_property
     def _quota_index(self) -> np.ndarray:
         # quota membership: the same subgroup index in every trial
@@ -157,7 +163,7 @@ class RealizedScenario:
         n_rx, n_total = self.n_rx, self.config.n_total
         index = np.concatenate(
             [np.repeat(np.arange(prev.size), _quota_counts(prev, n)) for n in (n_rx, n_total - n_rx)]
-        )
+        ).astype(self._index_dtype)
         index.flags.writeable = False
         return index
 
@@ -277,43 +283,78 @@ def _quota_counts(prevalences, n):
     return base
 
 
-def _draw(scenario: RealizedScenario, rep: int, time) -> np.ndarray:
-    """Write trial ``rep``'s event times into ``time`` (Rx subjects first) and
-    return each subject's subgroup index. Fully determined by (master_seed, rep).
+# replications whose seed streams are derived and drawn together; bounds
+# the draw's working memory, a few arrays of this many rows
+_DRAW_ROWS = 32
 
-    Membership and event times use separate derived streams; times are
-    drawn arm by arm in subgroup order, one uniform per subject. Under quota
-    membership the index is the scenario's own read-only array.
+
+def _uniforms(gen, master_seed, reps, n, *tail):
+    """Row i: the first ``n`` uniforms of stream (master_seed, reps[i], *tail),
+    drawn by ``gen`` with its PCG64 state set to each stream in turn."""
+    u = np.empty((len(reps), n))
+    for row, (state, inc) in zip(u, _pcg64_states(master_seed, reps, *tail)):
+        gen.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.random(out=row)
+    return u
+
+
+def _draw_block(scenario: RealizedScenario, reps, time) -> np.ndarray:
+    """Write trial ``reps[i]``'s event times into row i of ``time`` (Rx
+    subjects first) and return each subject's subgroup index, row by row.
+    Each row is fully determined by (master_seed, rep).
+
+    Membership and event times use separate derived streams. Each arm's
+    stream gives one uniform per subject, consumed subgroup by subgroup
+    with members in subject order; each subgroup's Weibull law then maps
+    its members' uniforms in every row at once, by ``sample_times``'
+    inverse CDF. Under quota membership the index is the scenario's own
+    read-only array, broadcast over the rows.
     """
     cfg = scenario.config
     n_total, n_rx = cfg.n_total, scenario.n_rx
+    gen = np.random.Generator(np.random.PCG64(0))  # its state is set per stream
 
     if cfg.membership == "stochastic":
-        rng = derive_rng(cfg.master_seed, rep, "membership")
-        u = rng.random(n_total)
-        bins = np.searchsorted(scenario._cum_prevalence, u, side="right")
-        g_idx = np.minimum(bins, len(scenario.subgroups) - 1)
+        u = _uniforms(gen, cfg.master_seed, reps, n_total, "membership")
+        # a uniform's bin is the number of inner bin edges at or below it:
+        # searchsorted(side="right"), capped at the last bin
+        g_idx = np.zeros(u.shape, dtype=scenario._index_dtype)
+        for edge in scenario._cum_prevalence[:-1]:
+            g_idx += u >= edge
     else:
-        g_idx = scenario._quota_index
+        g_idx = np.broadcast_to(scenario._quota_index, time.shape)
 
     for arm_label, arm in ((ARM_RX, slice(0, n_rx)), (ARM_C, slice(n_rx, n_total))):
-        rng_t = derive_rng(cfg.master_seed, rep, "times", arm_label)
-        arm_time, arm_g = time[arm], g_idx[arm]
+        arm_g = g_idx[:, arm]
+        u = _uniforms(gen, cfg.master_seed, reps, arm_g.shape[1], "times", arm_label)
+        # a row's k-th uniform goes to its k-th subject in subgroup order;
+        # flat indices, row by row
+        order = np.argsort(arm_g, axis=1, kind="stable")
+        order += np.arange(0, u.size, u.shape[1])[:, None]
+        cumhaz = np.empty(u.size)
+        cumhaz[order.ravel()] = -np.log(np.maximum(u, _TINY)).ravel()
+        arm_time = np.empty(u.size)
         for gi, row in enumerate(scenario.subgroups):
-            members = arm_g == gi
+            members = np.flatnonzero(arm_g == gi)
             dist = row.rx if arm_label == ARM_RX else row.c
-            arm_time[members] = sample_times(dist, rng_t, int(members.sum()))
+            arm_time[members] = dist.inverse_cumhaz(cumhaz[members])
+        time[:, arm] = arm_time.reshape(u.shape)
     return g_idx
 
 
 def simulate_sample(scenario: RealizedScenario, rep: int) -> SurvivalSample:
     """Draw one trial's data. Fully determined by (master_seed, rep)."""
     n_total = scenario.config.n_total
-    time = np.empty(n_total)
-    g_idx = _draw(scenario, rep, time)
+    time = np.empty((1, n_total))
+    g_idx = _draw_block(scenario, [rep], time)
     labels = np.array([g.label for g in scenario.subgroups])
     is_rx = np.arange(n_total) < scenario.n_rx
-    return SurvivalSample(time, np.ones(n_total, dtype=bool), is_rx, {"subgroup": labels[g_idx]})
+    return SurvivalSample(time[0], np.ones(n_total, dtype=bool), is_rx, {"subgroup": labels[g_idx[0]]})
 
 
 def run_replication(scenario: RealizedScenario, rep: int) -> ReplicationResult:
@@ -326,7 +367,7 @@ def run_replication(scenario: RealizedScenario, rep: int) -> ReplicationResult:
 
 def _evaluate_block(scenario: RealizedScenario, reps, time) -> list:
     """``run_replication``'s results for the trials ``reps``, whose times
-    (from ``_draw``) fill the rows of ``time``.
+    (from ``_draw_block``) fill the rows of ``time``.
 
     Every row is read off one block of risk tables, with the arithmetic of
     the per-sample path: the log-rank terms, both product-limit medians
@@ -366,14 +407,15 @@ _N_REJECT, _N_RX, _N_C, _N_TIE, _N_COX = range(5)
 
 def _tally_chunk(scenario: RealizedScenario, reps) -> np.ndarray:
     counts = np.zeros(5, dtype=np.int64)
-    reps = list(reps)
-    buffer = np.empty((min(_BLOCK, len(reps)), scenario.config.n_total))
-    for start in range(0, len(reps), _BLOCK):
-        block = reps[start:start + _BLOCK]
-        time = buffer[: len(block)]
-        for row, rep in zip(time, block):
-            _draw(scenario, rep, row)
-        for res in _evaluate_block(scenario, block, time):
+    buffer = np.empty((min(_DRAW_ROWS, len(reps)), scenario.config.n_total))
+    for start in range(0, len(reps), _DRAW_ROWS):
+        drawn = reps[start:start + _DRAW_ROWS]
+        time = buffer[: len(drawn)]
+        _draw_block(scenario, drawn, time)
+        results = []
+        for at in range(0, len(drawn), _BLOCK):
+            results += _evaluate_block(scenario, drawn[at:at + _BLOCK], time[at:at + _BLOCK])
+        for res in results:
             if res.outcome.claim is not Claim.NO_CLAIM or res.outcome.tie:
                 counts[_N_REJECT] += 1
             if res.outcome.claim is Claim.RX_LONGER_MEDIAN:

@@ -6,6 +6,7 @@ imports survquack, so agreement between these routes and the package
 is a real two-route check rather than the same code called twice.
 """
 
+import hashlib
 import math
 from itertools import combinations
 
@@ -283,3 +284,53 @@ def weibull_loglik(times, events, shape, scale):
         else:
             total += -z
     return total
+
+
+def seed_stream(master_seed, *path):
+    """numpy's own route to the generator of stream ``path``: a
+    ``SeedSequence`` whose spawn key holds each int as itself and each
+    string tag as the first eight bytes of its SHA-256 digest, big-endian."""
+    if master_seed < 0 or any(isinstance(p, int) and p < 0 for p in path):
+        raise ValueError("seeds and path parts must be nonnegative")
+    key = tuple(
+        p if isinstance(p, int) else int.from_bytes(hashlib.sha256(p.encode()).digest()[:8], "big")
+        for p in path
+    )
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=key)
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def pcg64_state(master_seed, *path):
+    """(state, inc) of ``seed_stream(master_seed, *path)``'s PCG64."""
+    state = seed_stream(master_seed, *path).bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+def draw_trial(scenario, rep):
+    """Trial ``rep`` of a realised simulate scenario drawn on its own:
+    (event times with Rx subjects first, subgroup index per subject).
+
+    Membership takes one uniform per subject from stream (rep,
+    "membership"); each arm's stream (rep, "times", arm) is read
+    subgroup by subgroup, members in subject order, and each uniform u
+    becomes scale * (-log u)^(1/shape), with u floored at the smallest
+    normal double. Quota membership uses the scenario's own index.
+    """
+    cfg = scenario.config
+    n_total, n_rx = cfg.n_total, scenario.n_rx
+    if cfg.membership == "stochastic":
+        u = seed_stream(cfg.master_seed, rep, "membership").random(n_total)
+        edges = np.cumsum([g.prevalence for g in scenario.subgroups])
+        g_idx = np.minimum(np.searchsorted(edges, u, side="right"), len(scenario.subgroups) - 1)
+    else:
+        g_idx = np.asarray(scenario._quota_index, dtype=int)
+    time = np.empty(n_total)
+    for arm_label, arm in (("Rx", slice(0, n_rx)), ("C", slice(n_rx, n_total))):
+        rng = seed_stream(cfg.master_seed, rep, "times", arm_label)
+        arm_time, arm_g = time[arm], g_idx[arm]
+        for gi, row in enumerate(scenario.subgroups):
+            members = arm_g == gi
+            dist = row.rx if arm_label == "Rx" else row.c
+            u = np.maximum(rng.random(int(members.sum())), np.finfo(float).tiny)
+            arm_time[members] = dist.scale * np.power(-np.log(u), 1.0 / dist.shape)
+    return time, g_idx

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from survquack import derive_rng
+from survquack.cli import main
 from survquack.errors import DomainError
-from survquack.rng import encode_path_part
+from survquack.rng import _pcg64_states, encode_path_part
+
+import oracles
 
 
 def test_same_path_same_stream():
@@ -75,3 +78,32 @@ def test_empty_path_is_valid():
     a = derive_rng(5).random(3)
     b = derive_rng(5).random(3)
     np.testing.assert_array_equal(a, b)
+
+
+def test_bulk_states_match_numpy_seed_sequence():
+    # seeds of one to five 32-bit words (2**128 + 7 overflows the four-word
+    # pool, so it is not padded) and reps of one and two words, mixed so
+    # that the streams are grouped by length and put back in order
+    seeds = [0, 5, 2**32 - 1, 2**32, 2**64, 2**64 + 5, 2**128 + 7]
+    reps = [0, 2**32 - 1, 2**32, 1, 2**32 + 5, 2**32 - 1]
+    for seed in seeds:
+        for tail in [("membership",), ("times", "Rx"), ("times", "C")]:
+            want = [oracles.pcg64_state(seed, rep, *tail) for rep in reps]
+            assert _pcg64_states(seed, reps, *tail) == want, (seed, tail)
+    assert _pcg64_states(7, []) == []
+
+
+def test_bulk_states_reject_negative_seeds_and_reps():
+    with pytest.raises(DomainError, match="master seed must be nonnegative"):
+        _pcg64_states(-1, [0], "membership")
+    with pytest.raises(DomainError, match="integer stream path parts must be nonnegative"):
+        _pcg64_states(3, [0, -2], "membership")
+    with pytest.raises(DomainError, match="integer stream path parts must be nonnegative"):
+        _pcg64_states(3, [0], "times", -1)
+
+
+def test_simulate_negative_seed_exits_2(capsys):
+    assert main(["simulate", "builtin:section3", "--seed", "-1", "--replications", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "master seed must be nonnegative" in err

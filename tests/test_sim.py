@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from survquack.cli import main, parse_scenario_config
 from survquack.errors import DomainError, InfeasibleScenario, NumericalError
 from survquack.sim import simulate_sample, wilson_interval
 
-from oracles import bisect_complement_scale
+from oracles import bisect_complement_scale, draw_trial
 
 
 def section3_config(**changes):
@@ -258,8 +259,7 @@ def test_run_study_worker_count_is_invisible(small_scenario):
 
 def _evaluate_drawn_block(scenario, reps):
     time = np.empty((len(reps), scenario.config.n_total))
-    for row, rep in zip(time, reps):
-        sim._draw(scenario, rep, row)
+    sim._draw_block(scenario, reps, time)
     return sim._evaluate_block(scenario, reps, time)
 
 
@@ -313,9 +313,9 @@ def test_tied_and_separated_rows_fall_back_to_their_own_samples(monkeypatch):
     separated = np.concatenate([np.arange(11.0, 21.0), np.arange(1.0, 11.0)])
     rows = {0: tied, 1: separated}
 
-    def draw(scenario, rep, time):
-        time[:] = rows[rep]
-        return np.zeros(time.size, dtype=int)
+    def draw(scenario, reps, time):
+        time[:] = [rows[rep] for rep in reps]
+        return np.zeros(time.shape, dtype=int)
 
     fallbacks = []
 
@@ -323,7 +323,7 @@ def test_tied_and_separated_rows_fall_back_to_their_own_samples(monkeypatch):
         fallbacks.append(rep)
         return run_replication(scenario, rep)
 
-    monkeypatch.setattr(sim, "_draw", draw)
+    monkeypatch.setattr(sim, "_draw_block", draw)
     with pytest.raises(NumericalError) as per_sample:
         estim.cox_fit_two_arm(simulate_sample(scenario, 1))
     tied_result = run_replication(scenario, 0)
@@ -348,6 +348,69 @@ def test_run_study_blocks_are_invisible():
     assert seq.rx_longer == sum(r.outcome.claim is Claim.RX_LONGER_MEDIAN for r in per_sample)
     assert seq.c_longer == sum(r.outcome.claim is Claim.C_LONGER_MEDIAN for r in per_sample)
     assert seq.cox_rejections == sum(r.cox_rejected for r in per_sample)
+
+
+THREE_SUBGROUPS = ScenarioConfig(
+    subgroups=(
+        SubgroupSpec("a", 0.2, 0.8, rx_median=5.0, c_median=6.0),
+        SubgroupSpec("b", 0.5, 1.3, rx_median=9.0, c_median=7.0),
+        SubgroupSpec("c", 0.3, 2.0, rx_median=3.0, c_median=4.0),
+    ),
+    n_total=101,
+    allocation=0.3,
+)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [section3_config(), section3_config(membership="quota", n_total=20), THREE_SUBGROUPS],
+    ids=["section3", "quota-n20", "three-subgroups"],
+)
+@pytest.mark.parametrize(
+    "reps",
+    [
+        list(range(37)),  # the last draw group is not full
+        list(range(2000))[5::40],  # one of run_study's strided worker chunks
+        [0, 2**32, 1, 2**32 + 3, 2],  # one- and two-word reps in one group
+    ],
+    ids=["range37", "strided", "wide-reps"],
+)
+def test_tally_draws_match_the_per_trial_oracle(config, reps, monkeypatch):
+    scenario = realize_scenario(config)
+    drawn = []
+    evaluate = sim._evaluate_block
+
+    def recording(scenario, block, time):
+        drawn.extend(zip(block, time.copy()))
+        return evaluate(scenario, block, time)
+
+    monkeypatch.setattr(sim, "_evaluate_block", recording)
+    sim._tally_chunk(scenario, reps)
+    assert [rep for rep, _ in drawn] == reps
+    for rep, row in drawn:
+        want, _ = draw_trial(scenario, rep)
+        np.testing.assert_array_equal(row.view(np.uint64), want.view(np.uint64))
+    sample = simulate_sample(scenario, reps[-1])
+    want, g_idx = draw_trial(scenario, reps[-1])
+    np.testing.assert_array_equal(sample.time.view(np.uint64), want.view(np.uint64))
+    labels = np.array([g.label for g in scenario.subgroups])
+    np.testing.assert_array_equal(sample.strata["subgroup"], labels[g_idx])
+
+
+def test_tally_chunk_memory_does_not_grow_with_replications():
+    # streams are derived and drawn in groups of sim._DRAW_ROWS rows; a
+    # first short tally fills the caches a study builds once
+    scenario = realize_scenario(section3_config())
+    sim._tally_chunk(scenario, range(40))
+    peaks = []
+    for reps in (250, 2000):
+        tracemalloc.start()
+        try:
+            sim._tally_chunk(scenario, range(reps))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.10 * peaks[0], peaks
 
 
 def test_run_study_evaluates_section3_without_fallback(monkeypatch):
