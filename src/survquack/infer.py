@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -14,7 +13,7 @@ import numpy as np
 from .dist import _TINY, _positive
 from .errors import NOT_REACHED, DomainError
 from .estim import SurvivalSample, _pair_stats, km_median
-from .rng import _usable_cpus, derive_rng
+from .rng import derive_rng
 
 __all__ = [
     "MC_REPS",
@@ -152,45 +151,44 @@ def mw_pair_count(rx_times, c_times) -> float:
     return wins + 0.5 * ties
 
 
-def _cross_counts(b, a, keys, positions):
-    """Per-row counts of pairs with b[i] <= a[j]; b and a are (reps, n)/(reps, m).
+def _cross_counts(theta, v, u, keys, positions):
+    """Per-row counts of pairs with theta[r] * v[r, j] <= u[r, i]; v and u
+    are (rows, m)/(rows, n) and hold nonnegative values, theta is (rows,).
 
-    Both hold values in [0, 1], whose IEEE bit patterns order like the
-    values, so each row sorts as integers with the lowest bit flagging the
-    reference side: on a tie the b value sorts first and the pair counts.
-    The a value at sorted position p has p - (number of a before it) b
-    values before it, so the row's count is the sum of the a positions
-    minus m(m - 1)/2. ``keys`` is a (reps, n + m) uint64 buffer whose
-    contents are overwritten; ``positions`` is arange(n + m).
+    Nonnegative IEEE bit patterns order like the values, so each row sorts
+    as integers with the lowest bit flagging the u side: on a tie the scaled
+    v value sorts first and the pair counts. The u value at sorted position
+    p has p - (number of u before it) scaled v values before it, so the
+    row's count is the sum of the u positions minus n(n - 1)/2. ``keys`` is
+    a (rows, m + n) uint64 buffer whose contents are overwritten;
+    ``positions`` is arange(m + n).
     """
-    n = b.shape[1]
-    m = a.shape[1]
+    m = v.shape[1]
+    n = u.shape[1]
     one = np.uint64(1)
-    np.left_shift(b.view(np.uint64), one, out=keys[:, :n])
-    np.left_shift(a.view(np.uint64), one, out=keys[:, n:])
-    keys[:, n:] |= one
+    scaled = keys[:, :m]
+    np.multiply(v, theta[:, None], out=scaled.view(np.float64))
+    np.left_shift(scaled, one, out=scaled)
+    np.left_shift(u.view(np.uint64), one, out=keys[:, m:])
+    keys[:, m:] |= one
     keys.sort(axis=1)
     keys &= one
-    return keys.view(np.int64) @ positions - m * (m - 1) // 2
+    return keys.view(np.int64) @ positions - n * (n - 1) // 2
 
 
-def mw_acceptance_region(n, m, theta, level, mc_reps, rng):
-    """Equal-tailed null acceptance interval [lo, hi] for the pair count.
-
-    The null at exponent ``theta`` is simulated on the survival-probability
-    scale: reference subjects are plain uniforms, treated subjects are
-    uniforms raised to 1/theta, and smaller transformed values mean longer
-    lives. Cutoffs keep the boundary counts inside the region, so the
-    acceptance probability is at least the nominal level up to Monte Carlo
-    error, never below it by construction.
+def _null_blocks(n, m, mc_reps, rng):
+    """Yield (v, u, keys, positions) for successive row blocks of the null
+    draws: v = -log a over ``m`` reference uniforms a and u = -log b over
+    ``n`` treated uniforms b per row (each clamped at ``_TINY``), so that
+    b ** (1 / theta) <= a reads theta * v <= u, with the block's key
+    buffer for ``_cross_counts``.
 
     ``rng`` is a PCG64 generator (as ``derive_rng`` returns). It supplies
     all ``mc_reps * m`` reference uniforms, then all ``mc_reps * n`` treated
-    ones, and is left just past them. The draws are filled and counted in
-    row blocks of about ``_BLOCK_KEYS`` sort keys, one block of buffers
-    refilled in place.
+    ones, and is left just past them. Blocks hold about ``_BLOCK_KEYS``
+    sort keys; one block of buffers is refilled in place, so each block is
+    consumed before the next is drawn.
     """
-    theta = _positive(theta, "theta")
     rows = min(mc_reps, max(1, _BLOCK_KEYS // (n + m)))
     a, b = np.empty((rows, m)), np.empty((rows, n))
     keys = np.empty((rows, n + m), dtype=np.uint64)
@@ -201,20 +199,66 @@ def mw_acceptance_region(n, m, theta, level, mc_reps, rng):
     bits.state = rng.bit_generator.state
     bits.advance(mc_reps * m)
     treated = np.random.Generator(bits)
-    power = 1.0 / theta
-    counts = np.empty(mc_reps, dtype=np.int64)
-    for start in range(0, mc_reps, a.shape[0]):
-        rows = min(a.shape[0], mc_reps - start)
-        a_rows, b_rows = a[:rows], b[:rows]
-        rng.random(out=a_rows)
-        treated.random(out=b_rows)
-        np.maximum(b_rows, _TINY, out=b_rows)
-        np.power(b_rows, power, out=b_rows)
-        counts[start:start + rows] = _cross_counts(b_rows, a_rows, keys[:rows], positions)
+    for start in range(0, mc_reps, rows):
+        size = min(rows, mc_reps - start)
+        v, u = a[:size], b[:size]
+        rng.random(out=v)
+        treated.random(out=u)
+        for x in (v, u):
+            np.maximum(x, _TINY, out=x)
+            np.log(x, out=x)
+            np.negative(x, out=x)
+        yield v, u, keys[:size], positions
     rng.bit_generator.advance(mc_reps * n)
+
+
+def _null_cut(level, mc_reps):
+    """Index k of the sorted null counts that bounds the region: the k-th
+    smallest and the k-th largest count are its ends."""
+    return int(math.floor(0.5 * (1.0 - level) * mc_reps))
+
+
+def mw_acceptance_region(n, m, theta, level, mc_reps, rng):
+    """Equal-tailed null acceptance interval [lo, hi] for the pair count.
+
+    The null at exponent ``theta`` is simulated on the survival-probability
+    scale: reference subjects are plain uniforms a, treated subjects are
+    uniforms b raised to 1/theta, and smaller transformed values mean longer
+    lives. A pair counts when b ** (1 / theta) <= a, evaluated as
+    theta * (-log a) <= -log b. Cutoffs keep the boundary counts inside the
+    region, so the acceptance probability is at least the nominal level up
+    to Monte Carlo error, never below it by construction.
+
+    ``rng`` supplies the draws as ``_null_blocks`` describes and is left
+    just past them.
+    """
+    theta = _positive(theta, "theta")
+    counts = np.empty(mc_reps, dtype=np.int64)
+    start = 0
+    for v, u, keys, positions in _null_blocks(n, m, mc_reps, rng):
+        rows = v.shape[0]
+        counts[start:start + rows] = _cross_counts(np.full(rows, theta), v, u, keys, positions)
+        start += rows
     counts.sort()
-    k = int(math.floor(0.5 * (1.0 - level) * mc_reps))
+    k = _null_cut(level, mc_reps)
     return float(counts[k]), float(counts[mc_reps - 1 - k])
+
+
+def _first_at_most(grid, limit, v, u, keys, positions):
+    """Per row, the first grid index whose pair count is at most ``limit``,
+    or grid.size if none is; found by bisection, since a row's count
+    never rises along the increasing grid (fl(theta * v) is monotone in
+    theta)."""
+    lo = np.zeros(v.shape[0], dtype=np.intp)
+    hi = np.full(v.shape[0], grid.size)
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) >> 1
+        theta = grid[np.minimum(mid, grid.size - 1)]
+        fits = _cross_counts(theta, v, u, keys, positions) <= limit
+        # a settled row has mid == lo == hi: only lo must not move on
+        hi = np.where(fits, mid, hi)
+        lo = np.where(open_ & ~fits, mid + 1, lo)
+    return lo
 
 
 @dataclass(frozen=True)
@@ -223,8 +267,8 @@ class ConfidenceSet:
 
     ``accepted`` flags the grid points the pivot keeps; (lo, hi) is the
     convex hull of the accepted points. ``non_convex`` marks gaps inside
-    the hull and ``empty`` marks the fallback to the full grid range after
-    nothing was accepted.
+    the hull (``mw_pivot_ci`` never leaves any) and ``empty`` marks the
+    fallback to the full grid range after nothing was accepted.
     """
 
     grid: np.ndarray
@@ -244,12 +288,16 @@ class ConfidenceSet:
 def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, seed=0) -> ConfidenceSet:
     """Invert the Mann-Whitney count over a grid of survival-curve exponents.
 
-    For every grid exponent, a null acceptance region for the pair count is
-    built from ``MC_REPS`` Monte Carlo draws seeded by (seed, "mw-pivot",
-    index), so the result is deterministic and independent of evaluation
-    order. Exponents whose region contains the observed count are accepted.
-    The grid points are spread over one thread per usable CPU (at most one
-    per point); the thread count never changes the result.
+    Every grid exponent's null acceptance region for the pair count is
+    built from the same ``MC_REPS`` Monte Carlo draws, taken once from the
+    stream (seed, "mw-pivot") as ``mw_acceptance_region`` takes them, so
+    ``accepted[i]`` is exactly whether that function's region at grid[i]
+    on a fresh copy of the stream contains the observed count. A row's
+    count never rises along the grid, so two bisections per row find
+    where it stops exceeding floor(observed) and where it stops reaching
+    ceil(observed); the regions' ends follow from how many rows have
+    passed each point, and the accepted set is always one run of grid
+    points.
 
     Exponents above 1 mean the Rx arm dies faster, so data with Rx living
     much longer pushes the whole accepted hull below 1.
@@ -273,17 +321,21 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, seed=0) -> ConfidenceS
     c = np.asarray(c_times, dtype=float)
     observed = mw_pair_count(rx, c)
     n, m = rx.size, c.size
-    accepted = np.zeros(grid.size, dtype=bool)
-
-    def accept(indices):
-        for i in indices:
-            rng = derive_rng(seed, "mw-pivot", i)
-            lo_cnt, hi_cnt = mw_acceptance_region(n, m, grid[i], level, MC_REPS, rng)
-            accepted[i] = lo_cnt <= observed <= hi_cnt
-
-    threads = min(_usable_cpus(), grid.size)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(accept, [range(t, grid.size, threads) for t in range(threads)]))
+    # first[j][i]: rows whose count first falls to limits[j] or below at
+    # grid[i] (i = grid.size: nowhere on the grid). A half-integer count
+    # has one limit, floor(observed) = ceil(observed) - 1.
+    limits = sorted({math.floor(observed), math.ceil(observed) - 1})
+    first = np.zeros((len(limits), grid.size + 1), dtype=np.int64)
+    for block in _null_blocks(n, m, MC_REPS, derive_rng(seed, "mw-pivot")):
+        for row, limit in zip(first, limits):
+            row += np.bincount(_first_at_most(grid, limit, *block), minlength=grid.size + 1)
+    # rows counting at most floor(observed), and below ceil(observed), at each point
+    at_most, below = first[:, :-1].cumsum(axis=1)[[-1, 0]]
+    k = _null_cut(level, MC_REPS)
+    # the region's low end is at most observed iff more than k rows count
+    # at most floor(observed); its high end is at least observed iff more
+    # than k rows count at least ceil(observed)
+    accepted = (at_most > k) & (MC_REPS - below > k)
     idx = np.flatnonzero(accepted)
     if idx.size == 0:
         warnings.warn(

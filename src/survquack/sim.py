@@ -49,7 +49,7 @@ from .infer import (
     decision_procedure,
     wald_test_cox,
 )
-from .rng import _pcg64_states, _usable_cpus
+from .rng import _pcg64_states, _usable_cpus, derive_rng
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
@@ -290,8 +290,12 @@ _DRAW_ROWS = 32
 
 def _uniforms(gen, master_seed, reps, n, *tail):
     """Row i: the first ``n`` uniforms of stream (master_seed, reps[i], *tail),
-    drawn by ``gen`` with its PCG64 state set to each stream in turn."""
+    drawn by ``gen`` with its PCG64 state set to each stream in turn. A
+    single stream takes numpy's own derivation, which is cheaper for one."""
     u = np.empty((len(reps), n))
+    if len(reps) == 1:
+        derive_rng(master_seed, reps[0], *tail).random(out=u[0])
+        return u
     for row, (state, inc) in zip(u, _pcg64_states(master_seed, reps, *tail)):
         gen.bit_generator.state = {
             "bit_generator": "PCG64",

@@ -1,10 +1,8 @@
 """Log-rank test, Wald tests, the test-then-declare rule, and the MW pivot."""
 
 import math
-import sys
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -244,15 +242,16 @@ def test_mw_acceptance_region_bounds_and_determinism():
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 7), (7, 3), (50, 50)])
 def test_cross_counts_match_pairwise_comparison_with_ties(n, m):
     rng = derive_rng(17, "cross-counts", n, m)
-    a = rng.random((300, m))
-    b = np.power(rng.random((300, n)), 1.0 / 3.0)
+    theta = rng.uniform(0.2, 5.0, 300)
+    v = -np.log(rng.random((300, m)))
+    u = -np.log(rng.random((300, n)))
     k = min(n, m)
-    b[::3, :k] = a[::3, :k]  # exact ties count as b <= a
-    b[::5, 0] = 0.0
-    a[::7, -1] = 0.0
-    expected = (b[:, :, None] <= a[:, None, :]).sum(axis=(1, 2))
+    u[::3, :k] = theta[::3, None] * v[::3, :k]  # exact ties count as theta * v <= u
+    v[::5, 0] = 0.0
+    u[::7, -1] = 0.0
+    expected = (theta[:, None, None] * v[:, None, :] <= u[:, :, None]).sum(axis=(1, 2))
     keys = np.full((300, n + m), np.iinfo(np.uint64).max, dtype=np.uint64)  # stale contents
-    assert np.array_equal(_cross_counts(b, a, keys, np.arange(n + m)), expected)
+    assert np.array_equal(_cross_counts(theta, v, u, keys, np.arange(n + m)), expected)
 
 
 @pytest.mark.parametrize("theta", [0.0, -1.0, float("inf"), float("nan")])
@@ -271,7 +270,18 @@ def test_mw_acceptance_region_matches_exact_enumeration(n, m, theta):
 
 
 def _reference_region(n, m, theta, level, mc_reps, rng):
-    # Fresh draws, plain power and a broadcast pair count: no buffers, no keys.
+    # Fresh draws, the log form and a broadcast pair count: no buffers, no keys.
+    a = rng.random((mc_reps, m))
+    b = rng.random((mc_reps, n))
+    v = -np.log(np.maximum(a, np.finfo(float).tiny))
+    u = -np.log(np.maximum(b, np.finfo(float).tiny))
+    counts = np.sort((theta * v[:, None, :] <= u[:, :, None]).sum(axis=(1, 2)))
+    k = math.floor(0.5 * (1.0 - level) * mc_reps)
+    return float(counts[k]), float(counts[mc_reps - 1 - k])
+
+
+def _power_region(n, m, theta, level, mc_reps, rng):
+    # The same draws in the power form: a pair counts when b ** (1 / theta) <= a.
     a = rng.random((mc_reps, m))
     w = rng.random((mc_reps, n))
     b = np.maximum(w, np.finfo(float).tiny) ** (1.0 / theta)
@@ -291,13 +301,49 @@ def test_mw_pivot_in_place_kernel_matches_fresh_draw_reference(n, m):
     ci = mw_pivot_ci(rx, c, level=0.9, grid=_PIVOT_GRID, seed=41)
     obs = mw_pair_count(rx, c)
     expected = []
-    for i, theta in enumerate(_PIVOT_GRID):
-        lo, hi = _reference_region(n, m, theta, 0.9, 2000, derive_rng(41, "mw-pivot", i))
-        region = mw_acceptance_region(n, m, theta, 0.9, 2000, derive_rng(41, "mw-pivot", i))
+    for theta in _PIVOT_GRID:
+        lo, hi = _reference_region(n, m, theta, 0.9, 2000, derive_rng(41, "mw-pivot"))
+        assert _power_region(n, m, theta, 0.9, 2000, derive_rng(41, "mw-pivot")) == (lo, hi)
+        region = mw_acceptance_region(n, m, theta, 0.9, 2000, derive_rng(41, "mw-pivot"))
         assert region == (lo, hi)
         expected.append(lo <= obs <= hi)
     assert 0 < sum(expected) < len(expected)
     assert ci.accepted.tolist() == expected
+
+
+_BISECTED_GRIDS = {
+    1: np.array([1.0]),
+    2: np.array([0.5, 2.0]),
+    9: _PIVOT_GRID,
+    33: np.geomspace(0.1, 10.0, 33),
+}
+
+
+@pytest.mark.parametrize("points", sorted(_BISECTED_GRIDS))
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 6), (37, 23), (23, 37)])
+def test_mw_pivot_accepts_each_grid_points_shared_stream_region(n, m, points):
+    # The bisected set equals evaluating every grid point's region on a fresh
+    # copy of the one stream, for whole and half-integer counts (one tie).
+    grid = _BISECTED_GRIDS[points]
+    rng = derive_rng(45, "pivot-bisect", n, m)
+    rx = rng.exponential(1.0, n)
+    c = rng.exponential(1.3, m)
+    tied = rx.copy()
+    tied[0] = c[0]
+    for level in (0.8, 0.95):
+        for times in (rx, tied):
+            obs = mw_pair_count(times, c)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty set is a valid outcome
+                ci = mw_pivot_ci(times, c, level=level, grid=grid, seed=45)
+            expected = []
+            for theta in grid:
+                lo, hi = _reference_region(n, m, theta, level, 2000, derive_rng(45, "mw-pivot"))
+                region = mw_acceptance_region(n, m, theta, level, 2000, derive_rng(45, "mw-pivot"))
+                assert region == (lo, hi)
+                expected.append(lo <= obs <= hi)
+            assert ci.accepted.tolist() == expected, (level, obs)
+            assert not ci.non_convex
 
 
 @pytest.mark.parametrize(
@@ -314,14 +360,13 @@ def test_mw_acceptance_region_streams_blocks_like_one_fresh_draw(n, m, theta, mc
     region = mw_acceptance_region(n, m, theta, 0.95, mc_reps, rng)
     assert region == _reference_region(n, m, theta, 0.95, mc_reps, ref_rng)
     assert rng.random() == ref_rng.random()
+    assert region == _power_region(n, m, theta, 0.95, mc_reps, derive_rng(43, "mw-stream", n, m))
 
 
-def test_mw_pivot_allocates_one_buffer_set_per_call(monkeypatch):
-    # Each region refills one block of buffers it allocates itself: at
-    # n = m = 100 a block is 250 rows, 0.8 MB of draws and keys, and two
-    # threads peaked at 1.92 MB (numpy 2.4); 2.3 MB leaves 20% headroom.
-    # Whole-region buffers (6.4 MB per thread) go far past it.
-    monkeypatch.setattr(infer, "_usable_cpus", lambda: 2)
+def test_mw_pivot_allocates_one_buffer_set_per_call():
+    # The pivot refills one block of buffers on one thread: at n = m = 100 a
+    # block is 250 rows, 0.8 MB of draws and keys, and it peaked at 0.95 MB
+    # (numpy 2.4). Whole-region buffers (6.4 MB) go far past 2.3 MB.
     rng = derive_rng(8, "pivot-memory")
     rx = rng.exponential(1.0, 100)
     c = rng.exponential(1.5, 100)
@@ -332,67 +377,6 @@ def test_mw_pivot_allocates_one_buffer_set_per_call(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2_300_000
-
-
-def _fields(ci):
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(ci).items()}
-
-
-class _RecordingPool(ThreadPoolExecutor):
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-        super().__init__(max_workers=max_workers)
-
-
-@pytest.mark.parametrize("grid", [_PIVOT_GRID, _PIVOT_GRID[4:6]])
-def test_mw_pivot_result_does_not_depend_on_thread_count(monkeypatch, grid):
-    rng = derive_rng(44, "pivot-threads")
-    rx = rng.exponential(1.0, 37)
-    c = rng.exponential(1.3, 23)
-    monkeypatch.setattr(infer, "ThreadPoolExecutor", _RecordingPool)
-    _RecordingPool.sizes = []
-    results = []
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(infer, "_usable_cpus", lambda: cpus)
-        results.append(_fields(mw_pivot_ci(rx, c, level=0.9, grid=grid, seed=44)))
-    assert results[0] == results[1] == results[2]
-    assert _RecordingPool.sizes == [min(k, grid.size) for k in (1, 2, 3)]
-
-
-def test_mw_pivot_threads_share_nothing_under_stress(monkeypatch):
-    # more threads than cores, switching every few microseconds: a lost or
-    # misplaced write to ``accepted`` or a shared buffer changes the set
-    grid = np.geomspace(0.02, 50.0, 24)
-    rx, c = [2.0, 3.0, 5.0, 7.0, 9.5], [1.0, 4.5, 6.5, 8.5]
-    monkeypatch.setattr(infer, "_usable_cpus", lambda: 1)
-    expected = _fields(mw_pivot_ci(rx, c, grid=grid, seed=12))
-    assert 0 < sum(expected["accepted"]) < grid.size
-    monkeypatch.setattr(infer, "_usable_cpus", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for _ in range(3):
-            assert _fields(mw_pivot_ci(rx, c, grid=grid, seed=12)) == expected
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_mw_pivot_worker_error_reaches_the_caller(monkeypatch):
-    boom = RuntimeError("region failed")
-    original = infer.mw_acceptance_region
-
-    def failing(n, m, theta, *args, **kwargs):
-        if theta == _PIVOT_GRID[5]:
-            raise boom
-        return original(n, m, theta, *args, **kwargs)
-
-    monkeypatch.setattr(infer, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(infer, "mw_acceptance_region", failing)
-    with pytest.raises(RuntimeError) as excinfo:
-        mw_pivot_ci([1.0, 2.0, 3.0], [1.5, 2.5], grid=_PIVOT_GRID, seed=3)
-    assert excinfo.value is boom
 
 
 # ----------------------------------------------------------------- mw_pivot_ci
@@ -426,9 +410,8 @@ def test_mw_pivot_empty_set_warns_and_reports_grid_range():
     assert not ci.accepted.any()
 
 
-def test_mw_pivot_empty_set_warns_in_the_callers_thread(monkeypatch):
-    # a warning raised in a worker thread would point into the thread pool
-    monkeypatch.setattr(infer, "_usable_cpus", lambda: 3)
+def test_mw_pivot_empty_set_warns_in_the_callers_thread():
+    # the warning points at the caller's line, not into the package
     base = [float(x) for x in range(1, 9)]
     with pytest.warns(UserWarning, match="no grid exponent") as record:
         ci = mw_pivot_ci([x + 100.0 for x in base], base, grid=[0.9, 1.0, 1.1], seed=5)
@@ -459,7 +442,7 @@ def test_mw_pivot_is_deterministic_and_matches_manual_regions():
     assert obs == ci.observed_count
     for i in (0, 17, 32):
         lo_cnt, hi_cnt = mw_acceptance_region(
-            4, 4, float(grid[i]), 0.95, 2000, derive_rng(11, "mw-pivot", i)
+            4, 4, float(grid[i]), 0.95, 2000, derive_rng(11, "mw-pivot")
         )
         assert ci.accepted[i] == (lo_cnt <= obs <= hi_cnt)
 

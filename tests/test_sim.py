@@ -397,6 +397,17 @@ def test_tally_draws_match_the_per_trial_oracle(config, reps, monkeypatch):
     np.testing.assert_array_equal(sample.strata["subgroup"], labels[g_idx])
 
 
+@pytest.mark.parametrize("seed, rep", [(210615, 0), (5, 2**32 + 1), (2**64 + 5, 7)])
+def test_one_row_uniforms_equal_the_block_route(seed, rep):
+    # a single stream takes numpy's own derivation and a block derives its
+    # states together; the row is the same bit for bit
+    gen = np.random.Generator(np.random.PCG64(0))
+    for tail in (("membership",), ("times", "Rx"), ("times", "C")):
+        one = sim._uniforms(gen, seed, [rep], 50, *tail)
+        block = sim._uniforms(gen, seed, [rep + 1, rep, 2**33], 50, *tail)
+        np.testing.assert_array_equal(one[0].view(np.uint64), block[1].view(np.uint64))
+
+
 def test_tally_chunk_memory_does_not_grow_with_replications():
     # streams are derived and drawn in groups of sim._DRAW_ROWS rows; a
     # first short tally fills the caches a study builds once
