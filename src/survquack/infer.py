@@ -151,25 +151,32 @@ def mw_pair_count(rx_times, c_times) -> float:
     return wins + 0.5 * ties
 
 
-def _cross_counts(theta, v, u, keys, positions):
+def _cross_counts(theta, v, u, keys, positions, rows=None):
     """Per-row counts of pairs with theta[r] * v[r, j] <= u[r, i]; v and u
-    are (rows, m)/(rows, n) and hold nonnegative values, theta is (rows,).
+    are (rows, m)/(rows, n) and hold nonnegative values. ``rows`` picks the
+    rows of v and u to count, in order (all of them by default), and theta
+    holds one value per picked row.
 
     Nonnegative IEEE bit patterns order like the values, so each row sorts
     as integers with the lowest bit flagging the u side: on a tie the scaled
     v value sorts first and the pair counts. The u value at sorted position
     p has p - (number of u before it) scaled v values before it, so the
     row's count is the sum of the u positions minus n(n - 1)/2. ``keys`` is
-    a (rows, m + n) uint64 buffer whose contents are overwritten;
-    ``positions`` is arange(m + n).
+    a uint64 buffer of m + n columns with at least one row per picked row;
+    the picked rows are gathered straight into its first rows, whose
+    contents are overwritten. ``positions`` is arange(m + n).
     """
     m = v.shape[1]
     n = u.shape[1]
+    if rows is None:
+        rows = np.arange(v.shape[0])
+    keys = keys[:rows.size]
     one = np.uint64(1)
-    scaled = keys[:, :m]
-    np.multiply(v, theta[:, None], out=scaled.view(np.float64))
-    np.left_shift(scaled, one, out=scaled)
-    np.left_shift(u.view(np.uint64), one, out=keys[:, m:])
+    scaled = keys[:, :m].view(np.float64)
+    np.take(v, rows, axis=0, out=scaled)
+    scaled *= theta[:, None]
+    np.take(u.view(np.uint64), rows, axis=0, out=keys[:, m:])
+    keys <<= one
     keys[:, m:] |= one
     keys.sort(axis=1)
     keys &= one
@@ -214,7 +221,12 @@ def _null_blocks(n, m, mc_reps, rng):
 
 def _null_cut(level, mc_reps):
     """Index k of the sorted null counts that bounds the region: the k-th
-    smallest and the k-th largest count are its ends."""
+    smallest and the k-th largest count are its ends. Rejects a level
+    outside (0, 1) and fewer than one draw."""
+    if not 0.0 < level < 1.0:
+        raise DomainError("confidence level must lie strictly inside (0, 1)")
+    if not mc_reps >= 1:
+        raise DomainError(f"mc_reps must be at least 1, got {mc_reps!r}")
     return int(math.floor(0.5 * (1.0 - level) * mc_reps))
 
 
@@ -233,6 +245,7 @@ def mw_acceptance_region(n, m, theta, level, mc_reps, rng):
     just past them.
     """
     theta = _positive(theta, "theta")
+    k = _null_cut(float(level), mc_reps)
     counts = np.empty(mc_reps, dtype=np.int64)
     start = 0
     for v, u, keys, positions in _null_blocks(n, m, mc_reps, rng):
@@ -240,25 +253,63 @@ def mw_acceptance_region(n, m, theta, level, mc_reps, rng):
         counts[start:start + rows] = _cross_counts(np.full(rows, theta), v, u, keys, positions)
         start += rows
     counts.sort()
-    k = _null_cut(level, mc_reps)
     return float(counts[k]), float(counts[mc_reps - 1 - k])
 
 
-def _first_at_most(grid, limit, v, u, keys, positions):
-    """Per row, the first grid index whose pair count is at most ``limit``,
-    or grid.size if none is; found by bisection, since a row's count
-    never rises along the increasing grid (fl(theta * v) is monotone in
-    theta)."""
-    lo = np.zeros(v.shape[0], dtype=np.intp)
-    hi = np.full(v.shape[0], grid.size)
-    while (open_ := lo < hi).any():
-        mid = (lo + hi) >> 1
-        theta = grid[np.minimum(mid, grid.size - 1)]
-        fits = _cross_counts(theta, v, u, keys, positions) <= limit
-        # a settled row has mid == lo == hi: only lo must not move on
-        hi = np.where(fits, mid, hi)
-        lo = np.where(open_ & ~fits, mid + 1, lo)
-    return lo
+def _log_odds(count, pairs):
+    """log((pairs - count) / count), with the count held half a pair inside
+    (0, pairs): under the null at exponent theta a pair counts with
+    probability 1 / (1 + theta), so this estimates log theta."""
+    count = np.clip(count, 0.5, pairs - 0.5)
+    return np.log((pairs - count) / count)
+
+
+def _first_at_most(grid, limit, v, u, keys, positions, lo=0):
+    """Per row, the first grid index at or after ``lo`` (a scalar or one
+    start per row) whose pair count is at most ``limit``, or grid.size if
+    none is; and the row's count at that index (-1 at grid.size).
+
+    A row's count never rises along the increasing grid (fl(theta * v) is
+    monotone in theta), so each row keeps a bracket [lo, hi]: the count at
+    lo - 1 exceeds the limit (or lo is the start) and the count at hi is at
+    most it (or hi is grid.size). A probe anywhere inside narrows it to the
+    same exact answer, so probes are aimed. A null pair counts with
+    probability 1 / (1 + theta) (Lehmann 1953), so a row's log odds
+    log((nm - count) / count) is log theta plus a small offset of its own:
+    the first probe goes where the expected count is the limit, and each
+    later one shifts the last probe's log theta by the row's own error
+    there, taking the ceiling of that grid position, clipped into
+    [lo, hi - 1]. A row whose bracket fails to halve twice in a row after
+    its first probe bisects once, which bounds the passes on any grid. Each
+    pass gathers and counts only the rows still open.
+    """
+    pairs = v.shape[1] * u.shape[1]
+    log_grid = np.log(grid)
+    goal = _log_odds(limit, pairs)
+    first = np.zeros(v.shape[0], dtype=np.intp) + lo
+    at = np.full(v.shape[0], -1, dtype=np.int64)
+    rows = np.flatnonzero(first < grid.size)
+    lo = first[rows]
+    hi = np.full(rows.size, grid.size)
+    aim = np.full(rows.size, np.searchsorted(log_grid, goal))
+    # the first probe is aimed from the null model alone and is not
+    # expected to halve the bracket; only later misses count
+    misses = np.full(rows.size, -1)
+    while rows.size:
+        width = hi - lo
+        probe = np.where(misses < 2, np.clip(aim, lo, hi - 1), (lo + hi) >> 1)
+        counts = _cross_counts(grid[probe], v, u, keys, positions, rows)
+        fits = counts <= limit
+        hi = np.where(fits, probe, hi)
+        lo = np.where(fits, lo, probe + 1)
+        at[rows[fits]] = counts[fits]
+        misses = np.where(2 * (hi - lo) > width, misses + 1, 0)
+        aim = np.searchsorted(log_grid, log_grid[probe] + goal - _log_odds(counts, pairs))
+        done = lo == hi
+        first[rows[done]] = lo[done]
+        open_ = ~done
+        rows, lo, hi, aim, misses = rows[open_], lo[open_], hi[open_], aim[open_], misses[open_]
+    return first, at
 
 
 @dataclass(frozen=True)
@@ -266,9 +317,10 @@ class ConfidenceSet:
     """Grid-based confidence set for the survival-curve exponent.
 
     ``accepted`` flags the grid points the pivot keeps; (lo, hi) is the
-    convex hull of the accepted points. ``non_convex`` marks gaps inside
-    the hull (``mw_pivot_ci`` never leaves any) and ``empty`` marks the
-    fallback to the full grid range after nothing was accepted.
+    convex hull of the accepted points. ``non_convex`` would mark gaps
+    inside the hull, but ``mw_pivot_ci`` always accepts one run of grid
+    points, so it is always false. ``empty`` marks the fallback to the full
+    grid range after nothing was accepted.
     """
 
     grid: np.ndarray
@@ -293,18 +345,18 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, seed=0) -> ConfidenceS
     stream (seed, "mw-pivot") as ``mw_acceptance_region`` takes them, so
     ``accepted[i]`` is exactly whether that function's region at grid[i]
     on a fresh copy of the stream contains the observed count. A row's
-    count never rises along the grid, so two bisections per row find
-    where it stops exceeding floor(observed) and where it stops reaching
-    ceil(observed); the regions' ends follow from how many rows have
-    passed each point, and the accepted set is always one run of grid
-    points.
+    count never rises along the grid, so an aimed search per row
+    (``_first_at_most``) finds where it first falls to floor(observed) or
+    below; for a whole observed count, only the rows whose count there
+    equals it search on for where they fall below it. The regions' ends
+    follow from how many rows have passed each point, and the accepted set
+    is always one run of grid points.
 
     Exponents above 1 mean the Rx arm dies faster, so data with Rx living
     much longer pushes the whole accepted hull below 1.
     """
     level = float(level)
-    if not (0.0 < level < 1.0):
-        raise DomainError("confidence level must lie strictly inside (0, 1)")
+    k = _null_cut(level, MC_REPS)
     if grid is None:
         grid = np.geomspace(1.0 / 50.0, 50.0, 200)
     else:
@@ -321,17 +373,23 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, seed=0) -> ConfidenceS
     c = np.asarray(c_times, dtype=float)
     observed = mw_pair_count(rx, c)
     n, m = rx.size, c.size
-    # first[j][i]: rows whose count first falls to limits[j] or below at
-    # grid[i] (i = grid.size: nowhere on the grid). A half-integer count
-    # has one limit, floor(observed) = ceil(observed) - 1.
-    limits = sorted({math.floor(observed), math.ceil(observed) - 1})
-    first = np.zeros((len(limits), grid.size + 1), dtype=np.int64)
-    for block in _null_blocks(n, m, MC_REPS, derive_rng(seed, "mw-pivot")):
-        for row, limit in zip(first, limits):
-            row += np.bincount(_first_at_most(grid, limit, *block), minlength=grid.size + 1)
+    floor = math.floor(observed)
+    # first[0][i], first[1][i]: rows whose count first falls to floor(observed),
+    # and below ceil(observed), at grid[i] (i = grid.size: nowhere on the grid)
+    first = np.zeros((2, grid.size + 1), dtype=np.int64)
+    for v, u, keys, positions in _null_blocks(n, m, MC_REPS, derive_rng(seed, "mw-pivot")):
+        index, count = _first_at_most(grid, floor, v, u, keys, positions)
+        first[0] += np.bincount(index, minlength=grid.size + 1)
+        if observed == floor:
+            # a row falls below a whole count where it falls to it or below,
+            # unless its count there equals the observed one
+            tie = np.flatnonzero(count == floor)
+            index[tie] = _first_at_most(
+                grid, floor - 1, v[tie], u[tie], keys, positions, index[tie] + 1
+            )[0]
+        first[1] += np.bincount(index, minlength=grid.size + 1)
     # rows counting at most floor(observed), and below ceil(observed), at each point
-    at_most, below = first[:, :-1].cumsum(axis=1)[[-1, 0]]
-    k = _null_cut(level, MC_REPS)
+    at_most, below = first[:, :-1].cumsum(axis=1)
     # the region's low end is at most observed iff more than k rows count
     # at most floor(observed); its high end is at least observed iff more
     # than k rows count at least ceil(observed)

@@ -24,7 +24,14 @@ from survquack import (
 )
 from survquack import estim, infer
 from survquack.errors import DomainError
-from survquack.infer import MC_REPS, _BLOCK_KEYS, _cross_counts, mw_acceptance_region
+from survquack.infer import (
+    MC_REPS,
+    _BLOCK_KEYS,
+    _cross_counts,
+    _first_at_most,
+    _null_blocks,
+    mw_acceptance_region,
+)
 
 from oracles import logrank_by_hand, logrank_moments_scipy, mw_exact_region
 
@@ -260,6 +267,20 @@ def test_mw_acceptance_region_rejects_bad_theta(theta):
         mw_acceptance_region(3, 3, theta, 0.95, 2000, derive_rng(0, "bad"))
 
 
+@pytest.mark.parametrize(
+    "level,mc_reps,name",
+    [
+        (1.5, 2000, "level"),
+        (0.0, 2000, "level"),
+        (float("nan"), 2000, "level"),
+        (0.95, 0, "mc_reps"),
+    ],
+)
+def test_mw_acceptance_region_rejects_bad_level_and_mc_reps(level, mc_reps, name):
+    with pytest.raises(DomainError, match=name):
+        mw_acceptance_region(13, 2, 1.0, level, mc_reps, derive_rng(0, "bad"))
+
+
 @pytest.mark.parametrize("n,m,theta", [(3, 3, 1.0), (3, 6, 0.5)])
 def test_mw_acceptance_region_matches_exact_enumeration(n, m, theta):
     # The exact pmf oracle confirms the cut points are clear of knife edges
@@ -316,13 +337,15 @@ _BISECTED_GRIDS = {
     2: np.array([0.5, 2.0]),
     9: _PIVOT_GRID,
     33: np.geomspace(0.1, 10.0, 33),
+    "linear": np.linspace(0.05, 6.0, 40),
+    "gap": np.r_[np.geomspace(0.2, 5.0, 12), 1e6 + np.arange(1.0, 4.0)],
 }
 
 
-@pytest.mark.parametrize("points", sorted(_BISECTED_GRIDS))
+@pytest.mark.parametrize("points", list(_BISECTED_GRIDS))
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 6), (37, 23), (23, 37)])
 def test_mw_pivot_accepts_each_grid_points_shared_stream_region(n, m, points):
-    # The bisected set equals evaluating every grid point's region on a fresh
+    # The searched set equals evaluating every grid point's region on a fresh
     # copy of the one stream, for whole and half-integer counts (one tie).
     grid = _BISECTED_GRIDS[points]
     rng = derive_rng(45, "pivot-bisect", n, m)
@@ -346,6 +369,49 @@ def test_mw_pivot_accepts_each_grid_points_shared_stream_region(n, m, points):
             assert not ci.non_convex
 
 
+_SEARCHED_GRIDS = {
+    "one": np.array([1.0]),
+    "two": np.array([0.5, 2.0]),
+    "default": np.geomspace(1.0 / 50.0, 50.0, 200),
+    # a linear grid and one with a gap of 1e6 mislead the aim: rows crawl
+    # towards their crossing unless they fall back to bisection
+    "linear": np.linspace(0.01, 50.0, 200),
+    "gap": np.r_[np.geomspace(0.2, 5.0, 30), 1e6 + np.arange(1.0, 31.0)],
+}
+
+
+@pytest.mark.parametrize("name", list(_SEARCHED_GRIDS))
+def test_first_at_most_matches_a_linear_scan(name, monkeypatch):
+    grid = _SEARCHED_GRIDS[name]
+    n = m = 20
+    v, u, keys, positions = next(_null_blocks(n, m, 250, derive_rng(47, "search", name)))
+    rows = v.shape[0]
+    counts = np.array(
+        [_cross_counts(np.full(rows, theta), v, u, keys, positions) for theta in grid]
+    ).T
+    passes = []
+
+    def counted(*args):
+        passes.append(1)
+        return _cross_counts(*args)
+
+    monkeypatch.setattr(infer, "_cross_counts", counted)
+    starts = derive_rng(47, "search-starts").integers(0, grid.size + 1, rows)
+    # after the first pass, every three passes halve each open bracket
+    bound = 1 + 3 * grid.size.bit_length()
+    for limit in (-1, 10, 100, 200, 300, 390, n * m, n * m + 5):
+        for lo in (0, grid.size - 1, starts):
+            passes.clear()
+            first, at = _first_at_most(grid, limit, v, u, keys, positions, lo)
+            fits = (counts <= limit) & (np.arange(grid.size) >= np.reshape(lo, (-1, 1)))
+            expected = np.where(fits.any(axis=1), fits.argmax(axis=1), grid.size)
+            assert np.array_equal(first, expected), (limit, lo)
+            ends = np.minimum(expected, grid.size - 1)
+            expected_at = np.where(expected < grid.size, counts[np.arange(rows), ends], -1)
+            assert np.array_equal(at, expected_at), (limit, lo)
+            assert len(passes) <= bound, (limit, lo)
+
+
 @pytest.mark.parametrize(
     "n,m,theta,mc_reps",
     [(23, 37, 1.7, 2000), (37, 23, 0.4, 2000), (3, 6, 2.5, 200_000)],
@@ -365,8 +431,10 @@ def test_mw_acceptance_region_streams_blocks_like_one_fresh_draw(n, m, theta, mc
 
 def test_mw_pivot_allocates_one_buffer_set_per_call():
     # The pivot refills one block of buffers on one thread: at n = m = 100 a
-    # block is 250 rows, 0.8 MB of draws and keys, and it peaked at 0.95 MB
-    # (numpy 2.4). Whole-region buffers (6.4 MB) go far past 2.3 MB.
+    # block is 250 rows, 0.8 MB of draws and keys. Gathering the open rows
+    # into the keys takes a transient copy of at most one block's draws, and
+    # it peaked at 1.04 MB (numpy 2.4). Whole-region buffers (6.4 MB) go far
+    # past 2.3 MB.
     rng = derive_rng(8, "pivot-memory")
     rx = rng.exponential(1.0, 100)
     c = rng.exponential(1.5, 100)
@@ -377,6 +445,23 @@ def test_mw_pivot_allocates_one_buffer_set_per_call():
     finally:
         tracemalloc.stop()
     assert peak < 2_300_000
+
+
+def test_mw_pivot_counts_few_rows_per_null_draw(monkeypatch):
+    # Aimed searches close most rows in about three counted passes; the two
+    # full bisections they replaced counted each row 16 times on this grid.
+    counted = []
+
+    def counting(theta, *args):
+        counted.append(theta.size)
+        return _cross_counts(theta, *args)
+
+    monkeypatch.setattr(infer, "_cross_counts", counting)
+    rng = derive_rng(9, "pivot-work")
+    rx = rng.exponential(1.0, 100)
+    c = rng.exponential(1.5, 100)
+    mw_pivot_ci(rx, c, seed=9)
+    assert sum(counted) <= 5 * MC_REPS
 
 
 # ----------------------------------------------------------------- mw_pivot_ci
