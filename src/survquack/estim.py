@@ -461,18 +461,14 @@ def _cox_score_limits(counts):
     return (d_rx - d * (n0 == 0.0)).sum(axis=-1), (d_rx - d * (n1 > 0.0)).sum(axis=-1)
 
 
-def _cox_score_info(counts, beta):
+def _cox_terms(counts, beta):
+    """exp(beta) as a column, n0 + n1 * exp(beta) and the log partial
+    likelihood at beta: the one pass a Newton step's score, information and
+    line search read."""
     d_rx, d, n0, n1 = counts
     eb = _exp(beta)
     denom = n0 + n1 * eb
-    score = (d_rx - d * n1 * eb / denom).sum(axis=-1)
-    info = (d * n0 * n1 * eb / (denom * denom)).sum(axis=-1)
-    return score, info
-
-
-def _cox_logpl(counts, beta):
-    d_rx, d, n0, n1 = counts
-    return (d_rx * beta[:, None] - d * np.log(n0 + n1 * _exp(beta))).sum(axis=-1)
+    return eb, denom, (d_rx * beta[:, None] - d * np.log(denom)).sum(axis=-1)
 
 
 _MONOTONE = "monotone partial likelihood: the arms separate the event order"
@@ -506,6 +502,8 @@ def _cox_rows(tb):
     means nothing on a failed row, and beta is where its fit stopped.
     """
     counts = _cox_counts(tb)
+    d_rx, d, n0, n1 = counts
+    d_n1, d_n0_n1 = d * n1, d * n0 * n1
     # The score is strictly decreasing in beta, so a finite root exists only
     # when its limits bracket zero. Otherwise the likelihood is monotone.
     score_lo, score_hi = _cox_score_limits(counts)
@@ -513,8 +511,12 @@ def _cox_rows(tb):
     beta = np.zeros(code.size)
     active = code == 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # a step reads the terms of the trial its line search accepted, whose
+        # beta is the row's new beta bit for bit
+        eb, denom, ll = _cox_terms(counts, beta)
         for _ in range(100):
-            score, info = _cox_score_info(counts, beta)
+            score = (d_rx - d_n1 * eb / denom).sum(axis=-1)
+            info = (d_n0_n1 * eb / (denom * denom)).sum(axis=-1)
             _retire(code, active, ~np.isfinite(score), _OVERFLOW)
             _retire(code, active, ~(info > 0.0), _FLAT)
             step = np.clip(score / info, -2.0, 2.0)
@@ -525,18 +527,24 @@ def _cox_rows(tb):
             active &= ~done
             if not active.any():
                 break
-            ll0 = _cox_logpl(counts, beta)
+            floor = ll - 1e-12
             scale = np.ones(beta.size)
             pending = active.copy()
             for _ in range(40):
-                pending &= ~(_cox_logpl(counts, beta + scale * step) >= ll0 - 1e-12)
+                eb, denom, ll = _cox_terms(counts, beta + scale * step)
+                pending &= ~(ll >= floor)
                 if not pending.any():
                     break
                 scale[pending] *= 0.5
             beta[active] += (scale * step)[active]
+            if pending.any():
+                # the halvings ran out: a pending row's beta is past its last trial
+                eb, denom, ll = _cox_terms(counts, beta)
             _retire(code, active, np.abs(beta) > 30.0, _DIVERGED)
         code[active] = _STALLED
-        _, info = _cox_score_info(counts, beta)
+        eb = _exp(beta)
+        denom = n0 + n1 * eb
+        info = (d_n0_n1 * eb / (denom * denom)).sum(axis=-1)
         code[(code == 0) & ~(info > 0.0)] = _NO_INFO
         return beta, 1.0 / np.sqrt(info), code
 

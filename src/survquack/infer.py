@@ -4,6 +4,7 @@ Mann-Whitney pivot confidence set for the survival-curve exponent."""
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -12,7 +13,7 @@ import numpy as np
 
 from .dist import _TINY, _positive
 from .errors import NOT_REACHED, DomainError
-from .estim import SurvivalSample, _pair_stats, km_median
+from .estim import ARM_C, ARM_RX, SurvivalSample, _pair_stats, km_median
 from .rng import derive_rng
 
 __all__ = [
@@ -219,14 +220,17 @@ def _null_blocks(n, m, mc_reps, rng):
     rng.bit_generator.advance(mc_reps * n)
 
 
-def _null_cut(level, mc_reps):
+def _null_cut(level, mc_reps, n, m):
     """Index k of the sorted null counts that bounds the region: the k-th
     smallest and the k-th largest count are its ends. Rejects a level
-    outside (0, 1) and fewer than one draw."""
+    outside (0, 1), and draws or arm sizes that are not whole numbers of at
+    least 1."""
     if not 0.0 < level < 1.0:
         raise DomainError("confidence level must lie strictly inside (0, 1)")
-    if not mc_reps >= 1:
-        raise DomainError(f"mc_reps must be at least 1, got {mc_reps!r}")
+    sizes = ((mc_reps, "mc_reps"), (n, f"{ARM_RX} arm size n"), (m, f"{ARM_C} arm size m"))
+    for value, name in sizes:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise DomainError(f"{name} must be a whole number of at least 1, got {value!r}")
     return int(math.floor(0.5 * (1.0 - level) * mc_reps))
 
 
@@ -245,7 +249,8 @@ def mw_acceptance_region(n, m, theta, level, mc_reps, rng):
     just past them.
     """
     theta = _positive(theta, "theta")
-    k = _null_cut(float(level), mc_reps)
+    k = _null_cut(float(level), mc_reps, n, m)
+    n, m, mc_reps = int(n), int(m), int(mc_reps)  # PCG64.advance takes no numpy integer
     counts = np.empty(mc_reps, dtype=np.int64)
     start = 0
     for v, u, keys, positions in _null_blocks(n, m, mc_reps, rng):
@@ -356,7 +361,10 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, seed=0) -> ConfidenceS
     much longer pushes the whole accepted hull below 1.
     """
     level = float(level)
-    k = _null_cut(level, MC_REPS)
+    rx = np.asarray(rx_times, dtype=float)
+    c = np.asarray(c_times, dtype=float)
+    n, m = rx.size, c.size
+    k = _null_cut(level, MC_REPS, n, m)
     if grid is None:
         grid = np.geomspace(1.0 / 50.0, 50.0, 200)
     else:
@@ -369,10 +377,7 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, seed=0) -> ConfidenceS
             or np.any(np.diff(grid) <= 0.0)
         ):
             raise DomainError("grid must be a strictly increasing, positive and finite 1-d array")
-    rx = np.asarray(rx_times, dtype=float)
-    c = np.asarray(c_times, dtype=float)
     observed = mw_pair_count(rx, c)
-    n, m = rx.size, c.size
     floor = math.floor(observed)
     # first[0][i], first[1][i]: rows whose count first falls to floor(observed),
     # and below ceil(observed), at grid[i] (i = grid.size: nowhere on the grid)

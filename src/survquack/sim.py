@@ -283,20 +283,41 @@ def _quota_counts(prevalences, n):
     return base
 
 
-# replications whose seed streams are derived and drawn together; bounds
-# the draw's working memory, a few arrays of this many rows
+# replications whose seed streams are derived together, so that the
+# derivation's fixed cost is paid once per this many; a multiple of _DRAW_ROWS
+_STREAM_ROWS = 256
+# replications drawn together; bounds the draw's working memory, a few
+# arrays of this many rows
 _DRAW_ROWS = 32
 
 
-def _uniforms(gen, master_seed, reps, n, *tail):
-    """Row i: the first ``n`` uniforms of stream (master_seed, reps[i], *tail),
-    drawn by ``gen`` with its PCG64 state set to each stream in turn. A
-    single stream takes numpy's own derivation, which is cheaper for one."""
-    u = np.empty((len(reps), n))
+def _stream_states(master_seed, reps, *tail):
+    """The PCG64 (state, inc) of stream (master_seed, rep, *tail) for each
+    rep in ``reps``. A single stream takes numpy's own derivation, which is
+    cheaper for one."""
     if len(reps) == 1:
-        derive_rng(master_seed, reps[0], *tail).random(out=u[0])
-        return u
-    for row, (state, inc) in zip(u, _pcg64_states(master_seed, reps, *tail)):
+        state = derive_rng(master_seed, reps[0], *tail).bit_generator.state["state"]
+        return [(state["state"], state["inc"])]
+    return _pcg64_states(master_seed, reps, *tail)
+
+
+def _trial_streams(scenario: RealizedScenario, reps) -> dict:
+    """``_stream_states`` of ``reps`` for each stream tail a trial's draw
+    reads: membership (under stochastic membership only) and each arm's
+    times."""
+    cfg = scenario.config
+    tails = [("times", ARM_RX), ("times", ARM_C)]
+    if cfg.membership == "stochastic":
+        tails.append(("membership",))
+    return {tail: _stream_states(cfg.master_seed, reps, *tail) for tail in tails}
+
+
+def _uniforms(gen, states, n):
+    """Row i: the first ``n`` uniforms of the stream whose PCG64 (state,
+    inc) is ``states[i]``, drawn by ``gen`` with its state set to each in
+    turn."""
+    u = np.empty((len(states), n))
+    for row, (state, inc) in zip(u, states):
         gen.bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
@@ -307,10 +328,11 @@ def _uniforms(gen, master_seed, reps, n, *tail):
     return u
 
 
-def _draw_block(scenario: RealizedScenario, reps, time) -> np.ndarray:
+def _draw_block(scenario: RealizedScenario, reps, time, streams=None) -> np.ndarray:
     """Write trial ``reps[i]``'s event times into row i of ``time`` (Rx
     subjects first) and return each subject's subgroup index, row by row.
-    Each row is fully determined by (master_seed, rep).
+    Each row is fully determined by (master_seed, rep). ``streams`` holds
+    the rows' ``_trial_streams``, derived here when not given.
 
     Membership and event times use separate derived streams. Each arm's
     stream gives one uniform per subject, consumed subgroup by subgroup
@@ -322,9 +344,11 @@ def _draw_block(scenario: RealizedScenario, reps, time) -> np.ndarray:
     cfg = scenario.config
     n_total, n_rx = cfg.n_total, scenario.n_rx
     gen = np.random.Generator(np.random.PCG64(0))  # its state is set per stream
+    if streams is None:
+        streams = _trial_streams(scenario, reps)
 
     if cfg.membership == "stochastic":
-        u = _uniforms(gen, cfg.master_seed, reps, n_total, "membership")
+        u = _uniforms(gen, streams[("membership",)], n_total)
         # a uniform's bin is the number of inner bin edges at or below it:
         # searchsorted(side="right"), capped at the last bin
         g_idx = np.zeros(u.shape, dtype=scenario._index_dtype)
@@ -335,7 +359,7 @@ def _draw_block(scenario: RealizedScenario, reps, time) -> np.ndarray:
 
     for arm_label, arm in ((ARM_RX, slice(0, n_rx)), (ARM_C, slice(n_rx, n_total))):
         arm_g = g_idx[:, arm]
-        u = _uniforms(gen, cfg.master_seed, reps, arm_g.shape[1], "times", arm_label)
+        u = _uniforms(gen, streams["times", arm_label], arm_g.shape[1])
         # a row's k-th uniform goes to its k-th subject in subgroup order;
         # flat indices, row by row
         order = np.argsort(arm_g, axis=1, kind="stable")
@@ -409,13 +433,26 @@ _BLOCK = 8
 _N_REJECT, _N_RX, _N_C, _N_TIE, _N_COX = range(5)
 
 
+def _draw_groups(scenario: RealizedScenario, reps):
+    """Yield (group of reps, their rows of event times) for ``reps`` in
+    groups of ``_DRAW_ROWS``, with seed streams derived ``_STREAM_ROWS``
+    replications at a time. The rows share one buffer, so each group must
+    be used before the next is drawn."""
+    buffer = np.empty((min(_DRAW_ROWS, len(reps)), scenario.config.n_total))
+    for start in range(0, len(reps), _STREAM_ROWS):
+        derived = reps[start:start + _STREAM_ROWS]
+        streams = _trial_streams(scenario, derived)
+        for at in range(0, len(derived), _DRAW_ROWS):
+            drawn = derived[at:at + _DRAW_ROWS]
+            time = buffer[: len(drawn)]
+            group = {tail: states[at:at + _DRAW_ROWS] for tail, states in streams.items()}
+            _draw_block(scenario, drawn, time, group)
+            yield drawn, time
+
+
 def _tally_chunk(scenario: RealizedScenario, reps) -> np.ndarray:
     counts = np.zeros(5, dtype=np.int64)
-    buffer = np.empty((min(_DRAW_ROWS, len(reps)), scenario.config.n_total))
-    for start in range(0, len(reps), _DRAW_ROWS):
-        drawn = reps[start:start + _DRAW_ROWS]
-        time = buffer[: len(drawn)]
-        _draw_block(scenario, drawn, time)
+    for drawn, time in _draw_groups(scenario, reps):
         results = []
         for at in range(0, len(drawn), _BLOCK):
             results += _evaluate_block(scenario, drawn[at:at + _BLOCK], time[at:at + _BLOCK])

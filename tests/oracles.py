@@ -334,3 +334,72 @@ def draw_trial(scenario, rep):
             u = np.maximum(rng.random(int(members.sum())), np.finfo(float).tiny)
             arm_time[members] = dist.scale * np.power(-np.log(u), 1.0 / dist.shape)
     return time, g_idx
+
+
+def cox_rows_three_pass(tb):
+    """Breslow Newton fits of the treatment coefficient, one per row of a
+    block of risk tables (or of one table as a one-row block), with each
+    step's terms built anew: once for the score and information, once for
+    the log partial likelihood at beta and once per line-search trial.
+
+    Returns (beta, se, code, halved). ``code`` is 0 on a fit and otherwise
+    1 (the score's limits do not bracket zero), 2 (score overflow), 3 (no
+    curvature), 4 (|beta| passed 30), 5 (no convergence after 100 steps) or
+    6 (no information at the end); ``halved`` marks the rows whose full
+    step a line search cut at least once.
+    """
+    d_rx, d, n0, n1 = (
+        np.atleast_2d(np.asarray(c, dtype=float))
+        for c in (tb.events_rx, tb.events, tb.at_risk - tb.at_risk_rx, tb.at_risk_rx)
+    )
+
+    def exp_column(beta):
+        return np.array([math.exp(b) for b in beta.tolist()])[:, None]
+
+    def score_info(beta):
+        eb = exp_column(beta)
+        denom = n0 + n1 * eb
+        score = (d_rx - d * n1 * eb / denom).sum(axis=-1)
+        info = (d * n0 * n1 * eb / (denom * denom)).sum(axis=-1)
+        return score, info
+
+    def logpl(beta):
+        return (d_rx * beta[:, None] - d * np.log(n0 + n1 * exp_column(beta))).sum(axis=-1)
+
+    def retire(mask, reason):
+        mask = active & mask
+        code[mask] = reason
+        active[mask] = False
+
+    score_lo = (d_rx - d * (n0 == 0.0)).sum(axis=-1)
+    score_hi = (d_rx - d * (n1 > 0.0)).sum(axis=-1)
+    code = np.where((score_lo <= 0.0) | (score_hi >= 0.0), 1, 0).astype(np.int8)
+    beta = np.zeros(code.size)
+    halved = np.zeros(code.size, dtype=bool)
+    active = code == 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(100):
+            score, info = score_info(beta)
+            retire(~np.isfinite(score), 2)
+            retire(~(info > 0.0), 3)
+            step = np.clip(score / info, -2.0, 2.0)
+            done = active & (np.abs(step) <= 1e-10)
+            beta[done] += step[done]
+            active &= ~done
+            if not active.any():
+                break
+            ll0 = logpl(beta)
+            scale = np.ones(beta.size)
+            pending = active.copy()
+            for _ in range(40):
+                pending &= ~(logpl(beta + scale * step) >= ll0 - 1e-12)
+                if not pending.any():
+                    break
+                halved |= pending
+                scale[pending] *= 0.5
+            beta[active] += (scale * step)[active]
+            retire(np.abs(beta) > 30.0, 4)
+        code[active] = 5
+        _, info = score_info(beta)
+        code[(code == 0) & ~(info > 0.0)] = 6
+        return beta, 1.0 / np.sqrt(info), code, halved

@@ -40,6 +40,8 @@ from survquack.errors import (
 
 from oracles import (
     breslow_score,
+    cox_rows_three_pass,
+    draw_trial,
     empirical_survival,
     km_by_hand,
     pairwise_win_fraction,
@@ -450,6 +452,64 @@ def test_cox_failure_codes_raise_their_messages(monkeypatch, code, message):
         cox_fit_two_arm(_two_arm_sample(3))
     assert str(excinfo.value) == message
     assert excinfo.value.diagnostics == {"beta": 31.5}
+
+
+def _random_cox_table(rng):
+    """A risk table of one of four kinds: tied times, arms that may separate,
+    one or a few Rx subjects against up to 1,000 C subjects, or an Rx arm
+    whose numbers at risk are scaled far from the C arm's. Deaths are
+    censored at a random rate."""
+    kind = int(rng.integers(4))
+    n_rx, n_c = (int(k) for k in rng.integers(1, 40, size=2))
+    if kind == 2:
+        n_rx, n_c = int(rng.integers(1, 4)), int(rng.integers(10, 1000))
+    time = np.concatenate([
+        rng.weibull(1.3, n_rx) * rng.uniform(0.3, 3.0), rng.weibull(1.3, n_c)
+    ])
+    is_rx = np.arange(time.size) < n_rx
+    if kind == 0:
+        time = np.round(2.0 * time) + 1.0
+    elif kind == 1:
+        time[is_rx] = np.abs(time[is_rx] + rng.choice([-0.5, 0.5]) * time.max()) + 0.01
+    tb = estim._risk_tables(time, rng.random(time.size) < rng.uniform(0.3, 1.0), is_rx)
+    if kind == 3:
+        weighted = tb.at_risk_rx * 10.0 ** rng.uniform(-300.0, 300.0)
+        tb = dataclasses.replace(
+            tb, at_risk_rx=weighted, at_risk=tb.at_risk - tb.at_risk_rx + weighted
+        )
+    return tb
+
+
+def _assert_same_fit(tb):
+    beta, se, code = estim._cox_rows(tb)
+    want_beta, want_se, want_code, halved = cox_rows_three_pass(tb)
+    np.testing.assert_array_equal(beta.view(np.uint64), want_beta.view(np.uint64))
+    np.testing.assert_array_equal(se.view(np.uint64), want_se.view(np.uint64))
+    np.testing.assert_array_equal(code, want_code)
+    return code, halved
+
+
+def test_cox_rows_equal_the_three_pass_solve_on_section3_blocks(section3):
+    # one pass of the likelihood terms per trial beta, carried into the
+    # next step, must give each row the numbers of rebuilding them per use
+    n_rx = section3.n_rx
+    for start in range(0, 256, 8):
+        time = np.stack([draw_trial(section3, rep)[0] for rep in range(start, start + 8)])
+        code, _ = _assert_same_fit(estim._complete_tables(time, n_rx)[0])
+        assert not code.any()
+
+
+def test_cox_rows_equal_the_three_pass_solve_on_random_tables():
+    # the seed is screened: its tables include full steps that the line
+    # search cuts and every failure code from 1 to 4
+    rng = np.random.default_rng(20261019)
+    codes, halved = [], 0
+    for _ in range(1200):
+        code, cut = _assert_same_fit(_random_cox_table(rng))
+        codes.append(int(code[0]))
+        halved += int(cut[0])
+    assert halved > 0
+    assert set(codes) >= {0, 1, estim._FLAT, estim._DIVERGED}
 
 
 def test_cox_requires_both_arms():

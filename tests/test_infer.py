@@ -281,6 +281,30 @@ def test_mw_acceptance_region_rejects_bad_level_and_mc_reps(level, mc_reps, name
         mw_acceptance_region(13, 2, 1.0, level, mc_reps, derive_rng(0, "bad"))
 
 
+@pytest.mark.parametrize(
+    "n,m,mc_reps,match",
+    [
+        (-1, 3, 200, "Rx arm"),
+        (0, 3, 200, "Rx arm"),
+        (3, 0, 200, "C arm"),
+        (3, -2, 200, "C arm"),
+        (2.5, 3, 200, "Rx arm"),
+        (3, 3, 2.5, "mc_reps"),
+        (3, 3, True, "mc_reps"),
+    ],
+)
+def test_mw_acceptance_region_rejects_bad_arm_sizes_and_draw_counts(n, m, mc_reps, match):
+    with pytest.raises(DomainError, match=match):
+        mw_acceptance_region(n, m, 1.0, 0.95, mc_reps, derive_rng(0, "bad"))
+
+
+def test_mw_acceptance_region_takes_numpy_integer_sizes():
+    # PCG64.advance takes no numpy integer, so the sizes are made Python ints
+    args = (np.int64(4), np.int32(5), 1.0, 0.95, np.int64(400))
+    got = mw_acceptance_region(*args, derive_rng(3, "r"))
+    assert got == mw_acceptance_region(4, 5, 1.0, 0.95, 400, derive_rng(3, "r"))
+
+
 @pytest.mark.parametrize("n,m,theta", [(3, 3, 1.0), (3, 6, 0.5)])
 def test_mw_acceptance_region_matches_exact_enumeration(n, m, theta):
     # The exact pmf oracle confirms the cut points are clear of knife edges

@@ -403,9 +403,44 @@ def test_one_row_uniforms_equal_the_block_route(seed, rep):
     # states together; the row is the same bit for bit
     gen = np.random.Generator(np.random.PCG64(0))
     for tail in (("membership",), ("times", "Rx"), ("times", "C")):
-        one = sim._uniforms(gen, seed, [rep], 50, *tail)
-        block = sim._uniforms(gen, seed, [rep + 1, rep, 2**33], 50, *tail)
+        one = sim._uniforms(gen, sim._stream_states(seed, [rep], *tail), 50)
+        block = sim._uniforms(gen, sim._stream_states(seed, [rep + 1, rep, 2**33], *tail), 50)
         np.testing.assert_array_equal(one[0].view(np.uint64), block[1].view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [section3_config(n_total=60), section3_config(membership="quota", n_total=20)],
+    ids=["stochastic", "quota"],
+)
+@pytest.mark.parametrize("reps", [range(300), range(0, 900, 3)], ids=["range300", "strided"])
+def test_tally_draws_cross_the_stream_derivation_boundary(config, reps, monkeypatch):
+    # seed streams are derived 256 replications at a time and drawn 32 rows
+    # at a time; the rows on both sides of the boundary are each trial's own
+    assert sim._STREAM_ROWS == 256 and sim._STREAM_ROWS % sim._DRAW_ROWS == 0
+    scenario = realize_scenario(config)
+    drawn, tails = [], []
+    evaluate, derive = sim._evaluate_block, sim._pcg64_states
+
+    def recording(scenario, block, time):
+        drawn.extend(zip(block, time.copy()))
+        return evaluate(scenario, block, time)
+
+    def counting(master_seed, group, *tail):
+        tails.append(tail)
+        return derive(master_seed, group, *tail)
+
+    monkeypatch.setattr(sim, "_evaluate_block", recording)
+    monkeypatch.setattr(sim, "_pcg64_states", counting)
+    sim._tally_chunk(scenario, reps)
+    assert [rep for rep, _ in drawn] == list(reps)
+    for at in (0, 255, 256, 257, 299):
+        rep, row = drawn[at]
+        want, _ = draw_trial(scenario, rep)
+        np.testing.assert_array_equal(row.view(np.uint64), want.view(np.uint64))
+    arms = [("times", "Rx"), ("times", "C")]
+    want_tails = arms + [("membership",)] if config.membership == "stochastic" else arms
+    assert sorted(tails) == sorted(want_tails * 2)
 
 
 def test_tally_chunk_memory_does_not_grow_with_replications():
