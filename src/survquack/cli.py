@@ -235,11 +235,13 @@ def _cmd_analyze(args):
         raise ValidationError("alpha must lie in (0, 1)")
     factors = [f for chunk in args.strata for f in chunk.split(",") if f]
     measures = [Measure(m) for m in (args.measure or ["HR"])]
-    for f in factors:
+    for i, f in enumerate(factors):
         if f not in sample.strata:
             raise ValidationError(
                 f"factor {f!r} not in dataset (available: {sorted(sample.strata)})"
             )
+        if f in factors[:i]:
+            raise ValidationError(f"factor {f!r} is given more than once in --strata")
 
     sections = {}
     sections["dataset"] = report_mod.section(

@@ -73,6 +73,10 @@ class SurvivalCurve:
         """Left limit S(t-); differs from survival() only for step curves."""
         return self.survival(t)
 
+    def sides(self, t):
+        """(survival_left(t), survival(t)): both limits of the curve at ``t``."""
+        return self.survival_left(t), self.survival(t)
+
     def inverse_cumhaz(self, s):
         """Time t at which the cumulative hazard -log S(t) equals ``s``.
 

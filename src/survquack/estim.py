@@ -59,11 +59,15 @@ class SurvivalSample:
     """Patient-level records: time on study, death indicator, arm, strata labels.
 
     ``is_rx`` is True for the treated arm. ``strata`` maps factor names to
-    per-subject label arrays; every factor covers every subject. The risk
-    table (``tables``), the two-arm Cox fit (``cox``), the per-arm
-    Weibull fits (``weibull``) and each factor's level subsamples
-    (``levels``) are built on first use and then shared by every estimate,
-    so the arrays must not be mutated after construction.
+    per-subject label arrays; every factor covers every subject.
+
+    The sample is sorted once: ``order`` is the stable order of its times,
+    and the risk table (``tables``) is read off it. Each factor's level
+    subsamples (``levels``) take their own orders from it too, so no level
+    sorts again. The per-arm product-limit curves (``km``), the two-arm Cox
+    fit (``cox``) and the per-arm Weibull fits (``weibull``) are built on
+    first use. Everything is then shared by every estimate, so the arrays
+    must not be mutated after construction.
     """
 
     time: np.ndarray
@@ -92,6 +96,7 @@ class SurvivalSample:
         object.__setattr__(self, "is_rx", is_rx)
         object.__setattr__(self, "strata", strata)
         object.__setattr__(self, "_levels", {})
+        object.__setattr__(self, "_km", {})
 
     @property
     def n(self) -> int:
@@ -103,9 +108,15 @@ class SurvivalSample:
         return self.time[m], self.event[m]
 
     @cached_property
+    def order(self) -> np.ndarray:
+        """Stable order of the times (ties keep subject order): the sample's one sort."""
+        return np.argsort(self.time, kind="stable")
+
+    @cached_property
     def tables(self) -> "_RiskTables":
         """The risk table, built on first use and shared; callers must not modify it."""
-        return _risk_tables(self.time, self.event, self.is_rx)
+        o = self.order
+        return _sorted_risk_tables(self.time[o], self.event[o], self.is_rx[o])
 
     @cached_property
     def cox(self):
@@ -127,17 +138,29 @@ class SurvivalSample:
         if factor not in self._levels:
             labels = self.strata[factor]
             self._levels[factor] = tuple(
-                (str(lv), SurvivalSample(self.time[m], self.event[m], self.is_rx[m]))
-                for lv, m in ((lv, labels == lv) for lv in np.unique(labels))
+                (str(lv), self._subsample(labels == lv)) for lv in np.unique(labels)
             )
         return self._levels[factor]
 
+    def _subsample(self, mask):
+        """The subjects in ``mask``, in their order here, with their stable
+        order read off this sample's: the members of ``order`` in ``mask``,
+        renumbered by their positions in the subsample."""
+        sub = SurvivalSample(self.time[mask], self.event[mask], self.is_rx[mask])
+        position = np.cumsum(mask) - 1
+        object.__setattr__(sub, "order", position[self.order[mask[self.order]]])
+        return sub
+
     def km(self, rx: bool) -> "KMCurve":
-        """Product-limit curve of one arm, read off the shared risk table."""
-        in_arm = self.is_rx == rx
-        if not in_arm.any():
-            raise DomainError(f"the {ARM_RX if rx else ARM_C} arm is empty")
-        return KMCurve(*self.tables.km(rx), float(self.time[in_arm].max()))
+        """Product-limit curve of one arm, read off the shared risk table;
+        built on first use and shared."""
+        rx = bool(rx)
+        if rx not in self._km:
+            in_arm = self.is_rx == rx
+            if not in_arm.any():
+                raise DomainError(f"the {ARM_RX if rx else ARM_C} arm is empty")
+            self._km[rx] = KMCurve(*self.tables.km(rx), float(self.time[in_arm].max()))
+        return self._km[rx]
 
     @classmethod
     def from_arms(cls, rx_times, c_times, rx_events=None, c_events=None):
@@ -156,9 +179,10 @@ class SurvivalSample:
 class KMCurve(SurvivalCurve):
     """Right-continuous product-limit estimate.
 
-    Rows cover the distinct event times only; ``survival_after[j]`` is the
-    estimate just after ``times[j]``. When the largest observation is
-    censored the curve plateaus above ``final_survival()``.
+    Rows cover the distinct event times only, in increasing order;
+    ``survival_after[j]`` is the estimate just after ``times[j]``. When the
+    largest observation is censored the curve plateaus above
+    ``final_survival()``.
     """
 
     times: np.ndarray
@@ -166,7 +190,10 @@ class KMCurve(SurvivalCurve):
     max_time: float
 
     def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
+        times = np.asarray(self.times, dtype=float)
+        if np.any(times[1:] <= times[:-1]):
+            raise DomainError("product-limit times must be strictly increasing")
+        object.__setattr__(self, "times", times)
         object.__setattr__(self, "survival_after", np.asarray(self.survival_after, dtype=float))
 
     def _lookup(self, t, side):
@@ -180,6 +207,16 @@ class KMCurve(SurvivalCurve):
 
     def survival_left(self, t):
         return self._lookup(t, "left")
+
+    def sides(self, t):
+        """(survival_left(t), survival(t)) from one search: as the times are
+        distinct, a t on a jump is the only one whose right value is one row on."""
+        tt = _as_times(t)
+        idx = np.searchsorted(self.times, tt, side="left")
+        vals = np.concatenate(([1.0], self.survival_after))
+        # the NaN past the last time equals no t
+        on_jump = np.append(self.times, np.nan)[idx] == tt
+        return _match(vals[idx], t), _match(vals[idx + on_jump], t)
 
     def final_survival(self):
         return float(self.survival_after[-1]) if self.survival_after.size else 1.0
@@ -209,10 +246,21 @@ class _RiskTables:
 
 def _risk_tables(time, event, is_rx) -> _RiskTables:
     order = np.argsort(time, kind="stable")
-    t = np.asarray(time, dtype=float)[order]
-    e = np.asarray(event, dtype=bool)[order]
-    x = np.asarray(is_rx, dtype=bool)[order]
-    uniq, first = np.unique(t, return_index=True)
+    return _sorted_risk_tables(
+        np.asarray(time, dtype=float)[order],
+        np.asarray(event, dtype=bool)[order],
+        np.asarray(is_rx, dtype=bool)[order],
+    )
+
+
+def _sorted_risk_tables(t, e, x) -> _RiskTables:
+    """The risk table of times ``t`` in increasing order, with their death
+    and Rx flags; a run of tied times starts wherever the time changes."""
+    starts = np.empty(t.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(t[1:], t[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    uniq = t[first]
     leaving = np.diff(np.append(first, t.size))
     d = np.add.reduceat(e.astype(np.int64), first)
     d_rx = np.add.reduceat((e & x).astype(np.int64), first)
@@ -302,9 +350,10 @@ def _weibull_loglik_parts(a, b, logt, d, sum_e_logt):
     return k, u, z, sum_z, ll
 
 
-def _weibull_newton_terms(a, b, logt, d, sum_e_logt):
-    """Log-likelihood, gradient and Hessian in (log shape, log scale)."""
-    k, u, z, sum_z, ll = _weibull_loglik_parts(a, b, logt, d, sum_e_logt)
+def _weibull_newton_terms(parts, b, d, sum_e_logt):
+    """Log-likelihood, gradient and Hessian in (log shape, log scale), from
+    the likelihood pass ``parts`` at (a, b)."""
+    k, u, z, sum_z, ll = parts
     sum_e_u = sum_e_logt - d * b
     zu = z * u
     sum_zu = float(zu.sum())
@@ -338,7 +387,8 @@ def weibull_mle(times, events, km=None):
     if d < 2:
         raise DomainError("weibull_mle needs at least two deaths")
 
-    if np.unique(t[e]).size < 2:
+    death_times = t[e]
+    if death_times.min() == death_times.max():
         raise NumericalError(
             "degenerate sample: fewer than two distinct event times", n_events=d
         )
@@ -348,8 +398,11 @@ def weibull_mle(times, events, km=None):
     a, b = _km_regression_init(t, e, km_fit(t, e) if km is None else km)
     d = float(d)
 
+    # a step reads the likelihood pass of the trial its line search
+    # accepted, whose (a, b) is the new point bit for bit
+    parts = _weibull_loglik_parts(a, b, logt, d, sum_e_logt)
     for iteration in range(100):
-        ll, (g_a, g_b), hess = _weibull_newton_terms(a, b, logt, d, sum_e_logt)
+        ll, (g_a, g_b), hess = _weibull_newton_terms(parts, b, d, sum_e_logt)
         if not (math.isfinite(g_a) and math.isfinite(g_b)):
             raise NumericalError("gradient overflow", iteration=iteration, params=(a, b))
         if math.hypot(g_a, g_b) <= 1e-8:
@@ -363,11 +416,13 @@ def weibull_mle(times, events, km=None):
             step = step * (4.0 / norm)
         scale = 1.0
         for _ in range(40):
-            cand = (a + scale * step[0], b + scale * step[1])
-            cand_ll = _weibull_loglik_parts(cand[0], cand[1], logt, d, sum_e_logt)[4]
-            if math.isfinite(cand_ll) and cand_ll >= ll - 1e-12:
+            parts = _weibull_loglik_parts(a + scale * step[0], b + scale * step[1], logt, d, sum_e_logt)
+            if math.isfinite(parts[4]) and parts[4] >= ll - 1e-12:
                 break
             scale *= 0.5
+        else:
+            # the halvings ran out: the new point is past the last trial
+            parts = _weibull_loglik_parts(a + scale * step[0], b + scale * step[1], logt, d, sum_e_logt)
         a, b = a + scale * step[0], b + scale * step[1]
     else:
         raise NumericalError(
@@ -376,8 +431,8 @@ def weibull_mle(times, events, km=None):
             params=(a, b),
         )
 
-    # observed information at the solution
-    info = -_weibull_newton_terms(a, b, logt, d, sum_e_logt)[2]
+    # observed information at the solution: the last step's Hessian
+    info = -hess
     det = info[0, 0] * info[1, 1] - info[0, 1] * info[1, 0]
     if not (det > 0.0 and info[0, 0] > 0.0):
         raise NumericalError("observed information is not positive definite", info=info.tolist())

@@ -198,10 +198,12 @@ def _llp_against_component(rx_curve, comp):
         if jumps.size == 0:
             # a step control with no jumps never dies, so nothing outlives it
             return 0.0
-        mass = np.asarray(comp.survival_left(jumps)) - np.asarray(comp.survival(jumps))
+        left, right = comp.sides(jumps)
+        mass = np.asarray(left) - np.asarray(right)
         # half credit at shared jump points mirrors the tie rule of the
         # pairwise estimator
-        rx_mid = 0.5 * (np.asarray(rx_curve.survival_left(jumps)) + np.asarray(rx_curve.survival(jumps)))
+        rx_left, rx_right = rx_curve.sides(jumps)
+        rx_mid = 0.5 * (np.asarray(rx_left) + np.asarray(rx_right))
         return float(np.sum(mass * rx_mid))
     rx_jumps = rx_curve.jump_times()
     if rx_jumps is not None:

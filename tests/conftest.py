@@ -11,8 +11,10 @@ import dataclasses
 import time
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
+from survquack import estim
 from survquack import (
     Measure,
     ScenarioConfig,
@@ -106,3 +108,41 @@ def oak_sample(oak_spec):
 def oak_audit(oak_sample, oak_spec):
     factors = [f.name for f in oak_spec.factors]
     return stratified_audit(oak_sample, factors, measure=Measure.HR)
+
+
+_COUNTED_BUILDS = ("_sorted_risk_tables", "_risk_tables", "weibull_mle", "km_fit")
+
+
+@pytest.fixture
+def count_builds(monkeypatch):
+    """``count_builds()`` starts counting, for the rest of the test, the
+    ``np.argsort`` calls (as (shape, kind)), the product-limit curves built
+    (``curves``) and the calls of each of ``estim``'s table builders,
+    ``weibull_mle`` and ``km_fit``; it returns the live tallies."""
+
+    def start():
+        counts = {"sorts": [], "curves": 0, **dict.fromkeys(_COUNTED_BUILDS, 0)}
+        for name in _COUNTED_BUILDS:
+            original = getattr(estim, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(estim, name, counting)
+        argsort = np.argsort
+
+        def counting_argsort(a, *args, **kwargs):
+            counts["sorts"].append((np.shape(a), kwargs.get("kind")))
+            return argsort(a, *args, **kwargs)
+
+        class CountingKMCurve(estim.KMCurve):
+            def __post_init__(self):
+                counts["curves"] += 1
+                super().__post_init__()
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        monkeypatch.setattr(estim, "KMCurve", CountingKMCurve)
+        return counts
+
+    return start

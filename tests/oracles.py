@@ -403,3 +403,102 @@ def cox_rows_three_pass(tb):
         _, info = score_info(beta)
         code[(code == 0) & ~(info > 0.0)] = 6
         return beta, 1.0 / np.sqrt(info), code, halved
+
+
+def weibull_mle_rebuilt_passes(times, events, km_times, km_survival):
+    """Censored Weibull Newton fit on (log shape, log scale) that builds the
+    likelihood pass anew for every use: once for each step's gradient and
+    Hessian, once per line-search trial and once more for the information
+    at the solution. Started from the product-limit plot given by
+    ``km_times`` and ``km_survival`` (the estimate just after each time).
+
+    Returns (shape, scale, cov), cov being the inverse observed information
+    of (log shape, log scale); a failed fit raises ArithmeticError with the
+    reason and the (log shape, log scale) where it stopped.
+    """
+    t = np.asarray(times, dtype=float)
+    e = np.asarray(events, dtype=bool)
+    d = float(e.sum())
+    logt = np.log(t)
+    sum_e_logt = float(logt[e].sum())
+
+    def start():
+        usable = (km_survival > 0.0) & (km_survival < 1.0)
+        if usable.sum() >= 2:
+            slope, intercept = np.polyfit(
+                np.log(km_times[usable]), np.log(-np.log(km_survival[usable])), 1
+            )
+            if math.isfinite(slope) and slope > 0.0:
+                lam0 = math.exp(-intercept / slope)
+                if math.isfinite(lam0) and lam0 > 0.0:
+                    return math.log(min(max(slope, 0.05), 50.0)), math.log(lam0)
+        return 0.0, math.log(float(t.sum()) / float(e.sum()))
+
+    def loglik(a, b):
+        k = math.exp(a)
+        u = logt - b
+        with np.errstate(over="ignore"):
+            z = np.exp(k * u)
+        sum_z = float(z.sum())
+        return k, u, z, sum_z, d * (a - b) + (k - 1.0) * (sum_e_logt - d * b) - sum_z
+
+    def newton_terms(a, b):
+        k, u, z, sum_z, ll = loglik(a, b)
+        sum_e_u = sum_e_logt - d * b
+        zu = z * u
+        sum_zu = float(zu.sum())
+        grad = (d + k * sum_e_u - k * sum_zu, k * (sum_z - d))
+        h_aa = k * sum_e_u - k * sum_zu - k * k * float((zu * u).sum())
+        h_ab = -k * d + k * k * sum_zu + k * sum_z
+        h_bb = -k * k * sum_z
+        return ll, grad, np.array([[h_aa, h_ab], [h_ab, h_bb]])
+
+    a, b = start()
+    for _ in range(100):
+        ll, (g_a, g_b), hess = newton_terms(a, b)
+        if not (math.isfinite(g_a) and math.isfinite(g_b)):
+            raise ArithmeticError("gradient overflow", (a, b))
+        if math.hypot(g_a, g_b) <= 1e-8:
+            break
+        try:
+            step = np.linalg.solve(hess, [-g_a, -g_b])
+        except np.linalg.LinAlgError:
+            raise ArithmeticError("singular hessian", (a, b)) from None
+        norm = float(np.abs(step).max())
+        if norm > 4.0:
+            step = step * (4.0 / norm)
+        scale = 1.0
+        for _ in range(40):
+            cand_ll = loglik(a + scale * step[0], b + scale * step[1])[4]
+            if math.isfinite(cand_ll) and cand_ll >= ll - 1e-12:
+                break
+            scale *= 0.5
+        a, b = a + scale * step[0], b + scale * step[1]
+    else:
+        raise ArithmeticError("no convergence after 100 Newton iterations", (a, b))
+    info = -newton_terms(a, b)[2]
+    det = info[0, 0] * info[1, 1] - info[0, 1] * info[1, 0]
+    if not (det > 0.0 and info[0, 0] > 0.0):
+        raise ArithmeticError("observed information is not positive definite", (a, b))
+    return math.exp(a), math.exp(b), np.linalg.inv(info)
+
+
+def step_survival_by_hand(times, survival_after, t, left=False):
+    """A right-continuous step curve at ``t``, or its left limit: the value
+    after the last jump before ``t`` (or at it, unless ``left``)."""
+    value = 1.0
+    for u, s in zip(times, survival_after):
+        if u < t or (u == t and not left):
+            value = float(s)
+    return value
+
+
+def llp_against_steps_by_hand(rx_survival, c_survival, c_jumps):
+    """P(T_rx > T_c), ties counted half, for a control that dies only at
+    ``c_jumps``: the sum over its jumps of the jump's mass times the mean of
+    the Rx curve's two limits there. ``rx_survival(t, left)`` and
+    ``c_survival(t, left)`` give a curve's value or left limit at t."""
+    return math.fsum(
+        (c_survival(u, True) - c_survival(u, False)) * 0.5 * (rx_survival(u, True) + rx_survival(u, False))
+        for u in sorted(set(float(u) for u in c_jumps))
+    )

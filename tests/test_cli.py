@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 import survquack.cli as cli_module
 import survquack.errors as errors_module
-import survquack.estim as estim
 
 from survquack._version import __version__
 from survquack.cli import main, parse_scenario_config, read_dataset
@@ -360,22 +359,15 @@ class TestAnalyze:
         for name in ("logrank", "medians", "stratified_audit_tr"):
             assert sections[name]["ok"] is True
 
-    def test_analyze_builds_each_level_and_fit_once(self, tmp_path, capsys, monkeypatch):
-        # both audits read the same level subsamples, tables and Weibull fits
+    def test_analyze_builds_each_level_and_fit_once(self, tmp_path, capsys, count_builds):
+        # both audits read the same level subsamples, tables, curves and
+        # Weibull fits, and every level's order comes from the one sort
         full = generate_prognostic_sample(dataclasses.replace(load_oak_analog_spec(), n=800))
         c = derive_rng(99, "censor-count").exponential(60.0, full.n)
         sample = SurvivalSample(np.minimum(full.time, c), full.time <= c, full.is_rx, full.strata)
         path = tmp_path / "censored.csv"
         write_dataset_csv(sample, path)
-        calls = {"_risk_tables": 0, "weibull_mle": 0, "km_fit": 0}
-        for name in calls:
-            original = getattr(estim, name)
-
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(estim, name, counting)
+        counts = count_builds()
         rc, out, _ = run_cli(
             ["analyze", str(path), "--strata", "sex,histology,kras,egfr",
              "--measure", "HR", "--measure", "TR"],
@@ -384,8 +376,13 @@ class TestAnalyze:
         assert rc == 0
         sections = parse_report(out)["sections"]
         assert sections["stratified_audit_hr"]["ok"] and sections["stratified_audit_tr"]["ok"]
-        # one whole-sample table plus one per level; two fits per level
-        assert calls == {"_risk_tables": 9, "weibull_mle": 16, "km_fit": 0}
+        # one stable sort of the whole sample and none per level; one table
+        # and one curve per arm for the sample and each of its 8 levels; two
+        # Weibull fits per level
+        assert counts == {
+            "sorts": [((sample.n,), "stable")], "curves": 18,
+            "_sorted_risk_tables": 9, "_risk_tables": 0, "weibull_mle": 16, "km_fit": 0,
+        }
 
     def test_weibull_audit_drops_levels_without_two_death_times(self, tmp_path, capsys):
         rng = derive_rng(31, "sparse-level")
@@ -454,6 +451,18 @@ class TestAnalyze:
         rc, out, err = run_cli(["analyze", ident_csv, "--strata", "bogus"], capsys)
         assert rc == 2 and out == ""
         assert "survquack: error:" in err and "not in dataset" in err
+
+    @pytest.mark.parametrize("strata", [["g,g"], ["g", "g"], ["g,h,g"]])
+    def test_repeated_factor_rejected(self, tmp_path, capsys, strata):
+        # auditing a factor twice would list it twice in each audit section
+        path = tmp_path / "strata.csv"
+        path.write_text("time,event,arm,s:g,s:h\n" + "".join(
+            f"{t},1,{'Rx' if t % 2 else 'C'},{'ab'[t % 3 > 0]},{'cd'[t % 4 > 1]}\n" for t in range(1, 13)
+        ))
+        argv = ["analyze", str(path)] + [a for chunk in strata for a in ("--strata", chunk)]
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 2 and out == ""
+        assert "survquack: error: factor 'g' is given more than once in --strata" in err
 
     def test_bad_alpha_rejected(self, ident_csv, capsys):
         rc, _, err = run_cli(["analyze", ident_csv, "--alpha", "1.5"], capsys)

@@ -47,6 +47,7 @@ from oracles import (
     pairwise_win_fraction,
     weibull_density,
     weibull_loglik,
+    weibull_mle_rebuilt_passes,
 )
 
 
@@ -143,6 +144,39 @@ def test_km_read_off_the_shared_table_with_a_censored_last_observation():
     _assert_km_from_table_is_km_fit(SurvivalSample(t, rng.random(300) < 0.7, rng.random(300) < 0.5))
 
 
+def _assert_sides(curve, t):
+    left, right = curve.sides(t)
+    assert np.asarray(left).tobytes() == np.asarray(curve.survival_left(t)).tobytes()
+    assert np.asarray(right).tobytes() == np.asarray(curve.survival(t)).tobytes()
+    assert type(left) is type(curve.survival_left(t)) and type(right) is type(curve.survival(t))
+
+
+def test_km_sides_are_both_limits_from_one_search():
+    curve = km_fit([2.0, 2.0, 3.0, 5.0, 5.0, 8.0, 9.0], [True, False, True, True, True, True, False])
+    jumps = curve.jump_times()
+    np.testing.assert_array_equal(jumps, [2.0, 3.0, 5.0, 8.0])
+    between = 0.5 * (jumps[1:] + jumps[:-1])
+    for t in (jumps, between, [0.0, 1.0, 1.999], [8.0000001, 9.0, 100.0],
+              np.concatenate([jumps[::-1], between, [0.5, 50.0]])):
+        _assert_sides(curve, np.asarray(t))
+    for t in (0.0, 1.0, 2.0, 2.5, 5.0, 8.0, 9.0, 1e9):
+        _assert_sides(curve, t)
+    # at the jumps the right values are the curve's rows, the left values the rows before
+    left, right = curve.sides(jumps)
+    np.testing.assert_array_equal(right, curve.survival_after)
+    np.testing.assert_array_equal(left, np.concatenate(([1.0], curve.survival_after[:-1])))
+    empty = km_fit([1.0, 2.0], [False, False])
+    assert empty.jump_times().size == 0
+    for t in (np.array([0.0, 1.0, 2.0, 3.0]), 1.0, np.array([])):
+        _assert_sides(empty, t)
+    with pytest.raises(DomainError):
+        curve.sides([-1.0])
+    # sides() reads a jump's right value one row on, so a time may not repeat
+    for times in ([1.0, 1.0], [2.0, 1.0]):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            estim.KMCurve(times, [0.5, 0.25], 2.0)
+
+
 # ------------------------------------------------------------------- km_median
 
 def test_km_median_examples():
@@ -236,6 +270,50 @@ def test_analytic_gradient_matches_finite_differences():
             ]
         )
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
+
+
+def _weibull_case(rng, hard):
+    """A censored sample: a regular one of 15-300 subjects with a true shape
+    of 0.1-4, or a hard one of 3-40 subjects, shape 0.03-20 and some times
+    rounded, some of whose fits stall with every line search cut 40 times."""
+    n = int(rng.integers(3, 40) if hard else rng.integers(15, 300))
+    lo, hi = (0.03, 20.0) if hard else (0.1, 4.0)
+    shape = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    t = rng.weibull(shape, n) * (10.0 ** rng.uniform(-3, 3) if hard else 10.0)
+    c = rng.exponential(float(np.median(t)) * rng.uniform(0.3, 5.0), n)
+    time, event = np.minimum(t, c), t <= c
+    if hard and rng.random() < 0.3:
+        time = np.round(time, int(rng.integers(0, 3))) + 0.01
+    return time, event
+
+
+def test_weibull_mle_equals_the_fit_that_rebuilds_each_pass():
+    # one likelihood pass per trial point, carried into the next step and
+    # into the final information, must give the numbers of rebuilding it
+    rng = np.random.default_rng(20261019)
+    fits = low_shape = stalled = 0
+    for hard in [False] * 60 + [True] * 120:
+        time, event = _weibull_case(rng, hard)
+        if np.unique(time[event]).size < 2:
+            continue  # rejected before any fit
+        km = km_fit(time, event)
+        try:
+            want = weibull_mle_rebuilt_passes(time, event, km.times, km.survival_after)
+        except ArithmeticError as exc:
+            with pytest.raises(NumericalError) as got:
+                weibull_mle(time, event)
+            message, params = exc.args
+            assert str(got.value) == message
+            if "params" in got.value.diagnostics:
+                assert [x.hex() for x in got.value.diagnostics["params"]] == [x.hex() for x in params]
+            stalled += message.startswith("no convergence")
+            continue
+        fit, cov = weibull_mle(time, event)
+        assert (fit.shape.hex(), fit.scale.hex()) == (want[0].hex(), want[1].hex())
+        np.testing.assert_array_equal(cov.view(np.uint64), want[2].view(np.uint64))
+        fits += 1
+        low_shape += fit.shape < 0.3
+    assert fits >= 50 and low_shape >= 5 and stalled >= 1
 
 
 # ---------------------------------------------------------------- empirical_llp
@@ -579,3 +657,56 @@ def test_sample_subset_and_arnames():
     with pytest.raises(DomainError):
         s.levels("nope")
     assert ARM_RX == "Rx" and ARM_C == "C"
+
+
+@st.composite
+def _stratified_samples(draw):
+    n = draw(st.integers(1, 60))
+    # few distinct times tie subjects within a level, across levels and
+    # across arms, censored ties among them
+    time = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    event = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    is_rx = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    site = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    arm_site = [s + ("+" if x else "-") for s, x in zip(site, is_rx)]
+    return SurvivalSample(np.asarray(time, float) / 2.0, event, is_rx,
+                          {"site": np.asarray(site), "arm_site": np.asarray(arm_site)})
+
+
+def _assert_tables_equal(got, want):
+    for name in ("times", "events", "events_rx", "at_risk", "at_risk_rx"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _assert_orders_and_tables_read_off_the_one_sort(sample):
+    assert np.array_equal(sample.order, np.argsort(sample.time, kind="stable"))
+    _assert_tables_equal(sample.tables, estim._risk_tables(sample.time, sample.event, sample.is_rx))
+    for factor in sample.strata:
+        for label, sub in sample.levels(factor):
+            assert np.array_equal(sub.order, np.argsort(sub.time, kind="stable"))
+            _assert_tables_equal(sub.tables, estim._risk_tables(sub.time, sub.event, sub.is_rx))
+            np.testing.assert_array_equal(sub.time, sample.time[sample.strata[factor] == label])
+
+
+@given(_stratified_samples())
+@settings(max_examples=100, deadline=None)
+def test_level_orders_and_tables_equal_their_own_sorts(sample):
+    _assert_orders_and_tables_read_off_the_one_sort(sample)
+
+
+def test_level_orders_and_tables_on_a_tied_censored_cohort():
+    full = generate_prognostic_sample(dataclasses.replace(load_oak_analog_spec(), n=2000))
+    c = derive_rng(5, "level-ties").exponential(60.0, full.n)
+    time = np.round(np.minimum(full.time, c)) + 1.0  # about 100 distinct times
+    sample = SurvivalSample(time, full.time <= c, full.is_rx, full.strata)
+    assert np.unique(time).size < 200 and not sample.event.all()
+    _assert_orders_and_tables_read_off_the_one_sort(sample)
+
+
+def test_km_is_built_once_per_arm():
+    s = SurvivalSample([1.0, 2.0, 3.0, 4.0], [True, True, False, True], [True, False, True, False])
+    assert s.km(True) is s.km(np.bool_(True)) and s.km(False) is s.km(0)
+    assert s.km(True) is not s.km(False)
+    with pytest.raises(DomainError, match="the C arm is empty"):
+        SurvivalSample([1.0, 2.0], [True, True], [True, True]).km(False)

@@ -233,19 +233,18 @@ def test_run_replication_is_deterministic(small_scenario):
     assert isinstance(a.cox_rejected, bool)
 
 
-def test_run_replication_builds_one_risk_table(small_scenario, monkeypatch):
-    # the log-rank test, both product-limit medians and the Cox fit share it
-    calls = []
-    original = estim._risk_tables
-
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(estim, "_risk_tables", counting)
+def test_run_replication_builds_one_risk_table(small_scenario, monkeypatch, count_builds):
+    # the log-rank test, both product-limit medians and the Cox fit share
+    # one sort, one table and one curve per arm
+    samples = {rep: simulate_sample(small_scenario, rep) for rep in range(3)}
+    monkeypatch.setattr(sim, "simulate_sample", lambda scenario, rep: samples[rep])
+    counts = count_builds()
     for rep in range(3):
         run_replication(small_scenario, rep)
-    assert len(calls) == 3
+    assert counts == {
+        "sorts": [((small_scenario.config.n_total,), "stable")] * 3, "curves": 6,
+        "_sorted_risk_tables": 3, "_risk_tables": 0, "weibull_mle": 0, "km_fit": 0,
+    }
 
 
 def test_run_study_worker_count_is_invisible(small_scenario):
@@ -460,8 +459,8 @@ def test_tally_chunk_memory_does_not_grow_with_replications():
 
 
 def test_run_study_evaluates_section3_without_fallback(monkeypatch):
-    calls = {"_risk_tables": 0, "run_replication": 0}
-    for module, name in ((estim, "_risk_tables"), (sim, "run_replication")):
+    calls = {"_sorted_risk_tables": 0, "_risk_tables": 0, "run_replication": 0}
+    for module, name in ((estim, "_sorted_risk_tables"), (estim, "_risk_tables"), (sim, "run_replication")):
         original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original):
@@ -470,7 +469,7 @@ def test_run_study_evaluates_section3_without_fallback(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
     run_study(realize_scenario(section3_config(replications=40)))
-    assert calls == {"_risk_tables": 0, "run_replication": 0}
+    assert calls == {"_sorted_risk_tables": 0, "_risk_tables": 0, "run_replication": 0}
 
 
 class _InlinePool:

@@ -33,7 +33,15 @@ from survquack import (
 from survquack import sme
 from survquack.errors import DomainError, NotReachedError, NumericalError
 
-from oracles import mixture_density, power_curve_density, quad_llp, quantile_llp, weibull_density
+from oracles import (
+    llp_against_steps_by_hand,
+    mixture_density,
+    power_curve_density,
+    quad_llp,
+    quantile_llp,
+    step_survival_by_hand,
+    weibull_density,
+)
 
 
 def lehmann_pair(shape, scale, theta):
@@ -354,6 +362,54 @@ def test_mixture_llp_step_step_matches_pairwise_estimator():
     km_rx = km_fit(rx_t, np.ones(60, bool))
     km_c = km_fit(c_t, np.ones(60, bool))
     assert mixture_llp(km_rx, km_c) == pytest.approx(empirical_llp(rx_t, c_t), rel=1e-13)
+
+
+def _tied_km(rng, scale, n=40):
+    t = np.maximum(np.round(sample_times(WeibullDist(1.2, scale), rng, n)), 1.0)
+    return km_fit(t, rng.random(n) < 0.8)
+
+
+def _by_hand(km):
+    return lambda t, left: step_survival_by_hand(km.times, km.survival_after, t, left)
+
+
+def test_mixture_llp_against_a_lehmann_transformed_step_control():
+    # neither curve is a product-limit curve itself, so both limits at the
+    # control's jumps come from the base class's sides()
+    rng = derive_rng(43, "llp-lehmann")
+    km_rx, km_c = _tied_km(rng, 9.0), _tied_km(rng, 6.0)
+    rx, c = lehmann_transform(km_rx, 0.7), lehmann_transform(km_c, 1.6)
+    assert np.intersect1d(km_rx.times, km_c.times).size > 0  # ties get half credit
+    want = llp_against_steps_by_hand(
+        lambda t, left: _by_hand(km_rx)(t, left) ** 0.7,
+        lambda t, left: _by_hand(km_c)(t, left) ** 1.6,
+        km_c.times,
+    )
+    assert mixture_llp(rx, c) == pytest.approx(want, rel=1e-12)
+    assert mixture_llp(km_rx, c) == pytest.approx(
+        llp_against_steps_by_hand(_by_hand(km_rx), lambda t, left: _by_hand(km_c)(t, left) ** 1.6, km_c.times),
+        rel=1e-12,
+    )
+
+
+def test_mixture_llp_against_a_nested_mixture_step_control():
+    # a mixture inside a transform is one component, whose limits are the
+    # prevalence-weighted sums of its own components' limits
+    rng = derive_rng(44, "llp-nested")
+    kms = [_tied_km(rng, scale) for scale in (5.0, 7.0, 10.0, 8.0)]
+    inner = MixtureCurve(((0.5, kms[1]), (0.5, kms[2])))
+    c = lehmann_transform(MixtureCurve(((0.4, kms[0]), (0.6, inner))), 1.3)
+    rx = MixtureCurve(((0.25, kms[3]), (0.75, lehmann_transform(kms[0], 0.8))))
+    hand = [_by_hand(km) for km in kms]
+
+    def c_hand(t, left):
+        return (0.4 * hand[0](t, left) + 0.6 * (0.5 * hand[1](t, left) + 0.5 * hand[2](t, left))) ** 1.3
+
+    def rx_hand(t, left):
+        return 0.25 * hand[3](t, left) + 0.75 * hand[0](t, left) ** 0.8
+
+    jumps = np.concatenate([km.times for km in kms[:3]])
+    assert mixture_llp(rx, c) == pytest.approx(llp_against_steps_by_hand(rx_hand, c_hand, jumps), rel=1e-12)
 
 
 def test_mixture_llp_step_against_smooth_is_an_exact_piece_sum():
