@@ -98,7 +98,8 @@ def read_dataset(path) -> SurvivalSample:
     except UnicodeDecodeError as exc:
         bad = raw[exc.start:exc.end]
         raise ValidationError(f"{path}: not UTF-8 text ({bad!r} at byte offset {exc.start})") from None
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops one leading byte-order mark (Excel's "CSV UTF-8"), also after a seek to 0
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -116,7 +116,7 @@ class SurvivalSample:
     def tables(self) -> "_RiskTables":
         """The risk table, built on first use and shared; callers must not modify it."""
         o = self.order
-        return _sorted_risk_tables(self.time[o], self.event[o], self.is_rx[o])
+        return _risk_tables(self.time[o], self.event[o], self.is_rx[o])
 
     @cached_property
     def cox(self):
@@ -156,10 +156,9 @@ class SurvivalSample:
         built on first use and shared."""
         rx = bool(rx)
         if rx not in self._km:
-            in_arm = self.is_rx == rx
-            if not in_arm.any():
+            if not (self.is_rx == rx).any():
                 raise DomainError(f"the {ARM_RX if rx else ARM_C} arm is empty")
-            self._km[rx] = KMCurve(*self.tables.km(rx), float(self.time[in_arm].max()))
+            self._km[rx] = KMCurve(*self.tables.km(rx))
         return self._km[rx]
 
     @classmethod
@@ -187,7 +186,6 @@ class KMCurve(SurvivalCurve):
 
     times: np.ndarray
     survival_after: np.ndarray
-    max_time: float
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -196,17 +194,11 @@ class KMCurve(SurvivalCurve):
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "survival_after", np.asarray(self.survival_after, dtype=float))
 
-    def _lookup(self, t, side):
-        tt = _as_times(t)
-        idx = np.searchsorted(self.times, tt, side=side)
-        vals = np.concatenate(([1.0], self.survival_after))
-        return _match(vals[idx], t)
-
     def survival(self, t):
-        return self._lookup(t, "right")
+        return self.sides(t)[1]
 
     def survival_left(self, t):
-        return self._lookup(t, "left")
+        return self.sides(t)[0]
 
     def sides(self, t):
         """(survival_left(t), survival(t)) from one search: as the times are
@@ -244,16 +236,7 @@ class _RiskTables:
         return self.times[keep], np.cumprod(1.0 - d[keep] / n[keep])
 
 
-def _risk_tables(time, event, is_rx) -> _RiskTables:
-    order = np.argsort(time, kind="stable")
-    return _sorted_risk_tables(
-        np.asarray(time, dtype=float)[order],
-        np.asarray(event, dtype=bool)[order],
-        np.asarray(is_rx, dtype=bool)[order],
-    )
-
-
-def _sorted_risk_tables(t, e, x) -> _RiskTables:
+def _risk_tables(t, e, x) -> _RiskTables:
     """The risk table of times ``t`` in increasing order, with their death
     and Rx flags; a run of tied times starts wherever the time changes."""
     starts = np.empty(t.size, dtype=bool)
@@ -298,21 +281,13 @@ def _complete_tables(times, n_rx):
 def _complete_median_rank(n):
     """0-based rank of the product-limit median among the sorted times of a
     complete sample of ``n`` without ties: its curve depends on n alone."""
-    at_risk = np.arange(n, 0, -1)
-    ones = np.ones(n, dtype=np.int64)
-    curve = KMCurve(*_RiskTables(np.arange(n), ones, ones, at_risk, at_risk).km(True), n - 1)
-    return int(km_median(curve))
+    return int(km_median(km_fit(np.arange(1.0, n + 1.0), np.ones(n, bool)))) - 1
 
 
 def km_fit(times, events) -> KMCurve:
-    """Product-limit estimate from one group's times and death indicators."""
-    t = np.asarray(times, dtype=float)
-    e = np.asarray(events, dtype=bool)
-    if t.ndim != 1 or t.size == 0 or e.shape != t.shape:
-        raise DomainError("km_fit needs aligned, non-empty time and event arrays")
-    if not np.all(np.isfinite(t)) or np.any(t <= 0.0):
-        raise DomainError("observation times must be finite and > 0")
-    return KMCurve(*_risk_tables(t, e, np.ones(t.size, bool)).km(True), float(t.max()))
+    """Product-limit estimate from one group's times and death indicators:
+    the curve of a sample whose every subject is in the Rx arm."""
+    return SurvivalSample(times, events, np.ones(np.shape(times), bool)).km(True)
 
 
 def km_median(curve: KMCurve):
@@ -377,12 +352,8 @@ def weibull_mle(times, events, km=None):
     (WeibullDist, cov) where cov is the 2x2 covariance of
     (log shape, log scale) from the observed information.
     """
-    t = np.asarray(times, dtype=float)
-    e = np.asarray(events, dtype=bool)
-    if t.ndim != 1 or t.size == 0 or e.shape != t.shape:
-        raise DomainError("weibull_mle needs aligned, non-empty time and event arrays")
-    if not np.all(np.isfinite(t)) or np.any(t <= 0.0):
-        raise DomainError("observation times must be finite and > 0")
+    one_arm = SurvivalSample(times, events, np.ones(np.shape(times), bool))
+    t, e = one_arm.time, one_arm.event
     d = int(e.sum())
     if d < 2:
         raise DomainError("weibull_mle needs at least two deaths")
@@ -395,7 +366,7 @@ def weibull_mle(times, events, km=None):
 
     logt = np.log(t)
     sum_e_logt = float(logt[e].sum())
-    a, b = _km_regression_init(t, e, km_fit(t, e) if km is None else km)
+    a, b = _km_regression_init(t, e, one_arm.km(True) if km is None else km)
     d = float(d)
 
     # a step reads the likelihood pass of the trial its line search

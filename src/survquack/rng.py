@@ -14,9 +14,10 @@ order) and still reproduce the sequential results bit for bit.
 ``_usable_cpus`` sizes the pools that do so.
 
 ``_pcg64_states`` derives the streams (master_seed, rep, *tail) of many
-replications at once: it reproduces numpy's ``SeedSequence`` hash and the
-``PCG64`` seeding step as uint32 array arithmetic across the streams and
-returns each generator's 128-bit (state, increment). ``derive_rng`` keeps
+replications and several tails at once, hashing each rep once for all
+tails: it reproduces numpy's ``SeedSequence`` hash and the ``PCG64``
+seeding step as uint32 array arithmetic across the streams and returns
+each generator's 128-bit (state, increment). ``derive_rng`` keeps
 numpy's own route, which is cheaper for a single stream.
 """
 
@@ -140,41 +141,49 @@ def _seed_pool(seed):
     return pool, const
 
 
-def _pcg64_states(master_seed, reps, *tail):
-    """``[(state, inc), ...]``: the 128-bit PCG64 state and increment of
-    ``derive_rng(master_seed, rep, *tail)`` for each rep in ``reps``.
+def _pcg64_states(master_seed, reps, tails):
+    """``{tail: [(state, inc), ...]}``: the 128-bit PCG64 state and increment
+    of ``derive_rng(master_seed, rep, *tail)`` for each rep in ``reps``, for
+    each tail in ``tails``.
 
-    The seed's part of the hash is computed once with Python ints; the
-    rest runs as uint32 array arithmetic across the streams, grouped by
-    how many 32-bit words their rep takes. The tail's words are the same
-    in every stream, so they are hashed as Python ints.
+    The seed's part of the hash is computed once with Python ints. Each rep
+    is encoded, split into words and mixed into the pool once, as uint32
+    array arithmetic across the streams, grouped by how many 32-bit words
+    their rep takes. As a stream's spawn key is (rep, *tail), each tail then
+    continues from a copy of that pool; its words are the same in every
+    stream, so they are hashed as Python ints.
     """
     seed = _master_seed(master_seed)
-    reps = [encode_path_part(rep) for rep in reps]
-    tail_words = [word for part in tail for word in _words(encode_path_part(part))]
+    tail_words = {
+        tail: [word for part in tail for word in _words(encode_path_part(part))] for tail in tails
+    }
     pool0, const0 = _seed_pool(seed)
+    reps = [_words(encode_path_part(rep)) for rep in reps]
     by_length = {}
-    for i, rep in enumerate(reps):
-        by_length.setdefault(len(_words(rep)), []).append(i)
-    states = [None] * len(reps)
+    for i, words in enumerate(reps):
+        by_length.setdefault(len(words), []).append(i)
+    states = {tail: [None] * len(reps) for tail in tails}
     for index in by_length.values():
-        rep_words = np.array([_words(reps[i]) for i in index], dtype=np.uint32).T
-        pool = [np.full(len(index), word, dtype=np.uint32) for word in pool0]
-        _mix_in(pool, [*rep_words, *tail_words], const0)
-        # generate_state(4, uint64): eight 32-bit words, read little-endian
-        out, const = [], _INIT_B
-        for i in range(2 * _POOL):
-            word, const = _hashmix(pool[i % _POOL], const, _MULT_B)
-            out.append(word.astype(np.uint64))
-        seed_hi, seed_lo, inc_hi, inc_lo = (
-            (out[2 * j] | out[2 * j + 1] << np.uint64(32)).tolist() for j in range(_POOL)
-        )
-        for at, s_hi, s_lo, i_hi, i_lo in zip(index, seed_hi, seed_lo, inc_hi, inc_lo):
-            # pcg64_set_seed: inc = 2 * initseq + 1, then two LCG steps with
-            # the seed added in between
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-            states[at] = (state, inc)
+        rep_words = np.array([reps[i] for i in index], dtype=np.uint32).T
+        rep_pool = [np.full(len(index), word, dtype=np.uint32) for word in pool0]
+        rep_const = _mix_in(rep_pool, rep_words, const0)
+        for tail, words in tail_words.items():
+            pool = list(rep_pool)  # mixing rebinds the pool's words, never writes them
+            _mix_in(pool, words, rep_const)
+            # generate_state(4, uint64): eight 32-bit words, read little-endian
+            out, const = [], _INIT_B
+            for i in range(2 * _POOL):
+                word, const = _hashmix(pool[i % _POOL], const, _MULT_B)
+                out.append(word.astype(np.uint64))
+            seed_hi, seed_lo, inc_hi, inc_lo = (
+                (out[2 * j] | out[2 * j + 1] << np.uint64(32)).tolist() for j in range(_POOL)
+            )
+            for at, s_hi, s_lo, i_hi, i_lo in zip(index, seed_hi, seed_lo, inc_hi, inc_lo):
+                # pcg64_set_seed: inc = 2 * initseq + 1, then two LCG steps
+                # with the seed added in between
+                inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+                state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+                states[tail][at] = (state, inc)
     return states
 
 

@@ -291,25 +291,23 @@ _STREAM_ROWS = 256
 _DRAW_ROWS = 32
 
 
-def _stream_states(master_seed, reps, *tail):
-    """The PCG64 (state, inc) of stream (master_seed, rep, *tail) for each
-    rep in ``reps``. A single stream takes numpy's own derivation, which is
-    cheaper for one."""
-    if len(reps) == 1:
-        state = derive_rng(master_seed, reps[0], *tail).bit_generator.state["state"]
-        return [(state["state"], state["inc"])]
-    return _pcg64_states(master_seed, reps, *tail)
-
-
 def _trial_streams(scenario: RealizedScenario, reps) -> dict:
-    """``_stream_states`` of ``reps`` for each stream tail a trial's draw
-    reads: membership (under stochastic membership only) and each arm's
-    times."""
+    """``{tail: [(state, inc), ...]}``: the PCG64 state and increment of
+    stream (master_seed, rep, *tail) for each rep in ``reps``, for each tail
+    a trial's draw reads: membership (under stochastic membership only) and
+    each arm's times. A single rep takes numpy's own derivation, which is
+    cheaper for one stream per tail."""
     cfg = scenario.config
     tails = [("times", ARM_RX), ("times", ARM_C)]
     if cfg.membership == "stochastic":
         tails.append(("membership",))
-    return {tail: _stream_states(cfg.master_seed, reps, *tail) for tail in tails}
+    if len(reps) != 1:
+        return _pcg64_states(cfg.master_seed, reps, tails)
+    streams = {}
+    for tail in tails:
+        state = derive_rng(cfg.master_seed, reps[0], *tail).bit_generator.state["state"]
+        streams[tail] = [(state["state"], state["inc"])]
+    return streams
 
 
 def _uniforms(gen, states, n):
@@ -328,11 +326,11 @@ def _uniforms(gen, states, n):
     return u
 
 
-def _draw_block(scenario: RealizedScenario, reps, time, streams=None) -> np.ndarray:
-    """Write trial ``reps[i]``'s event times into row i of ``time`` (Rx
-    subjects first) and return each subject's subgroup index, row by row.
-    Each row is fully determined by (master_seed, rep). ``streams`` holds
-    the rows' ``_trial_streams``, derived here when not given.
+def _draw_block(scenario: RealizedScenario, streams, time) -> np.ndarray:
+    """Write the trial whose seed streams are row i of each tail's list in
+    ``streams`` (as ``_trial_streams`` gives them) into row i of ``time``
+    (Rx subjects first) and return each subject's subgroup index, row by
+    row. Each row is fully determined by (master_seed, rep).
 
     Membership and event times use separate derived streams. Each arm's
     stream gives one uniform per subject, consumed subgroup by subgroup
@@ -344,8 +342,6 @@ def _draw_block(scenario: RealizedScenario, reps, time, streams=None) -> np.ndar
     cfg = scenario.config
     n_total, n_rx = cfg.n_total, scenario.n_rx
     gen = np.random.Generator(np.random.PCG64(0))  # its state is set per stream
-    if streams is None:
-        streams = _trial_streams(scenario, reps)
 
     if cfg.membership == "stochastic":
         u = _uniforms(gen, streams[("membership",)], n_total)
@@ -379,7 +375,7 @@ def simulate_sample(scenario: RealizedScenario, rep: int) -> SurvivalSample:
     """Draw one trial's data. Fully determined by (master_seed, rep)."""
     n_total = scenario.config.n_total
     time = np.empty((1, n_total))
-    g_idx = _draw_block(scenario, [rep], time)
+    g_idx = _draw_block(scenario, _trial_streams(scenario, [rep]), time)
     labels = np.array([g.label for g in scenario.subgroups])
     is_rx = np.arange(n_total) < scenario.n_rx
     return SurvivalSample(time[0], np.ones(n_total, dtype=bool), is_rx, {"subgroup": labels[g_idx[0]]})
@@ -446,7 +442,7 @@ def _draw_groups(scenario: RealizedScenario, reps):
             drawn = derived[at:at + _DRAW_ROWS]
             time = buffer[: len(drawn)]
             group = {tail: states[at:at + _DRAW_ROWS] for tail, states in streams.items()}
-            _draw_block(scenario, drawn, time, group)
+            _draw_block(scenario, group, time)
             yield drawn, time
 
 

@@ -110,14 +110,14 @@ def oak_audit(oak_sample, oak_spec):
     return stratified_audit(oak_sample, factors, measure=Measure.HR)
 
 
-_COUNTED_BUILDS = ("_sorted_risk_tables", "_risk_tables", "weibull_mle", "km_fit")
+_COUNTED_BUILDS = ("_risk_tables", "weibull_mle", "km_fit")
 
 
 @pytest.fixture
 def count_builds(monkeypatch):
     """``count_builds()`` starts counting, for the rest of the test, the
     ``np.argsort`` calls (as (shape, kind)), the product-limit curves built
-    (``curves``) and the calls of each of ``estim``'s table builders,
+    (``curves``) and the calls of ``estim``'s one table builder,
     ``weibull_mle`` and ``km_fit``; it returns the live tallies."""
 
     def start():

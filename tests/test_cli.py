@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -236,6 +237,27 @@ class TestReadDataset:
         with mock.patch.object(cli_module, "_BLOCK_ROWS", block_rows):
             assert _read_outcome(path) == _read_outcome(path, fast=False)
 
+    @pytest.mark.parametrize("grp", ["a", '"a"'], ids=["plain", "quoted"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, grp):
+        # Excel's "CSV UTF-8" export starts the file with one mark; a quoted
+        # cell sends the file down the line-by-line pass
+        text = f"time,event,arm,s:grp\n1.5,1,Rx,{grp}\n2.5,1,C,b\n3.5,0,Rx,b\n0.5,1,C,a\n"
+        unmarked, marked = tmp_path / "unmarked.csv", tmp_path / "marked.csv"
+        unmarked.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        data = text.split("\n", 1)[1]
+        assert (cli_module._plain_columns(data, 4, [0, 1, 2, 3]) is None) == (grp != "a")
+        assert _read_outcome(marked) == _read_outcome(unmarked)
+        assert list(read_dataset(marked).strata["grp"]) == ["a", "b", "b", "a"]
+        rc, _, err = run_cli(["analyze", str(marked), "--strata", "grp"], capsys)
+        assert rc == 0, err
+
+    def test_non_utf8_byte_after_a_byte_order_mark_reports_its_file_offset(self, tmp_path):
+        path = tmp_path / "marked-latin1.csv"
+        path.write_bytes(b"\xef\xbb\xbftime,event,arm\n1.0,1,Rx\n2.0,1,C\xff\n")
+        with pytest.raises(ValidationError, match=r"not UTF-8 text \(b'\\xff' at byte offset 34\)"):
+            read_dataset(path)
+
     def test_non_utf8_file_is_a_validation_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"time,event,arm\n1.0,1,Rx\n2.0,1,C\xff\n")
@@ -381,8 +403,48 @@ class TestAnalyze:
         # Weibull fits per level
         assert counts == {
             "sorts": [((sample.n,), "stable")], "curves": 18,
-            "_sorted_risk_tables": 9, "_risk_tables": 0, "weibull_mle": 16, "km_fit": 0,
+            "_risk_tables": 9, "weibull_mle": 16, "km_fit": 0,
         }
+
+    def test_benchmark_tracer_counts_every_table_of_analyze(self, tmp_path, capsys):
+        # the benchmark's span tracer, loaded from its file, sees one risk
+        # table for the sample and one per level, and every layer it names
+        # that a censored audit runs; every name it rebinds is restored
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_spans", os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+        )
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        full = generate_prognostic_sample(dataclasses.replace(load_oak_analog_spec(), n=800))
+        c = derive_rng(99, "censor-count").exponential(60.0, full.n)
+        labels = full.strata["histology"]
+        sample = SurvivalSample(np.minimum(full.time, c), full.time <= c, full.is_rx, {"g": labels})
+        path = tmp_path / "censored.csv"
+        write_dataset_csv(sample, path)
+        modules = [m for k, m in list(sys.modules.items()) if k == "survquack" or k.startswith("survquack.")]
+        bound = {m: dict(vars(m)) for m in modules}
+        tracer = spans.Tracer()
+        try:
+            tracer.install({})
+            tracer.enabled = True
+            rc, out, _ = run_cli(
+                ["analyze", str(path), "--strata", "g", "--measure", "HR", "--measure", "TR"], capsys
+            )
+        finally:
+            tracer.enabled = False
+            for module, names in bound.items():
+                for name, value in names.items():
+                    if getattr(module, name) is not value:
+                        setattr(module, name, value)
+        assert all(getattr(m, k) is v for m, names in bound.items() for k, v in names.items())
+        assert rc == 0
+        sections = parse_report(out)["sections"]
+        assert sections["stratified_audit_hr"]["ok"] and sections["stratified_audit_tr"]["ok"]
+        calls = {name: n for name, (n, _) in tracer.summary().items()}
+        assert calls["estim._risk_tables"] == 1 + np.unique(labels).size
+        for name in ("cli.read_dataset", "infer.logrank_test", "estim.cox_fit_two_arm",
+                     "estim.weibull_mle", "sme.stratified_audit", "sme.mixture_llp"):
+            assert calls.get(name, 0) >= 1, name
 
     def test_weibull_audit_drops_levels_without_two_death_times(self, tmp_path, capsys):
         rng = derive_rng(31, "sparse-level")

@@ -1,7 +1,9 @@
 """Golden reports: the CLI's output on fixed inputs, pinned in tests/golden/.
 
 Each case is the ``strip_volatile`` report of one CLI call, with the
-dataset path replaced by a placeholder. Integers, strings, booleans and
+dataset path replaced by a placeholder. A ``simulate`` case runs with
+``--workers 1`` and ``--workers 2``, and both reports, their worker count
+replaced by a placeholder, must equal its one file. Integers, strings, booleans and
 nulls must match exactly and floats to 1e-12 relative, so that another
 host's libm cannot fail the suite; a mismatch names the first differing
 path. A change that alters a golden file on purpose regenerates the
@@ -28,9 +30,9 @@ from survquack.rng import derive_rng
 
 GOLDEN = Path(__file__).parent / "golden"
 DATASET = "<dataset>"
+WORKERS = "<workers>"
 AUDIT = ["--strata", "sex,histology,kras,egfr", "--measure", "HR", "--measure", "TR"]
-# case name -> censored
-CASES = {"analyze-oak-complete": False, "analyze-oak-censored": True}
+SIMULATE = ["simulate", "builtin:section3", "--replications", "500"]
 REL_TOL = 1e-12
 
 
@@ -43,14 +45,57 @@ def _cohort(censored):
     return SurvivalSample(np.minimum(sample.time, c), sample.time <= c, sample.is_rx, sample.strata)
 
 
-def _report(case, workdir):
-    """The case's report, volatile fields and dataset path removed."""
+def _separated():
+    """Every Rx death after every C death, in two strata: the Cox fits fail."""
+    time = np.array([10.0, 11.0, 12.0, 13.0, 1.0, 2.0, 3.0, 4.0])
+    grp = np.array(["a", "b", "a", "b", "a", "b", "a", "b"])
+    return SurvivalSample(time, np.ones(8, bool), np.arange(8) < 4, {"grp": grp})
+
+
+def _trial30():
+    """One complete 30x30 Weibull trial."""
+    rng = derive_rng(30, "golden-trial")
+    return SurvivalSample.from_arms(9.0 * rng.weibull(1.2, 30), 7.0 * rng.weibull(1.2, 30))
+
+
+# case name -> (argv with DATASET where the dataset's path goes, the dataset)
+CASES = {
+    "analyze-oak-complete": (["analyze", DATASET, *AUDIT], lambda: _cohort(False)),
+    "analyze-oak-censored": (["analyze", DATASET, *AUDIT], lambda: _cohort(True)),
+    "analyze-separated": (
+        ["analyze", DATASET, "--strata", "grp", "--measure", "HR", "--measure", "TR"], _separated
+    ),
+    "pivot-oak-seed11": (["pivot-ci", DATASET, "--seed", "11"], lambda: _cohort(False)),
+    "pivot-trial30-seed11": (["pivot-ci", DATASET, "--seed", "11"], _trial30),
+    "eq1-demo": (["eq1-demo"], None),
+    "simulate-section3-seed5": ([*SIMULATE, "--seed", "5"], None),
+    "simulate-section3-seed99": ([*SIMULATE, "--seed", "99"], None),
+}
+# (case, worker count): a simulate report must not depend on --workers
+RUNS = [
+    (case, workers)
+    for case, (argv, _) in sorted(CASES.items())
+    for workers in ((1, 2) if argv[0] == "simulate" else (None,))
+]
+
+
+def _report(case, workdir, workers=None):
+    """The case's report, volatile fields, dataset path and worker count removed."""
+    argv, make = CASES[case]
     dataset, out = Path(workdir) / f"{case}.csv", Path(workdir) / f"{case}.json"
-    write_dataset_csv(_cohort(CASES[case]), dataset)
-    assert main(["analyze", str(dataset), *AUDIT, "--out", str(out)]) == 0
+    if make is not None:
+        write_dataset_csv(make(), dataset)
+    argv = [str(dataset) if arg == DATASET else arg for arg in argv]
+    if workers is not None:
+        argv += ["--workers", str(workers)]
+    assert main([*argv, "--out", str(out)]) == 0
     report = strip_volatile(json.loads(out.read_text(encoding="utf-8")))
-    assert report["inputs"]["dataset"] == str(dataset)
-    report["inputs"]["dataset"] = DATASET
+    if make is not None:
+        assert report["inputs"]["dataset"] == str(dataset)
+        report["inputs"]["dataset"] = DATASET
+    if workers is not None:
+        assert report["inputs"]["workers"] == workers
+        report["inputs"]["workers"] = WORKERS
     return report
 
 
@@ -79,10 +124,12 @@ def _first_difference(expected, actual, path="$"):
     return None
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_analyze_report_matches_golden(case, tmp_path):
+@pytest.mark.parametrize(
+    "case, workers", RUNS, ids=[case if w is None else f"{case}-workers{w}" for case, w in RUNS]
+)
+def test_report_matches_golden(case, workers, tmp_path):
     expected = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
-    assert _first_difference(expected, _report(case, tmp_path)) is None
+    assert _first_difference(expected, _report(case, tmp_path, workers)) is None
 
 
 @pytest.mark.parametrize(
@@ -110,8 +157,10 @@ def regenerate():
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
-        for case in sorted(CASES):
-            text = json.dumps(_report(case, workdir), indent=2, sort_keys=False) + "\n"
+        for case, workers in RUNS:
+            if workers == 2:
+                continue  # the same report as one worker's
+            text = json.dumps(_report(case, workdir, workers), indent=2, sort_keys=False) + "\n"
             (GOLDEN / f"{case}.json").write_text(text, encoding="utf-8")
             print(f"wrote {GOLDEN / case}.json")
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from survquack import derive_rng
+from survquack import derive_rng, rng
 from survquack.cli import main
 from survquack.errors import DomainError
 from survquack.rng import _pcg64_states, encode_path_part
@@ -86,20 +86,50 @@ def test_bulk_states_match_numpy_seed_sequence():
     # that the streams are grouped by length and put back in order
     seeds = [0, 5, 2**32 - 1, 2**32, 2**64, 2**64 + 5, 2**128 + 7]
     reps = [0, 2**32 - 1, 2**32, 1, 2**32 + 5, 2**32 - 1]
+    tails = [("membership",), ("times", "Rx"), ("times", "C"), (), (2**40, "x")]
     for seed in seeds:
-        for tail in [("membership",), ("times", "Rx"), ("times", "C")]:
+        states = _pcg64_states(seed, reps, tails)
+        assert list(states) == tails
+        for tail in tails:
             want = [oracles.pcg64_state(seed, rep, *tail) for rep in reps]
-            assert _pcg64_states(seed, reps, *tail) == want, (seed, tail)
-    assert _pcg64_states(7, []) == []
+            assert states[tail] == want, (seed, tail)
+    assert _pcg64_states(7, [], tails[:2]) == {tails[0]: [], tails[1]: []}
+
+
+def test_bulk_states_encode_and_split_each_rep_once(monkeypatch):
+    # one call derives every tail: a rep's words are mixed into the pool
+    # once, and each tail continues from a copy of it
+    encoded, split = [], []
+    encode, words = rng.encode_path_part, rng._words
+
+    def counting_encode(part):
+        encoded.append(part)
+        return encode(part)
+
+    def counting_words(n):
+        split.append(n)
+        return words(n)
+
+    monkeypatch.setattr(rng, "encode_path_part", counting_encode)
+    monkeypatch.setattr(rng, "_words", counting_words)
+    reps = [3, 2**32 + 1, 0, 7]
+    tails = [("membership",), ("times", "Rx"), ("times", "C")]
+    states = _pcg64_states(2**40 + 9, reps, tails)
+    assert sorted(p for p in encoded if isinstance(p, int)) == sorted(reps)
+    tail_parts = [part for tail in tails for part in tail]
+    assert sorted(p for p in encoded if isinstance(p, str)) == sorted(tail_parts)
+    assert sorted(n for n in split if n in reps) == sorted(reps)
+    for tail in tails:
+        assert states[tail] == [oracles.pcg64_state(2**40 + 9, rep, *tail) for rep in reps]
 
 
 def test_bulk_states_reject_negative_seeds_and_reps():
     with pytest.raises(DomainError, match="master seed must be nonnegative"):
-        _pcg64_states(-1, [0], "membership")
+        _pcg64_states(-1, [0], [("membership",)])
     with pytest.raises(DomainError, match="integer stream path parts must be nonnegative"):
-        _pcg64_states(3, [0, -2], "membership")
+        _pcg64_states(3, [0, -2], [("membership",)])
     with pytest.raises(DomainError, match="integer stream path parts must be nonnegative"):
-        _pcg64_states(3, [0], "times", -1)
+        _pcg64_states(3, [0], [("membership",), ("times", -1)])
 
 
 def test_simulate_negative_seed_exits_2(capsys):

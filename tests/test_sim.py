@@ -243,7 +243,7 @@ def test_run_replication_builds_one_risk_table(small_scenario, monkeypatch, coun
         run_replication(small_scenario, rep)
     assert counts == {
         "sorts": [((small_scenario.config.n_total,), "stable")] * 3, "curves": 6,
-        "_sorted_risk_tables": 3, "_risk_tables": 0, "weibull_mle": 0, "km_fit": 0,
+        "_risk_tables": 3, "weibull_mle": 0, "km_fit": 0,
     }
 
 
@@ -258,7 +258,7 @@ def test_run_study_worker_count_is_invisible(small_scenario):
 
 def _evaluate_drawn_block(scenario, reps):
     time = np.empty((len(reps), scenario.config.n_total))
-    sim._draw_block(scenario, reps, time)
+    sim._draw_block(scenario, sim._trial_streams(scenario, reps), time)
     return sim._evaluate_block(scenario, reps, time)
 
 
@@ -310,10 +310,13 @@ def test_tied_and_separated_rows_fall_back_to_their_own_samples(monkeypatch):
     tied = np.arange(1.0, 21.0)
     tied[3] = tied[12]
     separated = np.concatenate([np.arange(11.0, 21.0), np.arange(1.0, 11.0)])
-    rows = {0: tied, 1: separated}
+    # a drawn row is known by its Rx times stream
+    rows = {}
+    for rep, row in enumerate([tied, separated]):
+        rows[sim._trial_streams(scenario, [rep])["times", "Rx"][0]] = row
 
-    def draw(scenario, reps, time):
-        time[:] = [rows[rep] for rep in reps]
+    def draw(scenario, streams, time):
+        time[:] = [rows[state] for state in streams["times", "Rx"]]
         return np.zeros(time.shape, dtype=int)
 
     fallbacks = []
@@ -398,13 +401,22 @@ def test_tally_draws_match_the_per_trial_oracle(config, reps, monkeypatch):
 
 @pytest.mark.parametrize("seed, rep", [(210615, 0), (5, 2**32 + 1), (2**64 + 5, 7)])
 def test_one_row_uniforms_equal_the_block_route(seed, rep):
-    # a single stream takes numpy's own derivation and a block derives its
-    # states together; the row is the same bit for bit
+    # a single rep takes numpy's own derivation and a block derives its
+    # states together, every tail in one pass; each tail's row is the same
+    # bit for bit, and simulate_sample's trial is the per-trial oracle's
+    scenario = realize_scenario(section3_config(master_seed=seed, n_total=50))
+    one = sim._trial_streams(scenario, [rep])
+    block = sim._trial_streams(scenario, [rep + 1, rep, 2**33])
+    assert sorted(one) == sorted(block) == [("membership",), ("times", "C"), ("times", "Rx")]
     gen = np.random.Generator(np.random.PCG64(0))
-    for tail in (("membership",), ("times", "Rx"), ("times", "C")):
-        one = sim._uniforms(gen, sim._stream_states(seed, [rep], *tail), 50)
-        block = sim._uniforms(gen, sim._stream_states(seed, [rep + 1, rep, 2**33], *tail), 50)
-        np.testing.assert_array_equal(one[0].view(np.uint64), block[1].view(np.uint64))
+    for tail in one:
+        u_one, u_block = sim._uniforms(gen, one[tail], 50), sim._uniforms(gen, block[tail], 50)
+        np.testing.assert_array_equal(u_one[0].view(np.uint64), u_block[1].view(np.uint64))
+    sample = simulate_sample(scenario, rep)
+    want, g_idx = draw_trial(scenario, rep)
+    np.testing.assert_array_equal(sample.time.view(np.uint64), want.view(np.uint64))
+    labels = np.array([g.label for g in scenario.subgroups])
+    np.testing.assert_array_equal(sample.strata["subgroup"], labels[g_idx])
 
 
 @pytest.mark.parametrize(
@@ -414,20 +426,21 @@ def test_one_row_uniforms_equal_the_block_route(seed, rep):
 )
 @pytest.mark.parametrize("reps", [range(300), range(0, 900, 3)], ids=["range300", "strided"])
 def test_tally_draws_cross_the_stream_derivation_boundary(config, reps, monkeypatch):
-    # seed streams are derived 256 replications at a time and drawn 32 rows
-    # at a time; the rows on both sides of the boundary are each trial's own
+    # seed streams are derived 256 replications at a time, every tail in one
+    # call, and drawn 32 rows at a time; the rows on both sides of the
+    # boundary are each trial's own
     assert sim._STREAM_ROWS == 256 and sim._STREAM_ROWS % sim._DRAW_ROWS == 0
     scenario = realize_scenario(config)
-    drawn, tails = [], []
+    drawn, derived = [], []
     evaluate, derive = sim._evaluate_block, sim._pcg64_states
 
     def recording(scenario, block, time):
         drawn.extend(zip(block, time.copy()))
         return evaluate(scenario, block, time)
 
-    def counting(master_seed, group, *tail):
-        tails.append(tail)
-        return derive(master_seed, group, *tail)
+    def counting(master_seed, group, tails):
+        derived.append((list(group), sorted(tails)))
+        return derive(master_seed, group, tails)
 
     monkeypatch.setattr(sim, "_evaluate_block", recording)
     monkeypatch.setattr(sim, "_pcg64_states", counting)
@@ -439,7 +452,7 @@ def test_tally_draws_cross_the_stream_derivation_boundary(config, reps, monkeypa
         np.testing.assert_array_equal(row.view(np.uint64), want.view(np.uint64))
     arms = [("times", "Rx"), ("times", "C")]
     want_tails = arms + [("membership",)] if config.membership == "stochastic" else arms
-    assert sorted(tails) == sorted(want_tails * 2)
+    assert derived == [(list(reps[:256]), sorted(want_tails)), (list(reps[256:]), sorted(want_tails))]
 
 
 def test_tally_chunk_memory_does_not_grow_with_replications():
@@ -459,8 +472,8 @@ def test_tally_chunk_memory_does_not_grow_with_replications():
 
 
 def test_run_study_evaluates_section3_without_fallback(monkeypatch):
-    calls = {"_sorted_risk_tables": 0, "_risk_tables": 0, "run_replication": 0}
-    for module, name in ((estim, "_sorted_risk_tables"), (estim, "_risk_tables"), (sim, "run_replication")):
+    calls = {"_risk_tables": 0, "run_replication": 0}
+    for module, name in ((estim, "_risk_tables"), (sim, "run_replication")):
         original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original):
@@ -469,7 +482,7 @@ def test_run_study_evaluates_section3_without_fallback(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
     run_study(realize_scenario(section3_config(replications=40)))
-    assert calls == {"_sorted_risk_tables": 0, "_risk_tables": 0, "run_replication": 0}
+    assert calls == {"_risk_tables": 0, "run_replication": 0}
 
 
 class _InlinePool:
