@@ -42,7 +42,7 @@ from .estim import (
     km_median,
 )
 from .infer import logrank_test, mw_pivot_ci, wald_test_cox
-from .sim import ScenarioConfig, SubgroupSpec, realize_scenario, run_study
+from .sim import _MIN_CHUNK, ScenarioConfig, SubgroupSpec, realize_scenario, run_study
 from .sme import naive_stratified_ratio, stratified_audit
 
 __all__ = ["main", "read_dataset", "parse_scenario_config"]
@@ -93,11 +93,13 @@ def read_dataset(path) -> SurvivalSample:
             raw = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot open dataset: {exc}") from exc
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        bad = raw[exc.start:exc.end]
-        raise ValidationError(f"{path}: not UTF-8 text ({bad!r} at byte offset {exc.start})") from None
+    # ASCII is UTF-8 already, and a byte-order mark is not ASCII
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            bad = raw[exc.start:exc.end]
+            raise ValidationError(f"{path}: not UTF-8 text ({bad!r} at byte offset {exc.start})") from None
     # utf-8-sig drops one leading byte-order mark (Excel's "CSV UTF-8"), also after a seek to 0
     with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -229,6 +231,12 @@ def _guarded(sections, name, fn):
         sections[name] = report_mod.section(error=f"{type(exc).__name__}: {exc}")
 
 
+def _level_counts(sample, name):
+    """{label: subjects} of one stratum factor, in label order."""
+    labels, codes = sample.factor(name)
+    return dict(zip(labels, np.bincount(codes, minlength=len(labels)).tolist()))
+
+
 def _cmd_analyze(args):
     sample = read_dataset(args.dataset)
     alpha = float(args.alpha)
@@ -252,7 +260,7 @@ def _cmd_analyze(args):
             "n_c": int((~sample.is_rx).sum()),
             "events": int(sample.event.sum()),
             "censored": int((~sample.event).sum()),
-            "factors": {name: {lv: sub.n for lv, sub in sample.levels(name)} for name in sample.strata},
+            "factors": {name: _level_counts(sample, name) for name in sample.strata},
         }
     )
 
@@ -538,7 +546,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("config", help="scenario INI path, or builtin:section3")
     ps.add_argument("--seed", type=int, help="override the config's master seed")
     ps.add_argument("--replications", type=int, help="override the config's replication count")
-    ps.add_argument("--workers", type=int, help="parallel worker processes (result is identical)")
+    ps.add_argument(
+        "--workers",
+        type=int,
+        help=f"processes, this one included (default: every usable CPU; each takes at least "
+        f"{_MIN_CHUNK} replications; the result is identical)",
+    )
     ps.set_defaults(func=_cmd_simulate)
 
     pp = sub.add_parser(

@@ -62,12 +62,13 @@ class SurvivalSample:
     per-subject label arrays; every factor covers every subject.
 
     The sample is sorted once: ``order`` is the stable order of its times,
-    and the risk table (``tables``) is read off it. Each factor's level
-    subsamples (``levels``) take their own orders from it too, so no level
-    sorts again. The per-arm product-limit curves (``km``), the two-arm Cox
-    fit (``cox``) and the per-arm Weibull fits (``weibull``) are built on
-    first use. Everything is then shared by every estimate, so the arrays
-    must not be mutated after construction.
+    and the risk table (``tables``) is read off it. Each factor is
+    factorized once (``factor``), and its level subsamples (``levels``) take
+    their own orders from the sample's, so no level sorts again. The
+    per-arm product-limit curves (``km``), the two-arm Cox fit (``cox``)
+    and the per-arm Weibull fits (``weibull``) are built on first use.
+    Everything is then shared by every estimate, so the arrays must not be
+    mutated after construction.
     """
 
     time: np.ndarray
@@ -95,6 +96,7 @@ class SurvivalSample:
         object.__setattr__(self, "event", event)
         object.__setattr__(self, "is_rx", is_rx)
         object.__setattr__(self, "strata", strata)
+        object.__setattr__(self, "_factors", {})
         object.__setattr__(self, "_levels", {})
         object.__setattr__(self, "_km", {})
 
@@ -130,15 +132,23 @@ class SurvivalSample:
         computed on first use and shared; a failed fit is not kept."""
         return tuple(weibull_mle(*self.arm(rx), km=self.km(rx))[0] for rx in (True, False))
 
+    def factor(self, name) -> tuple:
+        """(level labels in sorted order, each subject's index among them) of
+        one stratum factor, from one factorization on first use, then shared."""
+        if name not in self.strata:
+            raise DomainError(f"unknown stratum factor {name!r}")
+        if name not in self._factors:
+            labels, codes = np.unique(self.strata[name], return_inverse=True)
+            self._factors[name] = (tuple(str(lv) for lv in labels), codes)
+        return self._factors[name]
+
     def levels(self, factor) -> tuple:
         """((label, subsample), ...) in label order, built on first use and shared;
         a subsample holds only time, event and arm, and caches its own fits."""
-        if factor not in self.strata:
-            raise DomainError(f"unknown stratum factor {factor!r}")
         if factor not in self._levels:
-            labels = self.strata[factor]
+            labels, codes = self.factor(factor)
             self._levels[factor] = tuple(
-                (str(lv), self._subsample(labels == lv)) for lv in np.unique(labels)
+                (lv, self._subsample(codes == i)) for i, lv in enumerate(labels)
             )
         return self._levels[factor]
 
@@ -261,19 +271,31 @@ def _complete_tables(times, n_rx):
     A sample without tied times has one table entry per subject, so the
     tables share their shape and their ``events`` and ``at_risk``
     columns. Returns (block of tables, irregular): an irregular row holds
-    a tied time, whose entries its own table would merge, or a time that
-    is not finite and positive; its block table is not its own.
+    a time that is not finite and positive, or a tied time, whose entries
+    its own table would merge; its block table is not its own.
+
+    Each row sorts once, as integers: positive IEEE bit patterns order like
+    the values, so a key is a time's bits shifted left one with the Rx flag
+    in the lowest bit, and the sorted keys give back both the times and the
+    flags. The shift drops the sign bit, so only an irregular row's keys can
+    sort out of value order.
     """
-    order = np.argsort(times, axis=1)
-    t = np.take_along_axis(times, order, axis=1)
-    x = order < n_rx
-    irregular = (t[:, 1:] == t[:, :-1]).any(axis=1) | ~(t[:, 0] > 0.0) | ~np.isfinite(t[:, -1])
+    one = np.uint64(1)
+    keys = times.view(np.uint64) << one
+    keys[:, :n_rx] |= one
+    keys.sort(axis=1)
+    x = (keys & one).astype(float)
+    keys >>= one
+    t = keys.view(np.float64)
+    irregular = (
+        ~(times > 0.0).all(axis=1) | (t[:, 1:] == t[:, :-1]).any(axis=1) | ~np.isfinite(t[:, -1])
+    )
     # float counts, exact for any sample size, are what the formulas read
-    at_risk_rx = np.cumsum(x, axis=1, dtype=float)
+    at_risk_rx = np.cumsum(x, axis=1)
     at_risk_rx -= x
     np.subtract(n_rx, at_risk_rx, out=at_risk_rx)
     m = t.shape[1]
-    tb = _RiskTables(t, np.ones(m), x.astype(float), np.arange(m, 0.0, -1.0), at_risk_rx)
+    tb = _RiskTables(t, np.ones(m), x, np.arange(m, 0.0, -1.0), at_risk_rx)
     return tb, irregular
 
 

@@ -425,6 +425,12 @@ def _evaluate_block(scenario: RealizedScenario, reps, time) -> list:
 # replications drawn into one (_BLOCK, n_total) buffer and evaluated together
 _BLOCK = 8
 
+# fewest replications a process is given. On a 2-core host a worker adds
+# about 13-15 ms (starting it, handing it its share and collecting the
+# counts), while a builtin:section3 replication takes about 0.25 ms, so a
+# study splits in two only from about 100 replications on
+_MIN_CHUNK = 50
+
 # counter layout for the mergeable per-chunk tallies
 _N_REJECT, _N_RX, _N_C, _N_TIE, _N_COX = range(5)
 
@@ -539,28 +545,39 @@ class DirectionalErrorReport:
         return self.cox_rejections / self.replications
 
 
+def _shares(reps: int, workers: int | None) -> list:
+    """Contiguous ranges that split replications 0..reps-1 among the
+    processes, the parent's first. ``workers`` counts the parent and
+    defaults to the usable CPUs (``rng._usable_cpus``); it is capped by
+    them and so that each share holds at least ``_MIN_CHUNK`` replications."""
+    cpus = _usable_cpus()
+    workers = min(workers or cpus, cpus, max(1, reps // _MIN_CHUNK))
+    bounds = [reps * k // workers for k in range(workers + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def run_study(scenario: RealizedScenario, workers: int | None = None) -> DirectionalErrorReport:
     """Run the config's replications and tally directional claims.
 
     Replication ``i`` always uses the stream derived from
     (master_seed, i), so the tally is bit-identical for any ``workers``
-    value; parallel chunks merge by addition. The pool never holds more
-    processes than there are usable CPUs (``rng._usable_cpus``) or chunks.
+    value. The replications split into contiguous shares (``_shares``):
+    the parent tallies the first while a pool of worker processes tallies
+    the rest, and the counts add. A failing study raises the error of its
+    first failing replication, whatever the worker count.
     """
     if workers is not None and workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     reps = scenario.config.replications
-    indices = range(reps)
-    workers = min(workers or 1, _usable_cpus(), reps)
-    if workers > 1:
-        n_chunks = min(workers * 4, reps)
-        chunks = [list(indices[i::n_chunks]) for i in range(n_chunks)]
-        counts = np.zeros(5, dtype=np.int64)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_tally_chunk, [scenario] * len(chunks), chunks):
-                counts += part
+    first, *rest = _shares(reps, workers)
+    if rest:
+        with ProcessPoolExecutor(max_workers=len(rest)) as pool:
+            parts = [pool.submit(_tally_chunk, scenario, share) for share in rest]
+            counts = _tally_chunk(scenario, first)
+            for part in parts:
+                counts += part.result()
     else:
-        counts = _tally_chunk(scenario, indices)
+        counts = _tally_chunk(scenario, first)
     return DirectionalErrorReport(
         replications=reps,
         alpha=scenario.config.alpha,
@@ -571,4 +588,3 @@ def run_study(scenario: RealizedScenario, workers: int | None = None) -> Directi
         ties=int(counts[_N_TIE]),
         cox_rejections=int(counts[_N_COX]),
     )
-

@@ -69,7 +69,7 @@ def study_1k(section3):
     budget assertion.
     """
     t0 = time.perf_counter()
-    report = run_study(section3)
+    report = run_study(section3, workers=1)
     return report, time.perf_counter() - t0
 
 

@@ -336,6 +336,21 @@ def draw_trial(scenario, rep):
     return time, g_idx
 
 
+def complete_tables_by_argsort(times, n_rx):
+    """The block risk tables of complete samples the argsort way, for the
+    rows of ``times`` with their Rx subjects in the first ``n_rx`` columns:
+    (times in argsort order, Rx flag of each sorted entry, Rx subjects at
+    risk there, irregular), all as float arrays but the boolean irregular
+    flag of each row. A row is irregular when it holds a tied time or one
+    that is not finite and positive."""
+    order = np.argsort(times, axis=1)
+    t = np.take_along_axis(times, order, axis=1)
+    x = order < n_rx
+    irregular = (t[:, 1:] == t[:, :-1]).any(axis=1) | ~(t[:, 0] > 0.0) | ~np.isfinite(t[:, -1])
+    at_risk_rx = n_rx - (np.cumsum(x, axis=1) - x)
+    return t, x.astype(float), at_risk_rx.astype(float), irregular
+
+
 def cox_rows_three_pass(tb):
     """Breslow Newton fits of the treatment coefficient, one per row of a
     block of risk tables (or of one table as a one-row block), with each

@@ -40,6 +40,7 @@ from survquack.errors import (
 
 from oracles import (
     breslow_score,
+    complete_tables_by_argsort,
     cox_rows_three_pass,
     draw_trial,
     empirical_survival,
@@ -201,6 +202,33 @@ def test_complete_median_rank_matches_km_median(n):
     t = derive_rng(7, "median-rank", n).permutation(np.arange(1.0, n + 1.0))
     rank = estim._complete_median_rank(n)
     assert km_median(km_fit(t, np.ones(n, bool))) == rank + 1.0
+
+
+# a block's values: ties, both zeros, negatives, infinities and NaN among
+# arbitrary floats
+_BLOCK_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1.0, 2.0, 5e-324, math.inf, -math.inf, math.nan, -math.nan]),
+    st.floats(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_complete_tables_match_the_argsort_route(data):
+    rows, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+    n_rx = data.draw(st.integers(0, m))
+    times = np.array(data.draw(st.lists(_BLOCK_VALUES, min_size=rows * m, max_size=rows * m)))
+    times = times.reshape(rows, m)
+    kept = times.copy()
+    tb, irregular = estim._complete_tables(times, n_rx)
+    np.testing.assert_array_equal(times.view(np.uint64), kept.view(np.uint64))
+    want_t, want_x, want_at_risk_rx, want_irregular = complete_tables_by_argsort(times, n_rx)
+    np.testing.assert_array_equal(irregular, want_irregular)
+    regular = ~irregular
+    for got, want in ((tb.times, want_t), (tb.events_rx, want_x), (tb.at_risk_rx, want_at_risk_rx)):
+        np.testing.assert_array_equal(got[regular].view(np.uint64), want[regular].view(np.uint64))
+    np.testing.assert_array_equal(tb.at_risk, np.arange(m, 0, -1))
+    np.testing.assert_array_equal(tb.events, np.ones(m))
 
 
 # ------------------------------------------------------------------ weibull_mle

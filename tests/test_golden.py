@@ -1,13 +1,13 @@
 """Golden reports: the CLI's output on fixed inputs, pinned in tests/golden/.
 
 Each case is the ``strip_volatile`` report of one CLI call, with the
-dataset path replaced by a placeholder. A ``simulate`` case runs with
-``--workers 1`` and ``--workers 2``, and both reports, their worker count
-replaced by a placeholder, must equal its one file. Integers, strings, booleans and
-nulls must match exactly and floats to 1e-12 relative, so that another
-host's libm cannot fail the suite; a mismatch names the first differing
-path. A change that alters a golden file on purpose regenerates the
-corpus with
+dataset path replaced by a placeholder. A ``simulate`` case runs without
+``--workers`` and with ``--workers 1`` and ``--workers 2``, and every
+report, its worker count replaced by a placeholder, must equal its one
+file. Integers, strings, booleans and nulls must match exactly and floats
+to 1e-12 relative, so that another host's libm cannot fail the suite; a
+mismatch names the first differing path. A change that alters a golden
+file on purpose regenerates the corpus with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -71,11 +71,12 @@ CASES = {
     "simulate-section3-seed5": ([*SIMULATE, "--seed", "5"], None),
     "simulate-section3-seed99": ([*SIMULATE, "--seed", "99"], None),
 }
-# (case, worker count): a simulate report must not depend on --workers
+# (case, --workers value or None for no flag): a simulate report must not
+# depend on the worker count, given or left to its default
 RUNS = [
     (case, workers)
     for case, (argv, _) in sorted(CASES.items())
-    for workers in ((1, 2) if argv[0] == "simulate" else (None,))
+    for workers in ((None, 1, 2) if argv[0] == "simulate" else (None,))
 ]
 
 
@@ -93,8 +94,8 @@ def _report(case, workdir, workers=None):
     if make is not None:
         assert report["inputs"]["dataset"] == str(dataset)
         report["inputs"]["dataset"] = DATASET
-    if workers is not None:
-        assert report["inputs"]["workers"] == workers
+    if argv[0] == "simulate":
+        assert report["inputs"]["workers"] == workers  # null without the flag
         report["inputs"]["workers"] = WORKERS
     return report
 
@@ -124,9 +125,13 @@ def _first_difference(expected, actual, path="$"):
     return None
 
 
-@pytest.mark.parametrize(
-    "case, workers", RUNS, ids=[case if w is None else f"{case}-workers{w}" for case, w in RUNS]
-)
+def _run_id(case, workers):
+    if CASES[case][0][0] != "simulate":
+        return case
+    return f"{case}-default" if workers is None else f"{case}-workers{workers}"
+
+
+@pytest.mark.parametrize("case, workers", RUNS, ids=[_run_id(*run) for run in RUNS])
 def test_report_matches_golden(case, workers, tmp_path):
     expected = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
     assert _first_difference(expected, _report(case, tmp_path, workers)) is None
@@ -157,10 +162,8 @@ def regenerate():
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
-        for case, workers in RUNS:
-            if workers == 2:
-                continue  # the same report as one worker's
-            text = json.dumps(_report(case, workdir, workers), indent=2, sort_keys=False) + "\n"
+        for case in sorted(CASES):
+            text = json.dumps(_report(case, workdir), indent=2, sort_keys=False) + "\n"
             (GOLDEN / f"{case}.json").write_text(text, encoding="utf-8")
             print(f"wrote {GOLDEN / case}.json")
 

@@ -38,6 +38,12 @@ def small_scenario():
     return realize_scenario(section3_config(n_total=60, replications=40))
 
 
+@pytest.fixture(scope="module")
+def pool_scenario():
+    # room for four minimum shares, not five
+    return realize_scenario(section3_config(n_total=60, replications=4 * sim._MIN_CHUNK + 30))
+
+
 # ------------------------------------------------------ builtin:section3
 
 def test_builtin_scenario_config_fields():
@@ -225,6 +231,47 @@ def test_quota_membership_hits_exact_counts():
         assert counts == {"a": 5, "b": 10}
 
 
+@pytest.mark.parametrize(
+    "prevalences, n, counts",
+    [((0.15, 0.35, 0.5), 101, (15, 35, 51)), ((1 / 3, 1 / 3, 1 / 3), 500, (167, 167, 166))],
+)
+def test_quota_counts_give_the_remainder_to_the_largest_fractions(prevalences, n, counts):
+    # n·p is not whole: each subgroup gets floor(n·p), and the subjects left
+    # go one each to the largest fractional parts, the first of equal ones
+    assert tuple(sim._quota_counts(np.array(prevalences), n)) == counts
+
+
+def test_quota_index_splits_each_arm_by_the_remainder_rule():
+    subgroups = tuple(
+        SubgroupSpec(label, p, 1.0, rx_median=5.0, c_median=6.0)
+        for label, p in (("a", 0.15), ("b", 0.35), ("c", 0.5))
+    )
+    index = realize_scenario(ScenarioConfig(subgroups, n_total=202, membership="quota"))._quota_index
+    for arm in (index[:101], index[101:]):
+        assert tuple(np.bincount(arm)) == (15, 35, 51)
+
+
+def test_tally_counts_a_rejection_whose_medians_tie(monkeypatch):
+    # every trial: Rx's first nine deaths after C's, both 10th deaths at
+    # 10.0 and Rx's last ten far later, so the log-rank test rejects while
+    # the product-limit medians tie; the tied time sends each row to its
+    # own sample
+    scenario = realize_scenario(section3_config(membership="quota", n_total=40, replications=3))
+    rx = np.concatenate([np.linspace(9.1, 9.9, 9), [10.0], np.arange(100.0, 110.0)])
+    c = np.concatenate([np.arange(1.0, 10.0), [10.0], np.linspace(10.1, 10.9, 10)])
+
+    def draw(scenario, streams, time):
+        time[:] = np.concatenate([rx, c])
+        return np.zeros(time.shape, dtype=int)
+
+    monkeypatch.setattr(sim, "_draw_block", draw)
+    outcome = run_replication(scenario, 0).outcome
+    assert outcome.p_value < 0.05 and outcome.tie and outcome.claim is Claim.NO_CLAIM
+    assert list(sim._tally_chunk(scenario, range(3))) == [3, 0, 0, 3, 3]
+    report = run_study(scenario, workers=1)
+    assert (report.rejections, report.rx_longer, report.c_longer, report.ties) == (3, 0, 0, 3)
+
+
 def test_run_replication_is_deterministic(small_scenario):
     a = run_replication(small_scenario, 7)
     b = run_replication(small_scenario, 7)
@@ -247,11 +294,11 @@ def test_run_replication_builds_one_risk_table(small_scenario, monkeypatch, coun
     }
 
 
-def test_run_study_worker_count_is_invisible(small_scenario):
-    seq = run_study(small_scenario)
-    par = run_study(small_scenario, workers=2)
-    assert seq == par
-    assert seq.replications == 40
+def test_run_study_worker_count_is_invisible(pool_scenario):
+    seq = run_study(pool_scenario, workers=1)
+    assert run_study(pool_scenario, workers=2) == seq
+    assert run_study(pool_scenario) == seq
+    assert seq.replications == 4 * sim._MIN_CHUNK + 30
 
 
 # ----------------------------------------------------------- block evaluation
@@ -340,12 +387,13 @@ def test_tied_and_separated_rows_fall_back_to_their_own_samples(monkeypatch):
 
 
 def test_run_study_blocks_are_invisible():
-    # 37 is not a multiple of the block size, and each of the 8 parallel
-    # chunks ends its own partial block
-    scenario = realize_scenario(section3_config(replications=37))
-    seq = run_study(scenario)
+    # with two processes, each share ends its own partial block
+    reps = 2 * sim._MIN_CHUNK + 37
+    assert (reps // 2) % sim._BLOCK and (reps - reps // 2) % sim._BLOCK
+    scenario = realize_scenario(section3_config(replications=reps))
+    seq = run_study(scenario, workers=1)
     assert run_study(scenario, workers=2) == seq
-    per_sample = [run_replication(scenario, rep) for rep in range(37)]
+    per_sample = [run_replication(scenario, rep) for rep in range(reps)]
     assert seq.rejections == sum(r.outcome.p_value < 0.05 for r in per_sample)
     assert seq.rx_longer == sum(r.outcome.claim is Claim.RX_LONGER_MEDIAN for r in per_sample)
     assert seq.c_longer == sum(r.outcome.claim is Claim.C_LONGER_MEDIAN for r in per_sample)
@@ -372,7 +420,7 @@ THREE_SUBGROUPS = ScenarioConfig(
     "reps",
     [
         list(range(37)),  # the last draw group is not full
-        list(range(2000))[5::40],  # one of run_study's strided worker chunks
+        list(range(2000))[5::40],  # reps that do not follow each other
         [0, 2**32, 1, 2**32 + 3, 2],  # one- and two-word reps in one group
     ],
     ids=["range37", "strided", "wide-reps"],
@@ -481,13 +529,14 @@ def test_run_study_evaluates_section3_without_fallback(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(module, name, counting)
-    run_study(realize_scenario(section3_config(replications=40)))
+    run_study(realize_scenario(section3_config(replications=40)), workers=1)
     assert calls == {"_risk_tables": 0, "run_replication": 0}
 
 
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records the pool size it is asked
-    for and maps in this process."""
+    for and runs each submitted call in this process when its result is
+    read."""
 
     sizes = []
 
@@ -500,34 +549,148 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def submit(self, fn, *args):
+        return _Deferred(fn, args)
+
+
+class _Deferred:
+    def __init__(self, fn, args):
+        self.fn, self.args = fn, args
+
+    def result(self):
+        return self.fn(*self.args)
+
+
+@pytest.fixture
+def inline_shares(monkeypatch):
+    """Run run_study's pool in this process; return the list that records
+    the shares tallied, the parent's first, and reset the pool sizes."""
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", _InlinePool)
+    _InlinePool.sizes = []
+    shares = []
+    tally = sim._tally_chunk
+
+    def recording(scenario, reps):
+        shares.append(reps)
+        return tally(scenario, reps)
+
+    monkeypatch.setattr(sim, "_tally_chunk", recording)
+    return shares
+
+
+def _assert_shares(shares, reps, pool):
+    # contiguous ranges, the parent's first, that cover every rep once: one
+    # for the parent and one for each process of the pool, if one started
+    assert _InlinePool.sizes == pool
+    assert len(shares) == 1 + sum(pool)
+    assert all(isinstance(share, range) and share.step == 1 for share in shares)
+    assert [rep for share in shares for rep in share] == list(range(reps))
+    if pool:
+        assert min(len(share) for share in shares) >= sim._MIN_CHUNK
 
 
 @pytest.mark.parametrize(
     "workers, cpus, pool",
-    [(5000, 2, [2]), (3, 8, [3]), (64, 64, [40]), (2, 1, []), (2, None, []), (1, 8, [])],
+    [
+        (5000, 2, [1]), (3, 8, [2]), (64, 64, [3]), (2, 1, []), (2, None, []), (1, 8, []),
+        (None, 8, [3]), (None, 3, [2]), (None, 1, []), (None, None, []),
+    ],
 )
-def test_run_study_pool_is_capped_by_cpus_and_chunks(small_scenario, monkeypatch, workers, cpus, pool):
-    # small_scenario has 40 replications, so at most 40 chunks; without an
-    # affinity set the CPU count is what the process may use
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", _InlinePool)
+def test_run_study_pool_is_capped_by_cpus_and_chunks(
+    pool_scenario, monkeypatch, inline_shares, workers, cpus, pool
+):
+    # without an affinity set the CPU count is what the process may use;
+    # workers counts the parent and defaults to the usable CPUs
+    sequential = run_study(pool_scenario, workers=1)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    _InlinePool.sizes = []
-    assert run_study(small_scenario, workers=workers) == run_study(small_scenario)
-    assert _InlinePool.sizes == pool
+    inline_shares.clear()
+    assert run_study(pool_scenario, workers=workers) == sequential
+    _assert_shares(inline_shares, pool_scenario.config.replications, pool)
 
 
-@pytest.mark.parametrize("workers, affinity, pool", [(3, {0}, []), (64, {0, 2, 5}, [3])])
-def test_run_study_pool_is_capped_by_the_affinity_set(small_scenario, monkeypatch, workers, affinity, pool):
+@pytest.mark.parametrize(
+    "workers, affinity, pool", [(3, {0}, []), (64, {0, 2, 5}, [2]), (None, {0, 2, 5}, [2]), (None, {7}, [])]
+)
+def test_run_study_pool_is_capped_by_the_affinity_set(
+    pool_scenario, monkeypatch, inline_shares, workers, affinity, pool
+):
     # the machine has 64 CPUs, but the process may run on only a few of them
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", _InlinePool)
+    sequential = run_study(pool_scenario, workers=1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    _InlinePool.sizes = []
-    assert run_study(small_scenario, workers=workers) == run_study(small_scenario)
-    assert _InlinePool.sizes == pool
+    inline_shares.clear()
+    assert run_study(pool_scenario, workers=workers) == sequential
+    _assert_shares(inline_shares, pool_scenario.config.replications, pool)
+
+
+@pytest.mark.parametrize("reps, pool", [(2 * sim._MIN_CHUNK - 1, []), (2 * sim._MIN_CHUNK, [1]), (1, [])])
+def test_run_study_starts_no_pool_below_two_minimum_shares(monkeypatch, inline_shares, reps, pool):
+    scenario = realize_scenario(section3_config(n_total=20, membership="quota", replications=reps))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    run_study(scenario, workers=64)
+    _assert_shares(inline_shares, reps, pool)
+
+
+def _failing_draw(scenario, failing):
+    """A stand-in for sim._draw_block that draws every trial as usual but
+    overwrites the row of each rep in ``failing`` with arms that separate
+    the event order, Rx longer for the first rep and shorter for the next,
+    so that their Cox fits fail with different diagnostics."""
+    n_rx = scenario.n_rx
+    rows = {}
+    for rep, rx_longer in zip(failing, (True, False)):
+        low, high = np.arange(1.0, n_rx + 1.0), np.arange(n_rx + 1.0, 2.0 * n_rx + 1.0)
+        rows[sim._trial_streams(scenario, [rep])["times", "Rx"][0]] = (
+            np.concatenate([high, low]) if rx_longer else np.concatenate([low, high])
+        )
+    draw = sim._draw_block
+
+    def stand_in(scenario, streams, time):
+        g_idx = draw(scenario, streams, time)
+        for row, state in zip(time, streams["times", "Rx"]):
+            if state in rows:
+                row[:] = rows[state]
+        return g_idx
+
+    return stand_in
+
+
+@pytest.mark.parametrize("workers", [1, 2, None])
+def test_a_failing_study_raises_its_first_failing_replication(monkeypatch, workers):
+    # rep 3 is the parent's and rep 180 another process's whenever the
+    # study splits; either way the error is rep 3's, as a sequential run's
+    scenario = realize_scenario(section3_config(membership="quota", n_total=20, replications=200))
+    monkeypatch.setattr(sim, "_draw_block", _failing_draw(scenario, [3, 180]))
+    with pytest.raises(NumericalError) as rep3:
+        run_replication(scenario, 3)
+    with pytest.raises(NumericalError) as rep180:
+        run_replication(scenario, 180)
+    assert rep3.value.diagnostics != rep180.value.diagnostics
+    with pytest.raises(NumericalError) as study:
+        run_study(scenario, workers=workers)
+    assert str(study.value) == str(rep3.value)
+    assert study.value.diagnostics == rep3.value.diagnostics
+
+
+def test_a_failing_study_raises_its_first_failing_share(monkeypatch, inline_shares):
+    # the parent's share succeeds and two pool shares fail: the earlier
+    # share's error is raised, as a sequential run raises it
+    config = section3_config(membership="quota", n_total=20, replications=4 * sim._MIN_CHUNK)
+    scenario = realize_scenario(config)
+    first, second = 2 * sim._MIN_CHUNK + 7, 3 * sim._MIN_CHUNK + 7
+    monkeypatch.setattr(sim, "_draw_block", _failing_draw(scenario, [first, second]))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    with pytest.raises(NumericalError) as want:
+        run_study(scenario, workers=1)
+    inline_shares.clear()
+    with pytest.raises(NumericalError) as got:
+        run_study(scenario, workers=4)
+    assert len(inline_shares) == 3  # the last share is never read
+    assert got.value.diagnostics == want.value.diagnostics
+    with pytest.raises(NumericalError) as rep:
+        run_replication(scenario, first)
+    assert want.value.diagnostics == rep.value.diagnostics
 
 
 @pytest.mark.parametrize("workers", [0, -1])
