@@ -83,7 +83,8 @@ def read_dataset(path) -> SurvivalSample:
 
     Required columns: time (positive decimal), event (0/1), arm (Rx/C).
     Columns named ``s:<factor>`` carry stratum labels. Every malformed
-    line is reported with its 1-based line number; nothing is dropped
+    record is reported with the 1-based number of its first line, as a
+    quoted cell may span lines; nothing is dropped
     silently. Valid data rows of plain ASCII cells (no quotes, whitespace or
     blank lines) are parsed column by column, with the same result. A file
     that is not UTF-8 is reported with the offset of its first bad byte.
@@ -134,11 +135,15 @@ def read_dataset(path) -> SurvivalSample:
         if plain is not None:
             return SurvivalSample(*plain[:3], dict(zip(factor_cols, plain[3:])))
         fh.seek(0)  # back to the first data row for the line-by-line pass
+        reader = csv.reader(fh)
         next(reader)
         times, events, arms = [], [], []
         labels = {name: [] for name in factor_cols}
         problems = []
-        for lineno, row in enumerate(reader, start=2):
+        # a record is numbered by its first line: a quoted cell may hold line ends
+        end = reader.line_num
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(header):

@@ -66,7 +66,8 @@ class SurvivalSample:
     factorized once (``factor``), and its level subsamples (``levels``) take
     their own orders from the sample's, so no level sorts again. The
     per-arm product-limit curves (``km``), the two-arm Cox fit (``cox``)
-    and the per-arm Weibull fits (``weibull``) are built on first use.
+    and the per-arm Weibull fits (``weibull``, which read each arm's times
+    and events alone) are built on first use.
     Everything is then shared by every estimate, so the arrays must not be
     mutated after construction.
     """
@@ -128,9 +129,9 @@ class SurvivalSample:
 
     @cached_property
     def weibull(self):
-        """(Rx fit, C fit), each started from its arm's product-limit curve,
-        computed on first use and shared; a failed fit is not kept."""
-        return tuple(weibull_mle(*self.arm(rx), km=self.km(rx))[0] for rx in (True, False))
+        """(Rx fit, C fit): the Weibull law of each arm, fitted to its times
+        and events on first use and shared; a failed fit is not kept."""
+        return tuple(weibull_mle(*self.arm(rx))[0] for rx in (True, False))
 
     def factor(self, name) -> tuple:
         """(level labels in sorted order, each subject's index among them) of
@@ -320,54 +321,20 @@ def km_median(curve: KMCurve):
     return float(curve.times[hits[0]])
 
 
-def _km_regression_init(t, e, km):
-    """Starting point (log shape, log scale) from the product-limit plot."""
-    s = km.survival_after
-    usable = (s > 0.0) & (s < 1.0)
-    if usable.sum() >= 2:
-        y = np.log(-np.log(s[usable]))
-        x = np.log(km.times[usable])
-        slope, intercept = np.polyfit(x, y, 1)
-        if math.isfinite(slope) and slope > 0.0:
-            k0 = min(max(slope, 0.05), 50.0)
-            lam0 = math.exp(-intercept / slope)
-            if math.isfinite(lam0) and lam0 > 0.0:
-                return math.log(k0), math.log(lam0)
-    # fall back to the exponential fit
-    return 0.0, math.log(float(t.sum()) / float(e.sum()))
+def weibull_mle(times, events):
+    """Censored Weibull fit by the root of the shape's profile score.
 
-
-def _weibull_loglik_parts(a, b, logt, d, sum_e_logt):
-    k = math.exp(a)
-    u = logt - b
-    with np.errstate(over="ignore"):
-        z = np.exp(k * u)
-    sum_z = float(z.sum())
-    ll = d * (a - b) + (k - 1.0) * (sum_e_logt - d * b) - sum_z
-    return k, u, z, sum_z, ll
-
-
-def _weibull_newton_terms(parts, b, d, sum_e_logt):
-    """Log-likelihood, gradient and Hessian in (log shape, log scale), from
-    the likelihood pass ``parts`` at (a, b)."""
-    k, u, z, sum_z, ll = parts
-    sum_e_u = sum_e_logt - d * b
-    zu = z * u
-    sum_zu = float(zu.sum())
-    grad = (d + k * sum_e_u - k * sum_zu, k * (sum_z - d))
-    h_aa = k * sum_e_u - k * sum_zu - k * k * float((zu * u).sum())
-    h_ab = -k * d + k * k * sum_zu + k * sum_z
-    h_bb = -k * k * sum_z
-    return ll, grad, np.array([[h_aa, h_ab], [h_ab, h_bb]])
-
-
-def weibull_mle(times, events, km=None):
-    """Censored Weibull fit by Newton iteration on (log shape, log scale).
+    For a fixed shape k the scale solves lam^k = sum(t^k) / d in closed form.
+    With v = log t less the mean log death time, the profile score
+    1/k - sum(t^k v) / sum(t^k) falls strictly from +inf to a negative limit
+    when two death times differ (Cohen 1965), so its one root is found by
+    Newton steps in log k that bisect whenever a step would leave the sign
+    bracket or fail to halve the step before last. The powers are taken on
+    log t - max log t, so none overflows.
 
     Parameters
     ----------
     times, events : aligned arrays; events flags deaths (False = censored).
-    km : the data's product-limit curve, if built; the start is read off it.
 
     Returns
     -------
@@ -380,57 +347,62 @@ def weibull_mle(times, events, km=None):
     if d < 2:
         raise DomainError("weibull_mle needs at least two deaths")
 
-    death_times = t[e]
-    if death_times.min() == death_times.max():
+    logt = np.log(t)
+    # times whose logs round equal are one time to the fit
+    if logt[e].min() == logt[e].max():
         raise NumericalError(
             "degenerate sample: fewer than two distinct event times", n_events=d
         )
 
-    logt = np.log(t)
-    sum_e_logt = float(logt[e].sum())
-    a, b = _km_regression_init(t, e, one_arm.km(True) if km is None else km)
-    d = float(d)
-
-    # a step reads the likelihood pass of the trial its line search
-    # accepted, whose (a, b) is the new point bit for bit
-    parts = _weibull_loglik_parts(a, b, logt, d, sum_e_logt)
-    for iteration in range(100):
-        ll, (g_a, g_b), hess = _weibull_newton_terms(parts, b, d, sum_e_logt)
-        if not (math.isfinite(g_a) and math.isfinite(g_b)):
-            raise NumericalError("gradient overflow", iteration=iteration, params=(a, b))
-        if math.hypot(g_a, g_b) <= 1e-8:
-            break
-        try:
-            step = np.linalg.solve(hess, [-g_a, -g_b])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("singular hessian", iteration=iteration, params=(a, b)) from exc
-        norm = float(np.abs(step).max())
-        if norm > 4.0:
-            step = step * (4.0 / norm)
-        scale = 1.0
-        for _ in range(40):
-            parts = _weibull_loglik_parts(a + scale * step[0], b + scale * step[1], logt, d, sum_e_logt)
-            if math.isfinite(parts[4]) and parts[4] >= ll - 1e-12:
-                break
-            scale *= 0.5
+    top = float(logt.max())
+    u = logt - top
+    gap = -float(u[e].mean())  # top less the mean log death time, > 0
+    v = u + gap
+    # With n_top times at the top, the score is 1/k - gap - m(k), where m(k),
+    # the mean of u under the weights exp(k u), lies in (-(n - n_top)/(e k
+    # n_top), 0) as u exp(k u) >= -1/(e k). So the score is positive at
+    # k = 1/gap and negative past 1 + (n - n_top)/(e n_top) times that.
+    n_top = int(np.count_nonzero(u == 0.0))
+    lo = -math.log(gap)
+    hi = lo + math.log1p((u.size - n_top) / (math.e * n_top))
+    a = lo
+    step = prev = hi - lo
+    # Every bisection halves the bracket and every Newton step at least
+    # halves the step before last, so the steps in log k fall below the
+    # tolerance.
+    while abs(step) > 1e-14:
+        k = math.exp(a)
+        w = np.exp(k * u)
+        sum_w = float(w.sum())
+        wv = w * v
+        mean_v = float(wv.sum()) / sum_w
+        score = 1.0 / k - mean_v
+        if score > 0.0:
+            lo = a
         else:
-            # the halvings ran out: the new point is past the last trial
-            parts = _weibull_loglik_parts(a + scale * step[0], b + scale * step[1], logt, d, sum_e_logt)
-        a, b = a + scale * step[0], b + scale * step[1]
-    else:
-        raise NumericalError(
-            "no convergence after 100 Newton iterations",
-            gradient=(g_a, g_b),
-            params=(a, b),
+            hi = a
+        newton = score / (1.0 / k + k * (float((wv * v).sum()) / sum_w - mean_v * mean_v))
+        prev, step = step, (
+            newton if lo <= a + newton <= hi and 2.0 * abs(newton) < abs(prev) else 0.5 * (lo + hi) - a
         )
+        a += step
 
-    # observed information at the solution: the last step's Hessian
-    info = -hess
+    # observed information of (log shape, log scale) at the solution
+    k = math.exp(a)
+    b = top + math.log(float(np.exp(k * u).sum()) / d) / k
+    r = logt - b
+    z = np.exp(k * r)
+    sum_z = float(z.sum())
+    zr = z * r
+    sum_zr = float(zr.sum())
+    h_aa = k * float(r[e].sum()) - k * sum_zr - k * k * float((zr * r).sum())
+    h_ab = -k * d + k * k * sum_zr + k * sum_z
+    info = -np.array([[h_aa, h_ab], [h_ab, -k * k * sum_z]])
     det = info[0, 0] * info[1, 1] - info[0, 1] * info[1, 0]
     if not (det > 0.0 and info[0, 0] > 0.0):
         raise NumericalError("observed information is not positive definite", info=info.tolist())
     cov = np.linalg.inv(info)
-    return WeibullDist(math.exp(a), math.exp(b)), cov
+    return WeibullDist(k, math.exp(b)), cov
 
 
 def _pair_stats(rx_times, c_times):

@@ -11,7 +11,7 @@ import math
 from itertools import combinations
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
 LN2 = math.log(2.0)
 
@@ -420,82 +420,50 @@ def cox_rows_three_pass(tb):
         return beta, 1.0 / np.sqrt(info), code, halved
 
 
-def weibull_mle_rebuilt_passes(times, events, km_times, km_survival):
-    """Censored Weibull Newton fit on (log shape, log scale) that builds the
-    likelihood pass anew for every use: once for each step's gradient and
-    Hessian, once per line-search trial and once more for the information
-    at the solution. Started from the product-limit plot given by
-    ``km_times`` and ``km_survival`` (the estimate just after each time).
+def weibull_profile_root(times, events):
+    """Censored Weibull fit (shape k, scale lam) through the profile likelihood.
 
-    Returns (shape, scale, cov), cov being the inverse observed information
-    of (log shape, log scale); a failed fit raises ArithmeticError with the
-    reason and the (log shape, log scale) where it stopped.
+    For fixed k the scale solves lam^k = sum(t^k) / d, and the profile score
+    d/k + sum_deaths(log t) - d * sum(t^k log t) / sum(t^k) falls from +inf
+    to a negative limit, so its root is bracketed by halving and doubling k
+    from 1 and found by ``scipy.optimize.brentq``.
     """
     t = np.asarray(times, dtype=float)
     e = np.asarray(events, dtype=bool)
-    d = float(e.sum())
     logt = np.log(t)
-    sum_e_logt = float(logt[e].sum())
+    d = float(e.sum())
+    sum_event_logt = float(logt[e].sum())
+    top = float(logt.max())
 
-    def start():
-        usable = (km_survival > 0.0) & (km_survival < 1.0)
-        if usable.sum() >= 2:
-            slope, intercept = np.polyfit(
-                np.log(km_times[usable]), np.log(-np.log(km_survival[usable])), 1
-            )
-            if math.isfinite(slope) and slope > 0.0:
-                lam0 = math.exp(-intercept / slope)
-                if math.isfinite(lam0) and lam0 > 0.0:
-                    return math.log(min(max(slope, 0.05), 50.0)), math.log(lam0)
-        return 0.0, math.log(float(t.sum()) / float(e.sum()))
+    def profile_score(k):
+        w = np.exp(k * (logt - top))
+        return d / k + sum_event_logt - d * float(np.sum(w * logt)) / float(np.sum(w))
 
-    def loglik(a, b):
-        k = math.exp(a)
-        u = logt - b
-        with np.errstate(over="ignore"):
-            z = np.exp(k * u)
-        sum_z = float(z.sum())
-        return k, u, z, sum_z, d * (a - b) + (k - 1.0) * (sum_e_logt - d * b) - sum_z
+    lo = hi = 1.0
+    while profile_score(lo) <= 0.0:
+        lo *= 0.5
+    while profile_score(hi) > 0.0:
+        hi *= 2.0
+    k = optimize.brentq(profile_score, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=500)
+    log_sum = top * k + math.log(float(np.sum(np.exp(k * (logt - top)))))
+    return k, math.exp((log_sum - math.log(d)) / k)
 
-    def newton_terms(a, b):
-        k, u, z, sum_z, ll = loglik(a, b)
-        sum_e_u = sum_e_logt - d * b
-        zu = z * u
-        sum_zu = float(zu.sum())
-        grad = (d + k * sum_e_u - k * sum_zu, k * (sum_z - d))
-        h_aa = k * sum_e_u - k * sum_zu - k * k * float((zu * u).sum())
-        h_ab = -k * d + k * k * sum_zu + k * sum_z
-        h_bb = -k * k * sum_z
-        return ll, grad, np.array([[h_aa, h_ab], [h_ab, h_bb]])
 
-    a, b = start()
-    for _ in range(100):
-        ll, (g_a, g_b), hess = newton_terms(a, b)
-        if not (math.isfinite(g_a) and math.isfinite(g_b)):
-            raise ArithmeticError("gradient overflow", (a, b))
-        if math.hypot(g_a, g_b) <= 1e-8:
-            break
-        try:
-            step = np.linalg.solve(hess, [-g_a, -g_b])
-        except np.linalg.LinAlgError:
-            raise ArithmeticError("singular hessian", (a, b)) from None
-        norm = float(np.abs(step).max())
-        if norm > 4.0:
-            step = step * (4.0 / norm)
-        scale = 1.0
-        for _ in range(40):
-            cand_ll = loglik(a + scale * step[0], b + scale * step[1])[4]
-            if math.isfinite(cand_ll) and cand_ll >= ll - 1e-12:
-                break
-            scale *= 0.5
-        a, b = a + scale * step[0], b + scale * step[1]
-    else:
-        raise ArithmeticError("no convergence after 100 Newton iterations", (a, b))
-    info = -newton_terms(a, b)[2]
-    det = info[0, 0] * info[1, 1] - info[0, 1] * info[1, 0]
-    if not (det > 0.0 and info[0, 0] > 0.0):
-        raise ArithmeticError("observed information is not positive definite", (a, b))
-    return math.exp(a), math.exp(b), np.linalg.inv(info)
+def weibull_information(times, events, shape, scale):
+    """Observed information of (log shape, log scale) for the censored
+    Weibull log-likelihood, summed subject by subject from the second
+    derivatives of log f (deaths) and log S (censored times)."""
+    entries = [[], [], []]
+    for t, event in zip(times, events):
+        dead = float(event)
+        r = math.log(t / scale)
+        z = (t / scale) ** shape
+        kr = shape * r
+        entries[0].append(-(dead * kr - kr * z - kr * kr * z))
+        entries[1].append(-(-dead * shape + shape * z + shape * kr * z))
+        entries[2].append(shape * shape * z)
+    aa, ab, bb = (math.fsum(x) for x in entries)
+    return np.array([[aa, ab], [ab, bb]])
 
 
 def step_survival_by_hand(times, survival_after, t, left=False):

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: every command is run in-process through main()."""
 
 import contextlib
+import csv
 import dataclasses
 import importlib.util
 import io
@@ -217,6 +218,19 @@ class TestReadDataset:
         assert excinfo.value.details[0].startswith("line 2:")
         assert excinfo.value.details[-1].startswith("line 8:")
 
+    def test_problem_is_numbered_by_its_first_line(self, tmp_path):
+        # the quoted cell holds a line end, so the bad time is on line 5
+        path = tmp_path / "multiline.csv"
+        path.write_text('time,event,arm,s:g\n1.0,1,Rx,"a\nb"\n2.0,1,C,x\nbad,1,C,y\n')
+        with pytest.raises(ValidationError) as excinfo:
+            read_dataset(path)
+        assert excinfo.value.details == ["line 5: bad time 'bad' (could not convert string to float: 'bad')"]
+
+    def test_unopenable_path_exits_2(self, tmp_path, capsys):
+        rc, out, err = run_cli(["analyze", str(tmp_path)], capsys)
+        assert rc == 2 and out == ""
+        assert "survquack: error: cannot open dataset" in err
+
     @pytest.mark.parametrize("ending", ["\n", "\r\n"])
     def test_plain_file_is_read_column_wise(self, tmp_path, ending):
         path = tmp_path / "plain.csv"
@@ -345,6 +359,16 @@ class TestAnalyze:
         assert rep["sections"]["logrank"]["ok"] is True
         assert rep["sections"]["medians"]["ok"] is True
 
+    def test_failed_section_table_holds_its_error(self, tmp_path, capsys):
+        rows = [(float(t), 1, "Rx") for t in (10, 11, 12)]
+        rows += [(float(t), 1, "C") for t in (1, 2, 3)]
+        path = write_csv(tmp_path / "sep.csv", rows)
+        rc, out, _ = run_cli(["analyze", path, "--tables", str(tmp_path / "tables")], capsys)
+        assert rc == 0
+        error = parse_report(out)["sections"]["cox_wald"]["error"]
+        with open(tmp_path / "tables" / "cox_wald.csv", newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [["error"], [error]]
+
     def test_whole_sample_cox_fit_runs_once(self, oak_small_csv, capsys, monkeypatch):
         # cox_wald and the HR audit's marginal value read one shared fit
         import survquack.cli as cli_mod
@@ -469,21 +493,20 @@ class TestAnalyze:
             row, = sections[name]["data"]["factors"]
             assert row["dropped_levels"] == ["c", "d"]
 
-    def test_audit_drops_levels_whose_own_fits_fail(self, tmp_path, capsys):
+    @staticmethod
+    def _audit_with_level_c(tmp_path, capsys, level_c):
+        """The HR and TR audit rows of levels a and b, drawn at random, and
+        level c given as (time, event, arm) rows; warns of every dropped level."""
         rng = derive_rng(32, "failing-level")
         rows = []
         for level in ("a", "b"):
             for arm in ("Rx", "C"):
                 t = rng.exponential(10.0, 40)
                 rows += [(float(x), int(d), arm, level) for x, d in zip(t, rng.random(40) < 0.75)]
-        # level c passes any death count: its Rx Weibull fit does not converge
-        # (two early deaths, late censoring) and its Rx median is never reached
-        rows += [(1.0, 1, "Rx", "c"), (2.0, 1, "Rx", "c")]
-        rows += [(float(t), 0, "Rx", "c") for t in range(30, 36)]
-        rows += [(float(t), 1, "C", "c") for t in range(3, 9)]
+        rows += [(t, e, arm, "c") for t, e, arm in level_c]
         path = tmp_path / "failing.csv"
         path.write_text("time,event,arm,s:g\n" + "".join(f"{t!r},{e},{a},{g}\n" for t, e, a, g in rows))
-        with pytest.warns(UserWarning, match="dropped sparse level"):
+        with pytest.warns(UserWarning, match="dropped sparse level") as caught:
             rc, out, _ = run_cli(
                 ["analyze", str(path), "--strata", "g", "--measure", "HR", "--measure", "TR"], capsys
             )
@@ -491,8 +514,28 @@ class TestAnalyze:
         sections = parse_report(out)["sections"]
         for name in ("stratified_audit_hr", "stratified_audit_tr"):
             assert sections[name]["ok"] is True, sections[name]["error"]
-            row, = sections[name]["data"]["factors"]
-            assert row["dropped_levels"] == ["c"]
+        (hr,), (tr,) = (sections[f"stratified_audit_{m}"]["data"]["factors"] for m in ("hr", "tr"))
+        return hr, tr, " ".join(str(w.message) for w in caught)
+
+    def test_audit_drops_levels_whose_own_fits_fail(self, tmp_path, capsys):
+        # level c passes any death count, but every Rx death follows every C
+        # death, so its Cox likelihood is monotone, and its Rx median is
+        # never reached
+        level_c = [(30.0, 1, "Rx"), (31.0, 1, "Rx")] + [(float(t), 0, "Rx") for t in range(32, 38)]
+        level_c += [(float(t), 1, "C") for t in range(3, 9)]
+        hr, tr, warned = self._audit_with_level_c(tmp_path, capsys, level_c)
+        assert hr["dropped_levels"] == tr["dropped_levels"] == ["c"]
+        assert "monotone partial likelihood" in warned and "Rx median never reached" in warned
+
+    def test_hr_audit_keeps_a_level_with_two_early_deaths_and_late_censoring(self, tmp_path, capsys):
+        # the Rx arm's Weibull fit, shape about 0.35, once stalled and dropped
+        # the level from the HR audit; the TR audit drops it as its Rx median
+        # is never reached
+        level_c = [(1.0, 1, "Rx"), (2.0, 1, "Rx")] + [(float(t), 0, "Rx") for t in range(30, 36)]
+        level_c += [(float(t), 1, "C") for t in range(3, 9)]
+        hr, tr, warned = self._audit_with_level_c(tmp_path, capsys, level_c)
+        assert hr["dropped_levels"] == [] and tr["dropped_levels"] == ["c"]
+        assert "Rx median never reached" in warned
 
     @pytest.mark.parametrize("rx_first", [False, True])
     def test_win_fraction_kept_on_separated_arms(self, tmp_path, capsys, rx_first):
