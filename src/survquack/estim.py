@@ -390,6 +390,12 @@ def weibull_mle(times, events):
     # observed information of (log shape, log scale) at the solution
     k = math.exp(a)
     b = top + math.log(float(np.exp(k * u).sum()) / d) / k
+    try:
+        scale = math.exp(b)
+    except OverflowError:
+        raise NumericalError(
+            "fitted Weibull scale exceeds the largest double", shape=k, log_scale=b
+        ) from None
     r = logt - b
     z = np.exp(k * r)
     sum_z = float(z.sum())
@@ -402,7 +408,7 @@ def weibull_mle(times, events):
     if not (det > 0.0 and info[0, 0] > 0.0):
         raise NumericalError("observed information is not positive definite", info=info.tolist())
     cov = np.linalg.inv(info)
-    return WeibullDist(k, math.exp(b)), cov
+    return WeibullDist(k, scale), cov
 
 
 def _pair_stats(rx_times, c_times):

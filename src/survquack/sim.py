@@ -13,7 +13,10 @@ evaluates each block at once, with the arithmetic of the one-sample path.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import cached_property
 from statistics import NormalDist
@@ -425,10 +428,11 @@ def _evaluate_block(scenario: RealizedScenario, reps, time) -> list:
 # replications drawn into one (_BLOCK, n_total) buffer and evaluated together
 _BLOCK = 8
 
-# fewest replications a process is given. On a 2-core host a worker adds
-# about 13-15 ms (starting it, handing it its share and collecting the
-# counts), while a builtin:section3 replication takes about 0.25 ms, so a
-# study splits in two only from about 100 replications on
+# fewest replications a process is given. The worker pool stays warm
+# across studies, but a one-shot CLI call starts it: on a 2-core host that
+# first split adds about 13-15 ms (starting the worker, handing it its share
+# and collecting the counts), while a builtin:section3 replication takes
+# about 0.25 ms, so a study splits in two only from about 100 replications on
 _MIN_CHUNK = 50
 
 # counter layout for the mergeable per-chunk tallies
@@ -556,28 +560,76 @@ def _shares(reps: int, workers: int | None) -> list:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+# The worker pool kept warm across studies, under "pool" as (executor,
+# process count) once the first split starts it, and under "lock" the lock
+# that makes taking the pool and submitting to it one step for each study.
+# A forked child empties the dict: the pool is its parent's, and so is the
+# lock if a parent thread held it. The fork hook is the dict's own builtin
+# method, so it keeps no copy of this module alive when the package is
+# imported again.
+_warm = {}
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_warm.clear)
+
+
+def _shutdown_pool():
+    """Shut the warm pool down, if there is one, and wait for its
+    processes to exit."""
+    pool, _ = _warm.pop("pool", (None, 0))
+    if pool is not None:
+        pool.shutdown()
+
+
+def _worker_pool(size: int) -> ProcessPoolExecutor:
+    """The warm pool, first started, or replaced by one of ``size``
+    processes when it has fewer. Its workers run this module as it was
+    when the pool started; interpreter exit shuts it down through
+    ``concurrent.futures``' own exit hook. Call it holding the pool lock."""
+    pool, pool_size = _warm.get("pool", (None, 0))
+    if pool_size < size:
+        _shutdown_pool()  # before the new pool forks
+        pool = ProcessPoolExecutor(max_workers=size)
+        _warm["pool"] = pool, size
+    return pool
+
+
+def _pool_lock() -> threading.Lock:
+    # made on first use, by one atomic setdefault, in a forked child too
+    return _warm.setdefault("lock", threading.Lock())
+
+
 def run_study(scenario: RealizedScenario, workers: int | None = None) -> DirectionalErrorReport:
     """Run the config's replications and tally directional claims.
 
     Replication ``i`` always uses the stream derived from
     (master_seed, i), so the tally is bit-identical for any ``workers``
     value. The replications split into contiguous shares (``_shares``):
-    the parent tallies the first while a pool of worker processes tallies
-    the rest, and the counts add. A failing study raises the error of its
-    first failing replication, whatever the worker count.
+    the parent tallies the first while the warm worker pool
+    (``_worker_pool``) tallies the rest, and the counts add. A failing
+    study raises the error of its first failing replication, whatever the
+    worker count, and leaves none of its shares running; a broken pool is
+    dropped, and the next study that splits starts a new one.
     """
     if workers is not None and workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     reps = scenario.config.replications
     first, *rest = _shares(reps, workers)
-    if rest:
-        with ProcessPoolExecutor(max_workers=len(rest)) as pool:
-            parts = [pool.submit(_tally_chunk, scenario, share) for share in rest]
-            counts = _tally_chunk(scenario, first)
-            for part in parts:
-                counts += part.result()
-    else:
+    parts = []
+    try:
+        if rest:
+            with _pool_lock():
+                pool = _worker_pool(len(rest))
+                parts = [pool.submit(_tally_chunk, scenario, share) for share in rest]
         counts = _tally_chunk(scenario, first)
+        for part in parts:
+            counts += part.result()
+    except BrokenProcessPool:
+        with _pool_lock():
+            _shutdown_pool()
+        raise
+    finally:
+        # a share not yet started is cancelled; the others are waited for
+        wait([part for part in parts if not part.cancel()])
     return DirectionalErrorReport(
         replications=reps,
         alpha=scenario.config.alpha,

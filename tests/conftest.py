@@ -4,17 +4,19 @@ The heavy Monte Carlo artifacts (the shipped scenario and its studies,
 the null-calibration study, the synthetic stratified cohort) are built
 once per session and shared between the module tests and the acceptance
 gate in test_acceptance.py. The terminal summary prints one PASS/FAIL
-line per acceptance criterion.
+line per acceptance criterion. At the end of the session the warm worker
+pool of ``run_study`` is shut down, and no child process may remain.
 """
 
 import dataclasses
+import multiprocessing
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from survquack import estim
+from survquack import estim, sim
 from survquack import (
     Measure,
     ScenarioConfig,
@@ -54,6 +56,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(
             f"[criterion {num:02d}] {name}: {'PASS' if passed else 'FAIL'}"
         )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_worker_left():
+    """At the end of the session, shut the warm worker pool down; then no
+    child process may remain."""
+    yield
+    sim._shutdown_pool()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

@@ -527,6 +527,31 @@ class TestAnalyze:
         assert hr["dropped_levels"] == tr["dropped_levels"] == ["c"]
         assert "monotone partial likelihood" in warned and "Rx median never reached" in warned
 
+    # Rx deaths near the largest double and most Rx subjects censored at it:
+    # the Rx arm's fitted Weibull scale exceeds the largest double
+    OVERFLOWING_LEVEL = (
+        [(1e307, 1, "Rx"), (2e307, 1, "Rx")] + [(1.79e308, 0, "Rx")] * 20
+        + [(t, 1, "C") for t in (5e306, 1.5e307, 3e307)]
+    )
+
+    def test_audit_drops_a_level_whose_weibull_scale_overflows(self, tmp_path, capsys):
+        hr, tr, warned = self._audit_with_level_c(tmp_path, capsys, self.OVERFLOWING_LEVEL)
+        assert hr["dropped_levels"] == tr["dropped_levels"] == ["c"]
+        assert "fitted Weibull scale exceeds the largest double" in warned
+
+    def test_audit_of_levels_whose_weibull_scales_all_overflow_fails_its_section(self, tmp_path, capsys):
+        rows = [(t, e, arm, level) for level in ("a", "b") for t, e, arm in self.OVERFLOWING_LEVEL]
+        path = tmp_path / "overflow.csv"
+        path.write_text("time,event,arm,s:g\n" + "".join(f"{t!r},{e},{a},{g}\n" for t, e, a, g in rows))
+        rc, out, _ = run_cli(["analyze", str(path), "--strata", "g"], capsys)
+        assert rc == 0
+        sections = parse_report(out)["sections"]
+        assert sections["stratified_audit_hr"] == {
+            "data": None, "ok": False,
+            "error": "DomainError: factor 'g' has no level whose ratio and curves can be estimated",
+        }
+        assert sections["logrank"]["ok"] and sections["cox_wald"]["ok"]
+
     def test_hr_audit_keeps_a_level_with_two_early_deaths_and_late_censoring(self, tmp_path, capsys):
         # the Rx arm's Weibull fit, shape about 0.35, once stalled and dropped
         # the level from the HR audit; the TR audit drops it as its Rx median

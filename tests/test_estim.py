@@ -336,6 +336,16 @@ def test_weibull_mle_finds_the_profile_root():
     assert fits == 163 and low_shape >= 5
 
 
+def test_weibull_mle_scale_past_the_largest_double_is_a_numerical_error():
+    # two deaths near the largest double and twenty censorings at it
+    time = np.array([1e307, 2e307] + [1.79e308] * 20)
+    with pytest.raises(NumericalError, match="scale exceeds the largest double") as failed:
+        weibull_mle(time, np.arange(time.size) < 2)
+    diagnostics = failed.value.diagnostics
+    assert sorted(diagnostics) == ["log_scale", "shape"]
+    assert 0.0 < diagnostics["shape"] and diagnostics["log_scale"] > math.log(np.finfo(float).max)
+
+
 # ---------------------------------------------------------------- empirical_llp
 
 def test_empirical_llp_examples():

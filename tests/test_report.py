@@ -1,6 +1,7 @@
 """Tests for the JSON report layer: sections, rendering, schema validation."""
 
 import json
+import sys
 
 import jsonschema
 import numpy as np
@@ -157,6 +158,13 @@ class TestSchema:
 
     def test_null_seed_validates(self):
         assert validate_report(make_report(seed=None)) is True
+
+    def test_without_jsonschema_nothing_is_validated(self, monkeypatch):
+        # jsonschema is a test dependency only; without it a report, even
+        # one the schema rejects, is not checked
+        monkeypatch.setitem(sys.modules, "jsonschema", None)
+        assert validate_report(make_report()) is None
+        assert validate_report(dict(make_report(), tool="duckquack")) is None
 
     def corrupt(self, mutate):
         rep = json.loads(render(make_report()))

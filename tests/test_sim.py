@@ -3,8 +3,17 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
+import pickle
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -42,6 +51,20 @@ def small_scenario():
 def pool_scenario():
     # room for four minimum shares, not five
     return realize_scenario(section3_config(n_total=60, replications=4 * sim._MIN_CHUNK + 30))
+
+
+@pytest.fixture
+def fresh_pool():
+    """Shut the warm worker pool down before and after the test, so that
+    the test's first split starts a pool of its own (whose workers see the
+    test's patches of this package) and leaves none behind."""
+    sim._shutdown_pool()
+    yield
+    sim._shutdown_pool()
+
+
+def _pool_pids():
+    return {process.pid for process in multiprocessing.active_children()}
 
 
 # ------------------------------------------------------ builtin:section3
@@ -543,26 +566,33 @@ class _InlinePool:
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def submit(self, fn, *args):
         return _Deferred(fn, args)
 
+    def shutdown(self, wait=True):
+        pass
 
-class _Deferred:
+
+class _Deferred(Future):
+    """A future whose call runs when its result is first read; one never
+    read stays pending, so that it can be cancelled."""
+
     def __init__(self, fn, args):
+        super().__init__()
         self.fn, self.args = fn, args
 
-    def result(self):
-        return self.fn(*self.args)
+    def result(self, timeout=None):
+        if not self.done():
+            self.set_running_or_notify_cancel()
+            try:
+                self.set_result(self.fn(*self.args))
+            except Exception as exc:
+                self.set_exception(exc)
+        return super().result(timeout)
 
 
 @pytest.fixture
-def inline_shares(monkeypatch):
+def inline_shares(monkeypatch, fresh_pool):
     """Run run_study's pool in this process; return the list that records
     the shares tallied, the parent's first, and reset the pool sizes."""
     monkeypatch.setattr(sim, "ProcessPoolExecutor", _InlinePool)
@@ -657,7 +687,7 @@ def _failing_draw(scenario, failing):
 
 
 @pytest.mark.parametrize("workers", [1, 2, None])
-def test_a_failing_study_raises_its_first_failing_replication(monkeypatch, workers):
+def test_a_failing_study_raises_its_first_failing_replication(monkeypatch, fresh_pool, workers):
     # rep 3 is the parent's and rep 180 another process's whenever the
     # study splits; either way the error is rep 3's, as a sequential run's
     scenario = realize_scenario(section3_config(membership="quota", n_total=20, replications=200))
@@ -700,6 +730,213 @@ def test_run_study_rejects_fewer_than_one_worker(small_scenario, monkeypatch, wo
     with pytest.raises(DomainError, match="workers must be >= 1"):
         run_study(small_scenario, workers=workers)
     assert _InlinePool.sizes == []
+
+
+# ------------------------------------------------------------ the warm pool
+# Each test below starts at most two worker processes, whatever CPUs the
+# host has. A worker runs this package as it was when its pool started, so
+# a test that patches it for the workers starts its own pool (fresh_pool):
+# test_a_failing_study_raises_its_first_failing_replication above and
+# test_a_failed_parent_share_leaves_no_share_running below. So do the
+# tests above that run on the stand-in pool (inline_shares) and the tests
+# below that count worker processes.
+
+
+def _allow_cpus(monkeypatch, cpus=(0, 1)):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+def test_consecutive_studies_run_on_the_same_workers(pool_scenario, monkeypatch, fresh_pool):
+    _allow_cpus(monkeypatch)
+    sequential = run_study(pool_scenario, workers=1)
+    assert _pool_pids() == set()
+    assert run_study(pool_scenario, workers=2) == sequential
+    workers = _pool_pids()
+    assert len(workers) == 1
+    assert run_study(pool_scenario) == sequential
+    assert _pool_pids() == workers
+    # a study that needs more processes replaces the pool, whose old worker
+    # has exited by then; a later, smaller study keeps the larger pool
+    _allow_cpus(monkeypatch, cpus=(0, 1, 2))
+    assert run_study(pool_scenario, workers=3) == sequential
+    larger = _pool_pids()
+    assert len(larger) == 2 and not larger & workers
+    assert run_study(pool_scenario, workers=2) == sequential
+    assert _pool_pids() == larger
+
+
+def test_a_study_in_another_thread_waits_to_replace_the_pool(pool_scenario, monkeypatch, fresh_pool):
+    # thread a takes a one-process pool and pauses before submitting to it;
+    # thread b's study needs two processes, so it replaces the pool, but
+    # only once a has submitted its share, which then still completes
+    _allow_cpus(monkeypatch, cpus=(0, 1, 2))
+    sequential = run_study(pool_scenario, workers=1)
+    taken, take = threading.Event(), sim._worker_pool
+
+    def pausing(size):
+        pool = take(size)
+        if size == 1:
+            taken.set()
+            time.sleep(0.2)
+        return pool
+
+    monkeypatch.setattr(sim, "_worker_pool", pausing)
+    reports = {}
+
+    def study(name, workers):
+        try:
+            reports[name] = run_study(pool_scenario, workers=workers)
+        except Exception as exc:
+            reports[name] = exc
+
+    a = threading.Thread(target=study, args=("a", 2))
+    b = threading.Thread(target=study, args=("b", 3))
+    a.start()
+    assert taken.wait(timeout=60)
+    b.start()
+    for thread in (a, b):
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert reports == {"a": sequential, "b": sequential}
+    assert len(_pool_pids()) == 2
+
+
+def test_a_killed_worker_fails_one_study_and_the_next_starts_a_pool(
+    pool_scenario, monkeypatch, fresh_pool
+):
+    _allow_cpus(monkeypatch)
+    sequential = run_study(pool_scenario, workers=1)
+    assert run_study(pool_scenario, workers=2) == sequential
+    (killed,) = _pool_pids()
+    os.kill(killed, signal.SIGKILL)
+    with pytest.raises(BrokenProcessPool):
+        run_study(pool_scenario, workers=2)
+    assert run_study(pool_scenario, workers=2) == sequential
+    (started,) = _pool_pids()
+    assert started != killed
+
+
+def _in_forked_child(work, timeout=120.0):
+    """Run ``work()`` in an ``os.fork()``ed child and return what it
+    returned; fail the test with what it raised, or if it does not end."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns to the test run
+        try:
+            os.close(read)
+            try:
+                outcome = (True, work())
+            except Exception as exc:
+                outcome = (False, repr(exc))
+            with os.fdopen(write, "wb") as fh:
+                fh.write(pickle.dumps(outcome))
+        finally:
+            os._exit(0)
+    os.close(write)
+    deadline = time.monotonic() + timeout
+    while os.waitpid(pid, os.WNOHANG) == (0, 0):
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish")
+        time.sleep(0.01)
+    with os.fdopen(read, "rb") as fh:
+        ok, value = pickle.loads(fh.read())
+    assert ok, value
+    return value
+
+
+def test_a_forked_child_runs_its_study_on_a_pool_of_its_own(pool_scenario, monkeypatch, fresh_pool):
+    _allow_cpus(monkeypatch)
+    sequential = run_study(pool_scenario, workers=1)
+    assert run_study(pool_scenario, workers=2) == sequential
+    workers = _pool_pids()
+
+    def child_study():
+        # the child inherits the parent's worker records, not its pool
+        assert sim._warm == {}
+        report = run_study(pool_scenario, workers=2)
+        own = _pool_pids() - workers
+        sim._shutdown_pool()
+        return report, own
+
+    report, own = _in_forked_child(child_study)
+    assert report == sequential
+    assert len(own) == 1 and not own & workers
+    assert run_study(pool_scenario, workers=2) == sequential
+    assert _pool_pids() == workers
+
+
+def test_a_failed_parent_share_leaves_no_share_running(monkeypatch, fresh_pool, tmp_path):
+    # the parent's share fails at rep 0 only once the worker's share has
+    # started drawing, slowly: run_study returns when that share is done
+    _allow_cpus(monkeypatch)
+    scenario = realize_scenario(section3_config(membership="quota", n_total=20, replications=2 * sim._MIN_CHUNK))
+    log = tmp_path / "worker-draws"
+    parent, failing = os.getpid(), _failing_draw(scenario, [0])
+
+    def draw(scenario, streams, rows):
+        if os.getpid() == parent:
+            deadline = time.monotonic() + 60.0
+            while not log.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return failing(scenario, streams, rows)
+        with open(log, "a") as fh:
+            fh.write("begin\n")
+        time.sleep(0.1)
+        g_idx = failing(scenario, streams, rows)
+        with open(log, "a") as fh:
+            fh.write("end\n")
+        return g_idx
+
+    monkeypatch.setattr(sim, "_draw_block", draw)
+    with pytest.raises(NumericalError):
+        run_study(scenario, workers=2)
+    # the worker's 50 replications are two groups of draws
+    done = log.read_text()
+    assert done == "begin\nend\n" * 2
+    time.sleep(0.3)
+    assert log.read_text() == done
+
+
+def _python(code):
+    """The standard output of ``code`` run by a new interpreter that
+    imports this package; it must exit 0 within 120 s."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sim.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_no_worker_outlives_the_interpreter():
+    code = """
+import multiprocessing, os, dataclasses
+from survquack import sim
+from survquack.cli import parse_scenario_config
+os.sched_getaffinity = lambda pid: {0, 1}
+config = parse_scenario_config("builtin:section3")
+scenario = sim.realize_scenario(dataclasses.replace(config, n_total=60, replications=200))
+first, second = sim.run_study(scenario, workers=2), sim.run_study(scenario, workers=2)
+assert first == second
+print(*[process.pid for process in multiprocessing.active_children()])
+"""
+    (pid,) = [int(pid) for pid in _python(code).split()]
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
+def test_importing_the_package_again_frees_the_earlier_copy():
+    # the fork hook holds the pool's dict only, not this module's globals
+    code = """
+import gc, importlib, sys, weakref
+first = weakref.ref(importlib.import_module("survquack.sim").run_study)
+for name in [name for name in sys.modules if name.split(".")[0] == "survquack"]:
+    del sys.modules[name]
+importlib.import_module("survquack.sim")
+gc.collect()
+print(first() is None)
+"""
+    assert _python(code).split() == ["True"]
 
 
 def test_builtin_study_frozen_tallies(study_1k):
