@@ -466,6 +466,19 @@ def _exp(beta):
     return np.array([math.exp(b) for b in beta.tolist()])[:, None]
 
 
+def _logrank_terms(tb):
+    """(O - E, variance) of a risk table, summed over its last axis: one
+    pair per row of a block of tables."""
+    n = np.asarray(tb.at_risk, dtype=float)
+    n1 = np.asarray(tb.at_risk_rx, dtype=float)
+    d = np.asarray(tb.events, dtype=float)
+    frac = n1 / n
+    oe = (tb.events_rx - d * frac).sum(axis=-1)
+    with np.errstate(invalid="ignore"):
+        terms = np.where(n > 1.0, d * frac * (1.0 - frac) * (n - d) / np.maximum(n - 1.0, 1.0), 0.0)
+    return oe, terms.sum(axis=-1)
+
+
 def _cox_counts(tb):
     """(d_rx, d, n0, n1) of a risk table as float rows: deaths in Rx, all
     deaths, and the numbers at risk in C and in Rx. A block of tables (one
@@ -487,14 +500,13 @@ def _cox_score_limits(counts):
     return (d_rx - d * (n0 == 0.0)).sum(axis=-1), (d_rx - d * (n1 > 0.0)).sum(axis=-1)
 
 
-def _cox_terms(counts, beta):
-    """exp(beta) as a column, n0 + n1 * exp(beta) and the log partial
-    likelihood at beta: the one pass a Newton step's score, information and
-    line search read."""
-    d_rx, d, n0, n1 = counts
+def _cox_terms(d_n1, n0, n1, beta):
+    """(d p, 1 - p) at each time, with d_n1 = d n1 and p = n1 exp(beta) /
+    (n0 + n1 exp(beta)) the Rx share of the risk set: the score sums
+    d_rx - d p and the information d p (1 - p), neither squaring the set."""
     eb = _exp(beta)
     denom = n0 + n1 * eb
-    return eb, denom, (d_rx * beta[:, None] - d * np.log(denom)).sum(axis=-1)
+    return d_n1 * eb / denom, n0 / denom
 
 
 _MONOTONE = "monotone partial likelihood: the arms separate the event order"
@@ -504,73 +516,72 @@ _COX_FAILURES = (
     _MONOTONE,  # the score's limits do not bracket zero
     "partial-likelihood score overflow",
     "partial likelihood has no curvature",
-    _MONOTONE,  # |beta| passed 30
-    "no convergence after 100 Newton iterations",
     "no information about the treatment coefficient",
 )
-_LIMITS, _OVERFLOW, _FLAT, _DIVERGED, _STALLED, _NO_INFO = range(1, 7)
+_LIMITS, _OVERFLOW, _FLAT, _NO_INFO = range(1, 5)
+# math.exp overflows just past 709.78, so a root farther out is an overflow
+_BETA_MAX = 709.0
 
 
-def _retire(code, active, mask, reason):
-    """Give the active rows in ``mask`` the failure code ``reason`` and stop them."""
-    mask = active & mask
-    code[mask] = reason
-    active &= ~mask
-
-
-def _cox_rows(tb):
+def _cox_rows(tb, oe, variance):
     """Breslow partial-likelihood fits of the treatment coefficient, one per
-    row of a block of risk tables (or of a single table, as one row).
+    row of a block of risk tables (or of a single table, as one row), from
+    each row's log-rank (O - E, variance) as ``_logrank_terms`` gives them.
 
-    Every row takes its own Newton steps and line search, so its numbers
-    never depend on the other rows. Returns (beta, se, code): ``code`` is 0
-    where the fit succeeded and otherwise indexes ``_COX_FAILURES``; se
-    means nothing on a failed row, and beta is where its fit stopped.
+    A row starts from (O - E)/V clipped to +-2, which on a table without
+    ties is the first Newton step from 0. The score falls strictly in beta,
+    so a row keeps the bracket its scores' signs give, and takes a Newton
+    step when it stays inside and at least halves the step before last;
+    otherwise it bisects, or toward a side still open steps by a cap that
+    then doubles. No row's numbers depend on another's. Returns (beta, se,
+    code): ``code`` is 0 where the fit succeeded and otherwise indexes
+    ``_COX_FAILURES``; se means nothing on a failed row, and beta is where
+    its fit stopped.
     """
     counts = _cox_counts(tb)
     d_rx, d, n0, n1 = counts
-    d_n1, d_n0_n1 = d * n1, d * n0 * n1
-    # The score is strictly decreasing in beta, so a finite root exists only
-    # when its limits bracket zero. Otherwise the likelihood is monotone.
+    d_n1 = d * n1
+    # without a sign change between the score's limits there is no root
     score_lo, score_hi = _cox_score_limits(counts)
     code = np.where((score_lo <= 0.0) | (score_hi >= 0.0), _LIMITS, 0).astype(np.int8)
-    beta = np.zeros(code.size)
-    active = code == 0
+    # each fitting row's bracket, its cap toward an open side and its last step
+    rows = {i: (-math.inf, math.inf, 2.0, math.inf) for i in np.flatnonzero(code == 0).tolist()}
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # a step reads the terms of the trial its line search accepted, whose
-        # beta is the row's new beta bit for bit
-        eb, denom, ll = _cox_terms(counts, beta)
-        for _ in range(100):
-            score = (d_rx - d_n1 * eb / denom).sum(axis=-1)
-            info = (d_n0_n1 * eb / (denom * denom)).sum(axis=-1)
-            _retire(code, active, ~np.isfinite(score), _OVERFLOW)
-            _retire(code, active, ~(info > 0.0), _FLAT)
-            step = np.clip(score / info, -2.0, 2.0)
-            # Stop on the step, not the score: on thousands of subjects
-            # rounding alone keeps |score| above any fixed bound near 1e-10.
-            done = active & (np.abs(step) <= 1e-10)
-            beta[done] += step[done]
-            active &= ~done
-            if not active.any():
-                break
-            floor = ll - 1e-12
-            scale = np.ones(beta.size)
-            pending = active.copy()
-            for _ in range(40):
-                eb, denom, ll = _cox_terms(counts, beta + scale * step)
-                pending &= ~(ll >= floor)
-                if not pending.any():
-                    break
-                scale[pending] *= 0.5
-            beta[active] += (scale * step)[active]
-            if pending.any():
-                # the halvings ran out: a pending row's beta is past its last trial
-                eb, denom, ll = _cox_terms(counts, beta)
-            _retire(code, active, np.abs(beta) > 30.0, _DIVERGED)
-        code[active] = _STALLED
-        eb = _exp(beta)
-        denom = n0 + n1 * eb
-        info = (d_n0_n1 * eb / (denom * denom)).sum(axis=-1)
+        beta = np.clip(np.where(variance > 0.0, oe / variance, 0.0), -2.0, 2.0).reshape(code.shape)
+        # Every row stops: about ten cap steps carry it past +-_BETA_MAX,
+        # every bisection halves its bracket, and every Newton step at
+        # least halves the step before last. A block has few rows, so each
+        # is stepped as Python floats: numpy's per-call cost would dominate.
+        while rows:
+            dp, q = _cox_terms(d_n1, n0, n1, beta)
+            scores, infos = (d_rx - dp).sum(axis=-1).tolist(), (dp * q).sum(axis=-1).tolist()
+            for i, (lo, hi, cap, step) in list(rows.items()):
+                b, score, info = float(beta[i]), scores[i], infos[i]
+                lo, hi, end = (b, hi, hi) if score > 0.0 else (lo, b, lo)
+                opened = math.isinf(end)  # no score has closed the root's side yet
+                if not math.isfinite(score) or opened and abs(b) >= _BETA_MAX:
+                    code[i] = _OVERFLOW
+                elif not info > 0.0:
+                    code[i] = _FLAT
+                else:
+                    if opened:
+                        end = min(max(b + math.copysign(cap, score), -_BETA_MAX), _BETA_MAX)
+                    newton = score / info
+                    if 2.0 * abs(newton) < abs(step) and (b + newton - end) * score <= 0.0:
+                        step = newton
+                    elif opened:
+                        step, cap = end - b, 2.0 * cap
+                    else:
+                        step = 0.5 * (end - b)
+                    beta[i] = b + step
+                    # Stop on the step, not the score: on thousands of subjects
+                    # rounding alone keeps |score| above any fixed bound near 1e-10.
+                    if abs(step) > 1e-10:
+                        rows[i] = lo, hi, cap, step
+                        continue
+                del rows[i]
+        dp, q = _cox_terms(d_n1, n0, n1, beta)
+        info = (dp * q).sum(axis=-1)
         code[(code == 0) & ~(info > 0.0)] = _NO_INFO
         return beta, 1.0 / np.sqrt(info), code
 
@@ -587,7 +598,7 @@ def cox_fit_two_arm(sample: SurvivalSample):
     tb = sample.tables
     if tb.events.sum() == 0:
         raise DomainError("at least one death is required")
-    (beta,), (se,), (code,) = _cox_rows(tb)
+    (beta,), (se,), (code,) = _cox_rows(tb, *_logrank_terms(tb))
     if code == _LIMITS:
         score_lo, score_hi = _cox_score_limits(_cox_counts(tb))
         raise NumericalError(

@@ -13,7 +13,7 @@ import numpy as np
 
 from .dist import _TINY, _positive
 from .errors import NOT_REACHED, DomainError
-from .estim import ARM_C, ARM_RX, SurvivalSample, _pair_stats, km_median
+from .estim import ARM_C, ARM_RX, SurvivalSample, _logrank_terms, _pair_stats, km_median
 from .rng import derive_rng
 
 __all__ = [
@@ -72,19 +72,6 @@ class DecisionOutcome:
     median_c: object
     tie: bool
     logrank: LogRankResult | None = None
-
-
-def _logrank_terms(tb):
-    """(O - E, variance) of a risk table, summed over its last axis: one
-    pair per row of a block of tables."""
-    n = np.asarray(tb.at_risk, dtype=float)
-    n1 = np.asarray(tb.at_risk_rx, dtype=float)
-    d = np.asarray(tb.events, dtype=float)
-    frac = n1 / n
-    oe = (tb.events_rx - d * frac).sum(axis=-1)
-    with np.errstate(invalid="ignore"):
-        terms = np.where(n > 1.0, d * frac * (1.0 - frac) * (n - d) / np.maximum(n - 1.0, 1.0), 0.0)
-    return oe, terms.sum(axis=-1)
 
 
 def _logrank_result(oe, variance) -> LogRankResult:

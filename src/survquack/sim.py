@@ -40,6 +40,7 @@ from .estim import (
     _complete_median_rank,
     _complete_tables,
     _cox_rows,
+    _logrank_terms,
     tr_to_hr,
 )
 from .infer import (
@@ -47,7 +48,6 @@ from .infer import (
     DecisionOutcome,
     _decide,
     _logrank_result,
-    _logrank_terms,
     _wald,
     decision_procedure,
     wald_test_cox,
@@ -408,7 +408,7 @@ def _evaluate_block(scenario: RealizedScenario, reps, time) -> list:
     rows, n_c = time.shape[0], time.shape[1] - n_rx
     tb, irregular = _complete_tables(time, n_rx)
     oe, variance = _logrank_terms(tb)
-    beta, se, cox_code = _cox_rows(tb)
+    beta, se, cox_code = _cox_rows(tb, oe, variance)
     in_rx = tb.events_rx > 0
     median_rx = tb.times[in_rx].reshape(rows, n_rx)[:, _complete_median_rank(n_rx)]
     median_c = tb.times[~in_rx].reshape(rows, n_c)[:, _complete_median_rank(n_c)]

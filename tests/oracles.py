@@ -67,11 +67,14 @@ def logrank_by_hand(times, events, is_rx):
 
 
 def breslow_score(times, events, is_rx):
-    """The two-arm Breslow partial-likelihood score U(beta), as a function.
+    """The two-arm Breslow partial-likelihood score U(beta), as a function."""
+    return breslow_functions(*breslow_counts(times, events, is_rx))[0]
 
-    At each distinct death time u with d1 treated and d0 control deaths and
-    n1, n0 subjects at risk (time >= u): U gains d1 - (d1 + d0) n1 e^b / (n0 + n1 e^b).
-    """
+
+def breslow_counts(times, events, is_rx):
+    """(d1, d0, n1, n0) at each distinct death time u: the treated and
+    control deaths at u and the treated and control subjects at risk
+    (time >= u)."""
     t = np.asarray(times, dtype=float)
     e = np.asarray(events, dtype=bool)
     x = np.asarray(is_rx, dtype=bool)
@@ -84,14 +87,25 @@ def breslow_score(times, events, is_rx):
         group = np.sort(group)
         return np.searchsorted(group, u, side="right") - np.searchsorted(group, u, side="left")
 
-    n1, n0 = at_risk(t[x]), at_risk(t[~x])
-    d1, d0 = deaths(t[e & x]), deaths(t[e & ~x])
+    return deaths(t[e & x]), deaths(t[e & ~x]), at_risk(t[x]), at_risk(t[~x])
+
+
+def breslow_functions(d1, d0, n1, n0):
+    """(U, I): the Breslow score and information, as functions of beta,
+    from per-death-time counts. With r = e^beta, each death time adds
+    d1 - (d1 + d0) n1 r / (n0 + n1 r) to U(beta) and
+    (d1 + d0) n0 n1 r / (n0 + n1 r)^2 to I(beta) = -U'(beta)."""
+    d1, d0, n1, n0 = (np.asarray(c, dtype=float) for c in (d1, d0, n1, n0))
 
     def score(beta):
         r = math.exp(beta)
         return float(np.sum(d1 - (d1 + d0) * n1 * r / (n0 + n1 * r)))
 
-    return score
+    def information(beta):
+        r = math.exp(beta)
+        return float(np.sum((d1 + d0) * n0 * n1 * r / (n0 + n1 * r) ** 2))
+
+    return score, information
 
 
 def logrank_moments_scipy(times, events, is_rx):
@@ -349,75 +363,6 @@ def complete_tables_by_argsort(times, n_rx):
     irregular = (t[:, 1:] == t[:, :-1]).any(axis=1) | ~(t[:, 0] > 0.0) | ~np.isfinite(t[:, -1])
     at_risk_rx = n_rx - (np.cumsum(x, axis=1) - x)
     return t, x.astype(float), at_risk_rx.astype(float), irregular
-
-
-def cox_rows_three_pass(tb):
-    """Breslow Newton fits of the treatment coefficient, one per row of a
-    block of risk tables (or of one table as a one-row block), with each
-    step's terms built anew: once for the score and information, once for
-    the log partial likelihood at beta and once per line-search trial.
-
-    Returns (beta, se, code, halved). ``code`` is 0 on a fit and otherwise
-    1 (the score's limits do not bracket zero), 2 (score overflow), 3 (no
-    curvature), 4 (|beta| passed 30), 5 (no convergence after 100 steps) or
-    6 (no information at the end); ``halved`` marks the rows whose full
-    step a line search cut at least once.
-    """
-    d_rx, d, n0, n1 = (
-        np.atleast_2d(np.asarray(c, dtype=float))
-        for c in (tb.events_rx, tb.events, tb.at_risk - tb.at_risk_rx, tb.at_risk_rx)
-    )
-
-    def exp_column(beta):
-        return np.array([math.exp(b) for b in beta.tolist()])[:, None]
-
-    def score_info(beta):
-        eb = exp_column(beta)
-        denom = n0 + n1 * eb
-        score = (d_rx - d * n1 * eb / denom).sum(axis=-1)
-        info = (d * n0 * n1 * eb / (denom * denom)).sum(axis=-1)
-        return score, info
-
-    def logpl(beta):
-        return (d_rx * beta[:, None] - d * np.log(n0 + n1 * exp_column(beta))).sum(axis=-1)
-
-    def retire(mask, reason):
-        mask = active & mask
-        code[mask] = reason
-        active[mask] = False
-
-    score_lo = (d_rx - d * (n0 == 0.0)).sum(axis=-1)
-    score_hi = (d_rx - d * (n1 > 0.0)).sum(axis=-1)
-    code = np.where((score_lo <= 0.0) | (score_hi >= 0.0), 1, 0).astype(np.int8)
-    beta = np.zeros(code.size)
-    halved = np.zeros(code.size, dtype=bool)
-    active = code == 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(100):
-            score, info = score_info(beta)
-            retire(~np.isfinite(score), 2)
-            retire(~(info > 0.0), 3)
-            step = np.clip(score / info, -2.0, 2.0)
-            done = active & (np.abs(step) <= 1e-10)
-            beta[done] += step[done]
-            active &= ~done
-            if not active.any():
-                break
-            ll0 = logpl(beta)
-            scale = np.ones(beta.size)
-            pending = active.copy()
-            for _ in range(40):
-                pending &= ~(logpl(beta + scale * step) >= ll0 - 1e-12)
-                if not pending.any():
-                    break
-                halved |= pending
-                scale[pending] *= 0.5
-            beta[active] += (scale * step)[active]
-            retire(np.abs(beta) > 30.0, 4)
-        code[active] = 5
-        _, info = score_info(beta)
-        code[(code == 0) & ~(info > 0.0)] = 6
-        return beta, 1.0 / np.sqrt(info), code, halved
 
 
 def weibull_profile_root(times, events):

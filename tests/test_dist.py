@@ -1,5 +1,6 @@
 """Parametric curves, transforms, mixtures, quantiles, and the scale solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -87,6 +88,20 @@ def test_quantile_not_reached_on_plateaued_step_curve():
     km = km_fit([1.0, 2.0, 3.0], [True, False, False])
     with pytest.raises(NotReachedError):
         quantile(km, 0.5)
+
+
+def test_quantile_not_reached_when_the_summed_curve_rounds_above_its_final_value():
+    # the final survival is fsum-ed to 0.46499999999999997, below 0.465, but
+    # the survival at the last jump, summed in order, rounds to
+    # 0.4650000000000001: no jump reaches the level
+    steps = [km_fit([t, 5.0], [True, False]) for t in (1.0, 2.0, 3.0, 4.0)]
+    finals = (0.51, 0.61, 0.14, 0.6)
+    mix = MixtureCurve(tuple(
+        (0.25, dataclasses.replace(km, survival_after=np.array([f]))) for km, f in zip(steps, finals)
+    ))
+    assert mix.final_survival() < 0.465 < mix.survival(4.0)
+    with pytest.raises(NotReachedError):
+        quantile(mix, 0.465)
 
 
 def test_quantile_of_step_mixture_is_its_first_jump_through_p():
@@ -244,6 +259,11 @@ def test_lehmann_rejects_nonpositive_exponent():
         lehmann_transform(WeibullDist(1.0, 1.0), 0.0)
     with pytest.raises(DomainError):
         LehmannCurve(WeibullDist(1.0, 1.0), -2.0)
+
+
+def test_lehmann_rejects_a_reference_that_is_not_a_curve():
+    with pytest.raises(DomainError, match="reference must be a SurvivalCurve"):
+        LehmannCurve(lambda t: 0.5, 2.0)
 
 
 @given(shape=shapes, scale=scales, hr=ratios, t=st.floats(0.0, 300.0))

@@ -39,9 +39,10 @@ from survquack.errors import (
 )
 
 from oracles import (
+    breslow_counts,
+    breslow_functions,
     breslow_score,
     complete_tables_by_argsort,
-    cox_rows_three_pass,
     draw_trial,
     empirical_survival,
     km_by_hand,
@@ -546,16 +547,14 @@ def test_cox_monotone_likelihood_raises():
     [
         (estim._OVERFLOW, "partial-likelihood score overflow"),
         (estim._FLAT, "partial likelihood has no curvature"),
-        (estim._DIVERGED, "monotone partial likelihood: the arms separate the event order"),
-        (estim._STALLED, "no convergence after 100 Newton iterations"),
         (estim._NO_INFO, "no information about the treatment coefficient"),
     ],
 )
 def test_cox_failure_codes_raise_their_messages(monkeypatch, code, message):
-    # these failures need data no test can build; the solve's code and the
+    # these failures need tables no sample can hold; the solve's code and the
     # beta it stopped at must still reach the caller
     failed = (np.array([31.5]), np.array([np.nan]), np.array([code], dtype=np.int8))
-    monkeypatch.setattr(estim, "_cox_rows", lambda tb: failed)
+    monkeypatch.setattr(estim, "_cox_rows", lambda tb, oe, variance: failed)
     with pytest.raises(NumericalError) as excinfo:
         cox_fit_two_arm(_two_arm_sample(3))
     assert str(excinfo.value) == message
@@ -580,44 +579,85 @@ def _random_cox_table(rng):
     elif kind == 1:
         time[is_rx] = np.abs(time[is_rx] + rng.choice([-0.5, 0.5]) * time.max()) + 0.01
     tb = SurvivalSample(time, rng.random(time.size) < rng.uniform(0.3, 1.0), is_rx).tables
-    if kind == 3:
-        weighted = tb.at_risk_rx * 10.0 ** rng.uniform(-300.0, 300.0)
-        tb = dataclasses.replace(
-            tb, at_risk_rx=weighted, at_risk=tb.at_risk - tb.at_risk_rx + weighted
-        )
-    return tb
+    return _scale_rx(tb, 10.0 ** rng.uniform(-300.0, 300.0)) if kind == 3 else tb
 
 
-def _assert_same_fit(tb):
-    beta, se, code = estim._cox_rows(tb)
-    want_beta, want_se, want_code, halved = cox_rows_three_pass(tb)
-    np.testing.assert_array_equal(beta.view(np.uint64), want_beta.view(np.uint64))
-    np.testing.assert_array_equal(se.view(np.uint64), want_se.view(np.uint64))
-    np.testing.assert_array_equal(code, want_code)
-    return code, halved
+def _scale_rx(tb, factor):
+    """The risk table ``tb`` with its Rx numbers at risk multiplied by ``factor``."""
+    weighted = tb.at_risk_rx * factor
+    return dataclasses.replace(tb, at_risk_rx=weighted, at_risk=tb.at_risk - tb.at_risk_rx + weighted)
 
 
-def test_cox_rows_equal_the_three_pass_solve_on_section3_blocks(section3):
-    # one pass of the likelihood terms per trial beta, carried into the
-    # next step, must give each row the numbers of rebuilding them per use
+@pytest.mark.parametrize(
+    "factor, code, beta",
+    [
+        # the root lies just past 709, beyond which exp overflows
+        (1e-310, estim._OVERFLOW, 709.0),
+        # every expected Rx death at the start underflows to zero
+        (5e-324, estim._FLAT, 0.0),
+    ],
+)
+def test_cox_rows_stop_where_the_root_is_out_of_reach(factor, code, beta):
+    # one Rx subject, dying between C deaths, with its root at 0.896 before
+    # the scaling moves it by -log(factor)
+    tb = _scale_rx(SurvivalSample.from_arms([2.0], [1.0, 3.0, 4.0]).tables, factor)
+    got_beta, _, got_code = estim._cox_rows(tb, *estim._logrank_terms(tb))
+    assert (got_beta.tolist(), got_code.tolist()) == ([beta], [code])
+
+
+def _assert_at_the_root(beta, se, counts):
+    """Check a fit against the brentq root of the oracle's score, bracketed
+    by the first of 1, 2, 4, ... out to 709 (where exp stays finite) on
+    each side at which the score has that side's sign; return the root."""
+    score, information = breslow_functions(*counts)
+    ends = [min(2.0 ** k, 709.0) for k in range(11)]
+    lo = -next(b for b in ends if score(-b) > 0.0)
+    hi = next(b for b in ends if score(b) < 0.0)
+    root = brentq(score, lo, hi, xtol=1e-14)
+    # brentq's own tolerance is the floor of the comparison
+    assert beta == pytest.approx(root, rel=1e-12, abs=1e-14)
+    assert se == pytest.approx(1.0 / math.sqrt(information(root)), rel=1e-12)
+    return root
+
+
+def test_cox_rows_find_the_breslow_root_on_section3_blocks(section3):
     n_rx = section3.n_rx
     for start in range(0, 256, 8):
         time = np.stack([draw_trial(section3, rep)[0] for rep in range(start, start + 8)])
-        code, _ = _assert_same_fit(estim._complete_tables(time, n_rx)[0])
+        tb = estim._complete_tables(time, n_rx)[0]
+        beta, se, code = estim._cox_rows(tb, *estim._logrank_terms(tb))
         assert not code.any()
+        is_rx = np.arange(time.shape[1]) < n_rx
+        for row, b, s in zip(time, beta, se):
+            _assert_at_the_root(b, s, breslow_counts(row, np.ones(row.size, bool), is_rx))
 
 
-def test_cox_rows_equal_the_three_pass_solve_on_random_tables():
-    # the seed is screened: its tables include full steps that the line
-    # search cuts and every failure code from 1 to 4
+def test_cox_rows_find_the_breslow_root_on_random_tables(monkeypatch):
+    # Of the seed's tables, 323 have score limits that do not bracket zero.
+    # Every other one fits, 130 of them at roots past |beta| = 30, out to
+    # about 690; in 37 of those the Rx numbers at risk are near 1e-300, so
+    # squaring the risk set would underflow the information to nothing.
+    exps = []
+    monkeypatch.setattr(estim, "_exp", lambda beta, _exp=estim._exp: exps.append(1) or _exp(beta))
     rng = np.random.default_rng(20261019)
-    codes, halved = [], 0
+    limits, far, most_exps = 0, 0, 0
     for _ in range(1200):
-        code, cut = _assert_same_fit(_random_cox_table(rng))
-        codes.append(int(code[0]))
-        halved += int(cut[0])
-    assert halved > 0
-    assert set(codes) >= {0, 1, estim._FLAT, estim._DIVERGED}
+        tb = _random_cox_table(rng)
+        exps.clear()
+        (beta,), (se,), (code,) = estim._cox_rows(tb, *estim._logrank_terms(tb))
+        most_exps = max(most_exps, len(exps))
+        counts = (tb.events_rx, tb.events - tb.events_rx, tb.at_risk_rx, tb.at_risk - tb.at_risk_rx)
+        d1, d0, n1, n0 = (np.asarray(c, dtype=float) for c in counts)
+        if not np.sum(d1 - (d1 + d0) * (n0 == 0.0)) > 0.0 > np.sum(d1 - (d1 + d0) * (n1 > 0.0)):
+            assert code == estim._LIMITS
+            limits += 1
+            continue
+        assert code == 0
+        far += abs(_assert_at_the_root(beta, se, counts)) > 30.0
+    assert (limits, far) == (323, 130)
+    # the cap that doubles toward an open side reaches a root near 690 in
+    # about ten steps; a fixed +-2 cap would need hundreds
+    assert most_exps <= 30
 
 
 def test_cox_requires_both_arms():

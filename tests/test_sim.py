@@ -317,6 +317,40 @@ def test_run_replication_builds_one_risk_table(small_scenario, monkeypatch, coun
     }
 
 
+def test_section3_cox_fits_take_four_passes_and_no_log(monkeypatch):
+    # each row starts from its block's log-rank step (O - E)/V, so a block's
+    # fit takes three Newton passes, or two, and the final information pass;
+    # no pass evaluates the log partial likelihood
+    counts = {"_cox_rows": 0, "_exp": 0, "log": 0}
+    solving = []
+    cox_rows, exp, log = estim._cox_rows, estim._exp, np.log
+
+    def counting_rows(*args):
+        counts["_cox_rows"] += 1
+        solving.append(True)
+        try:
+            return cox_rows(*args)
+        finally:
+            solving.pop()
+
+    def counting_exp(beta):
+        counts["_exp"] += 1
+        return exp(beta)
+
+    def counting_log(*args, **kwargs):
+        counts["log"] += bool(solving)
+        return log(*args, **kwargs)
+
+    for module in (estim, sim):
+        monkeypatch.setattr(module, "_cox_rows", counting_rows)
+    monkeypatch.setattr(estim, "_exp", counting_exp)
+    monkeypatch.setattr(np, "log", counting_log)
+    run_study(realize_scenario(section3_config(replications=2000)), workers=1)
+    assert counts["_cox_rows"] == 2000 // sim._BLOCK
+    assert counts["_exp"] <= 4 * counts["_cox_rows"]
+    assert counts["log"] == 0
+
+
 def test_run_study_worker_count_is_invisible(pool_scenario):
     seq = run_study(pool_scenario, workers=1)
     assert run_study(pool_scenario, workers=2) == seq
@@ -951,6 +985,25 @@ def test_builtin_study_frozen_tallies(study_1k):
     assert report.rejections == report.rx_longer + report.c_longer + report.ties
     assert report.rejection_rate == 0.307
     assert report.rejection_ci == wilson_interval(307, 1000)
+
+
+@pytest.mark.parametrize(
+    "seed, tally",
+    [
+        (5, (601, 527, 74, 0, 600)),
+        (99, (622, 520, 102, 0, 622)),
+        (153, (587, 517, 70, 0, 586)),
+        (8123, (641, 553, 88, 0, 641)),
+    ],
+)
+def test_section3_tallies_at_2000_replications(seed, tally):
+    # (rejections, Rx longer, C longer, ties, Cox rejections), the same
+    # from one process or two
+    scenario = realize_scenario(section3_config(master_seed=seed, replications=2000))
+    for workers in (1, 2):
+        report = run_study(scenario, workers=workers)
+        counts = (report.rejections, report.rx_longer, report.c_longer, report.ties)
+        assert (*counts, report.cox_rejections) == tally
 
 
 # ------------------------------------------------------------- wilson_interval

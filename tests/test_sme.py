@@ -354,6 +354,13 @@ def test_mixture_llp_step_step_tiny_cases_are_exact():
     assert mixture_llp(km_of([1.0]), km_of([1.0])) == 0.5
 
 
+def test_mixture_llp_of_an_all_censored_rx_arm_against_a_weibull_control():
+    # an Rx curve with no jumps never dies, so it outlives every control
+    never_dies = km_fit([1.0, 2.0, 3.0], [False] * 3)
+    assert never_dies.jump_times().size == 0
+    assert mixture_llp(never_dies, WeibullDist(1.0, 2.0)) == 1.0
+
+
 def test_mixture_llp_step_step_matches_pairwise_estimator():
     rng = derive_rng(41, "llp-steps")
     rx_t = np.maximum(np.round(sample_times(WeibullDist(1.1, 8.0), rng, 60), 1), 0.1)
