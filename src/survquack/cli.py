@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import os
 import sys
@@ -47,8 +48,11 @@ from .sme import naive_stratified_ratio, stratified_audit
 
 __all__ = ["main", "read_dataset", "parse_scenario_config"]
 
-# a quote, or ASCII whitespace other than a line end, which the line-by-line pass strips
-_NOT_PLAIN = '" \t\x0b\x0c\x1c\x1d\x1e\x1f'
+# a quote, ASCII whitespace other than a line end, which the line-by-line pass
+# strips, or a NUL, which a numpy string array drops from a label's end
+_NOT_PLAIN = '" \t\x0b\x0c\x1c\x1d\x1e\x1f\x00'
+_EVENTS = {"0": False, "1": True}
+_ARMS = {ARM_RX: True, ARM_C: False}
 _BLOCK_ROWS = 1024  # data rows the column-wise parse splits into cells at a time
 
 # typed INI schemas: section (or "prefix:<placeholder>") -> ({key: parse}, required keys)
@@ -85,9 +89,10 @@ def read_dataset(path) -> SurvivalSample:
     Columns named ``s:<factor>`` carry stratum labels. Every malformed
     record is reported with the 1-based number of its first line, as a
     quoted cell may span lines; nothing is dropped
-    silently. Valid data rows of plain ASCII cells (no quotes, whitespace or
-    blank lines) are parsed column by column, with the same result. A file
-    that is not UTF-8 is reported with the offset of its first bad byte.
+    silently. Valid data rows of plain ASCII cells (no quotes, whitespace,
+    NUL bytes or blank lines) are parsed column by column, and their strata
+    factorized during the parse, with the same result. A file that is not
+    UTF-8 is reported with the offset of its first bad byte.
     """
     try:
         with open(path, "rb") as fh:
@@ -133,7 +138,11 @@ def read_dataset(path) -> SurvivalSample:
 
         plain = _plain_columns(fh.read(), len(header), [i_time, i_event, i_arm, *factor_cols.values()])
         if plain is not None:
-            return SurvivalSample(*plain[:3], dict(zip(factor_cols, plain[3:])))
+            time, died, is_rx, factors = plain
+            strata = {name: np.asarray(lv)[codes] for name, (lv, codes) in zip(factor_cols, factors)}
+            sample = SurvivalSample(time, died, is_rx, strata)
+            sample._factors.update(zip(factor_cols, factors))  # the parse factorized them already
+            return sample
         fh.seek(0)  # back to the first data row for the line-by-line pass
         reader = csv.reader(fh)
         next(reader)
@@ -187,8 +196,9 @@ def read_dataset(path) -> SurvivalSample:
 
 
 def _plain_columns(text, width, columns):
-    """[time, event, arm, labels...] of data rows of plain, valid cells, else
-    None. Rows become cells a block at a time, so that few cells exist at once."""
+    """(time, event, arm, [(labels, codes) of each label column, as
+    ``SurvivalSample.factor`` gives them]) of data rows of plain, valid cells,
+    else None. Rows become cells a block at a time, so that few cells exist at once."""
     if not text.isascii() or any(c in text for c in _NOT_PLAIN):
         return None
     # trailing line ends make only blank rows, which the line-by-line pass skips
@@ -196,22 +206,37 @@ def _plain_columns(text, width, columns):
     if {row.count(",") for row in rows} != {width - 1}:
         return None
     i_time, i_event, i_arm, *i_labels = columns
+    seen = [{} for _ in i_labels]  # label -> code, in the order labels first appear
     blocks = []
     for first in range(0, len(rows), _BLOCK_ROWS):
         cells = ",".join(rows[first:first + _BLOCK_ROWS])
         if "\r" in cells or "\n" in cells:  # a line end other than the first one's
             return None
         cells = cells.split(",")
+        n = len(cells) // width
         try:
-            time = np.array(list(map(float, cells[i_time::width])))
-        except ValueError:
+            time = np.fromiter(map(float, cells[i_time::width]), float, n)
+            died = np.fromiter(map(_EVENTS.__getitem__, cells[i_event::width]), bool, n)
+            is_rx = np.fromiter(map(_ARMS.__getitem__, cells[i_arm::width]), bool, n)
+        except (ValueError, KeyError):
             return None
-        event, arm = np.array(cells[i_event::width]), np.array(cells[i_arm::width])
-        died, is_rx = event == "1", arm == ARM_RX
-        if not np.all((time > 0) & np.isfinite(time) & (died | (event == "0")) & (is_rx | (arm == ARM_C))):
+        if not np.all((time > 0) & np.isfinite(time)):
             return None
-        blocks.append([time, died, is_rx, *(np.asarray(cells[i::width]) for i in i_labels)])
-    return [np.concatenate(column) for column in zip(*blocks)]
+        codes = []
+        for i, index in zip(i_labels, seen):
+            labels = cells[i::width]
+            for lv in set(labels).difference(index):
+                index[lv] = len(index)
+            codes.append(np.fromiter(map(index.__getitem__, labels), np.intp, n))
+        blocks.append([time, died, is_rx, *codes])
+    time, died, is_rx, *codes = (np.concatenate(column) for column in zip(*blocks))
+    factors = []
+    for index, code in zip(seen, codes):
+        labels = sorted(index)
+        rank = np.empty(len(labels), np.intp)
+        rank[[index[lv] for lv in labels]] = np.arange(len(labels))
+        factors.append((tuple(labels), rank[code]))
+    return time, died, is_rx, factors
 
 
 def parse_scenario_config(spec: str) -> ScenarioConfig:
@@ -514,7 +539,9 @@ def _write_tables(report: dict, out_dir):
                     writer.writerow([key, value])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="survquack",
         description=(
@@ -545,7 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[Measure.HR.value, Measure.TR.value],
         help="efficacy measure for the stratified audit (repeatable, default HR)",
     )
-    pa.set_defaults(func=_cmd_analyze)
 
     ps = sub.add_parser("simulate", parents=[output], help="run a scenario config's Monte Carlo study")
     ps.add_argument("config", help="scenario INI path, or builtin:section3")
@@ -557,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"processes, this one included (default: every usable CPU; each takes at least "
         f"{_MIN_CHUNK} replications; the result is identical)",
     )
-    ps.set_defaults(func=_cmd_simulate)
 
     pp = sub.add_parser(
         "pivot-ci", parents=[output], help="rank-test confidence set for the curve-power parameter"
@@ -568,20 +593,18 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--grid-max", type=float, default=50.0, help="largest grid value")
     pp.add_argument("--grid-points", type=int, default=200, help="grid size (log-spaced)")
     pp.add_argument("--seed", type=int, default=0, help="seed for the acceptance-region draws")
-    pp.set_defaults(func=_cmd_pivot_ci)
 
-    pe = sub.add_parser(
+    sub.add_parser(
         "eq1-demo", parents=[output], help="worked example of the log-averaging pooling rule"
     )
-    pe.set_defaults(func=_cmd_eq1_demo)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        report = args.func(args)
+        # looked up per call, as the shared parser holds no command function
+        report = globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (NumericalError, NotReachedError) as exc:
         print(f"survquack: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -188,7 +188,8 @@ class MixtureCurve(SurvivalCurve):
         return self._accumulate(lambda c, x: c.survival_left(x), t)
 
     def final_survival(self):
-        return math.fsum(p * c.final_survival() for p, c in self.components)
+        # summed in survival's order, so that it equals the value after the last jump
+        return sum(p * c.final_survival() for p, c in self.components)
 
     def jump_times(self):
         pieces = [c.jump_times() for _, c in self.components]

@@ -122,6 +122,11 @@ class SurvivalSample:
         return _risk_tables(self.time[o], self.event[o], self.is_rx[o])
 
     @cached_property
+    def _logrank(self):
+        """(O - E, variance) of the risk table, shared by the log-rank test and the Cox fit."""
+        return _logrank_terms(self.tables)
+
+    @cached_property
     def cox(self):
         """(log hazard ratio, standard error) of the two-arm Cox fit,
         computed on first use and shared; a failed fit is not kept."""
@@ -598,7 +603,7 @@ def cox_fit_two_arm(sample: SurvivalSample):
     tb = sample.tables
     if tb.events.sum() == 0:
         raise DomainError("at least one death is required")
-    (beta,), (se,), (code,) = _cox_rows(tb, *_logrank_terms(tb))
+    (beta,), (se,), (code,) = _cox_rows(tb, *sample._logrank)
     if code == _LIMITS:
         score_lo, score_hi = _cox_score_limits(_cox_counts(tb))
         raise NumericalError(

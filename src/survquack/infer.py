@@ -13,7 +13,7 @@ import numpy as np
 
 from .dist import _TINY, _positive
 from .errors import NOT_REACHED, DomainError
-from .estim import ARM_C, ARM_RX, SurvivalSample, _logrank_terms, _pair_stats, km_median
+from .estim import ARM_C, ARM_RX, SurvivalSample, _pair_stats, km_median
 from .rng import derive_rng
 
 __all__ = [
@@ -92,7 +92,7 @@ def logrank_test(sample: SurvivalSample) -> LogRankResult:
         raise DomainError("both arms must be present")
     if not sample.event.any():
         raise DomainError("at least one death is required")
-    return _logrank_result(*_logrank_terms(sample.tables))
+    return _logrank_result(*sample._logrank)
 
 
 def _wald(log_hr, se):

@@ -10,6 +10,7 @@ pool of ``run_study`` is shut down, and no child process may remain.
 
 import dataclasses
 import multiprocessing
+import sys
 import time
 from contextlib import contextmanager
 
@@ -121,18 +122,20 @@ def oak_audit(oak_sample, oak_spec):
     return stratified_audit(oak_sample, factors, measure=Measure.HR)
 
 
-_COUNTED_BUILDS = ("_risk_tables", "weibull_mle", "km_fit")
+_COUNTED_BUILDS = ("_risk_tables", "_logrank_terms", "weibull_mle", "km_fit")
 
 
 @pytest.fixture
 def count_builds(monkeypatch):
     """``count_builds()`` starts counting, for the rest of the test, the
     ``np.argsort`` calls (as (shape, kind)), the product-limit curves built
-    (``curves``) and the calls of ``estim``'s one table builder,
-    ``weibull_mle`` and ``km_fit``; it returns the live tallies."""
+    (``curves``) and the calls of ``estim``'s one table builder, its
+    log-rank terms, ``weibull_mle`` and ``km_fit``; it returns the live
+    tallies."""
 
     def start():
         counts = {"sorts": [], "curves": 0, **dict.fromkeys(_COUNTED_BUILDS, 0)}
+        modules = [m for k, m in sys.modules.items() if k.startswith("survquack.")]
         for name in _COUNTED_BUILDS:
             original = getattr(estim, name)
 
@@ -140,7 +143,9 @@ def count_builds(monkeypatch):
                 counts[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(estim, name, counting)
+            for module in modules:  # every module that imported the name
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
         argsort = np.argsort
 
         def counting_argsort(a, *args, **kwargs):

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import survquack.cli as cli_module
 import survquack.errors as errors_module
@@ -112,7 +112,8 @@ def small_cfg(tmp_path):
 
 
 def _read_outcome(path, fast=True):
-    """read_dataset's arrays as bytes with their dtypes, or its error message."""
+    """read_dataset's arrays and every factor's codes as bytes with their
+    dtypes, and every factor's labels, or its error message."""
     with mock.patch.object(
         cli_module, "_plain_columns", cli_module._plain_columns if fast else (lambda *args: None)
     ):
@@ -120,8 +121,10 @@ def _read_outcome(path, fast=True):
             s = read_dataset(path)
         except ValidationError as exc:
             return str(exc), exc.details
-    arrays = [s.time, s.event, s.is_rx, *(s.strata[k] for k in sorted(s.strata))]
-    return sorted(s.strata), [(a.dtype.str, a.tobytes()) for a in arrays]
+    names = sorted(s.strata)
+    factors = [s.factor(k) for k in names]
+    arrays = [s.time, s.event, s.is_rx, *(s.strata[k] for k in names), *(codes for _, codes in factors)]
+    return names, [labels for labels, _ in factors], [(a.dtype.str, a.tobytes()) for a in arrays]
 
 
 _PLAIN_CELLS = {
@@ -134,7 +137,7 @@ _OFF_CELLS = {
     "time": [" 3", "4 ", "0", "-1", "nan", "x", ""],
     "event": [" 1", "2", ""],
     "arm": [" Rx", "rx", ""],
-    "s:g": [" a", "b ", "a b", "\t", "é"],
+    "s:g": [" a", "b ", "a b", "\t", "é", "a\x00"],
 }
 
 
@@ -233,17 +236,38 @@ class TestReadDataset:
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n"])
     def test_plain_file_is_read_column_wise(self, tmp_path, ending):
+        # read a row at a time, each later block brings a label that sorts
+        # before those seen so far
         path = tmp_path / "plain.csv"
-        lines = ["time,event,arm,s:grp", "1.5,1,Rx,a", "2.5,0,C,bb", "1.5,1,C,a"]
+        lines = ["time,event,arm,s:grp", "1.5,1,Rx,bb", "2.5,0,C,a", "1.5,1,C,bb", "3.0,1,C,"]
         path.write_bytes((ending.join(lines) + ending).encode())
         data = ending.join(lines[1:]) + ending
         assert cli_module._plain_columns(data, 4, [0, 1, 2, 3]) is not None
-        assert _read_outcome(path) == _read_outcome(path, fast=False)
+        with mock.patch.object(cli_module, "_BLOCK_ROWS", 1):
+            assert _read_outcome(path) == _read_outcome(path, fast=False)
+            sample = read_dataset(path)
+        assert list(sample.time) == [1.5, 2.5, 1.5, 3.0]
+        assert list(sample.strata["grp"]) == ["bb", "a", "bb", ""]
+        labels, codes = sample.factor("grp")
+        assert labels == ("", "a", "bb") and codes.tolist() == [2, 1, 2, 0]
+
+    def test_packaged_cohort_reads_the_same_column_wise(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        write_dataset_csv(generate_prognostic_sample(load_oak_analog_spec()), path)
+        data = path.read_text().split("\n", 1)[1]
+        assert cli_module._plain_columns(data, 7, list(range(7))) is not None
+        fast = _read_outcome(path)
+        assert len(fast[0]) == 4 and fast == _read_outcome(path, fast=False)
+        # the parse hands its factorizations to the sample
         sample = read_dataset(path)
-        assert list(sample.time) == [1.5, 2.5, 1.5]
-        assert list(sample.strata["grp"]) == ["a", "bb", "a"]
+        with mock.patch.object(np, "unique", side_effect=AssertionError("factorized again")):
+            assert [sample.factor(name) for name in sample.strata]
 
     @given(text=_csv_texts(), block_rows=st.sampled_from([1, 3, 1024]))
+    @example(text="time,event,arm,s:g\n1,1,Rx,a\x00\n2,0,C,a\n", block_rows=1024)
+    @example(text="time,event,arm,s:g\n1,1,Rx,bb\n2,0,C,b\n2,1,C,\n", block_rows=1)
+    @example(text="time,event,arm\n1,1,Rx\n0,1,C\n", block_rows=1024)
+    @example(text="time,event,arm\n1,1,Rx\n2,2,C\n", block_rows=1024)
     @settings(max_examples=300, deadline=None)
     def test_column_wise_read_matches_line_by_line(self, tmp_path_factory, text, block_rows):
         path = tmp_path_factory.mktemp("fuzz") / "d.csv"
@@ -422,12 +446,12 @@ class TestAnalyze:
         assert rc == 0
         sections = parse_report(out)["sections"]
         assert sections["stratified_audit_hr"]["ok"] and sections["stratified_audit_tr"]["ok"]
-        # one stable sort of the whole sample and none per level; one table
-        # and one curve per arm for the sample and each of its 8 levels; two
-        # Weibull fits per level
+        # one stable sort of the whole sample and none per level; one table,
+        # one set of log-rank terms and one curve per arm for the sample and
+        # each of its 8 levels; two Weibull fits per level
         assert counts == {
             "sorts": [((sample.n,), "stable")], "curves": 18,
-            "_risk_tables": 9, "weibull_mle": 16, "km_fit": 0,
+            "_risk_tables": 9, "_logrank_terms": 9, "weibull_mle": 16, "km_fit": 0,
         }
 
     def test_benchmark_tracer_counts_every_table_of_analyze(self, tmp_path, capsys):

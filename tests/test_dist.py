@@ -90,16 +90,17 @@ def test_quantile_not_reached_on_plateaued_step_curve():
         quantile(km, 0.5)
 
 
-def test_quantile_not_reached_when_the_summed_curve_rounds_above_its_final_value():
-    # the final survival is fsum-ed to 0.46499999999999997, below 0.465, but
-    # the survival at the last jump, summed in order, rounds to
-    # 0.4650000000000001: no jump reaches the level
+def test_quantile_not_reached_when_the_summed_curve_ends_above_the_level():
+    # math.fsum would round the weighted finals' exact sum to
+    # 0.46499999999999997, below the level; summed in survival's order they
+    # make 0.4650000000000001, the survival after the last jump, so the
+    # level is never reached
     steps = [km_fit([t, 5.0], [True, False]) for t in (1.0, 2.0, 3.0, 4.0)]
     finals = (0.51, 0.61, 0.14, 0.6)
     mix = MixtureCurve(tuple(
         (0.25, dataclasses.replace(km, survival_after=np.array([f]))) for km, f in zip(steps, finals)
     ))
-    assert mix.final_survival() < 0.465 < mix.survival(4.0)
+    assert mix.final_survival() == mix.survival(4.0) == mix.survival(9.0) > 0.465
     with pytest.raises(NotReachedError):
         quantile(mix, 0.465)
 

@@ -664,6 +664,8 @@ def test_cox_requires_both_arms():
     s = SurvivalSample([1.0, 2.0], [True, True], [True, True])
     with pytest.raises(DomainError):
         cox_fit_two_arm(s)
+    with pytest.raises(DomainError, match="at least one death"):
+        cox_fit_two_arm(SurvivalSample([1.0, 2.0], [False, False], [True, False]))
 
 
 # -------------------------------------------------------------------- sample_tr

@@ -305,7 +305,7 @@ def test_run_replication_is_deterministic(small_scenario):
 
 def test_run_replication_builds_one_risk_table(small_scenario, monkeypatch, count_builds):
     # the log-rank test, both product-limit medians and the Cox fit share
-    # one sort, one table and one curve per arm
+    # one sort, one table, one set of log-rank terms and one curve per arm
     samples = {rep: simulate_sample(small_scenario, rep) for rep in range(3)}
     monkeypatch.setattr(sim, "simulate_sample", lambda scenario, rep: samples[rep])
     counts = count_builds()
@@ -313,7 +313,7 @@ def test_run_replication_builds_one_risk_table(small_scenario, monkeypatch, coun
         run_replication(small_scenario, rep)
     assert counts == {
         "sorts": [((small_scenario.config.n_total,), "stable")] * 3, "curves": 6,
-        "_risk_tables": 3, "weibull_mle": 0, "km_fit": 0,
+        "_risk_tables": 3, "_logrank_terms": 3, "weibull_mle": 0, "km_fit": 0,
     }
 
 
