@@ -13,10 +13,12 @@ log-averaging example. Every command emits one JSON report (see
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import functools
 import io
+import itertools
 import os
 import sys
 
@@ -48,12 +50,9 @@ from .sme import naive_stratified_ratio, stratified_audit
 
 __all__ = ["main", "read_dataset", "parse_scenario_config"]
 
-# a quote, ASCII whitespace other than a line end, which the line-by-line pass
-# strips, or a NUL, which a numpy string array drops from a label's end
-_NOT_PLAIN = '" \t\x0b\x0c\x1c\x1d\x1e\x1f\x00'
 _EVENTS = {"0": False, "1": True}
 _ARMS = {ARM_RX: True, ARM_C: False}
-_BLOCK_ROWS = 1024  # data rows the column-wise parse splits into cells at a time
+_BLOCK_ROWS = 1024  # records a tokenizer hands to the typed conversion at a time
 
 # typed INI schemas: section (or "prefix:<placeholder>") -> ({key: parse}, required keys)
 _SCENARIO_SCHEMA = {
@@ -86,13 +85,13 @@ def read_dataset(path) -> SurvivalSample:
     """Parse a dataset CSV into a sample, or fail with line diagnostics.
 
     Required columns: time (positive decimal), event (0/1), arm (Rx/C).
-    Columns named ``s:<factor>`` carry stratum labels. Every malformed
-    record is reported with the 1-based number of its first line, as a
-    quoted cell may span lines; nothing is dropped
-    silently. Valid data rows of plain ASCII cells (no quotes, whitespace,
-    NUL bytes or blank lines) are parsed column by column, and their strata
-    factorized during the parse, with the same result. A file that is not
-    UTF-8 is reported with the offset of its first bad byte.
+    Columns named ``s:<factor>`` carry stratum labels. A file with no quote
+    is split at its line ends and commas, any other (or one the split
+    refuses) is tokenized by ``csv``, and one conversion types the columns
+    (``_typed_columns``). Every malformed record is reported with the
+    1-based number of its first line, as a quoted cell may span lines;
+    nothing is dropped silently. A file that is not UTF-8 is reported with
+    the offset of its first bad byte.
     """
     try:
         with open(path, "rb") as fh:
@@ -108,9 +107,8 @@ def read_dataset(path) -> SurvivalSample:
             raise ValidationError(f"{path}: not UTF-8 text ({bad!r} at byte offset {exc.start})") from None
     # utf-8-sig drops one leading byte-order mark (Excel's "CSV UTF-8"), also after a seek to 0
     with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ValidationError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
@@ -121,122 +119,122 @@ def read_dataset(path) -> SurvivalSample:
         dupes = [c for c in set(header) if header.count(c) > 1]
         if dupes:
             raise ValidationError(f"{path}: duplicate column(s) {sorted(dupes)}")
-        factor_cols = {}
-        unknown = []
-        for idx, name in enumerate(header):
-            if name in required:
-                continue
-            if name.startswith("s:") and len(name) > 2:
-                factor_cols[name[2:]] = idx
-            else:
-                unknown.append(name)
+        is_factor = [name.startswith("s:") and name != "s:" for name in header]
+        factor_cols = {name[2:]: idx for idx, name in enumerate(header) if is_factor[idx]}
+        unknown = [name for name, f in zip(header, is_factor) if not (f or name in required)]
         if unknown:
             raise ValidationError(
                 f"{path}: unrecognized column(s) {unknown}; strata need an 's:' prefix"
             )
-        i_time, i_event, i_arm = (header.index(c) for c in required)
-
-        plain = _plain_columns(fh.read(), len(header), [i_time, i_event, i_arm, *factor_cols.values()])
-        if plain is not None:
-            time, died, is_rx, factors = plain
-            strata = {name: np.asarray(lv)[codes] for name, (lv, codes) in zip(factor_cols, factors)}
-            sample = SurvivalSample(time, died, is_rx, strata)
-            sample._factors.update(zip(factor_cols, factors))  # the parse factorized them already
-            return sample
-        fh.seek(0)  # back to the first data row for the line-by-line pass
-        reader = csv.reader(fh)
-        next(reader)
-        times, events, arms = [], [], []
-        labels = {name: [] for name in factor_cols}
-        problems = []
-        # a record is numbered by its first line: a quoted cell may hold line ends
-        end = reader.line_num
-        for row in reader:
-            lineno, end = end + 1, reader.line_num
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                problems.append(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-                continue
-            ok = True
-            try:
-                t = float(row[i_time])
-                if not (t > 0.0 and np.isfinite(t)):
-                    raise ValueError("time must be a positive finite number")
-            except ValueError as exc:
-                problems.append(f"line {lineno}: bad time {row[i_time]!r} ({exc})")
-                ok = False
-            ev_raw = row[i_event].strip()
-            if ev_raw not in ("0", "1"):
-                problems.append(f"line {lineno}: event must be 0 or 1, got {ev_raw!r}")
-                ok = False
-            arm_raw = row[i_arm].strip()
-            if arm_raw not in (ARM_RX, ARM_C):
-                problems.append(f"line {lineno}: arm must be {ARM_RX!r} or {ARM_C!r}, got {arm_raw!r}")
-                ok = False
-            if not ok:
-                continue
-            times.append(t)
-            events.append(ev_raw == "1")
-            arms.append(arm_raw == ARM_RX)
-            for name, idx in factor_cols.items():
-                labels[name].append(row[idx].strip())
-        if problems:
-            shown = "; ".join(problems[:5])
-            more = f" (+{len(problems) - 5} more)" if len(problems) > 5 else ""
-            raise ValidationError(f"{path}: {shown}{more}", details=problems)
-        if not times:
-            raise ValidationError(f"{path}: no data rows")
-    return SurvivalSample(
-        np.asarray(times),
-        np.asarray(events, dtype=bool),
-        np.asarray(arms, dtype=bool),
-        {name: np.asarray(vals) for name, vals in labels.items()},
-    )
+        columns = [header.index(c) for c in required] + list(factor_cols.values())
+        text = fh.read()
+        typed = None if '"' in text else _typed_columns(_split_blocks(text, len(header)), columns)
+        if typed is None:
+            typed = _typed_columns(_csv_blocks(_records(fh), len(header)), columns)
+        if typed is None:
+            raise _refusal(path, _records(fh), len(header), *columns[:3])
+    time, died, is_rx, factorizations = typed
+    factors = dict(zip(factor_cols, factorizations))
+    sample = SurvivalSample(time, died, is_rx, {name: lv[codes] for name, (lv, codes) in factors.items()})
+    # the conversion factorized the strata already
+    sample._factors.update({name: (tuple(map(str, lv)), codes) for name, (lv, codes) in factors.items()})
+    return sample
 
 
-def _plain_columns(text, width, columns):
-    """(time, event, arm, [(labels, codes) of each label column, as
-    ``SurvivalSample.factor`` gives them]) of data rows of plain, valid cells,
-    else None. Rows become cells a block at a time, so that few cells exist at once."""
-    if not text.isascii() or any(c in text for c in _NOT_PLAIN):
-        return None
-    # trailing line ends make only blank rows, which the line-by-line pass skips
+def _split_blocks(text, width):
+    """Blocks of a quote-free text's records, split at line ends and commas, as lists
+    of columns; a ValueError on a blank row, a wrong field count or mixed line ends."""
+    # trailing line ends make only blank records, which are skipped
     rows = text.rstrip("\r\n").split("\r\n" if "\r\n" in text else "\n")
     if {row.count(",") for row in rows} != {width - 1}:
-        return None
-    i_time, i_event, i_arm, *i_labels = columns
-    seen = [{} for _ in i_labels]  # label -> code, in the order labels first appear
-    blocks = []
+        raise ValueError("not one record of every field per row")
     for first in range(0, len(rows), _BLOCK_ROWS):
         cells = ",".join(rows[first:first + _BLOCK_ROWS])
-        if "\r" in cells or "\n" in cells:  # a line end other than the first one's
-            return None
+        if "\r" in cells or "\n" in cells:
+            raise ValueError("mixed line ends")
         cells = cells.split(",")
-        n = len(cells) // width
+        yield [cells[i::width] for i in range(width)]
+
+
+def _records(fh):
+    """A ``csv`` reader of the records after the file's header."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    return reader
+
+
+def _csv_blocks(reader, width):
+    """Blocks of the records ``reader`` reads, blank ones skipped, as lists
+    of columns; a ValueError if a record has the wrong number of fields."""
+    records = (row for row in reader if any(map(str.strip, row)))
+    while rows := list(itertools.islice(records, _BLOCK_ROWS)):
+        if set(map(len, rows)) - {width}:
+            raise ValueError("a record has the wrong number of fields")
+        yield list(zip(*rows))
+        del rows  # so that no two blocks' cells are alive at once
+
+
+def _typed_columns(blocks, columns):
+    """(time, event, arm, [(levels, codes) per label column]) of the records
+    ``blocks`` hands over as columns, indexed by ``columns``; None if it
+    refuses the file, a record is not valid or there is none. Every column
+    but time is coded as its cells arrive; each distinct cell is then
+    stripped and checked once, and ``np.unique`` sorts the levels, merging
+    cells a numpy string holds alike (``a\\0`` and ``a``) as a label array does."""
+    i_time, *i_coded = columns
+    # cell -> code: a cell not seen before takes the next code
+    seen = [collections.defaultdict(itertools.count().__next__) for _ in i_coded]
+    parts = []
+    try:
+        for block in blocks:
+            n = len(block[i_time])
+            codes = [
+                np.fromiter(map(index.__getitem__, block[i]), np.intp, n) for i, index in zip(i_coded, seen)
+            ]
+            parts.append([np.fromiter(map(float, block[i_time]), float, n), *codes])
+            del block  # so that no two blocks' cells are alive at once
+    except ValueError:
+        return None
+    if not parts:
+        return None
+    time, *codes = (np.concatenate(column) for column in zip(*parts))
+    events, arms, *labels = ([cell.strip() for cell in index] for index in seen)
+    if not np.all((time > 0) & np.isfinite(time)) or {*events} - _EVENTS.keys() or {*arms} - _ARMS.keys():
+        return None
+    died = np.array([_EVENTS[cell] for cell in events])[codes[0]]
+    is_rx = np.array([_ARMS[cell] for cell in arms])[codes[1]]
+    uniques = [np.unique(np.array(cells), return_inverse=True) for cells in labels]
+    return time, died, is_rx, [(levels, inverse[code]) for (levels, inverse), code in zip(uniques, codes[2:])]
+
+
+def _refusal(path, reader, width, i_time, i_event, i_arm):
+    """The ValidationError of a file ``_typed_columns`` refused: each bad record of
+    ``reader`` with its first line's number (a quoted cell may hold line ends), or no data rows."""
+    problems = []
+    end = reader.line_num
+    for row in reader:
+        lineno, end = end + 1, reader.line_num
+        if not any(map(str.strip, row)):
+            continue
+        if len(row) != width:
+            problems.append(f"line {lineno}: expected {width} fields, got {len(row)}")
+            continue
         try:
-            time = np.fromiter(map(float, cells[i_time::width]), float, n)
-            died = np.fromiter(map(_EVENTS.__getitem__, cells[i_event::width]), bool, n)
-            is_rx = np.fromiter(map(_ARMS.__getitem__, cells[i_arm::width]), bool, n)
-        except (ValueError, KeyError):
-            return None
-        if not np.all((time > 0) & np.isfinite(time)):
-            return None
-        codes = []
-        for i, index in zip(i_labels, seen):
-            labels = cells[i::width]
-            for lv in set(labels).difference(index):
-                index[lv] = len(index)
-            codes.append(np.fromiter(map(index.__getitem__, labels), np.intp, n))
-        blocks.append([time, died, is_rx, *codes])
-    time, died, is_rx, *codes = (np.concatenate(column) for column in zip(*blocks))
-    factors = []
-    for index, code in zip(seen, codes):
-        labels = sorted(index)
-        rank = np.empty(len(labels), np.intp)
-        rank[[index[lv] for lv in labels]] = np.arange(len(labels))
-        factors.append((tuple(labels), rank[code]))
-    return time, died, is_rx, factors
+            t = float(row[i_time])
+            if not (t > 0.0 and np.isfinite(t)):
+                raise ValueError("time must be a positive finite number")
+        except ValueError as exc:
+            problems.append(f"line {lineno}: bad time {row[i_time]!r} ({exc})")
+        if row[i_event].strip() not in _EVENTS:
+            problems.append(f"line {lineno}: event must be 0 or 1, got {row[i_event].strip()!r}")
+        if row[i_arm].strip() not in _ARMS:
+            problems.append(f"line {lineno}: arm must be {ARM_RX!r} or {ARM_C!r}, got {row[i_arm].strip()!r}")
+    if not problems:
+        return ValidationError(f"{path}: no data rows")
+    shown = "; ".join(problems[:5])
+    more = f" (+{len(problems) - 5} more)" if len(problems) > 5 else ""
+    return ValidationError(f"{path}: {shown}{more}", details=problems)
 
 
 def parse_scenario_config(spec: str) -> ScenarioConfig:
@@ -462,7 +460,7 @@ def _cmd_pivot_ci(args):
                 "n_c": result.n_c,
                 "mc_reps": result.mc_reps,
                 "seed": result.seed,
-                "non_convex": result.non_convex,
+                "non_convex": False,  # one run of grid points; the report schema keeps the key
                 "empty": result.empty,
                 "accepted_points": int(np.asarray(result.accepted).sum()),
                 "grid": {

@@ -308,11 +308,9 @@ def _first_at_most(grid, limit, v, u, keys, positions, lo=0):
 class ConfidenceSet:
     """Grid-based confidence set for the survival-curve exponent.
 
-    ``accepted`` flags the grid points the pivot keeps; (lo, hi) is the
-    convex hull of the accepted points. ``non_convex`` would mark gaps
-    inside the hull, but ``mw_pivot_ci`` always accepts one run of grid
-    points, so it is always false. ``empty`` marks the fallback to the full
-    grid range after nothing was accepted.
+    ``accepted`` flags the grid points the pivot keeps, which
+    ``mw_pivot_ci`` always makes one run; (lo, hi) are its ends. ``empty``
+    marks the fallback to the full grid range after nothing was accepted.
     """
 
     grid: np.ndarray
@@ -325,7 +323,6 @@ class ConfidenceSet:
     n_c: int
     mc_reps: int
     seed: int
-    non_convex: bool
     empty: bool
 
 
@@ -393,11 +390,9 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, seed=0) -> ConfidenceS
             stacklevel=2,
         )
         lo, hi = float(grid[0]), float(grid[-1])
-        non_convex = False
         empty = True
     else:
         lo, hi = float(grid[idx[0]]), float(grid[idx[-1]])
-        non_convex = bool(idx.size != idx[-1] - idx[0] + 1)
         empty = False
     return ConfidenceSet(
         grid=grid,
@@ -410,6 +405,5 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, seed=0) -> ConfidenceS
         n_c=int(c.size),
         mc_reps=MC_REPS,
         seed=int(seed),
-        non_convex=non_convex,
         empty=empty,
     )

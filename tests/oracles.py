@@ -6,7 +6,9 @@ imports survquack, so agreement between these routes and the package
 is a real two-route check rather than the same code called twice.
 """
 
+import csv
 import hashlib
+import io
 import math
 from itertools import combinations
 
@@ -429,4 +431,104 @@ def llp_against_steps_by_hand(rx_survival, c_survival, c_jumps):
     return math.fsum(
         (c_survival(u, True) - c_survival(u, False)) * 0.5 * (rx_survival(u, True) + rx_survival(u, False))
         for u in sorted(set(float(u) for u in c_jumps))
+    )
+
+
+class DatasetRefused(Exception):
+    """A dataset file that ``read_dataset_by_rows`` refuses; ``details``
+    lists one diagnostic per bad record, as ``ValidationError`` does."""
+
+    def __init__(self, message, details=None):
+        super().__init__(message)
+        self.details = list(details or [])
+
+
+def read_dataset_by_rows(path):
+    """(time, event, is_rx, {factor: labels}) of a dataset CSV, read one
+    ``csv`` record at a time, or DatasetRefused with the dataset reader's
+    message and details. Blank records are skipped and every cell but a
+    time is stripped; a record is numbered by its first line."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DatasetRefused(f"cannot open dataset: {exc}") from exc
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = raw[exc.start:exc.end]
+        raise DatasetRefused(f"{path}: not UTF-8 text ({bad!r} at byte offset {exc.start})") from None
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetRefused(f"{path}: file is empty") from None
+        header = [h.strip() for h in header]
+        required = ("time", "event", "arm")
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise DatasetRefused(f"{path}: missing required column(s) {missing}")
+        dupes = [c for c in set(header) if header.count(c) > 1]
+        if dupes:
+            raise DatasetRefused(f"{path}: duplicate column(s) {sorted(dupes)}")
+        factor_cols = {}
+        unknown = []
+        for idx, name in enumerate(header):
+            if name in required:
+                continue
+            if name.startswith("s:") and len(name) > 2:
+                factor_cols[name[2:]] = idx
+            else:
+                unknown.append(name)
+        if unknown:
+            raise DatasetRefused(
+                f"{path}: unrecognized column(s) {unknown}; strata need an 's:' prefix"
+            )
+        i_time, i_event, i_arm = (header.index(c) for c in required)
+        times, events, arms = [], [], []
+        labels = {name: [] for name in factor_cols}
+        problems = []
+        end = reader.line_num
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                problems.append(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+                continue
+            ok = True
+            try:
+                t = float(row[i_time])
+                if not (t > 0.0 and np.isfinite(t)):
+                    raise ValueError("time must be a positive finite number")
+            except ValueError as exc:
+                problems.append(f"line {lineno}: bad time {row[i_time]!r} ({exc})")
+                ok = False
+            ev_raw = row[i_event].strip()
+            if ev_raw not in ("0", "1"):
+                problems.append(f"line {lineno}: event must be 0 or 1, got {ev_raw!r}")
+                ok = False
+            arm_raw = row[i_arm].strip()
+            if arm_raw not in ("Rx", "C"):
+                problems.append(f"line {lineno}: arm must be 'Rx' or 'C', got {arm_raw!r}")
+                ok = False
+            if not ok:
+                continue
+            times.append(t)
+            events.append(ev_raw == "1")
+            arms.append(arm_raw == "Rx")
+            for name, idx in factor_cols.items():
+                labels[name].append(row[idx].strip())
+        if problems:
+            shown = "; ".join(problems[:5])
+            more = f" (+{len(problems) - 5} more)" if len(problems) > 5 else ""
+            raise DatasetRefused(f"{path}: {shown}{more}", details=problems)
+        if not times:
+            raise DatasetRefused(f"{path}: no data rows")
+    return (
+        np.asarray(times),
+        np.asarray(events, dtype=bool),
+        np.asarray(arms, dtype=bool),
+        {name: np.asarray(vals) for name, vals in labels.items()},
     )

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 import survquack.cli as cli_module
 import survquack.errors as errors_module
 
@@ -111,19 +112,34 @@ def small_cfg(tmp_path):
     return str(path)
 
 
-def _read_outcome(path, fast=True):
+def _read_outcome(path):
     """read_dataset's arrays and every factor's codes as bytes with their
-    dtypes, and every factor's labels, or its error message."""
-    with mock.patch.object(
-        cli_module, "_plain_columns", cli_module._plain_columns if fast else (lambda *args: None)
-    ):
-        try:
-            s = read_dataset(path)
-        except ValidationError as exc:
-            return str(exc), exc.details
-    names = sorted(s.strata)
-    factors = [s.factor(k) for k in names]
-    arrays = [s.time, s.event, s.is_rx, *(s.strata[k] for k in names), *(codes for _, codes in factors)]
+    dtypes, and every factor's labels, or its error message and details."""
+    try:
+        s = read_dataset(path)
+    except ValidationError as exc:
+        return str(exc), exc.details
+    return _outcome(s.time, s.event, s.is_rx, s.strata, s.factor)
+
+
+def _oracle_outcome(path):
+    """The same of the reference reader, whose factors come from ``np.unique``."""
+    try:
+        time, event, is_rx, strata = oracles.read_dataset_by_rows(path)
+    except oracles.DatasetRefused as exc:
+        return str(exc), exc.details
+
+    def factor(name):
+        labels, codes = np.unique(strata[name], return_inverse=True)
+        return tuple(str(lv) for lv in labels), codes
+
+    return _outcome(time, event, is_rx, strata, factor)
+
+
+def _outcome(time, event, is_rx, strata, factor):
+    names = sorted(strata)
+    factors = [factor(k) for k in names]
+    arrays = [time, event, is_rx, *(strata[k] for k in names), *(codes for _, codes in factors)]
     return names, [labels for labels, _ in factors], [(a.dtype.str, a.tobytes()) for a in arrays]
 
 
@@ -134,10 +150,10 @@ _PLAIN_CELLS = {
     "s:g": ["a", "b", "bb", ""],
 }
 _OFF_CELLS = {
-    "time": [" 3", "4 ", "0", "-1", "nan", "x", ""],
-    "event": [" 1", "2", ""],
-    "arm": [" Rx", "rx", ""],
-    "s:g": [" a", "b ", "a b", "\t", "é", "a\x00"],
+    "time": [" 3", "4 ", "0", "-1", "nan", "x", "", "1\x00"],
+    "event": [" 1", "2", "", "1\x00"],
+    "arm": [" Rx", "rx", "", "Rx\x00"],
+    "s:g": [" a", "b ", "a b", "\t", "é", "a\x00", "\xa0a"],
 }
 
 
@@ -236,15 +252,16 @@ class TestReadDataset:
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n"])
     def test_plain_file_is_read_column_wise(self, tmp_path, ending):
-        # read a row at a time, each later block brings a label that sorts
-        # before those seen so far
+        # split a row at a time, with no csv pass; each later block brings a
+        # label that sorts before those seen so far
         path = tmp_path / "plain.csv"
         lines = ["time,event,arm,s:grp", "1.5,1,Rx,bb", "2.5,0,C,a", "1.5,1,C,bb", "3.0,1,C,"]
         path.write_bytes((ending.join(lines) + ending).encode())
-        data = ending.join(lines[1:]) + ending
-        assert cli_module._plain_columns(data, 4, [0, 1, 2, 3]) is not None
-        with mock.patch.object(cli_module, "_BLOCK_ROWS", 1):
-            assert _read_outcome(path) == _read_outcome(path, fast=False)
+        with (
+            mock.patch.object(cli_module, "_BLOCK_ROWS", 1),
+            mock.patch.object(cli_module, "_csv_blocks", side_effect=AssertionError("tokenized by csv")),
+        ):
+            assert _read_outcome(path) == _oracle_outcome(path)
             sample = read_dataset(path)
         assert list(sample.time) == [1.5, 2.5, 1.5, 3.0]
         assert list(sample.strata["grp"]) == ["bb", "a", "bb", ""]
@@ -252,40 +269,60 @@ class TestReadDataset:
         assert labels == ("", "a", "bb") and codes.tolist() == [2, 1, 2, 0]
 
     def test_packaged_cohort_reads_the_same_column_wise(self, tmp_path):
-        path = tmp_path / "cohort.csv"
-        write_dataset_csv(generate_prognostic_sample(load_oak_analog_spec()), path)
-        data = path.read_text().split("\n", 1)[1]
-        assert cli_module._plain_columns(data, 7, list(range(7))) is not None
-        fast = _read_outcome(path)
-        assert len(fast[0]) == 4 and fast == _read_outcome(path, fast=False)
-        # the parse hands its factorizations to the sample
-        sample = read_dataset(path)
-        with mock.patch.object(np, "unique", side_effect=AssertionError("factorized again")):
-            assert [sample.factor(name) for name in sample.strata]
+        # as written, with every cell quoted (as R's write.csv quotes text),
+        # and with the label "female" spelt "fémale"
+        paths = [tmp_path / f"{name}.csv" for name in ("plain", "quoted", "accented")]
+        write_dataset_csv(generate_prognostic_sample(load_oak_analog_spec()), paths[0])
+        with open(paths[0], newline="") as fh, open(paths[1], "w", newline="") as out:
+            csv.writer(out, quoting=csv.QUOTE_ALL).writerows(csv.reader(fh))
+        paths[2].write_bytes(paths[0].read_bytes().replace(b"female", "fémale".encode()))
+        outcomes = [_read_outcome(path) for path in paths]
+        assert outcomes == [_oracle_outcome(path) for path in paths]
+        (names, labels, arrays), quoted, (_, accented_labels, accented) = outcomes
+        assert len(names) == 4 and quoted == outcomes[0]
+        assert [tuple(lv.replace("é", "e") for lv in f) for f in accented_labels] == labels
+        sex = 3 + names.index("sex")  # the one label array that differs
+        assert accented[:sex] + accented[sex + 1:] == arrays[:sex] + arrays[sex + 1:]
+        # the read hands its factorizations to the sample
+        for path in paths:
+            sample = read_dataset(path)
+            with mock.patch.object(np, "unique", side_effect=AssertionError("factorized again")):
+                assert [sample.factor(name) for name in sample.strata]
 
     @given(text=_csv_texts(), block_rows=st.sampled_from([1, 3, 1024]))
     @example(text="time,event,arm,s:g\n1,1,Rx,a\x00\n2,0,C,a\n", block_rows=1024)
     @example(text="time,event,arm,s:g\n1,1,Rx,bb\n2,0,C,b\n2,1,C,\n", block_rows=1)
     @example(text="time,event,arm\n1,1,Rx\n0,1,C\n", block_rows=1024)
     @example(text="time,event,arm\n1,1,Rx\n2,2,C\n", block_rows=1024)
+    # the split refuses a blank row, and csv skips it
+    @example(text="time,event,arm\n1,1,Rx\n\n2,0,C\n", block_rows=1024)
+    # the split refuses a bare \r, and csv a record it ends early
+    @example(text="time,event,arm\n1,1\r,Rx\n", block_rows=1024)
+    # csv refuses a quoted file's bad time
+    @example(text='time,event,arm\n"1",1,Rx\nx,0,C\n', block_rows=1024)
+    # csv skips a whitespace-only record; blank records only
+    @example(text="time,event,arm\n1,1,Rx\n \t,\n2,0,C\n", block_rows=1024)
+    @example(text="time,event,arm\n\n \t,\r\n", block_rows=1024)
+    # a NUL after an event or arm is kept, so the cell is refused
+    @example(text="time,event,arm\n1,1\x00,Rx\x00\n", block_rows=1024)
     @settings(max_examples=300, deadline=None)
     def test_column_wise_read_matches_line_by_line(self, tmp_path_factory, text, block_rows):
         path = tmp_path_factory.mktemp("fuzz") / "d.csv"
         path.write_bytes(text.encode())
         with mock.patch.object(cli_module, "_BLOCK_ROWS", block_rows):
-            assert _read_outcome(path) == _read_outcome(path, fast=False)
+            assert _read_outcome(path) == _oracle_outcome(path)
 
     @pytest.mark.parametrize("grp", ["a", '"a"'], ids=["plain", "quoted"])
     def test_byte_order_mark_is_skipped(self, tmp_path, capsys, grp):
         # Excel's "CSV UTF-8" export starts the file with one mark; a quoted
-        # cell sends the file down the line-by-line pass
+        # cell sends the file to csv
         text = f"time,event,arm,s:grp\n1.5,1,Rx,{grp}\n2.5,1,C,b\n3.5,0,Rx,b\n0.5,1,C,a\n"
         unmarked, marked = tmp_path / "unmarked.csv", tmp_path / "marked.csv"
         unmarked.write_bytes(text.encode())
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
-        data = text.split("\n", 1)[1]
-        assert (cli_module._plain_columns(data, 4, [0, 1, 2, 3]) is None) == (grp != "a")
-        assert _read_outcome(marked) == _read_outcome(unmarked)
+        with mock.patch.object(cli_module, "_csv_blocks", wraps=cli_module._csv_blocks) as tokenized:
+            assert _read_outcome(marked) == _read_outcome(unmarked) == _oracle_outcome(marked)
+        assert tokenized.called == (grp != "a")
         assert list(read_dataset(marked).strata["grp"]) == ["a", "b", "b", "a"]
         rc, _, err = run_cli(["analyze", str(marked), "--strata", "grp"], capsys)
         assert rc == 0, err

@@ -184,6 +184,7 @@ def test_km_sides_are_both_limits_from_one_search():
 def test_km_median_examples():
     assert km_median(km_fit([1.0, 2.0, 3.0, 4.0], [True] * 4)) == 2.0
     assert km_median(km_fit([1.0, 2.0, 3.0], [False] * 3)) is NOT_REACHED
+    assert repr(NOT_REACHED) == "NotReached"
 
 
 def test_km_median_of_scenario_sample(section3):

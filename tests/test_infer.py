@@ -338,6 +338,12 @@ def _power_region(n, m, theta, level, mc_reps, rng):
 _PIVOT_GRID = np.geomspace(0.3, 3.0, 9)
 
 
+def _one_run(accepted):
+    """Whether the accepted grid points are one run (or none)."""
+    idx = np.flatnonzero(accepted)
+    return idx.size == 0 or idx[-1] - idx[0] + 1 == idx.size
+
+
 @pytest.mark.parametrize("n,m", [(37, 23), (23, 37)])
 def test_mw_pivot_in_place_kernel_matches_fresh_draw_reference(n, m):
     rng = derive_rng(41, "pivot-data", n, m)
@@ -390,7 +396,7 @@ def test_mw_pivot_accepts_each_grid_points_shared_stream_region(n, m, points):
                 assert region == (lo, hi)
                 expected.append(lo <= obs <= hi)
             assert ci.accepted.tolist() == expected, (level, obs)
-            assert not ci.non_convex
+            assert _one_run(ci.accepted)
 
 
 _SEARCHED_GRIDS = {
@@ -495,7 +501,7 @@ def test_mw_pivot_identical_arms_straddles_one():
     ci = mw_pivot_ci(base, base, seed=5)
     assert ci.observed_count == 32.0  # 28 wins + 8 ties at half
     assert ci.lo < 1.0 < ci.hi
-    assert not ci.empty and not ci.non_convex
+    assert not ci.empty and _one_run(ci.accepted)
     assert ci.accepted.sum() > 0
     assert ci.n_rx == ci.n_c == 8
     assert ci.level == 0.95 and ci.mc_reps == MC_REPS == 2000 and ci.seed == 5
@@ -514,7 +520,7 @@ def test_mw_pivot_empty_set_warns_and_reports_grid_range():
     with pytest.warns(UserWarning, match="no grid exponent"):
         ci = mw_pivot_ci([x + 100.0 for x in base], base, grid=[1.0], seed=5)
     assert ci.empty
-    assert not ci.non_convex
+    assert _one_run(ci.accepted)
     assert (ci.lo, ci.hi) == (1.0, 1.0)
     assert not ci.accepted.any()
 

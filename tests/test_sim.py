@@ -32,7 +32,7 @@ from survquack import (
 from survquack import estim, sim
 from survquack.cli import main, parse_scenario_config
 from survquack.errors import DomainError, InfeasibleScenario, NumericalError
-from survquack.sim import simulate_sample, wilson_interval
+from survquack.sim import DirectionalErrorReport, simulate_sample, wilson_interval
 
 from oracles import bisect_complement_scale, draw_trial
 
@@ -1029,3 +1029,12 @@ def test_wilson_edges_and_validation():
         wilson_interval(11, 10)
     with pytest.raises(DomainError):
         wilson_interval(5, 10, level=1.0)
+
+
+def test_report_refuses_claim_buckets_that_miss_the_rejections():
+    with pytest.raises(NumericalError, match="do not add up") as excinfo:
+        DirectionalErrorReport(
+            replications=10, alpha=0.05, master_seed=1, rejections=4, rx_longer=2, c_longer=1, ties=0,
+            cox_rejections=4,
+        )
+    assert excinfo.value.diagnostics == {"rejections": 4, "buckets": (2, 1, 0)}
