@@ -63,7 +63,6 @@ _SCENARIO_SCHEMA = {
             "alpha": float,
             "overall_median": float,
             "solve_subgroup": str,
-            "membership": str,
             "replications": int,
             "master_seed": int,
         },
@@ -111,6 +110,8 @@ def read_dataset(path) -> SurvivalSample:
             header = next(csv.reader(fh))
         except StopIteration:
             raise ValidationError(f"{path}: file is empty") from None
+        except csv.Error as exc:
+            raise ValidationError(f"{path}: line 1: unreadable record ({exc})") from None
         header = [h.strip() for h in header]
         required = ("time", "event", "arm")
         missing = [c for c in required if c not in header]
@@ -177,8 +178,8 @@ def _csv_blocks(reader, width):
 
 def _typed_columns(blocks, columns):
     """(time, event, arm, [(levels, codes) per label column]) of the records
-    ``blocks`` hands over as columns, indexed by ``columns``; None if it
-    refuses the file, a record is not valid or there is none. Every column
+    ``blocks`` hands over as columns, indexed by ``columns``; None if it (or
+    ``csv``) refuses the file, a record is not valid or there is none. Every column
     but time is coded as its cells arrive; each distinct cell is then
     stripped and checked once, and ``np.unique`` sorts the levels, merging
     cells a numpy string holds alike (``a\\0`` and ``a``) as a label array does."""
@@ -194,7 +195,7 @@ def _typed_columns(blocks, columns):
             ]
             parts.append([np.fromiter(map(float, block[i_time]), float, n), *codes])
             del block  # so that no two blocks' cells are alive at once
-    except ValueError:
+    except (ValueError, csv.Error):
         return None
     if not parts:
         return None
@@ -210,26 +211,30 @@ def _typed_columns(blocks, columns):
 
 def _refusal(path, reader, width, i_time, i_event, i_arm):
     """The ValidationError of a file ``_typed_columns`` refused: each bad record of
-    ``reader`` with its first line's number (a quoted cell may hold line ends), or no data rows."""
+    ``reader`` with its first line's number (a quoted cell may hold line ends), up to
+    one ``csv`` cannot read, or no data rows."""
     problems = []
     end = reader.line_num
-    for row in reader:
-        lineno, end = end + 1, reader.line_num
-        if not any(map(str.strip, row)):
-            continue
-        if len(row) != width:
-            problems.append(f"line {lineno}: expected {width} fields, got {len(row)}")
-            continue
-        try:
-            t = float(row[i_time])
-            if not (t > 0.0 and np.isfinite(t)):
-                raise ValueError("time must be a positive finite number")
-        except ValueError as exc:
-            problems.append(f"line {lineno}: bad time {row[i_time]!r} ({exc})")
-        if row[i_event].strip() not in _EVENTS:
-            problems.append(f"line {lineno}: event must be 0 or 1, got {row[i_event].strip()!r}")
-        if row[i_arm].strip() not in _ARMS:
-            problems.append(f"line {lineno}: arm must be {ARM_RX!r} or {ARM_C!r}, got {row[i_arm].strip()!r}")
+    try:
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) != width:
+                problems.append(f"line {lineno}: expected {width} fields, got {len(row)}")
+                continue
+            try:
+                t = float(row[i_time])
+                if not (t > 0.0 and np.isfinite(t)):
+                    raise ValueError("time must be a positive finite number")
+            except ValueError as exc:
+                problems.append(f"line {lineno}: bad time {row[i_time]!r} ({exc})")
+            if row[i_event].strip() not in _EVENTS:
+                problems.append(f"line {lineno}: event must be 0 or 1, got {row[i_event].strip()!r}")
+            if row[i_arm].strip() not in _ARMS:
+                problems.append(f"line {lineno}: arm must be {ARM_RX!r} or {ARM_C!r}, got {row[i_arm].strip()!r}")
+    except csv.Error as exc:  # a cell past csv's size limit; the reader cannot resume inside it
+        problems.append(f"line {end + 1}: unreadable record ({exc})")
     if not problems:
         return ValidationError(f"{path}: no data rows")
     shown = "; ".join(problems[:5])
@@ -385,7 +390,7 @@ def _cmd_simulate(args):
                 "n_total": config.n_total,
                 "allocation": config.allocation,
                 "alpha": config.alpha,
-                "membership": config.membership,
+                "membership": "stochastic",  # the one rule; the report keeps the key
                 "overall_median": config.overall_median,
                 "arm_medians": {
                     ARM_RX: scenario.arm_median(True),
@@ -442,14 +447,10 @@ def _cmd_pivot_ci(args):
             f"pivot-ci needs fully observed data; {censored} censored row(s) present"
         )
     level = float(args.level)
-    if not (np.isfinite([args.grid_min, args.grid_max]).all() and 0 < args.grid_min < args.grid_max):
-        raise ValidationError("grid bounds must be finite and satisfy 0 < min < max")
-    if args.grid_points < 2:
-        raise ValidationError("--grid-points must be >= 2")
-    grid = np.geomspace(args.grid_min, args.grid_max, int(args.grid_points))
     rx_t, _ = sample.arm(True)
     c_t, _ = sample.arm(False)
-    result = mw_pivot_ci(rx_t, c_t, level=level, grid=grid, seed=args.seed)
+    result = mw_pivot_ci(rx_t, c_t, level=level, seed=args.seed)
+    grid = {"min": float(result.grid[0]), "max": float(result.grid[-1]), "points": int(result.grid.size)}
     sections = {
         "pivot_ci": report_mod.section(
             data={
@@ -463,11 +464,7 @@ def _cmd_pivot_ci(args):
                 "non_convex": False,  # one run of grid points; the report schema keeps the key
                 "empty": result.empty,
                 "accepted_points": int(np.asarray(result.accepted).sum()),
-                "grid": {
-                    "min": float(grid[0]),
-                    "max": float(grid[-1]),
-                    "points": int(grid.size),
-                },
+                "grid": grid,
             }
         )
     }
@@ -475,7 +472,7 @@ def _cmd_pivot_ci(args):
         "dataset": str(args.dataset),
         "level": level,
         "mc_reps": result.mc_reps,
-        "grid": {"min": float(args.grid_min), "max": float(args.grid_max), "points": int(args.grid_points)},
+        "grid": grid,
     }
     return report_mod.build_report("pivot-ci", result.seed, inputs, sections)
 
@@ -587,9 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pp.add_argument("dataset", help="CSV with columns time,event,arm (no censoring)")
     pp.add_argument("--level", type=float, default=0.95, help="confidence level (default 0.95)")
-    pp.add_argument("--grid-min", type=float, default=1.0 / 50.0, help="smallest grid value")
-    pp.add_argument("--grid-max", type=float, default=50.0, help="largest grid value")
-    pp.add_argument("--grid-points", type=int, default=200, help="grid size (log-spaced)")
     pp.add_argument("--seed", type=int, default=0, help="seed for the acceptance-region draws")
 
     sub.add_parser(

@@ -29,7 +29,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_QUANTILE_TOL = 1e-10  # bracket width at which a mixture quantile stops
+# bracket width, relative to its upper end, at which a mixture quantile
+# stops, so that the answer does not depend on the time unit
+_QUANTILE_TOL = 1e-12
 _TINY = np.finfo(float).tiny  # floor for uniforms, which can be exactly 0.0
 
 
@@ -201,8 +203,8 @@ class MixtureCurve(SurvivalCurve):
 def quantile(curve: SurvivalCurve, p):
     """Smallest time where survival reaches ``p``: exact for step curves (the
     first jump to ``p`` or below) and curves with an inverse cumulative
-    hazard; for a mixture, the upper end of a bracket narrowed to 1e-10
-    between its components' own quantiles."""
+    hazard; for a mixture, the upper end of a bracket narrowed to 1e-12 of
+    its upper end between its components' own quantiles."""
     p = float(p)
     if not (0.0 < p < 1.0):
         raise DomainError(f"quantile level must lie in (0, 1), got {p!r}")
@@ -232,12 +234,13 @@ def _quantile(curve, p):
     hi = max(_quantile(c, level) if level < 1.0 else 0.0 for c, level in zip(comps, levels))
     # Illinois false position keeps f_lo > 0 >= f_hi; halving the value kept
     # at an end that stays twice keeps both ends moving.
+    tol = _QUANTILE_TOL * hi
     f_lo, f_hi, side = float(curve.survival(lo)) - p, float(curve.survival(hi)) - p, 0
     for _ in range(200):
-        if hi - lo <= _QUANTILE_TOL or f_lo <= 0.0 or f_hi > 0.0:  # rounding can collapse the bracket
+        if hi - lo <= tol or f_lo <= 0.0 or f_hi > 0.0:  # rounding can collapse the bracket
             break
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        x = min(max(x, lo + 0.25 * _QUANTILE_TOL), hi - 0.25 * _QUANTILE_TOL)
+        x = min(max(x, lo + 0.25 * tol), hi - 0.25 * tol)
         fx = float(curve.survival(x)) - p
         if fx > 0.0:
             lo, f_lo, f_hi, side = x, fx, f_hi * (0.5 if side < 0 else 1.0), -1

@@ -136,7 +136,7 @@ class SurvivalSample:
     def weibull(self):
         """(Rx fit, C fit): the Weibull law of each arm, fitted to its times
         and events on first use and shared; a failed fit is not kept."""
-        return tuple(weibull_mle(*self.arm(rx))[0] for rx in (True, False))
+        return tuple(weibull_mle(*self.arm(rx)) for rx in (True, False))
 
     def factor(self, name) -> tuple:
         """(level labels in sorted order, each subject's index among them) of
@@ -326,7 +326,7 @@ def km_median(curve: KMCurve):
     return float(curve.times[hits[0]])
 
 
-def weibull_mle(times, events):
+def weibull_mle(times, events) -> WeibullDist:
     """Censored Weibull fit by the root of the shape's profile score.
 
     For a fixed shape k the scale solves lam^k = sum(t^k) / d in closed form.
@@ -340,11 +340,6 @@ def weibull_mle(times, events):
     Parameters
     ----------
     times, events : aligned arrays; events flags deaths (False = censored).
-
-    Returns
-    -------
-    (WeibullDist, cov) where cov is the 2x2 covariance of
-    (log shape, log scale) from the observed information.
     """
     one_arm = SurvivalSample(times, events, np.ones(np.shape(times), bool))
     t, e = one_arm.time, one_arm.event
@@ -392,7 +387,6 @@ def weibull_mle(times, events):
         )
         a += step
 
-    # observed information of (log shape, log scale) at the solution
     k = math.exp(a)
     b = top + math.log(float(np.exp(k * u).sum()) / d) / k
     try:
@@ -401,19 +395,7 @@ def weibull_mle(times, events):
         raise NumericalError(
             "fitted Weibull scale exceeds the largest double", shape=k, log_scale=b
         ) from None
-    r = logt - b
-    z = np.exp(k * r)
-    sum_z = float(z.sum())
-    zr = z * r
-    sum_zr = float(zr.sum())
-    h_aa = k * float(r[e].sum()) - k * sum_zr - k * k * float((zr * r).sum())
-    h_ab = -k * d + k * k * sum_zr + k * sum_z
-    info = -np.array([[h_aa, h_ab], [h_ab, -k * k * sum_z]])
-    det = info[0, 0] * info[1, 1] - info[0, 1] * info[1, 0]
-    if not (det > 0.0 and info[0, 0] > 0.0):
-        raise NumericalError("observed information is not positive definite", info=info.tolist())
-    cov = np.linalg.inv(info)
-    return WeibullDist(k, scale), cov
+    return WeibullDist(k, scale)
 
 
 def _pair_stats(rx_times, c_times):

@@ -106,7 +106,6 @@ class ScenarioConfig:
     alpha: float = 0.05
     overall_median: float | None = None
     solve_subgroup: str | None = None
-    membership: str = "stochastic"
     replications: int = 1000
     master_seed: int = DEFAULT_MASTER_SEED
 
@@ -150,7 +149,7 @@ class RealizedScenario:
 
     @cached_property
     def _cum_prevalence(self) -> np.ndarray:
-        # stochastic membership: a subject's uniform falls into one bin
+        # a subject's membership uniform falls into one bin
         return np.cumsum([g.prevalence for g in self.subgroups])
 
     @property
@@ -159,21 +158,8 @@ class RealizedScenario:
         # stable sort orders such small integers by radix
         return np.min_scalar_type(len(self.subgroups) - 1)
 
-    @cached_property
-    def _quota_index(self) -> np.ndarray:
-        # quota membership: the same subgroup index in every trial
-        prev = np.array([g.prevalence for g in self.subgroups])
-        n_rx, n_total = self.n_rx, self.config.n_total
-        index = np.concatenate(
-            [np.repeat(np.arange(prev.size), _quota_counts(prev, n)) for n in (n_rx, n_total - n_rx)]
-        ).astype(self._index_dtype)
-        index.flags.writeable = False
-        return index
-
 
 def _validate_config(config: ScenarioConfig):
-    if config.membership not in ("stochastic", "quota"):
-        raise DomainError(f"unknown membership rule {config.membership!r}")
     if config.n_total < 20:
         raise DomainError("n_total must be at least 20")
     if not (0.0 < config.allocation < 1.0):
@@ -276,16 +262,6 @@ class ReplicationResult:
     cox: tuple  # (log hazard ratio, standard error) of the two-arm Cox fit
 
 
-def _quota_counts(prevalences, n):
-    raw = prevalences * n
-    base = np.floor(raw).astype(int)
-    short = n - int(base.sum())
-    if short:
-        order = np.argsort(-(raw - base), kind="stable")
-        base[order[:short]] += 1
-    return base
-
-
 # replications whose seed streams are derived together, so that the
 # derivation's fixed cost is paid once per this many; a multiple of _DRAW_ROWS
 _STREAM_ROWS = 256
@@ -297,13 +273,10 @@ _DRAW_ROWS = 32
 def _trial_streams(scenario: RealizedScenario, reps) -> dict:
     """``{tail: [(state, inc), ...]}``: the PCG64 state and increment of
     stream (master_seed, rep, *tail) for each rep in ``reps``, for each tail
-    a trial's draw reads: membership (under stochastic membership only) and
-    each arm's times. A single rep takes numpy's own derivation, which is
-    cheaper for one stream per tail."""
+    a trial's draw reads: each arm's times, and membership. A single rep
+    takes numpy's own derivation, which is cheaper for one stream per tail."""
     cfg = scenario.config
-    tails = [("times", ARM_RX), ("times", ARM_C)]
-    if cfg.membership == "stochastic":
-        tails.append(("membership",))
+    tails = [("times", ARM_RX), ("times", ARM_C), ("membership",)]
     if len(reps) != 1:
         return _pcg64_states(cfg.master_seed, reps, tails)
     streams = {}
@@ -339,22 +312,17 @@ def _draw_block(scenario: RealizedScenario, streams, time) -> np.ndarray:
     stream gives one uniform per subject, consumed subgroup by subgroup
     with members in subject order; each subgroup's Weibull law then maps
     its members' uniforms in every row at once, by ``sample_times``'
-    inverse CDF. Under quota membership the index is the scenario's own
-    read-only array, broadcast over the rows.
+    inverse CDF.
     """
-    cfg = scenario.config
-    n_total, n_rx = cfg.n_total, scenario.n_rx
+    n_total, n_rx = scenario.config.n_total, scenario.n_rx
     gen = np.random.Generator(np.random.PCG64(0))  # its state is set per stream
 
-    if cfg.membership == "stochastic":
-        u = _uniforms(gen, streams[("membership",)], n_total)
-        # a uniform's bin is the number of inner bin edges at or below it:
-        # searchsorted(side="right"), capped at the last bin
-        g_idx = np.zeros(u.shape, dtype=scenario._index_dtype)
-        for edge in scenario._cum_prevalence[:-1]:
-            g_idx += u >= edge
-    else:
-        g_idx = np.broadcast_to(scenario._quota_index, time.shape)
+    u = _uniforms(gen, streams[("membership",)], n_total)
+    # a uniform's bin is the number of inner bin edges at or below it:
+    # searchsorted(side="right"), capped at the last bin
+    g_idx = np.zeros(u.shape, dtype=scenario._index_dtype)
+    for edge in scenario._cum_prevalence[:-1]:
+        g_idx += u >= edge
 
     for arm_label, arm in ((ARM_RX, slice(0, n_rx)), (ARM_C, slice(n_rx, n_total))):
         arm_g = g_idx[:, arm]

@@ -330,16 +330,13 @@ def draw_trial(scenario, rep):
     "membership"); each arm's stream (rep, "times", arm) is read
     subgroup by subgroup, members in subject order, and each uniform u
     becomes scale * (-log u)^(1/shape), with u floored at the smallest
-    normal double. Quota membership uses the scenario's own index.
+    normal double.
     """
     cfg = scenario.config
     n_total, n_rx = cfg.n_total, scenario.n_rx
-    if cfg.membership == "stochastic":
-        u = seed_stream(cfg.master_seed, rep, "membership").random(n_total)
-        edges = np.cumsum([g.prevalence for g in scenario.subgroups])
-        g_idx = np.minimum(np.searchsorted(edges, u, side="right"), len(scenario.subgroups) - 1)
-    else:
-        g_idx = np.asarray(scenario._quota_index, dtype=int)
+    u = seed_stream(cfg.master_seed, rep, "membership").random(n_total)
+    edges = np.cumsum([g.prevalence for g in scenario.subgroups])
+    g_idx = np.minimum(np.searchsorted(edges, u, side="right"), len(scenario.subgroups) - 1)
     time = np.empty(n_total)
     for arm_label, arm in (("Rx", slice(0, n_rx)), ("C", slice(n_rx, n_total))):
         rng = seed_stream(cfg.master_seed, rep, "times", arm_label)
@@ -394,23 +391,6 @@ def weibull_profile_root(times, events):
     k = optimize.brentq(profile_score, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=500)
     log_sum = top * k + math.log(float(np.sum(np.exp(k * (logt - top)))))
     return k, math.exp((log_sum - math.log(d)) / k)
-
-
-def weibull_information(times, events, shape, scale):
-    """Observed information of (log shape, log scale) for the censored
-    Weibull log-likelihood, summed subject by subject from the second
-    derivatives of log f (deaths) and log S (censored times)."""
-    entries = [[], [], []]
-    for t, event in zip(times, events):
-        dead = float(event)
-        r = math.log(t / scale)
-        z = (t / scale) ** shape
-        kr = shape * r
-        entries[0].append(-(dead * kr - kr * z - kr * kr * z))
-        entries[1].append(-(-dead * shape + shape * z + shape * kr * z))
-        entries[2].append(shape * shape * z)
-    aa, ab, bb = (math.fsum(x) for x in entries)
-    return np.array([[aa, ab], [ab, bb]])
 
 
 def step_survival_by_hand(times, survival_after, t, left=False):

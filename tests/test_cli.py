@@ -91,6 +91,9 @@ def oak_small_csv(tmp_path):
     return str(path)
 
 
+# a cell longer than csv's default field limit of 131,072 characters
+HUGE_CELL = "a" * 140_000
+
 SMALL_SCENARIO = """\
 [scenario]
 n_total = 60
@@ -341,6 +344,39 @@ class TestReadDataset:
         rc, out, err = run_cli(["analyze", str(path)], capsys)
         assert rc == 2 and out == ""
         assert "survquack: error:" in err and "byte offset 31" in err
+
+    def _unreadable(self, path, capsys):
+        """read_dataset's error on ``path``, checking that analyze exits 2 on it
+        and that csv's process-wide field limit is left as it was."""
+        limit = csv.field_size_limit()
+        with pytest.raises(ValidationError) as excinfo:
+            read_dataset(path)
+        rc, out, err = run_cli(["analyze", str(path)], capsys)
+        assert rc == 2 and out == "" and err.startswith("survquack: error:")
+        assert csv.field_size_limit() == limit
+        return excinfo.value
+
+    def test_cell_past_the_csv_field_limit_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text(f'time,event,arm,s:g\n0,1,Rx,a\n1,1,Rx,"{HUGE_CELL}"\n2,1,C,b\n')
+        exc = self._unreadable(path, capsys)
+        assert exc.details == [
+            "line 2: bad time '0' (time must be a positive finite number)",
+            "line 3: unreadable record (field larger than field limit (131072))",
+        ]
+
+    def test_unterminated_quote_is_a_validation_error(self, tmp_path, capsys):
+        # the stray quote on line 3 runs to the end of the file
+        path = tmp_path / "stray.csv"
+        path.write_text('time,event,arm,s:g\n1,1,Rx,a\n2,1,C,"b\n' + "3,1,C,a\n" * 20_000)
+        exc = self._unreadable(path, capsys)
+        assert exc.details == ["line 3: unreadable record (field larger than field limit (131072))"]
+
+    def test_header_cell_past_the_csv_field_limit_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "huge-header.csv"
+        path.write_text(f'time,event,arm,"s:{HUGE_CELL}"\n1,1,Rx,a\n2,1,C,b\n')
+        exc = self._unreadable(path, capsys)
+        assert str(exc) == f"{path}: line 1: unreadable record (field larger than field limit (131072))"
 
 
 class TestAnalyze:
@@ -797,6 +833,15 @@ class TestSimulate:
         assert rc == 2 and out == ""
         assert f"unknown key '{key}'" in err
 
+    @pytest.mark.parametrize("rule", ["quota", "stochastic"])
+    def test_membership_key_is_unknown(self, tmp_path, capsys, rule):
+        # membership is always stochastic, and the key is gone from the schema
+        path = tmp_path / "membership.cfg"
+        path.write_text(SMALL_SCENARIO.replace("[scenario]\n", f"[scenario]\nmembership = {rule}\n"))
+        rc, out, err = run_cli(["simulate", str(path)], capsys)
+        assert rc == 2 and out == ""
+        assert "[scenario] unknown key 'membership'" in err
+
     def test_unknown_builtin(self, capsys):
         rc, _, err = run_cli(["simulate", "builtin:nope"], capsys)
         assert rc == 2 and "no builtin config named" in err
@@ -824,21 +869,7 @@ class TestSimulate:
 
 class TestPivotCi:
     def test_identical_arms_interval_contains_one(self, ident_csv, capsys):
-        rc, out, _ = run_cli(
-            [
-                "pivot-ci",
-                ident_csv,
-                "--grid-min",
-                "0.25",
-                "--grid-max",
-                "4",
-                "--grid-points",
-                "17",
-                "--seed",
-                "3",
-            ],
-            capsys,
-        )
+        rc, out, _ = run_cli(["pivot-ci", ident_csv, "--seed", "3"], capsys)
         assert rc == 0
         rep = parse_report(out)
         data = rep["sections"]["pivot_ci"]["data"]
@@ -864,21 +895,7 @@ class TestPivotCi:
         rows = [(float(t), 1, "Rx") for t in rx_t]
         rows += [(float(t), 1, "C") for t in c_t]
         path = write_csv(tmp_path / "lehmann2.csv", rows)
-        rc, out, _ = run_cli(
-            [
-                "pivot-ci",
-                path,
-                "--grid-min",
-                "0.5",
-                "--grid-max",
-                "8",
-                "--grid-points",
-                "33",
-                "--seed",
-                "5",
-            ],
-            capsys,
-        )
+        rc, out, _ = run_cli(["pivot-ci", path, "--seed", "5"], capsys)
         assert rc == 0
         rep = parse_report(out)
         assert rep["seed"] == 5
@@ -886,10 +903,11 @@ class TestPivotCi:
         lo, hi = data["interval"]
         assert lo <= 2.0 <= hi
         assert data["observed_count"] == 1019.0
-        assert lo == pytest.approx(1.0, rel=1e-12)
-        assert hi == pytest.approx(2.1810154653305154, rel=1e-12)
-        assert data["accepted_points"] == 10
-        assert rep["inputs"]["grid"]["points"] == 33
+        assert lo == pytest.approx(0.9427301286009165, rel=1e-12)
+        assert hi == pytest.approx(2.238922424346446, rel=1e-12)
+        assert data["accepted_points"] == 23
+        # the grid is fixed: 200 log-spaced points over [1/50, 50]
+        assert rep["inputs"]["grid"] == data["grid"] == {"min": 0.02, "max": 50.0, "points": 200}
 
     def test_censored_rows_rejected(self, tmp_path, capsys):
         rows = [(1.0, 1, "Rx"), (2.0, 0, "Rx"), (3.0, 1, "C"), (4.0, 0, "C")]
@@ -905,30 +923,24 @@ class TestPivotCi:
     @pytest.mark.parametrize(
         "extra",
         [
-            ["--grid-min", "0"],
-            ["--grid-min", "2", "--grid-max", "1"],
+            ["--grid-points", "8"],
+            ["--grid-min", "0.5"],
+            ["--grid-max", "2"],
+            ["--grid-min", "0.02", "--grid-max", "50", "--grid-points", "200"],
             ["--grid-points", "1"],
-            ["--grid-max", "inf"],
-            ["--grid-min", "nan"],
         ],
     )
     def test_bad_grid_rejected(self, ident_csv, capsys, extra):
-        rc, _, err = run_cli(["pivot-ci", ident_csv] + extra, capsys)
-        assert rc == 2 and err.startswith("survquack: error:") and "grid" in err
+        # the grid is fixed, so any grid given on the command line is refused
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pivot-ci", ident_csv] + extra)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {extra[0]}" in capsys.readouterr().err
 
 
 class TestSeedPrecedence:
     def pivot_args(self, dataset):
-        return [
-            "pivot-ci",
-            dataset,
-            "--grid-min",
-            "0.5",
-            "--grid-max",
-            "2",
-            "--grid-points",
-            "3",
-        ]
+        return ["pivot-ci", dataset]
 
     def test_pivot_fallback_is_zero(self, ident_csv, capsys):
         rc, out, _ = run_cli(self.pivot_args(ident_csv), capsys)
@@ -983,7 +995,7 @@ class TestFuzzedDatasets:
         path.write_text("time,event,arm,s:g\n" + "".join(f"{t},{e},{a},{g}\n" for t, e, a, g in rows))
         for argv in (
             ["analyze", str(path), "--strata", "g", "--measure", "HR", "--measure", "TR"],
-            ["pivot-ci", str(path), "--grid-points", "8"],
+            ["pivot-ci", str(path)],
         ):
             out = work / f"{argv[0]}.json"
             err = io.StringIO()

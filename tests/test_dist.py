@@ -11,10 +11,12 @@ from scipy.optimize import brentq
 from survquack import (
     LehmannCurve,
     MixtureCurve,
+    SurvivalCurve,
     WeibullDist,
     derive_rng,
     km_fit,
     lehmann_transform,
+    mixture_llp,
     quantile,
     sample_times,
     solve_complement_scale,
@@ -103,6 +105,47 @@ def test_quantile_not_reached_when_the_summed_curve_ends_above_the_level():
     assert mix.final_survival() == mix.survival(4.0) == mix.survival(9.0) > 0.465
     with pytest.raises(NotReachedError):
         quantile(mix, 0.465)
+
+
+class _NoSurvival(SurvivalCurve):
+    """A curve that defines nothing of its own."""
+
+
+class _ExponentialByFormula(SurvivalCurve):
+    """exp(-t) with no inverse cumulative hazard and no jumps."""
+
+    def survival(self, t):
+        return np.exp(-np.asarray(t, dtype=float))
+
+
+class _StepsAboveTheirLimit(SurvivalCurve):
+    """Jumps at 1 and 2 to 0.9 and 0.8, yet a limit of 0: a step curve whose
+    final value disagrees with its values at the jumps."""
+
+    def survival(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < 1.0, 1.0, np.where(t < 2.0, 0.9, 0.8))
+
+    def jump_times(self):
+        return np.array([1.0, 2.0])
+
+
+def test_a_curve_without_survival_raises_not_implemented():
+    with pytest.raises(NotImplementedError):
+        _NoSurvival().sides(1.0)
+
+
+def test_mixture_llp_against_a_control_with_neither_jumps_nor_an_inverse_raises():
+    # mixture_llp needs each control component's jumps or its inverse cumulative hazard
+    with pytest.raises(DomainError, match="_ExponentialByFormula exposes no inverse cumulative hazard"):
+        mixture_llp(WeibullDist(1.0, 1.0), _ExponentialByFormula())
+
+
+def test_quantile_not_reached_when_no_jump_falls_to_the_level():
+    # the limit passes the "never falls to p" check, the jump scan finds no value at or below p
+    assert _StepsAboveTheirLimit().final_survival() == 0.0 < 0.5
+    with pytest.raises(NotReachedError, match="never falls to survival 0.5"):
+        quantile(_StepsAboveTheirLimit(), 0.5)
 
 
 def test_quantile_of_step_mixture_is_its_first_jump_through_p():

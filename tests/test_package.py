@@ -1,6 +1,7 @@
-"""The package's one public-name list and what importing it loads."""
+"""The package's one public-name list, what importing it loads, and its config schemas."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -8,7 +9,10 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import survquack
+from survquack import cli, fixtures, sim
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -57,3 +61,22 @@ def test_benchmark_trace_targets_resolve():
         assert callable(getattr(importlib.import_module(f"survquack.{module}"), name, None)), (module, name)
     params = list(inspect.signature(survquack.infer.mw_acceptance_region).parameters)
     assert params[4] == "mc_reps"
+
+
+@pytest.mark.parametrize(
+    "schema, section, fields, derived",
+    [
+        (cli._SCENARIO_SCHEMA, "scenario", sim.ScenarioConfig, {"subgroups"}),
+        (cli._SCENARIO_SCHEMA, "subgroup:<label>", sim.SubgroupSpec, {"label"}),
+        (fixtures._SPEC_SCHEMA, "dataset", fixtures.OakAnalogSpec, {"factors"}),
+        (fixtures._SPEC_SCHEMA, "factor:<name>", fixtures.FactorSpec, {"name"}),
+    ],
+    ids=["scenario", "subgroup", "dataset", "factor"],
+)
+def test_config_schema_keys_are_the_dataclass_fields(schema, section, fields, derived):
+    # a field removed from one side only leaves a key that parses into
+    # nothing, or a field no config can set; ``derived`` comes from the
+    # section names, not from keys
+    keys, required = schema[section]
+    assert set(keys) == {f.name for f in dataclasses.fields(fields)} - derived
+    assert set(required) <= set(keys)

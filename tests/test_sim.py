@@ -76,7 +76,6 @@ def test_builtin_scenario_config_fields():
     assert cfg.alpha == 0.05
     assert cfg.overall_median == 8.0
     assert cfg.solve_subgroup == "g-"
-    assert cfg.membership == "stochastic"
     assert cfg.replications == 1000
     gp, gm = cfg.subgroups
     assert (gp.label, gp.prevalence, gp.shape) == ("g+", 0.5, 1.05)
@@ -110,6 +109,22 @@ def test_realized_scenario_matches_bisection_oracle():
     assert gm.hazard_ratio > 1.0 > gp.hazard_ratio
 
 
+@pytest.mark.parametrize("unit", [1e-10, 1e-8, 1e-6, 1e-3, 1e3, 1e6])
+def test_scenario_in_another_time_unit_realizes_its_medians(unit):
+    # the mixture median's bracket stops relative to its upper end, so the
+    # realized arm medians hit the target to rounding in any time unit
+    cfg = section3_config()
+    subgroups = tuple(
+        dataclasses.replace(g, rx_median=g.rx_median * unit, c_median=g.c_median * unit)
+        if not g.is_open
+        else g
+        for g in cfg.subgroups
+    )
+    sc = realize_scenario(_replace(cfg, subgroups=subgroups, overall_median=8.0 * unit))
+    for rx in (True, False):
+        assert sc.arm_median(rx) == pytest.approx(8.0 * unit, rel=1e-15, abs=0)
+
+
 # ------------------------------------------------------------ config validation
 
 def _replace(cfg, **kw):
@@ -117,8 +132,6 @@ def _replace(cfg, **kw):
 
 def test_config_validation_gates():
     cfg = section3_config()
-    with pytest.raises(DomainError):
-        realize_scenario(_replace(cfg, membership="blocks"))
     with pytest.raises(DomainError):
         realize_scenario(_replace(cfg, n_total=19))
     with pytest.raises(DomainError):
@@ -230,56 +243,12 @@ def test_simulate_sample_is_deterministic(small_scenario):
     assert not np.array_equal(a.time, c.time)
 
 
-def test_quota_membership_hits_exact_counts():
-    cfg = section3_config(membership="quota", n_total=20, replications=1)
-    sample = simulate_sample(realize_scenario(cfg), 0)
-    for arm in (True, False):
-        labels = sample.strata["subgroup"][sample.is_rx == arm]
-        _, counts = np.unique(labels, return_counts=True)
-        assert list(counts) == [5, 5]
-
-    uneven = ScenarioConfig(
-        subgroups=(
-            SubgroupSpec("a", 1.0 / 3.0, 1.0, rx_median=5.0, c_median=5.0),
-            SubgroupSpec("b", 1.0 - 1.0 / 3.0, 1.0, rx_median=7.0, c_median=7.0),
-        ),
-        n_total=30,
-        membership="quota",
-        replications=1,
-    )
-    sample = simulate_sample(realize_scenario(uneven), 0)
-    for arm in (True, False):
-        labels = sample.strata["subgroup"][sample.is_rx == arm]
-        counts = dict(zip(*np.unique(labels, return_counts=True)))
-        assert counts == {"a": 5, "b": 10}
-
-
-@pytest.mark.parametrize(
-    "prevalences, n, counts",
-    [((0.15, 0.35, 0.5), 101, (15, 35, 51)), ((1 / 3, 1 / 3, 1 / 3), 500, (167, 167, 166))],
-)
-def test_quota_counts_give_the_remainder_to_the_largest_fractions(prevalences, n, counts):
-    # n·p is not whole: each subgroup gets floor(n·p), and the subjects left
-    # go one each to the largest fractional parts, the first of equal ones
-    assert tuple(sim._quota_counts(np.array(prevalences), n)) == counts
-
-
-def test_quota_index_splits_each_arm_by_the_remainder_rule():
-    subgroups = tuple(
-        SubgroupSpec(label, p, 1.0, rx_median=5.0, c_median=6.0)
-        for label, p in (("a", 0.15), ("b", 0.35), ("c", 0.5))
-    )
-    index = realize_scenario(ScenarioConfig(subgroups, n_total=202, membership="quota"))._quota_index
-    for arm in (index[:101], index[101:]):
-        assert tuple(np.bincount(arm)) == (15, 35, 51)
-
-
 def test_tally_counts_a_rejection_whose_medians_tie(monkeypatch):
     # every trial: Rx's first nine deaths after C's, both 10th deaths at
     # 10.0 and Rx's last ten far later, so the log-rank test rejects while
     # the product-limit medians tie; the tied time sends each row to its
     # own sample
-    scenario = realize_scenario(section3_config(membership="quota", n_total=40, replications=3))
+    scenario = realize_scenario(section3_config(n_total=40, replications=3))
     rx = np.concatenate([np.linspace(9.1, 9.9, 9), [10.0], np.arange(100.0, 110.0)])
     c = np.concatenate([np.arange(1.0, 10.0), [10.0], np.linspace(10.1, 10.9, 10)])
 
@@ -371,9 +340,9 @@ def _evaluate_drawn_block(scenario, reps):
     [
         (section3_config(), 40),
         (ScenarioConfig(subgroups=(SubgroupSpec("all", 1.0, 1.0, rx_median=8.0, c_median=8.0),)), 40),
-        (section3_config(membership="quota", n_total=20), 64),
+        (section3_config(n_total=20), 64),
     ],
-    ids=["section3", "criterion4-null", "quota-n20"],
+    ids=["section3", "criterion4-null", "section3-n20"],
 )
 def test_block_matches_run_replication_row_by_row(config, reps):
     scenario = realize_scenario(config)
@@ -410,7 +379,7 @@ def test_simulate_seed_153_tally(tmp_path):
 
 
 def test_tied_and_separated_rows_fall_back_to_their_own_samples(monkeypatch):
-    scenario = realize_scenario(section3_config(membership="quota", n_total=20))
+    scenario = realize_scenario(section3_config(n_total=20))
     tied = np.arange(1.0, 21.0)
     tied[3] = tied[12]
     separated = np.concatenate([np.arange(11.0, 21.0), np.arange(1.0, 11.0)])
@@ -470,8 +439,8 @@ THREE_SUBGROUPS = ScenarioConfig(
 
 @pytest.mark.parametrize(
     "config",
-    [section3_config(), section3_config(membership="quota", n_total=20), THREE_SUBGROUPS],
-    ids=["section3", "quota-n20", "three-subgroups"],
+    [section3_config(), section3_config(n_total=20), THREE_SUBGROUPS],
+    ids=["section3", "section3-n20", "three-subgroups"],
 )
 @pytest.mark.parametrize(
     "reps",
@@ -526,8 +495,8 @@ def test_one_row_uniforms_equal_the_block_route(seed, rep):
 
 @pytest.mark.parametrize(
     "config",
-    [section3_config(n_total=60), section3_config(membership="quota", n_total=20)],
-    ids=["stochastic", "quota"],
+    [section3_config(n_total=60)],
+    ids=["stochastic"],
 )
 @pytest.mark.parametrize("reps", [range(300), range(0, 900, 3)], ids=["range300", "strided"])
 def test_tally_draws_cross_the_stream_derivation_boundary(config, reps, monkeypatch):
@@ -555,9 +524,8 @@ def test_tally_draws_cross_the_stream_derivation_boundary(config, reps, monkeypa
         rep, row = drawn[at]
         want, _ = draw_trial(scenario, rep)
         np.testing.assert_array_equal(row.view(np.uint64), want.view(np.uint64))
-    arms = [("times", "Rx"), ("times", "C")]
-    want_tails = arms + [("membership",)] if config.membership == "stochastic" else arms
-    assert derived == [(list(reps[:256]), sorted(want_tails)), (list(reps[256:]), sorted(want_tails))]
+    want_tails = sorted([("times", "Rx"), ("times", "C"), ("membership",)])
+    assert derived == [(list(reps[:256]), want_tails), (list(reps[256:]), want_tails)]
 
 
 def test_tally_chunk_memory_does_not_grow_with_replications():
@@ -690,7 +658,7 @@ def test_run_study_pool_is_capped_by_the_affinity_set(
 
 @pytest.mark.parametrize("reps, pool", [(2 * sim._MIN_CHUNK - 1, []), (2 * sim._MIN_CHUNK, [1]), (1, [])])
 def test_run_study_starts_no_pool_below_two_minimum_shares(monkeypatch, inline_shares, reps, pool):
-    scenario = realize_scenario(section3_config(n_total=20, membership="quota", replications=reps))
+    scenario = realize_scenario(section3_config(n_total=20, replications=reps))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     run_study(scenario, workers=64)
     _assert_shares(inline_shares, reps, pool)
@@ -724,7 +692,7 @@ def _failing_draw(scenario, failing):
 def test_a_failing_study_raises_its_first_failing_replication(monkeypatch, fresh_pool, workers):
     # rep 3 is the parent's and rep 180 another process's whenever the
     # study splits; either way the error is rep 3's, as a sequential run's
-    scenario = realize_scenario(section3_config(membership="quota", n_total=20, replications=200))
+    scenario = realize_scenario(section3_config(n_total=20, replications=200))
     monkeypatch.setattr(sim, "_draw_block", _failing_draw(scenario, [3, 180]))
     with pytest.raises(NumericalError) as rep3:
         run_replication(scenario, 3)
@@ -740,7 +708,7 @@ def test_a_failing_study_raises_its_first_failing_replication(monkeypatch, fresh
 def test_a_failing_study_raises_its_first_failing_share(monkeypatch, inline_shares):
     # the parent's share succeeds and two pool shares fail: the earlier
     # share's error is raised, as a sequential run raises it
-    config = section3_config(membership="quota", n_total=20, replications=4 * sim._MIN_CHUNK)
+    config = section3_config(n_total=20, replications=4 * sim._MIN_CHUNK)
     scenario = realize_scenario(config)
     first, second = 2 * sim._MIN_CHUNK + 7, 3 * sim._MIN_CHUNK + 7
     monkeypatch.setattr(sim, "_draw_block", _failing_draw(scenario, [first, second]))
@@ -905,7 +873,7 @@ def test_a_failed_parent_share_leaves_no_share_running(monkeypatch, fresh_pool, 
     # the parent's share fails at rep 0 only once the worker's share has
     # started drawing, slowly: run_study returns when that share is done
     _allow_cpus(monkeypatch)
-    scenario = realize_scenario(section3_config(membership="quota", n_total=20, replications=2 * sim._MIN_CHUNK))
+    scenario = realize_scenario(section3_config(n_total=20, replications=2 * sim._MIN_CHUNK))
     log = tmp_path / "worker-draws"
     parent, failing = os.getpid(), _failing_draw(scenario, [0])
 

@@ -566,6 +566,19 @@ def test_audit_curves_follow_the_data():
         assert comp.sme_value == sme_overall_hr(SubgroupTable(Measure.HR, rows))
 
 
+@pytest.mark.parametrize("unit", [1e-10, 1e-6, 1e-3, 1e3, 1e6])
+def test_censored_tr_audit_does_not_depend_on_the_time_unit(unit):
+    # the mixture median stops relative to its bracket, so times in another
+    # unit give the same time ratio up to rounding
+    rx_t, c_t = _lehmann_sample((58, "audit-single"), 150, 0.5, 1.2, 10.0)
+    base = SurvivalSample.from_arms(rx_t, c_t)
+    labels = {"noise": np.where(derive_rng(59, "audit-noise").random(300) < 0.5, "L", "R")}
+    events = np.arange(300) % 7 != 0
+    want, = stratified_audit(SurvivalSample(base.time, events, base.is_rx, labels), ["noise"], measure=Measure.TR)
+    got, = stratified_audit(SurvivalSample(base.time * unit, events, base.is_rx, labels), ["noise"], measure=Measure.TR)
+    assert got.sme_value == pytest.approx(want.sme_value, rel=1e-11, abs=0)
+
+
 def test_audit_validates_inputs():
     rx_t, c_t = _lehmann_sample((58, "audit-single"), 150, 0.5, 1.2, 10.0)
     base = SurvivalSample.from_arms(rx_t, c_t)
