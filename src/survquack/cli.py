@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import io
 import itertools
+import json
 import os
 import sys
 
@@ -107,7 +108,7 @@ def read_dataset(path) -> SurvivalSample:
     # utf-8-sig drops one leading byte-order mark (Excel's "CSV UTF-8"), also after a seek to 0
     with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
         try:
-            header = next(csv.reader(fh))
+            header = next(csv.reader(fh, strict=True))
         except StopIteration:
             raise ValidationError(f"{path}: file is empty") from None
         except csv.Error as exc:
@@ -158,9 +159,11 @@ def _split_blocks(text, width):
 
 
 def _records(fh):
-    """A ``csv`` reader of the records after the file's header."""
+    """A ``csv`` reader of the records after the file's header; it refuses a
+    quote left open at the end of the file, or a closing quote followed by
+    anything but a comma or a line end."""
     fh.seek(0)
-    reader = csv.reader(fh)
+    reader = csv.reader(fh, strict=True)
     next(reader)
     return reader
 
@@ -233,7 +236,7 @@ def _refusal(path, reader, width, i_time, i_event, i_arm):
                 problems.append(f"line {lineno}: event must be 0 or 1, got {row[i_event].strip()!r}")
             if row[i_arm].strip() not in _ARMS:
                 problems.append(f"line {lineno}: arm must be {ARM_RX!r} or {ARM_C!r}, got {row[i_arm].strip()!r}")
-    except csv.Error as exc:  # a cell past csv's size limit; the reader cannot resume inside it
+    except csv.Error as exc:  # a stray quote or a cell past csv's size limit; the reader cannot resume
         problems.append(f"line {end + 1}: unreadable record ({exc})")
     if not problems:
         return ValidationError(f"{path}: no data rows")
@@ -277,6 +280,9 @@ def _cmd_analyze(args):
         raise ValidationError("alpha must lie in (0, 1)")
     factors = [f for chunk in args.strata for f in chunk.split(",") if f]
     measures = [Measure(m) for m in (args.measure or ["HR"])]
+    for i, m in enumerate(measures):
+        if m in measures[:i]:
+            raise ValidationError(f"measure {m.value!r} is given more than once in --measure")
     for i, f in enumerate(factors):
         if f not in sample.strata:
             raise ValidationError(
@@ -506,32 +512,35 @@ def _cmd_eq1_demo(args):
     return report_mod.build_report("eq1-demo", None, {}, sections)
 
 
+def _cell(value):
+    """A table cell: a string as it is, any other value as JSON."""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _write_table(out_dir, name, header, rows):
+    with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_tables(report: dict, out_dir):
-    """Optional flat CSV export, one file per section."""
+    """Optional flat CSV export: ``<section>.csv`` holds each field of a
+    section as a (key, value) row, or a failed section's error; each field
+    that holds a list of objects is also ``<section>.<field>.csv``, one row
+    per object."""
     os.makedirs(out_dir, exist_ok=True)
     for name, sec in report["sections"].items():
-        path = os.path.join(out_dir, f"{name}.csv")
         data = sec["data"]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            if data is None:
-                writer.writerow(["error"])
-                writer.writerow([sec["error"]])
-                continue
-            rows = None
-            for key in ("factors", "subgroups", "strata"):
-                if isinstance(data.get(key), list) and data[key] and isinstance(data[key][0], dict):
-                    rows = data[key]
-                    break
-            if rows is not None:
+        if data is None:
+            _write_table(out_dir, name, ["error"], [[sec["error"]]])
+            continue
+        _write_table(out_dir, name, ["key", "value"], [[key, _cell(value)] for key, value in data.items()])
+        for key, rows in data.items():
+            if isinstance(rows, list) and rows and isinstance(rows[0], dict):
                 cols = list(rows[0])
-                writer.writerow(cols)
-                for row in rows:
-                    writer.writerow([row.get(c) for c in cols])
-            else:
-                writer.writerow(["key", "value"])
-                for key, value in data.items():
-                    writer.writerow([key, value])
+                cells = [[_cell(row[col]) for col in cols] for row in rows]
+                _write_table(out_dir, f"{name}.{key}", cols, cells)
 
 
 @functools.cache

@@ -52,7 +52,7 @@ from .infer import (
     decision_procedure,
     wald_test_cox,
 )
-from .rng import _pcg64_states, _usable_cpus, derive_rng
+from .rng import _pcg64_states, _usable_cpus
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
@@ -262,28 +262,9 @@ class ReplicationResult:
     cox: tuple  # (log hazard ratio, standard error) of the two-arm Cox fit
 
 
-# replications whose seed streams are derived together, so that the
-# derivation's fixed cost is paid once per this many; a multiple of _DRAW_ROWS
-_STREAM_ROWS = 256
-# replications drawn together; bounds the draw's working memory, a few
-# arrays of this many rows
-_DRAW_ROWS = 32
-
-
-def _trial_streams(scenario: RealizedScenario, reps) -> dict:
-    """``{tail: [(state, inc), ...]}``: the PCG64 state and increment of
-    stream (master_seed, rep, *tail) for each rep in ``reps``, for each tail
-    a trial's draw reads: each arm's times, and membership. A single rep
-    takes numpy's own derivation, which is cheaper for one stream per tail."""
-    cfg = scenario.config
-    tails = [("times", ARM_RX), ("times", ARM_C), ("membership",)]
-    if len(reps) != 1:
-        return _pcg64_states(cfg.master_seed, reps, tails)
-    streams = {}
-    for tail in tails:
-        state = derive_rng(cfg.master_seed, reps[0], *tail).bit_generator.state["state"]
-        streams[tail] = [(state["state"], state["inc"])]
-    return streams
+# the seed streams a trial's draw reads, as tails of (master_seed, rep):
+# each arm's times, and membership
+_TAILS = (("times", ARM_RX), ("times", ARM_C), ("membership",))
 
 
 def _uniforms(gen, states, n):
@@ -302,11 +283,13 @@ def _uniforms(gen, states, n):
     return u
 
 
-def _draw_block(scenario: RealizedScenario, streams, time) -> np.ndarray:
+def _draw_block(scenario: RealizedScenario, streams, time, gen) -> np.ndarray:
     """Write the trial whose seed streams are row i of each tail's list in
-    ``streams`` (as ``_trial_streams`` gives them) into row i of ``time``
-    (Rx subjects first) and return each subject's subgroup index, row by
-    row. Each row is fully determined by (master_seed, rep).
+    ``streams`` (as ``_pcg64_states`` gives them for ``_TAILS``) into row i
+    of ``time`` (Rx subjects first) and return each subject's subgroup
+    index, row by row. Each row is fully determined by (master_seed, rep):
+    ``gen`` is any PCG64 generator, whose state is set to each stream in
+    turn.
 
     Membership and event times use separate derived streams. Each arm's
     stream gives one uniform per subject, consumed subgroup by subgroup
@@ -315,8 +298,6 @@ def _draw_block(scenario: RealizedScenario, streams, time) -> np.ndarray:
     inverse CDF.
     """
     n_total, n_rx = scenario.config.n_total, scenario.n_rx
-    gen = np.random.Generator(np.random.PCG64(0))  # its state is set per stream
-
     u = _uniforms(gen, streams[("membership",)], n_total)
     # a uniform's bin is the number of inner bin edges at or below it:
     # searchsorted(side="right"), capped at the last bin
@@ -346,7 +327,8 @@ def simulate_sample(scenario: RealizedScenario, rep: int) -> SurvivalSample:
     """Draw one trial's data. Fully determined by (master_seed, rep)."""
     n_total = scenario.config.n_total
     time = np.empty((1, n_total))
-    g_idx = _draw_block(scenario, _trial_streams(scenario, [rep]), time)
+    streams = _pcg64_states(scenario.config.master_seed, [rep], _TAILS)
+    g_idx = _draw_block(scenario, streams, time, np.random.Generator(np.random.PCG64(0)))
     labels = np.array([g.label for g in scenario.subgroups])
     is_rx = np.arange(n_total) < scenario.n_rx
     return SurvivalSample(time[0], np.ones(n_total, dtype=bool), is_rx, {"subgroup": labels[g_idx[0]]})
@@ -395,6 +377,9 @@ def _evaluate_block(scenario: RealizedScenario, reps, time) -> list:
 
 # replications drawn into one (_BLOCK, n_total) buffer and evaluated together
 _BLOCK = 8
+# replications whose seed streams are derived together, so that the
+# derivation's fixed cost is paid once per this many
+_STREAM_ROWS = 256
 
 # fewest replications a process is given. The worker pool stays warm
 # across studies, but a one-shot CLI call starts it: on a 2-core host that
@@ -407,40 +392,32 @@ _MIN_CHUNK = 50
 _N_REJECT, _N_RX, _N_C, _N_TIE, _N_COX = range(5)
 
 
-def _draw_groups(scenario: RealizedScenario, reps):
-    """Yield (group of reps, their rows of event times) for ``reps`` in
-    groups of ``_DRAW_ROWS``, with seed streams derived ``_STREAM_ROWS``
-    replications at a time. The rows share one buffer, so each group must
-    be used before the next is drawn."""
-    buffer = np.empty((min(_DRAW_ROWS, len(reps)), scenario.config.n_total))
+def _tally_chunk(scenario: RealizedScenario, reps) -> np.ndarray:
+    """The counts of trials ``reps``: their seed streams are derived
+    ``_STREAM_ROWS`` replications at a time, and each ``_BLOCK`` of them is
+    drawn into one buffer and evaluated before the next is drawn."""
+    counts = np.zeros(5, dtype=np.int64)
+    buffer = np.empty((min(_BLOCK, len(reps)), scenario.config.n_total))
+    gen = np.random.Generator(np.random.PCG64(0))  # made once: a new one costs 3% of a block's draw
     for start in range(0, len(reps), _STREAM_ROWS):
         derived = reps[start:start + _STREAM_ROWS]
-        streams = _trial_streams(scenario, derived)
-        for at in range(0, len(derived), _DRAW_ROWS):
-            drawn = derived[at:at + _DRAW_ROWS]
-            time = buffer[: len(drawn)]
-            group = {tail: states[at:at + _DRAW_ROWS] for tail, states in streams.items()}
-            _draw_block(scenario, group, time)
-            yield drawn, time
-
-
-def _tally_chunk(scenario: RealizedScenario, reps) -> np.ndarray:
-    counts = np.zeros(5, dtype=np.int64)
-    for drawn, time in _draw_groups(scenario, reps):
-        results = []
-        for at in range(0, len(drawn), _BLOCK):
-            results += _evaluate_block(scenario, drawn[at:at + _BLOCK], time[at:at + _BLOCK])
-        for res in results:
-            if res.outcome.claim is not Claim.NO_CLAIM or res.outcome.tie:
-                counts[_N_REJECT] += 1
-            if res.outcome.claim is Claim.RX_LONGER_MEDIAN:
-                counts[_N_RX] += 1
-            elif res.outcome.claim is Claim.C_LONGER_MEDIAN:
-                counts[_N_C] += 1
-            elif res.outcome.tie:
-                counts[_N_TIE] += 1
-            if res.cox_rejected:
-                counts[_N_COX] += 1
+        streams = _pcg64_states(scenario.config.master_seed, derived, _TAILS)
+        for at in range(0, len(derived), _BLOCK):
+            block = derived[at:at + _BLOCK]
+            time = buffer[: len(block)]
+            group = {tail: states[at:at + _BLOCK] for tail, states in streams.items()}
+            _draw_block(scenario, group, time, gen)
+            for res in _evaluate_block(scenario, block, time):
+                if res.outcome.claim is not Claim.NO_CLAIM or res.outcome.tie:
+                    counts[_N_REJECT] += 1
+                if res.outcome.claim is Claim.RX_LONGER_MEDIAN:
+                    counts[_N_RX] += 1
+                elif res.outcome.claim is Claim.C_LONGER_MEDIAN:
+                    counts[_N_C] += 1
+                elif res.outcome.tie:
+                    counts[_N_TIE] += 1
+                if res.cox_rejected:
+                    counts[_N_COX] += 1
     return counts
 
 

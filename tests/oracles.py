@@ -439,11 +439,13 @@ def read_dataset_by_rows(path):
         bad = raw[exc.start:exc.end]
         raise DatasetRefused(f"{path}: not UTF-8 text ({bad!r} at byte offset {exc.start})") from None
     with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)
         try:
             header = next(reader)
         except StopIteration:
             raise DatasetRefused(f"{path}: file is empty") from None
+        except csv.Error as exc:
+            raise DatasetRefused(f"{path}: line 1: unreadable record ({exc})") from None
         header = [h.strip() for h in header]
         required = ("time", "event", "arm")
         missing = [c for c in required if c not in header]
@@ -470,7 +472,14 @@ def read_dataset_by_rows(path):
         labels = {name: [] for name in factor_cols}
         problems = []
         end = reader.line_num
-        for row in reader:
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:  # the reader cannot resume inside a record
+                problems.append(f"line {end + 1}: unreadable record ({exc})")
+                break
             lineno, end = end + 1, reader.line_num
             if not row or all(not cell.strip() for cell in row):
                 continue

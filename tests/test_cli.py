@@ -163,8 +163,8 @@ _OFF_CELLS = {
 @st.composite
 def _csv_texts(draw):
     """Small dataset files with tied times, each with up to three things off:
-    a bad or padded cell, a quoted cell, a line end inside a cell, a short
-    or long row, a blank line, CRLF or mixed line ends."""
+    a bad or padded cell, a quoted cell, a stray quote, a line end inside a
+    cell, a short or long row, a blank line, CRLF or mixed line ends."""
     header = draw(st.permutations(list(_PLAIN_CELLS)))
     rows = [
         [draw(st.sampled_from(_PLAIN_CELLS[name])) for name in header]
@@ -173,11 +173,13 @@ def _csv_texts(draw):
     for r in draw(st.sets(st.integers(0, len(rows) - 1), max_size=3)) if rows else ():
         row = rows[r]
         i = draw(st.integers(0, len(header) - 1))
-        kind = draw(st.sampled_from(["cell", "quoted", "line end", "short", "long", "blank"]))
+        kind = draw(st.sampled_from(["cell", "quoted", "stray quote", "line end", "short", "long", "blank"]))
         if kind == "cell":
             row[i] = draw(st.sampled_from(_OFF_CELLS[header[i]]))
         elif kind == "quoted":
             row[i] = f'"{row[i]}"'
+        elif kind == "stray quote":
+            row[i] = draw(st.sampled_from([f'"{row[i]}', f'"{row[i]}"x', f'{row[i]}"']))
         elif kind == "line end":
             row[i] += draw(st.sampled_from(["\r", "\n", "\r\n"])) + draw(st.sampled_from(["", "b"]))
         elif kind == "short":
@@ -303,6 +305,9 @@ class TestReadDataset:
     @example(text="time,event,arm\n1,1\r,Rx\n", block_rows=1024)
     # csv refuses a quoted file's bad time
     @example(text='time,event,arm\n"1",1,Rx\nx,0,C\n', block_rows=1024)
+    # csv refuses a quote left open, or closed before more than a comma
+    @example(text='time,event,arm\n1,1,Rx\n2,0,"C\n3,1,C\n', block_rows=1024)
+    @example(text='time,event,arm\n1,1,Rx\n2,0,"C"x\n', block_rows=1024)
     # csv skips a whitespace-only record; blank records only
     @example(text="time,event,arm\n1,1,Rx\n \t,\n2,0,C\n", block_rows=1024)
     @example(text="time,event,arm\n\n \t,\r\n", block_rows=1024)
@@ -371,6 +376,30 @@ class TestReadDataset:
         path.write_text('time,event,arm,s:g\n1,1,Rx,a\n2,1,C,"b\n' + "3,1,C,a\n" * 20_000)
         exc = self._unreadable(path, capsys)
         assert exc.details == ["line 3: unreadable record (field larger than field limit (131072))"]
+
+    @pytest.mark.parametrize(
+        ("text", "problem"),
+        [
+            # a quote left open on line 3 reaches the end of the file
+            ('1,1,Rx,a\n2,1,C,"b\n3,1,C,a\n4,1,Rx,a\n5,1,C,b\n', "unexpected end of data"),
+            # a closed quote is followed by more than a comma
+            ('1,1,Rx,a\n2,1,"C"x,b\n3,1,C,a\n4,1,Rx,b\n', "',' expected after '\"'"),
+        ],
+        ids=["open", "text-after-close"],
+    )
+    def test_stray_quote_is_a_validation_error(self, tmp_path, capsys, text, problem):
+        path = tmp_path / "stray.csv"
+        path.write_text("time,event,arm,s:g\n" + text)
+        exc = self._unreadable(path, capsys)
+        assert exc.details == [f"line 3: unreadable record ({problem})"]
+        assert _read_outcome(path) == _oracle_outcome(path)
+
+    def test_stray_quote_in_the_header_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "stray-header.csv"
+        path.write_text('time,event,"arm"s\n1,1,Rx\n2,1,C\n')
+        exc = self._unreadable(path, capsys)
+        assert str(exc) == f"{path}: line 1: unreadable record (',' expected after '\"')"
+        assert _read_outcome(path) == _oracle_outcome(path)
 
     def test_header_cell_past_the_csv_field_limit_is_a_validation_error(self, tmp_path, capsys):
         path = tmp_path / "huge-header.csv"
@@ -754,10 +783,20 @@ class TestAnalyze:
             "stratified_audit_hr",
         }
         assert set(rep["sections"]) == expected
-        assert {p.name for p in tab_dir.iterdir()} == {f"{n}.csv" for n in expected}
+        tables = {f"{n}.csv" for n in expected} | {"stratified_audit_hr.factors.csv"}
+        assert {p.name for p in tab_dir.iterdir()} == tables
         audit_table = (tab_dir / "stratified_audit_hr.csv").read_text().splitlines()
-        assert audit_table[0] == "factor,naive,sme,marginal,dropped_levels"
-        assert audit_table[1].startswith("sex,")
+        assert audit_table[:2] == ["key,value", "measure,HR"]
+        factors_table = (tab_dir / "stratified_audit_hr.factors.csv").read_text().splitlines()
+        assert factors_table[0] == "factor,naive,sme,marginal,dropped_levels"
+        assert factors_table[1].startswith("sex,") and factors_table[1].endswith(",[]")
+
+    def test_repeated_measure_rejected(self, ident_csv, capsys):
+        # a second audit of one measure would overwrite the first
+        argv = ["analyze", ident_csv, "--measure", "HR", "--measure", "TR", "--measure", "HR"]
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 2 and out == ""
+        assert "survquack: error: measure 'HR' is given more than once in --measure" in err
 
 
 class TestSimulate:
@@ -1030,7 +1069,50 @@ class TestEq1Demo:
         assert strip_volatile(json.loads(out_a)) == strip_volatile(json.loads(out_b))
 
 
+def _read_table(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def _table_value(cell, want):
+    """A table cell read back: a string as it is, any other value from JSON."""
+    return cell if isinstance(want, str) else json.loads(cell)
+
+
 class TestMainPlumbing:
+    @pytest.mark.parametrize(
+        "argv, lists",
+        [
+            (["analyze", "oak_small_csv", "--strata", "sex,kras", "--measure", "HR", "--measure", "TR"],
+             {"stratified_audit_hr.factors", "stratified_audit_tr.factors"}),
+            (["simulate", "small_cfg"], {"scenario.subgroups"}),
+            (["pivot-ci", "ident_csv"], set()),
+            (["eq1-demo"], {"pooled_ratio.strata"}),
+        ],
+        ids=["analyze", "simulate", "pivot-ci", "eq1-demo"],
+    )
+    def test_tables_read_back_as_the_report(self, tmp_path, capsys, request, argv, lists):
+        # <section>.csv holds every field as (key, value), and each list of
+        # objects is also <section>.<field>.csv, one row per object
+        argv = [request.getfixturevalue(a) if a.endswith(("_csv", "_cfg")) else a for a in argv]
+        tables = tmp_path / "tables"
+        rc, out, _ = run_cli(argv + ["--tables", str(tables)], capsys)
+        assert rc == 0
+        sections = parse_report(out)["sections"]
+        assert {p.name for p in tables.iterdir()} == {f"{name}.csv" for name in [*sections, *lists]}
+        for name, sec in sections.items():
+            header, *rows = _read_table(tables / f"{name}.csv")
+            assert header == ["key", "value"]
+            assert len(rows) == len(sec["data"])
+            assert {key: _table_value(cell, sec["data"][key]) for key, cell in rows} == sec["data"]
+        for table in lists:
+            name, field = table.split(".")
+            objects = sections[name]["data"][field]
+            header, *rows = _read_table(tables / f"{table}.csv")
+            assert len(header) == len(objects[0]) and len(rows) == len(objects)
+            for row, want in zip(rows, objects):
+                assert {col: _table_value(cell, want[col]) for col, cell in zip(header, row)} == want
+
     def test_numerical_failure_exits_3(self, capsys, monkeypatch):
         def boom(args):
             raise NumericalError("synthetic pivot failure")

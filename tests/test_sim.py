@@ -34,7 +34,7 @@ from survquack.cli import main, parse_scenario_config
 from survquack.errors import DomainError, InfeasibleScenario, NumericalError
 from survquack.sim import DirectionalErrorReport, simulate_sample, wilson_interval
 
-from oracles import bisect_complement_scale, draw_trial
+from oracles import bisect_complement_scale, draw_trial, seed_stream
 
 
 def section3_config(**changes):
@@ -252,7 +252,7 @@ def test_tally_counts_a_rejection_whose_medians_tie(monkeypatch):
     rx = np.concatenate([np.linspace(9.1, 9.9, 9), [10.0], np.arange(100.0, 110.0)])
     c = np.concatenate([np.arange(1.0, 10.0), [10.0], np.linspace(10.1, 10.9, 10)])
 
-    def draw(scenario, streams, time):
+    def draw(scenario, streams, time, gen):
         time[:] = np.concatenate([rx, c])
         return np.zeros(time.shape, dtype=int)
 
@@ -329,9 +329,19 @@ def test_run_study_worker_count_is_invisible(pool_scenario):
 
 # ----------------------------------------------------------- block evaluation
 
+def _streams(scenario, reps):
+    """The seed streams of trials ``reps``, as a study derives them."""
+    return sim._pcg64_states(scenario.config.master_seed, reps, sim._TAILS)
+
+
+def _rx_stream(scenario, rep):
+    """Trial ``rep``'s Rx times stream, by which a drawn row is known."""
+    return _streams(scenario, [rep])["times", "Rx"][0]
+
+
 def _evaluate_drawn_block(scenario, reps):
     time = np.empty((len(reps), scenario.config.n_total))
-    sim._draw_block(scenario, sim._trial_streams(scenario, reps), time)
+    sim._draw_block(scenario, _streams(scenario, reps), time, np.random.Generator(np.random.PCG64(0)))
     return sim._evaluate_block(scenario, reps, time)
 
 
@@ -383,12 +393,9 @@ def test_tied_and_separated_rows_fall_back_to_their_own_samples(monkeypatch):
     tied = np.arange(1.0, 21.0)
     tied[3] = tied[12]
     separated = np.concatenate([np.arange(11.0, 21.0), np.arange(1.0, 11.0)])
-    # a drawn row is known by its Rx times stream
-    rows = {}
-    for rep, row in enumerate([tied, separated]):
-        rows[sim._trial_streams(scenario, [rep])["times", "Rx"][0]] = row
+    rows = {_rx_stream(scenario, rep): row for rep, row in enumerate([tied, separated])}
 
-    def draw(scenario, streams, time):
+    def draw(scenario, streams, time, gen):
         time[:] = [rows[state] for state in streams["times", "Rx"]]
         return np.zeros(time.shape, dtype=int)
 
@@ -445,9 +452,9 @@ THREE_SUBGROUPS = ScenarioConfig(
 @pytest.mark.parametrize(
     "reps",
     [
-        list(range(37)),  # the last draw group is not full
+        list(range(37)),  # the last block is not full
         list(range(2000))[5::40],  # reps that do not follow each other
-        [0, 2**32, 1, 2**32 + 3, 2],  # one- and two-word reps in one group
+        [0, 2**32, 1, 2**32 + 3, 2],  # one- and two-word reps in one block
     ],
     ids=["range37", "strided", "wide-reps"],
 )
@@ -475,17 +482,19 @@ def test_tally_draws_match_the_per_trial_oracle(config, reps, monkeypatch):
 
 @pytest.mark.parametrize("seed, rep", [(210615, 0), (5, 2**32 + 1), (2**64 + 5, 7)])
 def test_one_row_uniforms_equal_the_block_route(seed, rep):
-    # a single rep takes numpy's own derivation and a block derives its
-    # states together, every tail in one pass; each tail's row is the same
+    # a single rep and a block derive their states by the same route, every
+    # tail in one pass; each tail's row is numpy's own stream (rep, *tail)
     # bit for bit, and simulate_sample's trial is the per-trial oracle's
     scenario = realize_scenario(section3_config(master_seed=seed, n_total=50))
-    one = sim._trial_streams(scenario, [rep])
-    block = sim._trial_streams(scenario, [rep + 1, rep, 2**33])
+    one = _streams(scenario, [rep])
+    block = _streams(scenario, [rep + 1, rep, 2**33])
     assert sorted(one) == sorted(block) == [("membership",), ("times", "C"), ("times", "Rx")]
     gen = np.random.Generator(np.random.PCG64(0))
     for tail in one:
         u_one, u_block = sim._uniforms(gen, one[tail], 50), sim._uniforms(gen, block[tail], 50)
-        np.testing.assert_array_equal(u_one[0].view(np.uint64), u_block[1].view(np.uint64))
+        want = seed_stream(seed, rep, *tail).random(50)
+        np.testing.assert_array_equal(u_one[0].view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(u_block[1].view(np.uint64), want.view(np.uint64))
     sample = simulate_sample(scenario, rep)
     want, g_idx = draw_trial(scenario, rep)
     np.testing.assert_array_equal(sample.time.view(np.uint64), want.view(np.uint64))
@@ -501,9 +510,9 @@ def test_one_row_uniforms_equal_the_block_route(seed, rep):
 @pytest.mark.parametrize("reps", [range(300), range(0, 900, 3)], ids=["range300", "strided"])
 def test_tally_draws_cross_the_stream_derivation_boundary(config, reps, monkeypatch):
     # seed streams are derived 256 replications at a time, every tail in one
-    # call, and drawn 32 rows at a time; the rows on both sides of the
-    # boundary are each trial's own
-    assert sim._STREAM_ROWS == 256 and sim._STREAM_ROWS % sim._DRAW_ROWS == 0
+    # call, and drawn sim._BLOCK rows at a time; the rows on both sides of
+    # the boundary are each trial's own
+    assert sim._STREAM_ROWS == 256
     scenario = realize_scenario(config)
     drawn, derived = [], []
     evaluate, derive = sim._evaluate_block, sim._pcg64_states
@@ -528,9 +537,41 @@ def test_tally_draws_cross_the_stream_derivation_boundary(config, reps, monkeypa
     assert derived == [(list(reps[:256]), want_tails), (list(reps[256:]), want_tails)]
 
 
+@pytest.mark.parametrize("block", [1, 3, 8])
+@pytest.mark.parametrize("stream_rows", [5, 256])
+def test_tally_is_the_same_for_any_block_and_derivation_size(block, stream_rows, monkeypatch):
+    # 263 replications: derived 5 at a time, each derivation ends in a
+    # partial block of 2 (blocks of 3) or 5 (blocks of 8); derived 256 at a
+    # time, blocks of 3 end partial on both sides of the boundary (256 and 7
+    # rows) and blocks of 8 after it. The tally is the per-sample one
+    scenario = realize_scenario(section3_config(n_total=60, replications=263))
+    per_sample = [run_replication(scenario, rep) for rep in range(263)]
+    outcomes = [r.outcome for r in per_sample]
+    want = [
+        sum(o.claim is not Claim.NO_CLAIM or o.tie for o in outcomes),
+        sum(o.claim is Claim.RX_LONGER_MEDIAN for o in outcomes),
+        sum(o.claim is Claim.C_LONGER_MEDIAN for o in outcomes),
+        sum(o.claim is Claim.NO_CLAIM and o.tie for o in outcomes),
+        sum(r.cox_rejected for r in per_sample),
+    ]
+    drawn = []
+    evaluate = sim._evaluate_block
+
+    def recording(scenario, reps, time):
+        drawn.extend(reps)
+        return evaluate(scenario, reps, time)
+
+    monkeypatch.setattr(sim, "_BLOCK", block)
+    monkeypatch.setattr(sim, "_STREAM_ROWS", stream_rows)
+    monkeypatch.setattr(sim, "_evaluate_block", recording)
+    assert list(sim._tally_chunk(scenario, range(263))) == want
+    assert drawn == list(range(263))
+
+
 def test_tally_chunk_memory_does_not_grow_with_replications():
-    # streams are derived and drawn in groups of sim._DRAW_ROWS rows; a
-    # first short tally fills the caches a study builds once
+    # streams are derived sim._STREAM_ROWS replications at a time and drawn
+    # sim._BLOCK rows at a time; a first short tally fills the caches a
+    # study builds once
     scenario = realize_scenario(section3_config())
     sim._tally_chunk(scenario, range(40))
     peaks = []
@@ -673,13 +714,13 @@ def _failing_draw(scenario, failing):
     rows = {}
     for rep, rx_longer in zip(failing, (True, False)):
         low, high = np.arange(1.0, n_rx + 1.0), np.arange(n_rx + 1.0, 2.0 * n_rx + 1.0)
-        rows[sim._trial_streams(scenario, [rep])["times", "Rx"][0]] = (
+        rows[_rx_stream(scenario, rep)] = (
             np.concatenate([high, low]) if rx_longer else np.concatenate([low, high])
         )
     draw = sim._draw_block
 
-    def stand_in(scenario, streams, time):
-        g_idx = draw(scenario, streams, time)
+    def stand_in(scenario, streams, time, gen):
+        g_idx = draw(scenario, streams, time, gen)
         for row, state in zip(time, streams["times", "Rx"]):
             if state in rows:
                 row[:] = rows[state]
@@ -877,16 +918,16 @@ def test_a_failed_parent_share_leaves_no_share_running(monkeypatch, fresh_pool, 
     log = tmp_path / "worker-draws"
     parent, failing = os.getpid(), _failing_draw(scenario, [0])
 
-    def draw(scenario, streams, rows):
+    def draw(scenario, streams, rows, gen):
         if os.getpid() == parent:
             deadline = time.monotonic() + 60.0
             while not log.exists() and time.monotonic() < deadline:
                 time.sleep(0.001)
-            return failing(scenario, streams, rows)
+            return failing(scenario, streams, rows, gen)
         with open(log, "a") as fh:
             fh.write("begin\n")
         time.sleep(0.1)
-        g_idx = failing(scenario, streams, rows)
+        g_idx = failing(scenario, streams, rows, gen)
         with open(log, "a") as fh:
             fh.write("end\n")
         return g_idx
@@ -894,9 +935,9 @@ def test_a_failed_parent_share_leaves_no_share_running(monkeypatch, fresh_pool, 
     monkeypatch.setattr(sim, "_draw_block", draw)
     with pytest.raises(NumericalError):
         run_study(scenario, workers=2)
-    # the worker's 50 replications are two groups of draws
+    # the worker's 50 replications are drawn in blocks of sim._BLOCK
     done = log.read_text()
-    assert done == "begin\nend\n" * 2
+    assert done == "begin\nend\n" * math.ceil(sim._MIN_CHUNK / sim._BLOCK)
     time.sleep(0.3)
     assert log.read_text() == done
 
