@@ -16,6 +16,7 @@ import argparse
 import collections
 import csv
 import dataclasses
+import errno
 import functools
 import io
 import itertools
@@ -528,8 +529,11 @@ def _write_tables(report: dict, out_dir):
     """Optional flat CSV export: ``<section>.csv`` holds each field of a
     section as a (key, value) row, or a failed section's error; each field
     that holds a list of objects is also ``<section>.<field>.csv``, one row
-    per object."""
+    per object. A missing ``out_dir`` is made; one that holds anything is
+    refused, so that it never mixes the tables of two runs."""
     os.makedirs(out_dir, exist_ok=True)
+    if os.listdir(out_dir):
+        raise OSError(errno.ENOTEMPTY, os.strerror(errno.ENOTEMPTY), out_dir)
     for name, sec in report["sections"].items():
         data = sec["data"]
         if data is None:

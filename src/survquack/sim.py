@@ -7,7 +7,9 @@ that both arms share a prescribed overall median survival; the packaged
 identical medians whose hazards still cross. Replications are driven by
 counter-based seed derivation, so results do not depend on worker count
 or execution order. A study draws them in blocks of stacked samples and
-evaluates each block at once, with the arithmetic of the one-sample path.
+tallies each block at once, with the arithmetic of the one-sample path; a
+row that block arithmetic cannot read (a tied time, a failed Cox fit) is
+read on a sample of its own row of the block, never drawn again.
 """
 
 from __future__ import annotations
@@ -43,15 +45,7 @@ from .estim import (
     _logrank_terms,
     tr_to_hr,
 )
-from .infer import (
-    Claim,
-    DecisionOutcome,
-    _decide,
-    _logrank_result,
-    _wald,
-    decision_procedure,
-    wald_test_cox,
-)
+from .infer import Claim, _logrank_result, _wald, decision_procedure, wald_test_cox
 from .rng import _pcg64_states, _usable_cpus
 
 __all__ = [
@@ -61,8 +55,6 @@ __all__ = [
     "RealizedSubgroup",
     "RealizedScenario",
     "realize_scenario",
-    "ReplicationResult",
-    "run_replication",
     "DirectionalErrorReport",
     "run_study",
     "wilson_interval",
@@ -252,16 +244,6 @@ def realize_scenario(config: ScenarioConfig) -> RealizedScenario:
     return realized
 
 
-@dataclass(frozen=True)
-class ReplicationResult:
-    """Outcome of one simulated trial."""
-
-    rep: int
-    outcome: DecisionOutcome
-    cox_rejected: bool
-    cox: tuple  # (log hazard ratio, standard error) of the two-arm Cox fit
-
-
 # the seed streams a trial's draw reads, as tails of (master_seed, rep):
 # each arm's times, and membership
 _TAILS = (("times", ARM_RX), ("times", ARM_C), ("membership",))
@@ -334,48 +316,7 @@ def simulate_sample(scenario: RealizedScenario, rep: int) -> SurvivalSample:
     return SurvivalSample(time[0], np.ones(n_total, dtype=bool), is_rx, {"subgroup": labels[g_idx[0]]})
 
 
-def run_replication(scenario: RealizedScenario, rep: int) -> ReplicationResult:
-    """Simulate one trial and apply both read-outs."""
-    sample = simulate_sample(scenario, rep)
-    outcome = decision_procedure(sample, scenario.config.alpha)
-    _, p_cox = wald_test_cox(sample)
-    return ReplicationResult(rep, outcome, bool(p_cox < scenario.config.alpha), sample.cox)
-
-
-def _evaluate_block(scenario: RealizedScenario, reps, time) -> list:
-    """``run_replication``'s results for the trials ``reps``, whose times
-    (from ``_draw_block``) fill the rows of ``time``.
-
-    Every row is read off one block of risk tables, with the arithmetic of
-    the per-sample path: the log-rank terms, both product-limit medians
-    (each the same order statistic of its arm in every row) and a row-wise
-    Cox fit. An irregular row (a tied time, or one that is not finite and
-    positive) or a row whose Cox fit fails goes to ``run_replication`` on
-    its own sample instead, which gives it the per-sample numbers and
-    raises the same errors.
-    """
-    alpha, n_rx = scenario.config.alpha, scenario.n_rx
-    rows, n_c = time.shape[0], time.shape[1] - n_rx
-    tb, irregular = _complete_tables(time, n_rx)
-    oe, variance = _logrank_terms(tb)
-    beta, se, cox_code = _cox_rows(tb, oe, variance)
-    in_rx = tb.events_rx > 0
-    median_rx = tb.times[in_rx].reshape(rows, n_rx)[:, _complete_median_rank(n_rx)]
-    median_c = tb.times[~in_rx].reshape(rows, n_c)[:, _complete_median_rank(n_c)]
-    results = []
-    for i, rep in enumerate(reps):
-        if irregular[i] or cox_code[i]:
-            results.append(run_replication(scenario, rep))
-            continue
-        outcome = _decide(
-            _logrank_result(oe[i], variance[i]), alpha, float(median_rx[i]), float(median_c[i])
-        )
-        cox = (float(beta[i]), float(se[i]))
-        results.append(ReplicationResult(rep, outcome, bool(_wald(*cox)[1] < alpha), cox))
-    return results
-
-
-# replications drawn into one (_BLOCK, n_total) buffer and evaluated together
+# replications drawn into one (_BLOCK, n_total) buffer and tallied together
 _BLOCK = 8
 # replications whose seed streams are derived together, so that the
 # derivation's fixed cost is paid once per this many
@@ -390,12 +331,56 @@ _MIN_CHUNK = 50
 
 # counter layout for the mergeable per-chunk tallies
 _N_REJECT, _N_RX, _N_C, _N_TIE, _N_COX = range(5)
+# the counter of a claim's rejection; a tie's is _N_TIE
+_CLAIM_COUNTER = {Claim.RX_LONGER_MEDIAN: _N_RX, Claim.C_LONGER_MEDIAN: _N_C}
+
+
+def _tally_block(scenario: RealizedScenario, time, counts):
+    """Add to ``counts`` the trials whose times (from ``_draw_block``) fill
+    the rows of ``time``.
+
+    Every row is read off one block of risk tables, with the arithmetic of
+    the per-sample path: the log-rank terms, both product-limit medians
+    (each the same order statistic of its arm in every row) and a row-wise
+    Cox fit. An irregular row (a tied time, or one that is not finite and
+    positive) or a row whose Cox fit fails is evaluated instead on its own
+    sample, built from its row, by ``decision_procedure`` and
+    ``wald_test_cox``, which give it the per-sample numbers and raise the
+    per-sample errors.
+    """
+    alpha, n_rx = scenario.config.alpha, scenario.n_rx
+    rows, n_total = time.shape
+    tb, irregular = _complete_tables(time, n_rx)
+    oe, variance = _logrank_terms(tb)
+    beta, se, cox_code = _cox_rows(tb, oe, variance)
+    in_rx = tb.events_rx > 0
+    median_rx = tb.times[in_rx].reshape(rows, n_rx)[:, _complete_median_rank(n_rx)]
+    n_c = n_total - n_rx
+    median_c = tb.times[~in_rx].reshape(rows, n_c)[:, _complete_median_rank(n_c)]
+    columns = (irregular | (cox_code != 0), oe, variance, median_rx, median_c, beta, se)
+    for i, (fallback, row_oe, row_v, m_rx, m_c, row_beta, row_se) in enumerate(
+        zip(*(column.tolist() for column in columns))
+    ):
+        if fallback:
+            sample = SurvivalSample(time[i].copy(), np.ones(n_total, bool), np.arange(n_total) < n_rx)
+            outcome = decision_procedure(sample, alpha)
+            counter = _N_TIE if outcome.tie else _CLAIM_COUNTER.get(outcome.claim)
+            p_cox = wald_test_cox(sample)[1]
+        else:
+            p = _logrank_result(row_oe, row_v).p_two_sided
+            counter = None if p >= alpha else _N_TIE if m_rx == m_c else _N_RX if m_rx > m_c else _N_C
+            p_cox = _wald(row_beta, row_se)[1]
+        if counter is not None:
+            counts[_N_REJECT] += 1
+            counts[counter] += 1
+        if p_cox < alpha:
+            counts[_N_COX] += 1
 
 
 def _tally_chunk(scenario: RealizedScenario, reps) -> np.ndarray:
     """The counts of trials ``reps``: their seed streams are derived
     ``_STREAM_ROWS`` replications at a time, and each ``_BLOCK`` of them is
-    drawn into one buffer and evaluated before the next is drawn."""
+    drawn into one buffer and tallied before the next is drawn."""
     counts = np.zeros(5, dtype=np.int64)
     buffer = np.empty((min(_BLOCK, len(reps)), scenario.config.n_total))
     gen = np.random.Generator(np.random.PCG64(0))  # made once: a new one costs 3% of a block's draw
@@ -403,21 +388,10 @@ def _tally_chunk(scenario: RealizedScenario, reps) -> np.ndarray:
         derived = reps[start:start + _STREAM_ROWS]
         streams = _pcg64_states(scenario.config.master_seed, derived, _TAILS)
         for at in range(0, len(derived), _BLOCK):
-            block = derived[at:at + _BLOCK]
-            time = buffer[: len(block)]
+            time = buffer[: min(_BLOCK, len(derived) - at)]
             group = {tail: states[at:at + _BLOCK] for tail, states in streams.items()}
             _draw_block(scenario, group, time, gen)
-            for res in _evaluate_block(scenario, block, time):
-                if res.outcome.claim is not Claim.NO_CLAIM or res.outcome.tie:
-                    counts[_N_REJECT] += 1
-                if res.outcome.claim is Claim.RX_LONGER_MEDIAN:
-                    counts[_N_RX] += 1
-                elif res.outcome.claim is Claim.C_LONGER_MEDIAN:
-                    counts[_N_C] += 1
-                elif res.outcome.tie:
-                    counts[_N_TIE] += 1
-                if res.cox_rejected:
-                    counts[_N_COX] += 1
+            _tally_block(scenario, time, counts)
     return counts
 
 

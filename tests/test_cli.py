@@ -1156,6 +1156,27 @@ class TestMainPlumbing:
         assert rc == 2 and json.loads(out)["command"] == "eq1-demo"
         assert err.startswith("survquack: error: cannot write output:") and err.count("\n") == 1
 
+    def test_tables_into_a_directory_that_holds_files_exits_2(self, tmp_path, capsys, small_cfg):
+        # a second run's tables would sit beside the first run's: the
+        # directory is refused once the report is written, and left as it was
+        tables = tmp_path / "tables"
+        assert run_cli(["eq1-demo", "--tables", str(tables)], capsys)[0] == 0
+        first = {p.name: p.read_bytes() for p in tables.iterdir()}
+        rc, out, err = run_cli(["simulate", small_cfg, "--tables", str(tables)], capsys)
+        assert rc == 2 and json.loads(out)["command"] == "simulate"
+        assert err.startswith("survquack: error: cannot write output:") and err.count("\n") == 1
+        assert "Directory not empty" in err
+        assert {p.name: p.read_bytes() for p in tables.iterdir()} == first
+
+    def test_tables_into_an_empty_or_a_missing_directory(self, tmp_path, capsys):
+        empty, missing = tmp_path / "empty", tmp_path / "missing" / "tables"
+        empty.mkdir()
+        for tables in (empty, missing):
+            rc, out, _ = run_cli(["eq1-demo", "--tables", str(tables)], capsys)
+            assert rc == 0
+            names = [*json.loads(out)["sections"], "pooled_ratio.strata"]
+            assert {p.name for p in tables.iterdir()} == {f"{name}.csv" for name in names}
+
     @pytest.mark.parametrize(
         "argv",
         [["analyze", "d.csv"], ["simulate", "x.cfg"], ["pivot-ci", "d.csv"], ["eq1-demo"]],

@@ -24,13 +24,15 @@ from survquack import (
     km_median,
     llp_from_hr,
     load_oak_analog_spec,
+    realize_scenario,
+    run_study,
     sample_times,
     sample_tr,
     tr_to_hr,
     weibull_from_median,
     weibull_mle,
 )
-from survquack import estim
+from survquack import estim, sim
 from survquack.errors import (
     DomainError,
     NotReachedError,
@@ -628,6 +630,54 @@ def test_cox_rows_find_the_breslow_root_on_section3_blocks(section3):
         is_rx = np.arange(time.shape[1]) < n_rx
         for row, b, s in zip(time, beta, se):
             _assert_at_the_root(b, s, breslow_counts(row, np.ones(row.size, bool), is_rx))
+
+
+def test_cox_rows_keep_the_seed_153_fit_that_once_stalled(section3):
+    # replication 3 of master seed 153 stalled under the old absolute-score
+    # stop; in a block of five it fits, as on its own sample
+    scenario = realize_scenario(dataclasses.replace(section3.config, master_seed=153))
+    time = np.stack([draw_trial(scenario, rep)[0] for rep in range(5)])
+    tb = estim._complete_tables(time, scenario.n_rx)[0]
+    beta, se, code = estim._cox_rows(tb, *estim._logrank_terms(tb))
+    is_rx = np.arange(time.shape[1]) < scenario.n_rx
+    log_hr, want_se = cox_fit_two_arm(SurvivalSample(time[3], np.ones(time.shape[1], bool), is_rx))
+    assert code[3] == 0
+    assert beta[3] == pytest.approx(log_hr, rel=1e-12, abs=0)
+    assert se[3] == pytest.approx(want_se, rel=1e-12, abs=0)
+
+
+def test_section3_cox_fits_take_four_passes_and_no_log(section3, monkeypatch):
+    # each row starts from its block's log-rank step (O - E)/V, so a block's
+    # fit takes three Newton passes, or two, and the final information pass;
+    # no pass evaluates the log partial likelihood
+    counts = {"_cox_rows": 0, "_exp": 0, "log": 0}
+    solving = []
+    cox_rows, exp, log = estim._cox_rows, estim._exp, np.log
+
+    def counting_rows(*args):
+        counts["_cox_rows"] += 1
+        solving.append(True)
+        try:
+            return cox_rows(*args)
+        finally:
+            solving.pop()
+
+    def counting_exp(beta):
+        counts["_exp"] += 1
+        return exp(beta)
+
+    def counting_log(*args, **kwargs):
+        counts["log"] += bool(solving)
+        return log(*args, **kwargs)
+
+    for module in (estim, sim):
+        monkeypatch.setattr(module, "_cox_rows", counting_rows)
+    monkeypatch.setattr(estim, "_exp", counting_exp)
+    monkeypatch.setattr(np, "log", counting_log)
+    run_study(realize_scenario(dataclasses.replace(section3.config, replications=2000)), workers=1)
+    assert counts["_cox_rows"] == 2000 // sim._BLOCK
+    assert counts["_exp"] <= 4 * counts["_cox_rows"]
+    assert counts["log"] == 0
 
 
 def test_cox_rows_find_the_breslow_root_on_random_tables(monkeypatch):

@@ -1,5 +1,6 @@
 """Log-rank test, Wald tests, the test-then-declare rule, and the MW pivot."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -18,6 +19,7 @@ from survquack import (
     logrank_test,
     mw_pair_count,
     mw_pivot_ci,
+    realize_scenario,
     sample_times,
     wald_test_cox,
     weibull_from_median,
@@ -32,6 +34,7 @@ from survquack.infer import (
     _null_blocks,
     mw_acceptance_region,
 )
+from survquack.sim import simulate_sample
 
 from oracles import logrank_by_hand, logrank_moments_scipy, mw_exact_region
 
@@ -145,6 +148,21 @@ def test_wald_cox_reads_the_cached_fit(monkeypatch):
     assert calls == [sample]
     assert z == log_hr / se
     assert p == math.erfc(abs(z) / math.sqrt(2.0))
+
+
+def test_decision_and_wald_of_one_sample_build_one_risk_table(section3, count_builds):
+    # the log-rank test, both product-limit medians and the Cox fit share
+    # one sort, one table, one set of log-rank terms and one curve per arm
+    scenario = realize_scenario(dataclasses.replace(section3.config, n_total=60))
+    samples = [simulate_sample(scenario, rep) for rep in range(3)]
+    counts = count_builds()
+    for sample in samples:
+        decision_procedure(sample, scenario.config.alpha)
+        wald_test_cox(sample)
+    assert counts == {
+        "sorts": [((60,), "stable")] * 3, "curves": 6,
+        "_risk_tables": 3, "_logrank_terms": 3, "weibull_mle": 0, "km_fit": 0,
+    }
 
 
 # --------------------------------------------------------- decision_procedure

@@ -80,3 +80,39 @@ def test_config_schema_keys_are_the_dataclass_fields(schema, section, fields, de
     keys, required = schema[section]
     assert set(keys) == {f.name for f in dataclasses.fields(fields)} - derived
     assert set(required) <= set(keys)
+
+
+# The private names of sim and estim that the study's tests may use: the
+# block and derivation sizes, the smallest share, the pool hooks and the
+# draw seam. Any other is an internal that a contract test should not pin.
+_STUDY_TEST_PRIVATES = {
+    "_BLOCK", "_STREAM_ROWS", "_MIN_CHUNK", "_tally_chunk", "_shutdown_pool", "_worker_pool", "_warm",
+    "_draw_block",
+}
+
+
+def _private_names(tree, modules):
+    """Private names of ``modules`` that ``tree`` reads as attributes
+    (``sim._x``), imports (``from survquack.sim import _x``) or passes by
+    string (``monkeypatch.setattr(sim, "_x", ...)``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and node.module in {f"survquack.{m}" for m in modules}:
+            names = [alias.name for alias in node.names]
+        elif (
+            isinstance(node, ast.Call) and len(node.args) > 1
+            and isinstance(node.args[0], ast.Name) and node.args[0].id in modules
+            and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)
+        ):
+            names = [node.args[1].value]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_study_tests_name_no_other_private_name():
+    path = os.path.join(os.path.dirname(__file__), "test_sim.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert set(_private_names(tree, ("sim", "estim"))) - _STUDY_TEST_PRIVATES == set()

@@ -1,12 +1,15 @@
 """Stream derivation: determinism, path separation, input validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from survquack import derive_rng, rng
-from survquack.cli import main
+from survquack import derive_rng, realize_scenario, rng, sim
+from survquack.cli import main, parse_scenario_config
 from survquack.errors import DomainError
 from survquack.rng import _pcg64_states, encode_path_part
+from survquack.sim import simulate_sample
 
 import oracles
 
@@ -121,6 +124,29 @@ def test_bulk_states_encode_and_split_each_rep_once(monkeypatch):
     assert sorted(n for n in split if n in reps) == sorted(reps)
     for tail in tails:
         assert states[tail] == [oracles.pcg64_state(2**40 + 9, rep, *tail) for rep in reps]
+
+
+@pytest.mark.parametrize("seed, rep", [(210615, 0), (5, 2**32 + 1), (2**64 + 5, 7)])
+def test_one_row_uniforms_equal_the_block_route(seed, rep):
+    # a single rep and a block derive their states by the same route, every
+    # tail in one pass; each tail's row is numpy's own stream (rep, *tail)
+    # bit for bit, and simulate_sample's trial is the per-trial oracle's
+    config = parse_scenario_config("builtin:section3")
+    scenario = realize_scenario(dataclasses.replace(config, master_seed=seed, n_total=50))
+    one = _pcg64_states(seed, [rep], sim._TAILS)
+    block = _pcg64_states(seed, [rep + 1, rep, 2**33], sim._TAILS)
+    assert sorted(one) == sorted(block) == [("membership",), ("times", "C"), ("times", "Rx")]
+    gen = np.random.Generator(np.random.PCG64(0))
+    for tail in one:
+        u_one, u_block = sim._uniforms(gen, one[tail], 50), sim._uniforms(gen, block[tail], 50)
+        want = oracles.seed_stream(seed, rep, *tail).random(50)
+        np.testing.assert_array_equal(u_one[0].view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(u_block[1].view(np.uint64), want.view(np.uint64))
+    sample = simulate_sample(scenario, rep)
+    want, g_idx = oracles.draw_trial(scenario, rep)
+    np.testing.assert_array_equal(sample.time.view(np.uint64), want.view(np.uint64))
+    labels = np.array([g.label for g in scenario.subgroups])
+    np.testing.assert_array_equal(sample.strata["subgroup"], labels[g_idx])
 
 
 def test_bulk_states_reject_negative_seeds_and_reps():

@@ -23,18 +23,21 @@ from survquack import (
     Claim,
     ScenarioConfig,
     SubgroupSpec,
+    SurvivalSample,
+    cox_fit_two_arm,
+    decision_procedure,
     realize_scenario,
-    run_replication,
     run_study,
     tr_to_hr,
+    wald_test_cox,
     weibull_from_median,
 )
-from survquack import estim, sim
+from survquack import rng, sim
 from survquack.cli import main, parse_scenario_config
 from survquack.errors import DomainError, InfeasibleScenario, NumericalError
 from survquack.sim import DirectionalErrorReport, simulate_sample, wilson_interval
 
-from oracles import bisect_complement_scale, draw_trial, seed_stream
+from oracles import bisect_complement_scale, draw_trial
 
 
 def section3_config(**changes):
@@ -243,6 +246,105 @@ def test_simulate_sample_is_deterministic(small_scenario):
     assert not np.array_equal(a.time, c.time)
 
 
+def _sample(scenario, time):
+    """The complete trial whose times are ``time``, Rx subjects first."""
+    return SurvivalSample(time, np.ones(time.size, bool), np.arange(time.size) < scenario.n_rx)
+
+
+def _oracle_rows(scenario, reps):
+    """Each trial's times, as the per-trial oracle draws them."""
+    return [draw_trial(scenario, rep)[0] for rep in reps]
+
+
+def _per_sample_tally(scenario, rows, alpha=None):
+    """[rejections, Rx longer, C longer, ties, Cox rejections] of the trials
+    whose times are ``rows``, each read on its own sample by the per-sample
+    procedure at ``alpha`` (by default the config's)."""
+    alpha = scenario.config.alpha if alpha is None else alpha
+    counts = [0] * 5
+    for time in rows:
+        sample = _sample(scenario, time)
+        outcome = decision_procedure(sample, alpha)
+        hits = (
+            outcome.claim is not Claim.NO_CLAIM or outcome.tie,
+            outcome.claim is Claim.RX_LONGER_MEDIAN,
+            outcome.claim is Claim.C_LONGER_MEDIAN,
+            outcome.tie,
+            wald_test_cox(sample)[1] < alpha,
+        )
+        counts = [count + bool(hit) for count, hit in zip(counts, hits)]
+    return counts
+
+
+def _at_alpha(scenario, alpha):
+    """``scenario`` read at test level ``alpha``, which may exceed the 0.5
+    that a config accepts."""
+    return dataclasses.replace(scenario, config=dataclasses.replace(scenario.config, alpha=alpha))
+
+
+def _recording_draws(monkeypatch):
+    """Wrap the draw seam: the returned list receives a copy of each block
+    the study draws, in order."""
+    drawn, draw = [], sim._draw_block
+
+    def recording(scenario, streams, time, gen):
+        g_idx = draw(scenario, streams, time, gen)
+        drawn.append(time.copy())
+        return g_idx
+
+    monkeypatch.setattr(sim, "_draw_block", recording)
+    return drawn
+
+
+def _assert_drawn_rows(drawn, rows):
+    """The rows of the blocks ``drawn`` are ``rows``, bit for bit and in order."""
+    got = [row for block in drawn for row in block]
+    assert len(got) == len(rows)
+    for row, want in zip(got, rows):
+        np.testing.assert_array_equal(row.view(np.uint64), want.view(np.uint64))
+
+
+def _counting(monkeypatch, name):
+    """Count the study's calls of ``sim.<name>``: the returned list receives
+    the arguments of each call."""
+    calls, original = [], getattr(sim, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sim, name, counting)
+    return calls
+
+
+def _replacing_draw(scenario, rows):
+    """A stand-in for sim._draw_block that draws every trial as usual, then
+    writes ``rows[rep]`` over the row of each trial ``rep`` in ``rows``. A
+    trial's row is known by its own times, so the stand-in works in any
+    process and for any block size."""
+    replace = {draw_trial(scenario, rep)[0].tobytes(): row for rep, row in rows.items()}
+    draw = sim._draw_block
+
+    def stand_in(scenario, streams, time, gen):
+        g_idx = draw(scenario, streams, time, gen)
+        for row in time:
+            if row.tobytes() in replace:
+                row[:] = replace[row.tobytes()]
+        return g_idx
+
+    return stand_in
+
+
+def _separated_rows(scenario, reps):
+    """Rows for the trials ``reps`` whose arms separate the event order, Rx
+    longer for the first rep and shorter for the next, so that their Cox
+    fits fail with different diagnostics."""
+    n_rx = scenario.n_rx
+    low, high = np.arange(1.0, n_rx + 1.0), np.arange(n_rx + 1.0, 2.0 * n_rx + 1.0)
+    rows = (np.concatenate([high, low]), np.concatenate([low, high]))
+    return dict(zip(reps, rows))
+
+
 def test_tally_counts_a_rejection_whose_medians_tie(monkeypatch):
     # every trial: Rx's first nine deaths after C's, both 10th deaths at
     # 10.0 and Rx's last ten far later, so the log-rank test rejects while
@@ -257,67 +359,11 @@ def test_tally_counts_a_rejection_whose_medians_tie(monkeypatch):
         return np.zeros(time.shape, dtype=int)
 
     monkeypatch.setattr(sim, "_draw_block", draw)
-    outcome = run_replication(scenario, 0).outcome
+    outcome = decision_procedure(SurvivalSample.from_arms(rx, c), 0.05)
     assert outcome.p_value < 0.05 and outcome.tie and outcome.claim is Claim.NO_CLAIM
     assert list(sim._tally_chunk(scenario, range(3))) == [3, 0, 0, 3, 3]
     report = run_study(scenario, workers=1)
     assert (report.rejections, report.rx_longer, report.c_longer, report.ties) == (3, 0, 0, 3)
-
-
-def test_run_replication_is_deterministic(small_scenario):
-    a = run_replication(small_scenario, 7)
-    b = run_replication(small_scenario, 7)
-    assert a == b
-    assert a.rep == 7
-    assert isinstance(a.cox_rejected, bool)
-
-
-def test_run_replication_builds_one_risk_table(small_scenario, monkeypatch, count_builds):
-    # the log-rank test, both product-limit medians and the Cox fit share
-    # one sort, one table, one set of log-rank terms and one curve per arm
-    samples = {rep: simulate_sample(small_scenario, rep) for rep in range(3)}
-    monkeypatch.setattr(sim, "simulate_sample", lambda scenario, rep: samples[rep])
-    counts = count_builds()
-    for rep in range(3):
-        run_replication(small_scenario, rep)
-    assert counts == {
-        "sorts": [((small_scenario.config.n_total,), "stable")] * 3, "curves": 6,
-        "_risk_tables": 3, "_logrank_terms": 3, "weibull_mle": 0, "km_fit": 0,
-    }
-
-
-def test_section3_cox_fits_take_four_passes_and_no_log(monkeypatch):
-    # each row starts from its block's log-rank step (O - E)/V, so a block's
-    # fit takes three Newton passes, or two, and the final information pass;
-    # no pass evaluates the log partial likelihood
-    counts = {"_cox_rows": 0, "_exp": 0, "log": 0}
-    solving = []
-    cox_rows, exp, log = estim._cox_rows, estim._exp, np.log
-
-    def counting_rows(*args):
-        counts["_cox_rows"] += 1
-        solving.append(True)
-        try:
-            return cox_rows(*args)
-        finally:
-            solving.pop()
-
-    def counting_exp(beta):
-        counts["_exp"] += 1
-        return exp(beta)
-
-    def counting_log(*args, **kwargs):
-        counts["log"] += bool(solving)
-        return log(*args, **kwargs)
-
-    for module in (estim, sim):
-        monkeypatch.setattr(module, "_cox_rows", counting_rows)
-    monkeypatch.setattr(estim, "_exp", counting_exp)
-    monkeypatch.setattr(np, "log", counting_log)
-    run_study(realize_scenario(section3_config(replications=2000)), workers=1)
-    assert counts["_cox_rows"] == 2000 // sim._BLOCK
-    assert counts["_exp"] <= 4 * counts["_cox_rows"]
-    assert counts["log"] == 0
 
 
 def test_run_study_worker_count_is_invisible(pool_scenario):
@@ -327,23 +373,7 @@ def test_run_study_worker_count_is_invisible(pool_scenario):
     assert seq.replications == 4 * sim._MIN_CHUNK + 30
 
 
-# ----------------------------------------------------------- block evaluation
-
-def _streams(scenario, reps):
-    """The seed streams of trials ``reps``, as a study derives them."""
-    return sim._pcg64_states(scenario.config.master_seed, reps, sim._TAILS)
-
-
-def _rx_stream(scenario, rep):
-    """Trial ``rep``'s Rx times stream, by which a drawn row is known."""
-    return _streams(scenario, [rep])["times", "Rx"][0]
-
-
-def _evaluate_drawn_block(scenario, reps):
-    time = np.empty((len(reps), scenario.config.n_total))
-    sim._draw_block(scenario, _streams(scenario, reps), time, np.random.Generator(np.random.PCG64(0)))
-    return sim._evaluate_block(scenario, reps, time)
-
+# ------------------------------------------------------- the study's tally
 
 @pytest.mark.parametrize(
     "config, reps",
@@ -354,30 +384,32 @@ def _evaluate_drawn_block(scenario, reps):
     ],
     ids=["section3", "criterion4-null", "section3-n20"],
 )
-def test_block_matches_run_replication_row_by_row(config, reps):
+def test_tally_matches_each_row_at_its_own_p_values(config, reps):
+    # each trial's tally is its own sample's at the test levels a relative
+    # 1e-12 either side of its log-rank and its Cox p-value: the study reads
+    # both p-values, and the order of the medians, as the sample does
     scenario = realize_scenario(config)
-    block = _evaluate_drawn_block(scenario, list(range(reps)))
-    for got in block:
-        want = run_replication(scenario, got.rep)
-        assert got.outcome.claim is want.outcome.claim
-        assert got.outcome.tie == want.outcome.tie
-        assert got.cox_rejected == want.cox_rejected
-        assert (got.outcome.median_rx, got.outcome.median_c) == (
-            want.outcome.median_rx,
-            want.outcome.median_c,
-        )
-        assert got.outcome.p_value == pytest.approx(want.outcome.p_value, rel=1e-12, abs=0)
-        z_got, z_want = (r.cox[0] / r.cox[1] for r in (got, want))
-        assert z_got == pytest.approx(z_want, rel=1e-12, abs=0)
+    for rep, time in enumerate(_oracle_rows(scenario, range(reps))):
+        sample = _sample(scenario, time)
+        p_values = (decision_procedure(sample, 0.5).p_value, wald_test_cox(sample)[1])
+        for alpha in sorted({p * (1.0 + side * 1e-12) for p in p_values for side in (-1, 1)}):
+            if 0.0 < alpha < 1.0:
+                got = sim._tally_chunk(_at_alpha(scenario, alpha), [rep])
+                assert list(got) == _per_sample_tally(scenario, [time], alpha), (rep, alpha)
 
 
-def test_block_of_seed_153_keeps_the_fit_that_once_stalled():
-    # replication 3 of master seed 153 stalled under the old absolute-score stop
+def test_block_of_seed_153_keeps_the_fit_that_once_stalled(monkeypatch):
+    # replication 3 of master seed 153 stalled under the old absolute-score
+    # stop: its block reads every trial, none on its own sample, and its
+    # Cox rejection is its sample's a relative 1e-12 either side of its p
     scenario = realize_scenario(section3_config(master_seed=153))
-    got = _evaluate_drawn_block(scenario, [0, 1, 2, 3, 4])[3]
-    log_hr, se = estim.cox_fit_two_arm(simulate_sample(scenario, 3))
-    assert got.cox[0] == pytest.approx(log_hr, rel=1e-12, abs=0)
-    assert got.cox[1] == pytest.approx(se, rel=1e-12, abs=0)
+    rows = _oracle_rows(scenario, range(5))
+    fallbacks = _counting(monkeypatch, "decision_procedure")
+    p_cox = wald_test_cox(_sample(scenario, rows[3]))[1]
+    for alpha in (scenario.config.alpha, p_cox * (1.0 - 1e-12), p_cox * (1.0 + 1e-12)):
+        got = sim._tally_chunk(_at_alpha(scenario, alpha), range(5))
+        assert list(got) == _per_sample_tally(scenario, rows, alpha), alpha
+    assert fallbacks == []
 
 
 def test_simulate_seed_153_tally(tmp_path):
@@ -389,34 +421,42 @@ def test_simulate_seed_153_tally(tmp_path):
 
 
 def test_tied_and_separated_rows_fall_back_to_their_own_samples(monkeypatch):
+    # one drawn block holds regular rows, a row with a tied time and a row
+    # whose arms separate the event order, so that its Cox fit fails. Each
+    # irregular row is read on a sample of its own buffer row: no trial is
+    # derived or drawn a second time
     scenario = realize_scenario(section3_config(n_total=20))
     tied = np.arange(1.0, 21.0)
     tied[3] = tied[12]
     separated = np.concatenate([np.arange(11.0, 21.0), np.arange(1.0, 11.0)])
-    rows = {_rx_stream(scenario, rep): row for rep, row in enumerate([tied, separated])}
+    reps = range(sim._BLOCK + 3)
+    rows = _oracle_rows(scenario, reps)
+    rows[2] = tied
 
-    def draw(scenario, streams, time, gen):
-        time[:] = [rows[state] for state in streams["times", "Rx"]]
-        return np.zeros(time.shape, dtype=int)
+    def refuse(scenario, rep):
+        raise AssertionError("a trial was drawn again")
 
-    fallbacks = []
+    only_tied = _replacing_draw(scenario, {2: tied})
+    with_separated = _replacing_draw(scenario, {2: tied, 5: separated})
+    monkeypatch.setattr(sim, "simulate_sample", refuse)
+    fallbacks = _counting(monkeypatch, "decision_procedure")
+    monkeypatch.setattr(sim, "_draw_block", only_tied)
+    drawn = _recording_draws(monkeypatch)
+    assert list(sim._tally_chunk(scenario, reps)) == _per_sample_tally(scenario, rows)
+    assert len(drawn) == math.ceil(len(reps) / sim._BLOCK)
+    _assert_drawn_rows(drawn, rows)
+    assert len(fallbacks) == 1
+    np.testing.assert_array_equal(fallbacks[0][0].time, tied)
 
-    def counting(scenario, rep):
-        fallbacks.append(rep)
-        return run_replication(scenario, rep)
-
-    monkeypatch.setattr(sim, "_draw_block", draw)
     with pytest.raises(NumericalError) as per_sample:
-        estim.cox_fit_two_arm(simulate_sample(scenario, 1))
-    tied_result = run_replication(scenario, 0)
-    monkeypatch.setattr(sim, "run_replication", counting)
-    time = np.stack([tied, separated])
-    with pytest.raises(NumericalError) as batched:
-        sim._evaluate_block(scenario, [0, 1], time)
-    assert fallbacks == [0, 1]
-    assert str(batched.value) == str(per_sample.value)
-    assert batched.value.diagnostics == per_sample.value.diagnostics
-    assert sim._evaluate_block(scenario, [0], time[:1]) == [tied_result]
+        cox_fit_two_arm(_sample(scenario, separated))
+    monkeypatch.setattr(sim, "_draw_block", with_separated)
+    fallbacks.clear()
+    with pytest.raises(NumericalError) as tally:
+        sim._tally_chunk(scenario, reps)
+    assert str(tally.value) == str(per_sample.value)
+    assert tally.value.diagnostics == per_sample.value.diagnostics
+    assert [args[0].time.tolist() for args in fallbacks] == [tied.tolist(), separated.tolist()]
 
 
 def test_run_study_blocks_are_invisible():
@@ -426,11 +466,8 @@ def test_run_study_blocks_are_invisible():
     scenario = realize_scenario(section3_config(replications=reps))
     seq = run_study(scenario, workers=1)
     assert run_study(scenario, workers=2) == seq
-    per_sample = [run_replication(scenario, rep) for rep in range(reps)]
-    assert seq.rejections == sum(r.outcome.p_value < 0.05 for r in per_sample)
-    assert seq.rx_longer == sum(r.outcome.claim is Claim.RX_LONGER_MEDIAN for r in per_sample)
-    assert seq.c_longer == sum(r.outcome.claim is Claim.C_LONGER_MEDIAN for r in per_sample)
-    assert seq.cox_rejections == sum(r.cox_rejected for r in per_sample)
+    counts = (seq.rejections, seq.rx_longer, seq.c_longer, seq.ties, seq.cox_rejections)
+    assert list(counts) == _per_sample_tally(scenario, _oracle_rows(scenario, range(reps)))
 
 
 THREE_SUBGROUPS = ScenarioConfig(
@@ -446,8 +483,8 @@ THREE_SUBGROUPS = ScenarioConfig(
 
 @pytest.mark.parametrize(
     "config",
-    [section3_config(), section3_config(n_total=20), THREE_SUBGROUPS],
-    ids=["section3", "section3-n20", "three-subgroups"],
+    [section3_config(), section3_config(n_total=20), THREE_SUBGROUPS, section3_config(master_seed=5)],
+    ids=["section3", "section3-n20", "three-subgroups", "section3-seed5"],
 )
 @pytest.mark.parametrize(
     "reps",
@@ -459,20 +496,14 @@ THREE_SUBGROUPS = ScenarioConfig(
     ids=["range37", "strided", "wide-reps"],
 )
 def test_tally_draws_match_the_per_trial_oracle(config, reps, monkeypatch):
+    # the study draws each trial's row as the per-trial oracle does, bit for
+    # bit and in order, and its tally is the per-sample one of those rows
     scenario = realize_scenario(config)
-    drawn = []
-    evaluate = sim._evaluate_block
-
-    def recording(scenario, block, time):
-        drawn.extend(zip(block, time.copy()))
-        return evaluate(scenario, block, time)
-
-    monkeypatch.setattr(sim, "_evaluate_block", recording)
-    sim._tally_chunk(scenario, reps)
-    assert [rep for rep, _ in drawn] == reps
-    for rep, row in drawn:
-        want, _ = draw_trial(scenario, rep)
-        np.testing.assert_array_equal(row.view(np.uint64), want.view(np.uint64))
+    drawn = _recording_draws(monkeypatch)
+    tally = sim._tally_chunk(scenario, reps)
+    rows = _oracle_rows(scenario, reps)
+    _assert_drawn_rows(drawn, rows)
+    assert list(tally) == _per_sample_tally(scenario, rows)
     sample = simulate_sample(scenario, reps[-1])
     want, g_idx = draw_trial(scenario, reps[-1])
     np.testing.assert_array_equal(sample.time.view(np.uint64), want.view(np.uint64))
@@ -480,26 +511,24 @@ def test_tally_draws_match_the_per_trial_oracle(config, reps, monkeypatch):
     np.testing.assert_array_equal(sample.strata["subgroup"], labels[g_idx])
 
 
-@pytest.mark.parametrize("seed, rep", [(210615, 0), (5, 2**32 + 1), (2**64 + 5, 7)])
-def test_one_row_uniforms_equal_the_block_route(seed, rep):
-    # a single rep and a block derive their states by the same route, every
-    # tail in one pass; each tail's row is numpy's own stream (rep, *tail)
-    # bit for bit, and simulate_sample's trial is the per-trial oracle's
-    scenario = realize_scenario(section3_config(master_seed=seed, n_total=50))
-    one = _streams(scenario, [rep])
-    block = _streams(scenario, [rep + 1, rep, 2**33])
-    assert sorted(one) == sorted(block) == [("membership",), ("times", "C"), ("times", "Rx")]
-    gen = np.random.Generator(np.random.PCG64(0))
-    for tail in one:
-        u_one, u_block = sim._uniforms(gen, one[tail], 50), sim._uniforms(gen, block[tail], 50)
-        want = seed_stream(seed, rep, *tail).random(50)
-        np.testing.assert_array_equal(u_one[0].view(np.uint64), want.view(np.uint64))
-        np.testing.assert_array_equal(u_block[1].view(np.uint64), want.view(np.uint64))
-    sample = simulate_sample(scenario, rep)
-    want, g_idx = draw_trial(scenario, rep)
-    np.testing.assert_array_equal(sample.time.view(np.uint64), want.view(np.uint64))
-    labels = np.array([g.label for g in scenario.subgroups])
-    np.testing.assert_array_equal(sample.strata["subgroup"], labels[g_idx])
+def _recording_derivations(monkeypatch):
+    """The reps of each seed-stream derivation, in order: a derivation
+    hashes the master seed's part of every stream once (``rng._seed_pool``)
+    and then encodes each of its reps, an int, once."""
+    derived, seed_pool, encode = [], rng._seed_pool, rng.encode_path_part
+
+    def pooling(seed):
+        derived.append([])
+        return seed_pool(seed)
+
+    def encoding(part):
+        if isinstance(part, int) and derived:
+            derived[-1].append(part)
+        return encode(part)
+
+    monkeypatch.setattr(rng, "_seed_pool", pooling)
+    monkeypatch.setattr(rng, "encode_path_part", encoding)
+    return derived
 
 
 @pytest.mark.parametrize(
@@ -510,62 +539,42 @@ def test_one_row_uniforms_equal_the_block_route(seed, rep):
 @pytest.mark.parametrize("reps", [range(300), range(0, 900, 3)], ids=["range300", "strided"])
 def test_tally_draws_cross_the_stream_derivation_boundary(config, reps, monkeypatch):
     # seed streams are derived 256 replications at a time, every tail in one
-    # call, and drawn sim._BLOCK rows at a time; the rows on both sides of
-    # the boundary are each trial's own
+    # derivation, and drawn sim._BLOCK rows at a time; the rows on both
+    # sides of the boundary are each trial's own, and so is the tally
     assert sim._STREAM_ROWS == 256
     scenario = realize_scenario(config)
-    drawn, derived = [], []
-    evaluate, derive = sim._evaluate_block, sim._pcg64_states
+    drawn = _recording_draws(monkeypatch)
+    derived = _recording_derivations(monkeypatch)
+    tally = sim._tally_chunk(scenario, reps)
+    assert derived == [list(reps[:256]), list(reps[256:])]
+    rows = _oracle_rows(scenario, reps)
+    _assert_drawn_rows(drawn, rows)
+    assert list(tally) == _per_sample_tally(scenario, rows)
 
-    def recording(scenario, block, time):
-        drawn.extend(zip(block, time.copy()))
-        return evaluate(scenario, block, time)
 
-    def counting(master_seed, group, tails):
-        derived.append((list(group), sorted(tails)))
-        return derive(master_seed, group, tails)
-
-    monkeypatch.setattr(sim, "_evaluate_block", recording)
-    monkeypatch.setattr(sim, "_pcg64_states", counting)
-    sim._tally_chunk(scenario, reps)
-    assert [rep for rep, _ in drawn] == list(reps)
-    for at in (0, 255, 256, 257, 299):
-        rep, row = drawn[at]
-        want, _ = draw_trial(scenario, rep)
-        np.testing.assert_array_equal(row.view(np.uint64), want.view(np.uint64))
-    want_tails = sorted([("times", "Rx"), ("times", "C"), ("membership",)])
-    assert derived == [(list(reps[:256]), want_tails), (list(reps[256:]), want_tails)]
+@pytest.fixture(scope="module")
+def oracle_263():
+    """A 263-replication scenario, its trials' oracle rows and their
+    per-sample tally."""
+    scenario = realize_scenario(section3_config(n_total=60, replications=263))
+    rows = _oracle_rows(scenario, range(263))
+    return scenario, rows, _per_sample_tally(scenario, rows)
 
 
 @pytest.mark.parametrize("block", [1, 3, 8])
 @pytest.mark.parametrize("stream_rows", [5, 256])
-def test_tally_is_the_same_for_any_block_and_derivation_size(block, stream_rows, monkeypatch):
+def test_tally_is_the_same_for_any_block_and_derivation_size(block, stream_rows, monkeypatch, oracle_263):
     # 263 replications: derived 5 at a time, each derivation ends in a
     # partial block of 2 (blocks of 3) or 5 (blocks of 8); derived 256 at a
     # time, blocks of 3 end partial on both sides of the boundary (256 and 7
-    # rows) and blocks of 8 after it. The tally is the per-sample one
-    scenario = realize_scenario(section3_config(n_total=60, replications=263))
-    per_sample = [run_replication(scenario, rep) for rep in range(263)]
-    outcomes = [r.outcome for r in per_sample]
-    want = [
-        sum(o.claim is not Claim.NO_CLAIM or o.tie for o in outcomes),
-        sum(o.claim is Claim.RX_LONGER_MEDIAN for o in outcomes),
-        sum(o.claim is Claim.C_LONGER_MEDIAN for o in outcomes),
-        sum(o.claim is Claim.NO_CLAIM and o.tie for o in outcomes),
-        sum(r.cox_rejected for r in per_sample),
-    ]
-    drawn = []
-    evaluate = sim._evaluate_block
-
-    def recording(scenario, reps, time):
-        drawn.extend(reps)
-        return evaluate(scenario, reps, time)
-
+    # rows) and blocks of 8 after it. The rows are the oracle's, in order,
+    # and the tally is the per-sample one
+    scenario, rows, want = oracle_263
     monkeypatch.setattr(sim, "_BLOCK", block)
     monkeypatch.setattr(sim, "_STREAM_ROWS", stream_rows)
-    monkeypatch.setattr(sim, "_evaluate_block", recording)
+    drawn = _recording_draws(monkeypatch)
     assert list(sim._tally_chunk(scenario, range(263))) == want
-    assert drawn == list(range(263))
+    _assert_drawn_rows(drawn, rows)
 
 
 def test_tally_chunk_memory_does_not_grow_with_replications():
@@ -585,18 +594,13 @@ def test_tally_chunk_memory_does_not_grow_with_replications():
     assert peaks[1] <= 1.10 * peaks[0], peaks
 
 
-def test_run_study_evaluates_section3_without_fallback(monkeypatch):
-    calls = {"_risk_tables": 0, "run_replication": 0}
-    for module, name in ((estim, "_risk_tables"), (sim, "run_replication")):
-        original = getattr(module, name)
-
-        def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(module, name, counting)
+def test_run_study_evaluates_section3_without_fallback(monkeypatch, count_builds):
+    # every section3 trial is read off its block: none builds a risk table
+    # of its own or goes to the per-sample procedure
+    fallbacks = _counting(monkeypatch, "decision_procedure")
+    counts = count_builds()
     run_study(realize_scenario(section3_config(replications=40)), workers=1)
-    assert calls == {"_risk_tables": 0, "run_replication": 0}
+    assert (counts["_risk_tables"], len(fallbacks)) == (0, 0)
 
 
 class _InlinePool:
@@ -705,40 +709,17 @@ def test_run_study_starts_no_pool_below_two_minimum_shares(monkeypatch, inline_s
     _assert_shares(inline_shares, reps, pool)
 
 
-def _failing_draw(scenario, failing):
-    """A stand-in for sim._draw_block that draws every trial as usual but
-    overwrites the row of each rep in ``failing`` with arms that separate
-    the event order, Rx longer for the first rep and shorter for the next,
-    so that their Cox fits fail with different diagnostics."""
-    n_rx = scenario.n_rx
-    rows = {}
-    for rep, rx_longer in zip(failing, (True, False)):
-        low, high = np.arange(1.0, n_rx + 1.0), np.arange(n_rx + 1.0, 2.0 * n_rx + 1.0)
-        rows[_rx_stream(scenario, rep)] = (
-            np.concatenate([high, low]) if rx_longer else np.concatenate([low, high])
-        )
-    draw = sim._draw_block
-
-    def stand_in(scenario, streams, time, gen):
-        g_idx = draw(scenario, streams, time, gen)
-        for row, state in zip(time, streams["times", "Rx"]):
-            if state in rows:
-                row[:] = rows[state]
-        return g_idx
-
-    return stand_in
-
-
 @pytest.mark.parametrize("workers", [1, 2, None])
 def test_a_failing_study_raises_its_first_failing_replication(monkeypatch, fresh_pool, workers):
     # rep 3 is the parent's and rep 180 another process's whenever the
     # study splits; either way the error is rep 3's, as a sequential run's
     scenario = realize_scenario(section3_config(n_total=20, replications=200))
-    monkeypatch.setattr(sim, "_draw_block", _failing_draw(scenario, [3, 180]))
+    rows = _separated_rows(scenario, [3, 180])
+    monkeypatch.setattr(sim, "_draw_block", _replacing_draw(scenario, rows))
     with pytest.raises(NumericalError) as rep3:
-        run_replication(scenario, 3)
+        cox_fit_two_arm(_sample(scenario, rows[3]))
     with pytest.raises(NumericalError) as rep180:
-        run_replication(scenario, 180)
+        cox_fit_two_arm(_sample(scenario, rows[180]))
     assert rep3.value.diagnostics != rep180.value.diagnostics
     with pytest.raises(NumericalError) as study:
         run_study(scenario, workers=workers)
@@ -752,7 +733,8 @@ def test_a_failing_study_raises_its_first_failing_share(monkeypatch, inline_shar
     config = section3_config(n_total=20, replications=4 * sim._MIN_CHUNK)
     scenario = realize_scenario(config)
     first, second = 2 * sim._MIN_CHUNK + 7, 3 * sim._MIN_CHUNK + 7
-    monkeypatch.setattr(sim, "_draw_block", _failing_draw(scenario, [first, second]))
+    rows = _separated_rows(scenario, [first, second])
+    monkeypatch.setattr(sim, "_draw_block", _replacing_draw(scenario, rows))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     with pytest.raises(NumericalError) as want:
         run_study(scenario, workers=1)
@@ -762,7 +744,7 @@ def test_a_failing_study_raises_its_first_failing_share(monkeypatch, inline_shar
     assert len(inline_shares) == 3  # the last share is never read
     assert got.value.diagnostics == want.value.diagnostics
     with pytest.raises(NumericalError) as rep:
-        run_replication(scenario, first)
+        cox_fit_two_arm(_sample(scenario, rows[first]))
     assert want.value.diagnostics == rep.value.diagnostics
 
 
@@ -916,7 +898,7 @@ def test_a_failed_parent_share_leaves_no_share_running(monkeypatch, fresh_pool, 
     _allow_cpus(monkeypatch)
     scenario = realize_scenario(section3_config(n_total=20, replications=2 * sim._MIN_CHUNK))
     log = tmp_path / "worker-draws"
-    parent, failing = os.getpid(), _failing_draw(scenario, [0])
+    parent, failing = os.getpid(), _replacing_draw(scenario, _separated_rows(scenario, [0]))
 
     def draw(scenario, streams, rows, gen):
         if os.getpid() == parent:
