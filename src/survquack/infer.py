@@ -11,6 +11,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._pool import run_shares
 from .dist import _TINY, _positive
 from .errors import NOT_REACHED, DomainError
 from .estim import ARM_C, ARM_RX, SurvivalSample, _pair_stats, km_median
@@ -33,6 +34,12 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 MC_REPS = 2000  # Monte Carlo draws per acceptance region of the pivot
 _BLOCK_KEYS = 50_000  # sort keys per row block of an acceptance region (about 400 kB)
+# fewest row blocks the pivot gives a process. Handing a share to the warm
+# worker pool and collecting it costs 1-3 ms, and the two processes slow
+# each other; on a 2-core host, 250 calls at n + m = 150 or 200 took 8-20%
+# less time split in two, and 500 calls at n + m = 100 no less. With
+# three blocks, MC_REPS rows split in two only from n + m = 150 on
+_MIN_SHARE_BLOCKS = 3
 
 
 def _two_sided_p(z):
@@ -171,40 +178,48 @@ def _cross_counts(theta, v, u, keys, positions, rows=None):
     return keys.view(np.int64) @ positions - n * (n - 1) // 2
 
 
-def _null_blocks(n, m, mc_reps, rng):
-    """Yield (v, u, keys, positions) for successive row blocks of the null
-    draws: v = -log a over ``m`` reference uniforms a and u = -log b over
-    ``n`` treated uniforms b per row (each clamped at ``_TINY``), so that
-    b ** (1 / theta) <= a reads theta * v <= u, with the block's key
-    buffer for ``_cross_counts``.
+def _block_rows(n, m):
+    """Rows of one block of null draws: about ``_BLOCK_KEYS`` sort keys."""
+    return max(1, _BLOCK_KEYS // (n + m))
 
-    ``rng`` is a PCG64 generator (as ``derive_rng`` returns). It supplies
-    all ``mc_reps * m`` reference uniforms, then all ``mc_reps * n`` treated
-    ones, and is left just past them. Blocks hold about ``_BLOCK_KEYS``
-    sort keys; one block of buffers is refilled in place, so each block is
-    consumed before the next is drawn.
+
+def _null_blocks(n, m, mc_reps, rng, rows):
+    """Yield (v, u, keys, positions) for successive row blocks of the null
+    rows ``rows``, a range within 0..mc_reps-1: v = -log a over ``m``
+    reference uniforms a and u = -log b over ``n`` treated uniforms b per
+    row (each clamped at ``_TINY``), so that b ** (1 / theta) <= a reads
+    theta * v <= u, with the block's key buffer for ``_cross_counts``.
+
+    ``rng`` is a PCG64 generator (as ``derive_rng`` returns) and is not
+    moved. Its stream holds all ``mc_reps * m`` reference uniforms, then
+    all ``mc_reps * n`` treated ones, so row r's start at r * m and at
+    mc_reps * m + r * n. Blocks hold about ``_BLOCK_KEYS`` sort keys; one
+    block of buffers is refilled in place, so each block is consumed before
+    the next is drawn.
     """
-    rows = min(mc_reps, max(1, _BLOCK_KEYS // (n + m)))
-    a, b = np.empty((rows, m)), np.empty((rows, n))
-    keys = np.empty((rows, n + m), dtype=np.uint64)
+    size = min(len(rows), _block_rows(n, m))
+    a, b = np.empty((size, m)), np.empty((size, n))
+    keys = np.empty((size, n + m), dtype=np.uint64)
     positions = np.arange(n + m)
-    # the treated uniforms come from a copy of the stream advanced past the
-    # reference ones, so each block reads its rows of both in stream order
-    bits = np.random.PCG64(0)
-    bits.state = rng.bit_generator.state
-    bits.advance(mc_reps * m)
-    treated = np.random.Generator(bits)
-    for start in range(0, mc_reps, rows):
-        size = min(rows, mc_reps - start)
+    # a copy of the stream advanced to the first row's reference uniforms,
+    # and one advanced to its treated ones, each read in stream order
+    streams = []
+    for skip in (rows.start * m, mc_reps * m + rows.start * n):
+        bits = np.random.PCG64(0)
+        bits.state = rng.bit_generator.state
+        bits.advance(skip)
+        streams.append(np.random.Generator(bits))
+    reference, treated = streams
+    for start in range(rows.start, rows.stop, size):
+        size = min(size, rows.stop - start)
         v, u = a[:size], b[:size]
-        rng.random(out=v)
+        reference.random(out=v)
         treated.random(out=u)
         for x in (v, u):
             np.maximum(x, _TINY, out=x)
             np.log(x, out=x)
             np.negative(x, out=x)
         yield v, u, keys[:size], positions
-    rng.bit_generator.advance(mc_reps * n)
 
 
 def _null_cut(level, mc_reps, n, m):
@@ -240,10 +255,11 @@ def mw_acceptance_region(n, m, theta, level, mc_reps, rng):
     n, m, mc_reps = int(n), int(m), int(mc_reps)  # PCG64.advance takes no numpy integer
     counts = np.empty(mc_reps, dtype=np.int64)
     start = 0
-    for v, u, keys, positions in _null_blocks(n, m, mc_reps, rng):
+    for v, u, keys, positions in _null_blocks(n, m, mc_reps, rng, range(mc_reps)):
         rows = v.shape[0]
         counts[start:start + rows] = _cross_counts(np.full(rows, theta), v, u, keys, positions)
         start += rows
+    rng.bit_generator.advance(mc_reps * (n + m))
     counts.sort()
     return float(counts[k]), float(counts[mc_reps - 1 - k])
 
@@ -304,6 +320,27 @@ def _first_at_most(grid, limit, v, u, keys, positions, lo=0):
     return first, at
 
 
+def _first_crossings(grid, observed, n, m, rng, rows):
+    """first[0][i], first[1][i]: how many of the null rows ``rows`` (drawn
+    as ``_null_blocks`` draws them from ``rng``) have a count that first
+    falls to floor(observed), and below ceil(observed), at grid[i]
+    (i = grid.size: nowhere on the grid)."""
+    floor = math.floor(observed)
+    first = np.zeros((2, grid.size + 1), dtype=np.int64)
+    for v, u, keys, positions in _null_blocks(n, m, MC_REPS, rng, rows):
+        index, count = _first_at_most(grid, floor, v, u, keys, positions)
+        first[0] += np.bincount(index, minlength=grid.size + 1)
+        if observed == floor:
+            # a row falls below a whole count where it falls to it or below,
+            # unless its count there equals the observed one
+            tie = np.flatnonzero(count == floor)
+            index[tie] = _first_at_most(
+                grid, floor - 1, v[tie], u[tie], keys, positions, index[tie] + 1
+            )[0]
+        first[1] += np.bincount(index, minlength=grid.size + 1)
+    return first
+
+
 @dataclass(frozen=True)
 class ConfidenceSet:
     """Grid-based confidence set for the survival-curve exponent.
@@ -339,7 +376,11 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, seed=0) -> ConfidenceS
     below; for a whole observed count, only the rows whose count there
     equals it search on for where they fall below it. The regions' ends
     follow from how many rows have passed each point, and the accepted set
-    is always one run of grid points.
+    is always one run of grid points. The rows split into contiguous
+    shares among the usable CPUs (``_pool.run_shares``): the calling
+    process searches the first while the warm worker pool searches the
+    rest, and the shares' counts add, so the set does not depend on how
+    many CPUs there are.
 
     Exponents above 1 mean the Rx arm dies faster, so data with Rx living
     much longer pushes the whole accepted hull below 1.
@@ -362,21 +403,8 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, seed=0) -> ConfidenceS
         ):
             raise DomainError("grid must be a strictly increasing, positive and finite 1-d array")
     observed = mw_pair_count(rx, c)
-    floor = math.floor(observed)
-    # first[0][i], first[1][i]: rows whose count first falls to floor(observed),
-    # and below ceil(observed), at grid[i] (i = grid.size: nowhere on the grid)
-    first = np.zeros((2, grid.size + 1), dtype=np.int64)
-    for v, u, keys, positions in _null_blocks(n, m, MC_REPS, derive_rng(seed, "mw-pivot")):
-        index, count = _first_at_most(grid, floor, v, u, keys, positions)
-        first[0] += np.bincount(index, minlength=grid.size + 1)
-        if observed == floor:
-            # a row falls below a whole count where it falls to it or below,
-            # unless its count there equals the observed one
-            tie = np.flatnonzero(count == floor)
-            index[tie] = _first_at_most(
-                grid, floor - 1, v[tie], u[tie], keys, positions, index[tie] + 1
-            )[0]
-        first[1] += np.bincount(index, minlength=grid.size + 1)
+    args = (grid, observed, n, m, derive_rng(seed, "mw-pivot"))
+    first = run_shares(_first_crossings, args, MC_REPS, _MIN_SHARE_BLOCKS * _block_rows(n, m))
     # rows counting at most floor(observed), and below ceil(observed), at each point
     at_most, below = first[:, :-1].cumsum(axis=1)
     # the region's low end is at most observed iff more than k rows count

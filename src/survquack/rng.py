@@ -11,7 +11,6 @@ their SHA-256 digest, read big-endian. Equal inputs always yield the same
 generator and distinct paths yield statistically independent streams, so
 replications, arms, and grid points can be drawn concurrently (or in any
 order) and still reproduce the sequential results bit for bit.
-``_usable_cpus`` sizes the pools that do so.
 
 ``_pcg64_states`` derives the streams (master_seed, rep, *tail) of many
 replications and several tails at once, hashing each rep once for all
@@ -23,7 +22,6 @@ numpy's own route, which is cheaper for a single stream.
 
 import functools
 import hashlib
-import os
 
 import numpy as np
 
@@ -185,12 +183,3 @@ def _pcg64_states(master_seed, reps, tails):
                 state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
                 states[tail][at] = (state, inc)
     return states
-
-
-def _usable_cpus():
-    """CPUs this process may run on: its affinity set where the platform
-    reports one, else the machine's CPU count, and at least 1."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1

@@ -15,16 +15,13 @@ read on a sample of its own row of the block, never drawn again.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
 
+from ._pool import run_shares
 from .dist import (
     _TINY,
     MixtureCurve,
@@ -46,7 +43,7 @@ from .estim import (
     tr_to_hr,
 )
 from .infer import Claim, _logrank_result, _wald, decision_procedure, wald_test_cox
-from .rng import _pcg64_states, _usable_cpus
+from .rng import _pcg64_states
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
@@ -137,7 +134,13 @@ class RealizedScenario:
         return MixtureCurve(tuple((g.prevalence, g.rx if rx else g.c) for g in self.subgroups))
 
     def arm_median(self, rx: bool) -> float:
-        return quantile(self.arm_mixture(rx), 0.5)
+        return self._arm_medians[bool(rx)]
+
+    @cached_property
+    def _arm_medians(self) -> dict:
+        # solved once per arm: realize_scenario checks both and the
+        # simulate report prints both
+        return {rx: quantile(self.arm_mixture(rx), 0.5) for rx in (True, False)}
 
     @cached_property
     def _cum_prevalence(self) -> np.ndarray:
@@ -468,87 +471,24 @@ class DirectionalErrorReport:
         return self.cox_rejections / self.replications
 
 
-def _shares(reps: int, workers: int | None) -> list:
-    """Contiguous ranges that split replications 0..reps-1 among the
-    processes, the parent's first. ``workers`` counts the parent and
-    defaults to the usable CPUs (``rng._usable_cpus``); it is capped by
-    them and so that each share holds at least ``_MIN_CHUNK`` replications."""
-    cpus = _usable_cpus()
-    workers = min(workers or cpus, cpus, max(1, reps // _MIN_CHUNK))
-    bounds = [reps * k // workers for k in range(workers + 1)]
-    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
-# The worker pool kept warm across studies, under "pool" as (executor,
-# process count) once the first split starts it, and under "lock" the lock
-# that makes taking the pool and submitting to it one step for each study.
-# A forked child empties the dict: the pool is its parent's, and so is the
-# lock if a parent thread held it. The fork hook is the dict's own builtin
-# method, so it keeps no copy of this module alive when the package is
-# imported again.
-_warm = {}
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_warm.clear)
-
-
-def _shutdown_pool():
-    """Shut the warm pool down, if there is one, and wait for its
-    processes to exit."""
-    pool, _ = _warm.pop("pool", (None, 0))
-    if pool is not None:
-        pool.shutdown()
-
-
-def _worker_pool(size: int) -> ProcessPoolExecutor:
-    """The warm pool, first started, or replaced by one of ``size``
-    processes when it has fewer. Its workers run this module as it was
-    when the pool started; interpreter exit shuts it down through
-    ``concurrent.futures``' own exit hook. Call it holding the pool lock."""
-    pool, pool_size = _warm.get("pool", (None, 0))
-    if pool_size < size:
-        _shutdown_pool()  # before the new pool forks
-        pool = ProcessPoolExecutor(max_workers=size)
-        _warm["pool"] = pool, size
-    return pool
-
-
-def _pool_lock() -> threading.Lock:
-    # made on first use, by one atomic setdefault, in a forked child too
-    return _warm.setdefault("lock", threading.Lock())
-
-
 def run_study(scenario: RealizedScenario, workers: int | None = None) -> DirectionalErrorReport:
     """Run the config's replications and tally directional claims.
 
     Replication ``i`` always uses the stream derived from
     (master_seed, i), so the tally is bit-identical for any ``workers``
-    value. The replications split into contiguous shares (``_shares``):
-    the parent tallies the first while the warm worker pool
-    (``_worker_pool``) tallies the rest, and the counts add. A failing
-    study raises the error of its first failing replication, whatever the
-    worker count, and leaves none of its shares running; a broken pool is
-    dropped, and the next study that splits starts a new one.
+    value. The replications split into contiguous shares of at least
+    ``_MIN_CHUNK`` (``_pool.run_shares``): the parent tallies the first
+    while the warm worker pool tallies the rest, and the counts add.
+    ``workers`` counts the parent and defaults to the usable CPUs. A
+    failing study raises the error of its first failing replication,
+    whatever the worker count, and leaves none of its shares running; a
+    broken pool is dropped, and the next study that splits starts a new
+    one.
     """
     if workers is not None and workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     reps = scenario.config.replications
-    first, *rest = _shares(reps, workers)
-    parts = []
-    try:
-        if rest:
-            with _pool_lock():
-                pool = _worker_pool(len(rest))
-                parts = [pool.submit(_tally_chunk, scenario, share) for share in rest]
-        counts = _tally_chunk(scenario, first)
-        for part in parts:
-            counts += part.result()
-    except BrokenProcessPool:
-        with _pool_lock():
-            _shutdown_pool()
-        raise
-    finally:
-        # a share not yet started is cancelled; the others are waited for
-        wait([part for part in parts if not part.cancel()])
+    counts = run_shares(_tally_chunk, (scenario,), reps, _MIN_CHUNK, workers)
     return DirectionalErrorReport(
         replications=reps,
         alpha=scenario.config.alpha,

@@ -5,11 +5,13 @@ the null-calibration study, the synthetic stratified cohort) are built
 once per session and shared between the module tests and the acceptance
 gate in test_acceptance.py. The terminal summary prints one PASS/FAIL
 line per acceptance criterion. At the end of the session the warm worker
-pool of ``run_study`` is shut down, and no child process may remain.
+pool that ``run_study`` and ``mw_pivot_ci`` share is shut down, and no
+child process may remain.
 """
 
 import dataclasses
 import multiprocessing
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -17,7 +19,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from survquack import estim, sim
+from survquack import _pool, estim
 from survquack import (
     Measure,
     ScenarioConfig,
@@ -64,8 +66,29 @@ def no_worker_left():
     """At the end of the session, shut the warm worker pool down; then no
     child process may remain."""
     yield
-    sim._shutdown_pool()
+    _pool._shutdown_pool()
     assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def fresh_pool():
+    """Shut the warm worker pool down before and after the test, so that
+    the test's first split starts a pool of its own (whose workers see the
+    test's patches of this package) and leaves none behind."""
+    _pool._shutdown_pool()
+    yield
+    _pool._shutdown_pool()
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """``usable_cpus(k)`` lets the process run on CPUs 0..k-1 for the rest
+    of the test, so that a split makes k shares at most."""
+
+    def allow(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+    return allow
 
 
 @pytest.fixture(scope="session")

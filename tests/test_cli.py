@@ -22,6 +22,7 @@ import survquack.errors as errors_module
 
 from survquack._version import __version__
 from survquack.cli import main, parse_scenario_config, read_dataset
+from survquack.dist import quantile
 from survquack.errors import (
     DomainError,
     InfeasibleScenario,
@@ -841,6 +842,26 @@ class TestSimulate:
         assert section["rx_longer"] == study.rx_longer
         assert section["c_longer"] == study.c_longer
         assert section["cox_rejections"] == study.cox_rejections
+
+    @pytest.mark.parametrize(
+        "config, medians", [("small", {"Rx": 10.0, "C": 8.0}), ("builtin:section3", {"Rx": 8.0, "C": 8.0})]
+    )
+    def test_each_arm_median_is_solved_once(self, small_cfg, capsys, monkeypatch, config, medians):
+        # realize_scenario checks a targeted scenario's arm medians and the
+        # report prints them: one mixture quantile per arm serves both
+        calls = []
+
+        def counting(curve, p):
+            calls.append(p)
+            return quantile(curve, p)
+
+        monkeypatch.setattr("survquack.sim.quantile", counting)
+        config = small_cfg if config == "small" else config
+        rc, out, _ = run_cli(["simulate", config, "--replications", "1"], capsys)
+        assert rc == 0
+        got = parse_report(out)["sections"]["scenario"]["data"]["arm_medians"]
+        assert got == {arm: pytest.approx(median, rel=1e-9) for arm, median in medians.items()}
+        assert calls == [0.5, 0.5]
 
     def test_replications_override(self, small_cfg, capsys):
         rc, out, _ = run_cli(

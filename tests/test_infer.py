@@ -24,7 +24,7 @@ from survquack import (
     wald_test_cox,
     weibull_from_median,
 )
-from survquack import estim, infer
+from survquack import _pool, estim, infer
 from survquack.errors import DomainError
 from survquack.infer import (
     MC_REPS,
@@ -432,7 +432,7 @@ _SEARCHED_GRIDS = {
 def test_first_at_most_matches_a_linear_scan(name, monkeypatch):
     grid = _SEARCHED_GRIDS[name]
     n = m = 20
-    v, u, keys, positions = next(_null_blocks(n, m, 250, derive_rng(47, "search", name)))
+    v, u, keys, positions = next(_null_blocks(n, m, 250, derive_rng(47, "search", name), range(250)))
     rows = v.shape[0]
     counts = np.array(
         [_cross_counts(np.full(rows, theta), v, u, keys, positions) for theta in grid]
@@ -478,11 +478,12 @@ def test_mw_acceptance_region_streams_blocks_like_one_fresh_draw(n, m, theta, mc
 
 
 def test_mw_pivot_allocates_one_buffer_set_per_call():
-    # The pivot refills one block of buffers on one thread: at n = m = 100 a
-    # block is 250 rows, 0.8 MB of draws and keys. Gathering the open rows
-    # into the keys takes a transient copy of at most one block's draws, and
-    # it peaked at 1.04 MB (numpy 2.4). Whole-region buffers (6.4 MB) go far
-    # past 2.3 MB.
+    # Each process refills one block of buffers for its share of the rows:
+    # at n = m = 100 a block is 250 rows, 0.8 MB of draws and keys. Gathering
+    # the open rows into the keys takes a transient copy of at most one
+    # block's draws, and it peaked at 1.04 MB in the calling process (numpy
+    # 2.4), or 1.15 MB when the call starts the worker pool. Whole-region
+    # buffers (6.4 MB) go far past 2.3 MB.
     rng = derive_rng(8, "pivot-memory")
     rx = rng.exponential(1.0, 100)
     c = rng.exponential(1.5, 100)
@@ -495,9 +496,11 @@ def test_mw_pivot_allocates_one_buffer_set_per_call():
     assert peak < 2_300_000
 
 
-def test_mw_pivot_counts_few_rows_per_null_draw(monkeypatch):
+def test_mw_pivot_counts_few_rows_per_null_draw(monkeypatch, usable_cpus):
     # Aimed searches close most rows in about three counted passes; the two
     # full bisections they replaced counted each row 16 times on this grid.
+    # One process searches every row, so that each count is seen here.
+    usable_cpus(1)
     counted = []
 
     def counting(theta, *args):
@@ -510,6 +513,40 @@ def test_mw_pivot_counts_few_rows_per_null_draw(monkeypatch):
     c = rng.exponential(1.5, 100)
     mw_pivot_ci(rx, c, seed=9)
     assert sum(counted) <= 5 * MC_REPS
+
+
+@pytest.mark.parametrize(
+    "n, m, tie, shares",
+    [
+        (120, 80, False, [1, 2, 2]),  # benchmark-shaped: a whole count, so the tie search runs
+        (120, 80, True, [1, 2, 2]),  # a half-integer count
+        (200, 133, False, [1, 2, 3]),  # blocks of 150 rows: every share ends inside a block
+        (70, 70, False, [1, 1, 1]),  # too few subjects to split
+    ],
+)
+def test_mw_pivot_is_the_same_on_any_number_of_cpus(monkeypatch, usable_cpus, n, m, tie, shares):
+    rng = derive_rng(53, "pivot-cpus", n, m)
+    rx, c = rng.exponential(1.0, n), rng.exponential(1.3, m)
+    if tie:
+        rx[0] = c[0]
+    split, shares_of = [], _pool._shares
+
+    def recording(*args):
+        split.append(len(shares_of(*args)))
+        return shares_of(*args)
+
+    monkeypatch.setattr(_pool, "_shares", recording)
+    results = []
+    for cpus in (1, 2, 3):
+        usable_cpus(cpus)
+        results.append(mw_pivot_ci(rx, c, seed=53))
+    assert split == shares
+    first = results[0]
+    assert first.observed_count % 1 == (0.5 if tie else 0.0)
+    assert 0 < first.accepted.sum() < first.grid.size
+    for ci in results[1:]:
+        assert np.array_equal(ci.grid, first.grid) and np.array_equal(ci.accepted, first.accepted)
+        assert (ci.lo, ci.hi, ci.observed_count, ci.empty) == (first.lo, first.hi, first.observed_count, first.empty)
 
 
 # ----------------------------------------------------------------- mw_pivot_ci

@@ -82,9 +82,10 @@ def test_config_schema_keys_are_the_dataclass_fields(schema, section, fields, de
     assert set(required) <= set(keys)
 
 
-# The private names of sim and estim that the study's tests may use: the
-# block and derivation sizes, the smallest share, the pool hooks and the
-# draw seam. Any other is an internal that a contract test should not pin.
+# The private names of sim, estim and the worker pool that the study's and
+# the pool's tests may use: the block and derivation sizes, the smallest
+# share, the share function, the pool hooks and the draw seam. Any other is
+# an internal that a contract test should not pin.
 _STUDY_TEST_PRIVATES = {
     "_BLOCK", "_STREAM_ROWS", "_MIN_CHUNK", "_tally_chunk", "_shutdown_pool", "_worker_pool", "_warm",
     "_draw_block",
@@ -112,7 +113,7 @@ def _private_names(tree, modules):
 
 
 def test_study_tests_name_no_other_private_name():
-    path = os.path.join(os.path.dirname(__file__), "test_sim.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    assert set(_private_names(tree, ("sim", "estim"))) - _STUDY_TEST_PRIVATES == set()
+    for name in ("test_sim.py", "test_pool.py"):
+        with open(os.path.join(os.path.dirname(__file__), name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        assert set(_private_names(tree, ("sim", "estim", "_pool"))) - _STUDY_TEST_PRIVATES == set(), name

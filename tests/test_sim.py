@@ -5,15 +5,12 @@ import json
 import math
 import multiprocessing
 import os
-import pickle
-import signal
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -32,7 +29,7 @@ from survquack import (
     wald_test_cox,
     weibull_from_median,
 )
-from survquack import rng, sim
+from survquack import _pool, rng, sim
 from survquack.cli import main, parse_scenario_config
 from survquack.errors import DomainError, InfeasibleScenario, NumericalError
 from survquack.sim import DirectionalErrorReport, simulate_sample, wilson_interval
@@ -54,16 +51,6 @@ def small_scenario():
 def pool_scenario():
     # room for four minimum shares, not five
     return realize_scenario(section3_config(n_total=60, replications=4 * sim._MIN_CHUNK + 30))
-
-
-@pytest.fixture
-def fresh_pool():
-    """Shut the warm worker pool down before and after the test, so that
-    the test's first split starts a pool of its own (whose workers see the
-    test's patches of this package) and leaves none behind."""
-    sim._shutdown_pool()
-    yield
-    sim._shutdown_pool()
 
 
 def _pool_pids():
@@ -642,7 +629,7 @@ class _Deferred(Future):
 def inline_shares(monkeypatch, fresh_pool):
     """Run run_study's pool in this process; return the list that records
     the shares tallied, the parent's first, and reset the pool sizes."""
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_pool, "ProcessPoolExecutor", _InlinePool)
     _InlinePool.sizes = []
     shares = []
     tally = sim._tally_chunk
@@ -750,7 +737,7 @@ def test_a_failing_study_raises_its_first_failing_share(monkeypatch, inline_shar
 
 @pytest.mark.parametrize("workers", [0, -1])
 def test_run_study_rejects_fewer_than_one_worker(small_scenario, monkeypatch, workers):
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_pool, "ProcessPoolExecutor", _InlinePool)
     _InlinePool.sizes = []
     with pytest.raises(DomainError, match="workers must be >= 1"):
         run_study(small_scenario, workers=workers)
@@ -760,19 +747,15 @@ def test_run_study_rejects_fewer_than_one_worker(small_scenario, monkeypatch, wo
 # ------------------------------------------------------------ the warm pool
 # Each test below starts at most two worker processes, whatever CPUs the
 # host has. A worker runs this package as it was when its pool started, so
-# a test that patches it for the workers starts its own pool (fresh_pool):
-# test_a_failing_study_raises_its_first_failing_replication above and
-# test_a_failed_parent_share_leaves_no_share_running below. So do the
-# tests above that run on the stand-in pool (inline_shares) and the tests
-# below that count worker processes.
+# a test that patches it for the workers starts its own pool (fresh_pool),
+# as test_a_failing_study_raises_its_first_failing_replication above does.
+# So do the tests above that run on the stand-in pool (inline_shares) and
+# the tests below that count worker processes. What the pool does for both
+# simulate and pivot-ci is tested in test_pool.py.
 
 
-def _allow_cpus(monkeypatch, cpus=(0, 1)):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
-
-
-def test_consecutive_studies_run_on_the_same_workers(pool_scenario, monkeypatch, fresh_pool):
-    _allow_cpus(monkeypatch)
+def test_consecutive_studies_run_on_the_same_workers(pool_scenario, usable_cpus, fresh_pool):
+    usable_cpus(2)
     sequential = run_study(pool_scenario, workers=1)
     assert _pool_pids() == set()
     assert run_study(pool_scenario, workers=2) == sequential
@@ -782,7 +765,7 @@ def test_consecutive_studies_run_on_the_same_workers(pool_scenario, monkeypatch,
     assert _pool_pids() == workers
     # a study that needs more processes replaces the pool, whose old worker
     # has exited by then; a later, smaller study keeps the larger pool
-    _allow_cpus(monkeypatch, cpus=(0, 1, 2))
+    usable_cpus(3)
     assert run_study(pool_scenario, workers=3) == sequential
     larger = _pool_pids()
     assert len(larger) == 2 and not larger & workers
@@ -790,13 +773,15 @@ def test_consecutive_studies_run_on_the_same_workers(pool_scenario, monkeypatch,
     assert _pool_pids() == larger
 
 
-def test_a_study_in_another_thread_waits_to_replace_the_pool(pool_scenario, monkeypatch, fresh_pool):
+def test_a_study_in_another_thread_waits_to_replace_the_pool(
+    pool_scenario, monkeypatch, usable_cpus, fresh_pool
+):
     # thread a takes a one-process pool and pauses before submitting to it;
     # thread b's study needs two processes, so it replaces the pool, but
     # only once a has submitted its share, which then still completes
-    _allow_cpus(monkeypatch, cpus=(0, 1, 2))
+    usable_cpus(3)
     sequential = run_study(pool_scenario, workers=1)
-    taken, take = threading.Event(), sim._worker_pool
+    taken, take = threading.Event(), _pool._worker_pool
 
     def pausing(size):
         pool = take(size)
@@ -805,7 +790,7 @@ def test_a_study_in_another_thread_waits_to_replace_the_pool(pool_scenario, monk
             time.sleep(0.2)
         return pool
 
-    monkeypatch.setattr(sim, "_worker_pool", pausing)
+    monkeypatch.setattr(_pool, "_worker_pool", pausing)
     reports = {}
 
     def study(name, workers):
@@ -826,104 +811,6 @@ def test_a_study_in_another_thread_waits_to_replace_the_pool(pool_scenario, monk
     assert len(_pool_pids()) == 2
 
 
-def test_a_killed_worker_fails_one_study_and_the_next_starts_a_pool(
-    pool_scenario, monkeypatch, fresh_pool
-):
-    _allow_cpus(monkeypatch)
-    sequential = run_study(pool_scenario, workers=1)
-    assert run_study(pool_scenario, workers=2) == sequential
-    (killed,) = _pool_pids()
-    os.kill(killed, signal.SIGKILL)
-    with pytest.raises(BrokenProcessPool):
-        run_study(pool_scenario, workers=2)
-    assert run_study(pool_scenario, workers=2) == sequential
-    (started,) = _pool_pids()
-    assert started != killed
-
-
-def _in_forked_child(work, timeout=120.0):
-    """Run ``work()`` in an ``os.fork()``ed child and return what it
-    returned; fail the test with what it raised, or if it does not end."""
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child never returns to the test run
-        try:
-            os.close(read)
-            try:
-                outcome = (True, work())
-            except Exception as exc:
-                outcome = (False, repr(exc))
-            with os.fdopen(write, "wb") as fh:
-                fh.write(pickle.dumps(outcome))
-        finally:
-            os._exit(0)
-    os.close(write)
-    deadline = time.monotonic() + timeout
-    while os.waitpid(pid, os.WNOHANG) == (0, 0):
-        if time.monotonic() > deadline:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child did not finish")
-        time.sleep(0.01)
-    with os.fdopen(read, "rb") as fh:
-        ok, value = pickle.loads(fh.read())
-    assert ok, value
-    return value
-
-
-def test_a_forked_child_runs_its_study_on_a_pool_of_its_own(pool_scenario, monkeypatch, fresh_pool):
-    _allow_cpus(monkeypatch)
-    sequential = run_study(pool_scenario, workers=1)
-    assert run_study(pool_scenario, workers=2) == sequential
-    workers = _pool_pids()
-
-    def child_study():
-        # the child inherits the parent's worker records, not its pool
-        assert sim._warm == {}
-        report = run_study(pool_scenario, workers=2)
-        own = _pool_pids() - workers
-        sim._shutdown_pool()
-        return report, own
-
-    report, own = _in_forked_child(child_study)
-    assert report == sequential
-    assert len(own) == 1 and not own & workers
-    assert run_study(pool_scenario, workers=2) == sequential
-    assert _pool_pids() == workers
-
-
-def test_a_failed_parent_share_leaves_no_share_running(monkeypatch, fresh_pool, tmp_path):
-    # the parent's share fails at rep 0 only once the worker's share has
-    # started drawing, slowly: run_study returns when that share is done
-    _allow_cpus(monkeypatch)
-    scenario = realize_scenario(section3_config(n_total=20, replications=2 * sim._MIN_CHUNK))
-    log = tmp_path / "worker-draws"
-    parent, failing = os.getpid(), _replacing_draw(scenario, _separated_rows(scenario, [0]))
-
-    def draw(scenario, streams, rows, gen):
-        if os.getpid() == parent:
-            deadline = time.monotonic() + 60.0
-            while not log.exists() and time.monotonic() < deadline:
-                time.sleep(0.001)
-            return failing(scenario, streams, rows, gen)
-        with open(log, "a") as fh:
-            fh.write("begin\n")
-        time.sleep(0.1)
-        g_idx = failing(scenario, streams, rows, gen)
-        with open(log, "a") as fh:
-            fh.write("end\n")
-        return g_idx
-
-    monkeypatch.setattr(sim, "_draw_block", draw)
-    with pytest.raises(NumericalError):
-        run_study(scenario, workers=2)
-    # the worker's 50 replications are drawn in blocks of sim._BLOCK
-    done = log.read_text()
-    assert done == "begin\nend\n" * math.ceil(sim._MIN_CHUNK / sim._BLOCK)
-    time.sleep(0.3)
-    assert log.read_text() == done
-
-
 def _python(code):
     """The standard output of ``code`` run by a new interpreter that
     imports this package; it must exit 0 within 120 s."""
@@ -934,15 +821,17 @@ def _python(code):
 
 
 def test_no_worker_outlives_the_interpreter():
+    # two studies and a pivot run on the one worker of one pool
     code = """
 import multiprocessing, os, dataclasses
-from survquack import sim
+from survquack import infer, sim
 from survquack.cli import parse_scenario_config
 os.sched_getaffinity = lambda pid: {0, 1}
 config = parse_scenario_config("builtin:section3")
 scenario = sim.realize_scenario(dataclasses.replace(config, n_total=60, replications=200))
 first, second = sim.run_study(scenario, workers=2), sim.run_study(scenario, workers=2)
 assert first == second
+infer.mw_pivot_ci(range(1, 101), range(2, 102), seed=3)
 print(*[process.pid for process in multiprocessing.active_children()])
 """
     (pid,) = [int(pid) for pid in _python(code).split()]
@@ -951,17 +840,18 @@ print(*[process.pid for process in multiprocessing.active_children()])
 
 
 def test_importing_the_package_again_frees_the_earlier_copy():
-    # the fork hook holds the pool's dict only, not this module's globals
+    # the fork hook holds the pool's dict only, not the pool module's globals
     code = """
 import gc, importlib, sys, weakref
-first = weakref.ref(importlib.import_module("survquack.sim").run_study)
+first = [weakref.ref(importlib.import_module("survquack.sim").run_study)]
+first.append(weakref.ref(importlib.import_module("survquack._pool").run_shares))
 for name in [name for name in sys.modules if name.split(".")[0] == "survquack"]:
     del sys.modules[name]
 importlib.import_module("survquack.sim")
 gc.collect()
-print(first() is None)
+print(*[ref() is None for ref in first])
 """
-    assert _python(code).split() == ["True"]
+    assert _python(code).split() == ["True", "True"]
 
 
 def test_builtin_study_frozen_tallies(study_1k):

@@ -9,8 +9,9 @@ follows only frames whose code lives in src/survquack/. Each module's
 executable lines are read from ``compile(...).co_lines()`` of the module
 and every code object nested in it, and every executable line that never
 ran is printed as ``file:line``. Code that runs only in worker processes
-(``simulate`` with more than one worker) is not traced. The tracer makes
-the suite about half again as slow. The exit status is pytest's.
+(the shares of a ``simulate`` study or a pivot split across processes) is
+not traced; the calling process runs each verb's first share. The tracer
+makes the suite about half again as slow. The exit status is pytest's.
 
 Uses only the standard library besides pytest itself; the file name keeps
 pytest from collecting it.
