@@ -21,6 +21,7 @@ import functools
 import io
 import itertools
 import json
+import operator
 import os
 import sys
 
@@ -85,14 +86,13 @@ _SCENARIO_SCHEMA = {
 def read_dataset(path) -> SurvivalSample:
     """Parse a dataset CSV into a sample, or fail with line diagnostics.
 
-    Required columns: time (positive decimal), event (0/1), arm (Rx/C).
-    Columns named ``s:<factor>`` carry stratum labels. A file with no quote
-    is split at its line ends and commas, any other (or one the split
-    refuses) is tokenized by ``csv``, and one conversion types the columns
-    (``_typed_columns``). Every malformed record is reported with the
-    1-based number of its first line, as a quoted cell may span lines;
-    nothing is dropped silently. A file that is not UTF-8 is reported with
-    the offset of its first bad byte.
+    Required columns: time (positive decimal), event (0/1), arm (Rx/C). Columns
+    named ``s:<factor>`` carry stratum labels. A file with no quote is split at
+    its line ends, any other (or one the split refuses) is tokenized by ``csv``,
+    and one conversion types the records (``_typed_columns``). Every malformed
+    record is reported with the 1-based number of its first line, as a quoted
+    cell may span lines; nothing is dropped silently. A file that is not UTF-8
+    is reported with the offset of its first bad byte.
     """
     try:
         with open(path, "rb") as fh:
@@ -122,20 +122,20 @@ def read_dataset(path) -> SurvivalSample:
         dupes = [c for c in set(header) if header.count(c) > 1]
         if dupes:
             raise ValidationError(f"{path}: duplicate column(s) {sorted(dupes)}")
-        is_factor = [name.startswith("s:") and name != "s:" for name in header]
-        factor_cols = {name[2:]: idx for idx, name in enumerate(header) if is_factor[idx]}
-        unknown = [name for name, f in zip(header, is_factor) if not (f or name in required)]
+        if "s:" in header:
+            raise ValidationError(f"{path}: column 's:' has an empty factor name; strata are named 's:<factor>'")
+        factor_cols = {name[2:]: idx for idx, name in enumerate(header) if name.startswith("s:")}
+        unknown = [name for name in header if not (name.startswith("s:") or name in required)]
         if unknown:
-            raise ValidationError(
-                f"{path}: unrecognized column(s) {unknown}; strata need an 's:' prefix"
-            )
+            raise ValidationError(f"{path}: unrecognized column(s) {unknown}; strata need an 's:' prefix")
         columns = [header.index(c) for c in required] + list(factor_cols.values())
-        text = fh.read()
-        typed = None if '"' in text else _typed_columns(_split_blocks(text, len(header)), columns)
+        text, width = fh.read(), len(header)
+        split = functools.partial(str.split, sep=",")
+        typed = None if '"' in text else _typed_columns(_plain_blocks(text, columns[0]), split, width, columns)
         if typed is None:
-            typed = _typed_columns(_csv_blocks(_records(fh), len(header)), columns)
+            typed = _typed_columns(_csv_blocks(_records(fh), width, columns[0]), tuple, width, columns)
         if typed is None:
-            raise _refusal(path, _records(fh), len(header), *columns[:3])
+            raise _refusal(path, _records(fh), width, *columns[:3])
     time, died, is_rx, factorizations = typed
     factors = dict(zip(factor_cols, factorizations))
     sample = SurvivalSample(time, died, is_rx, {name: lv[codes] for name, (lv, codes) in factors.items()})
@@ -144,19 +144,20 @@ def read_dataset(path) -> SurvivalSample:
     return sample
 
 
-def _split_blocks(text, width):
-    """Blocks of a quote-free text's records, split at line ends and commas, as lists
-    of columns; a ValueError on a blank row, a wrong field count or mixed line ends."""
-    # trailing line ends make only blank records, which are skipped
-    rows = text.rstrip("\r\n").split("\r\n" if "\r\n" in text else "\n")
-    if {row.count(",") for row in rows} != {width - 1}:
-        raise ValueError("not one record of every field per row")
+def _plain_blocks(text, i_time):
+    """Blocks of (time cells, keys) of a quote-free text's records, split at its line ends (a ValueError
+    if they are mixed); a key is a record's text after its time cell's comma, then the cells before it."""
+    body = text.rstrip("\r\n")  # trailing line ends make only blank records, which are skipped
+    rows = body.split("\r\n" if "\r" in body else "\n")  # a scan for "\r\n" is far slower
+    head, tail, comma = operator.itemgetter(0), operator.itemgetter(2), itertools.repeat(",")
     for first in range(0, len(rows), _BLOCK_ROWS):
-        cells = ",".join(rows[first:first + _BLOCK_ROWS])
-        if "\r" in cells or "\n" in cells:
+        block = rows[first:first + _BLOCK_ROWS]
+        if "\r" in (joined := "".join(block)) or "\n" in joined:  # a line end the split left
             raise ValueError("mixed line ends")
-        cells = cells.split(",")
-        yield [cells[i::width] for i in range(width)]
+        if i_time:  # rotate each record's cells so that its time cell comes first
+            block = [f"{parts.pop()},{','.join(parts)}" for parts in (row.split(",", i_time) for row in block)]
+        # a pass each, so that every partition's tuple dies at once: 1,024 live ones would start a gc
+        yield [*map(head, map(str.partition, block, comma))], [*map(tail, map(str.partition, block, comma))]
 
 
 def _records(fh):
@@ -169,48 +170,47 @@ def _records(fh):
     return reader
 
 
-def _csv_blocks(reader, width):
-    """Blocks of the records ``reader`` reads, blank ones skipped, as lists
-    of columns; a ValueError if a record has the wrong number of fields."""
+def _csv_blocks(reader, width, i_time):
+    """Blocks of (time cells, keys) of the records ``reader`` reads, blank ones skipped;
+    a key is the tuple of a record's cells after its time cell, then those before it.
+    A ValueError if a record has the wrong number of fields."""
     records = (row for row in reader if any(map(str.strip, row)))
     while rows := list(itertools.islice(records, _BLOCK_ROWS)):
         if set(map(len, rows)) - {width}:
             raise ValueError("a record has the wrong number of fields")
-        yield list(zip(*rows))
+        columns = list(zip(*rows))
         del rows  # so that no two blocks' cells are alive at once
+        yield columns[i_time], list(zip(*columns[i_time + 1:], *columns[:i_time]))
+        del columns
 
 
-def _typed_columns(blocks, columns):
-    """(time, event, arm, [(levels, codes) per label column]) of the records
-    ``blocks`` hands over as columns, indexed by ``columns``; None if it (or
-    ``csv``) refuses the file, a record is not valid or there is none. Every column
-    but time is coded as its cells arrive; each distinct cell is then
-    stripped and checked once, and ``np.unique`` sorts the levels, merging
-    cells a numpy string holds alike (``a\\0`` and ``a``) as a label array does."""
-    i_time, *i_coded = columns
-    # cell -> code: a cell not seen before takes the next code
-    seen = [collections.defaultdict(itertools.count().__next__) for _ in i_coded]
-    parts = []
+def _typed_columns(blocks, split, width, columns):
+    """(time, event, arm, [(levels, codes) per label column]) of the records ``blocks`` hands
+    over as (time cells, keys), the columns at ``columns``; None if it (or ``csv``) refuses the
+    file, a record is not valid or there is none. Each time cell is parsed and each key coded as
+    it arrives; each distinct key is then cut by ``split`` into its ``width - 1`` cells (those
+    after the time cell, then those before it), stripped and checked once. ``np.unique`` sorts
+    the levels, merging cells a numpy string holds alike (``a\\0`` and ``a``) as labels do."""
+    coded = collections.defaultdict(itertools.count().__next__)  # key -> code; a new key takes the next
+    times, codes = [], []
     try:
-        for block in blocks:
-            n = len(block[i_time])
-            codes = [
-                np.fromiter(map(index.__getitem__, block[i]), np.intp, n) for i, index in zip(i_coded, seen)
-            ]
-            parts.append([np.fromiter(map(float, block[i_time]), float, n), *codes])
-            del block  # so that no two blocks' cells are alive at once
+        for time, keys in blocks:
+            times.append(np.fromiter(map(float, time), float, len(time)))
+            codes.append(np.fromiter(map(coded.__getitem__, keys), np.intp, len(keys)))
+            del time, keys  # so that no two blocks' cells are alive at once
+        time, codes = np.concatenate(times), np.concatenate(codes)  # a ValueError if there is no record
     except (ValueError, csv.Error):
         return None
-    if not parts:
+    cells = list(map(split, coded))
+    if {*map(len, cells)} != {width - 1}:
         return None
-    time, *codes = (np.concatenate(column) for column in zip(*parts))
-    events, arms, *labels = ([cell.strip() for cell in index] for index in seen)
+    events, arms, *labels = ([key[(i - columns[0] - 1) % width].strip() for key in cells] for i in columns[1:])
     if not np.all((time > 0) & np.isfinite(time)) or {*events} - _EVENTS.keys() or {*arms} - _ARMS.keys():
         return None
-    died = np.array([_EVENTS[cell] for cell in events])[codes[0]]
-    is_rx = np.array([_ARMS[cell] for cell in arms])[codes[1]]
-    uniques = [np.unique(np.array(cells), return_inverse=True) for cells in labels]
-    return time, died, is_rx, [(levels, inverse[code]) for (levels, inverse), code in zip(uniques, codes[2:])]
+    died = np.array([_EVENTS[cell] for cell in events])[codes]
+    is_rx = np.array([_ARMS[cell] for cell in arms])[codes]
+    uniques = [np.unique(np.array(column), return_inverse=True) for column in labels]
+    return time, died, is_rx, [(levels, inverse[codes]) for levels, inverse in uniques]
 
 
 def _refusal(path, reader, width, i_time, i_event, i_arm):

@@ -454,12 +454,14 @@ def read_dataset_by_rows(path):
         dupes = [c for c in set(header) if header.count(c) > 1]
         if dupes:
             raise DatasetRefused(f"{path}: duplicate column(s) {sorted(dupes)}")
+        if "s:" in header:
+            raise DatasetRefused(f"{path}: column 's:' has an empty factor name; strata are named 's:<factor>'")
         factor_cols = {}
         unknown = []
         for idx, name in enumerate(header):
             if name in required:
                 continue
-            if name.startswith("s:") and len(name) > 2:
+            if name.startswith("s:"):
                 factor_cols[name[2:]] = idx
             else:
                 unknown.append(name)

@@ -223,6 +223,15 @@ class TestReadDataset:
         with pytest.raises(ValidationError, match=match):
             read_dataset(path)
 
+    @pytest.mark.parametrize("cell", ["s:", " s: "])
+    def test_empty_factor_name_is_named_as_such(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"time,event,arm,{cell}\n1,1,Rx,a\n2,0,C,b\n")
+        with pytest.raises(ValidationError) as excinfo:
+            read_dataset(path)
+        assert str(excinfo.value) == f"{path}: column 's:' has an empty factor name; strata are named 's:<factor>'"
+        assert _read_outcome(path) == _oracle_outcome(path)
+
     def test_all_problems_collected_in_details(self, tmp_path):
         path = tmp_path / "bad.csv"
         lines = [
@@ -258,21 +267,74 @@ class TestReadDataset:
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n"])
     def test_plain_file_is_read_column_wise(self, tmp_path, ending):
-        # split a row at a time, with no csv pass; each later block brings a
-        # label that sorts before those seen so far
+        # split with no csv pass, 1 or 3 rows at a time; a later block brings a
+        # key first seen there, with a label that sorts before those seen so far
         path = tmp_path / "plain.csv"
         lines = ["time,event,arm,s:grp", "1.5,1,Rx,bb", "2.5,0,C,a", "1.5,1,C,bb", "3.0,1,C,"]
         path.write_bytes((ending.join(lines) + ending).encode())
+        for block_rows in (1, 3):
+            with (
+                mock.patch.object(cli_module, "_BLOCK_ROWS", block_rows),
+                mock.patch.object(cli_module, "_csv_blocks", side_effect=AssertionError("tokenized by csv")),
+            ):
+                assert _read_outcome(path) == _oracle_outcome(path)
+                sample = read_dataset(path)
+            assert list(sample.time) == [1.5, 2.5, 1.5, 3.0]
+            assert list(sample.strata["grp"]) == ["bb", "a", "bb", ""]
+            labels, codes = sample.factor("grp")
+            assert labels == ("", "a", "bb") and codes.tolist() == [2, 1, 2, 0]
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 1024])
+    @pytest.mark.parametrize(
+        "header", ["event,arm,s:g,time", "event,time,arm,s:g", "s:g,arm,time,event"], ids=["last", "second", "third"],
+    )
+    def test_time_column_anywhere_is_read_without_csv(self, tmp_path, header, block_rows):
+        records = [
+            {"time": "1.5", "event": "1", "arm": "Rx", "s:g": "b"},
+            {"time": "2.5", "event": "0", "arm": " C", "s:g": "a"},
+            {"time": "1e1", "event": "1", "arm": "C", "s:g": "b "},
+        ]
+        path = tmp_path / "plain.csv"
+        lines = [header] + [",".join(r[c] for c in header.split(",")) for r in records]
+        path.write_text("\n".join(lines) + "\n")
         with (
-            mock.patch.object(cli_module, "_BLOCK_ROWS", 1),
+            mock.patch.object(cli_module, "_BLOCK_ROWS", block_rows),
             mock.patch.object(cli_module, "_csv_blocks", side_effect=AssertionError("tokenized by csv")),
         ):
             assert _read_outcome(path) == _oracle_outcome(path)
-            sample = read_dataset(path)
-        assert list(sample.time) == [1.5, 2.5, 1.5, 3.0]
-        assert list(sample.strata["grp"]) == ["bb", "a", "bb", ""]
-        labels, codes = sample.factor("grp")
-        assert labels == ("", "a", "bb") and codes.tolist() == [2, 1, 2, 0]
+        assert list(read_dataset(path).time) == [1.5, 2.5, 10.0]
+        # a row one field short or long is refused as the line-by-line reader refuses it
+        for bad in ("1,C", "1,3,C,a,b", "4"):
+            path.write_text(path.read_text() + bad + "\n")
+            assert _read_outcome(path) == _oracle_outcome(path)
+
+    @pytest.mark.parametrize("block_rows", [3, 1024])
+    def test_every_row_its_own_key(self, tmp_path, block_rows):
+        # a label that differs on every row makes as many keys as rows
+        path = tmp_path / "ids.csv"
+        rows = [f"{i + 1}.5,{i % 2},{'Rx' if i % 3 else 'C'},id{i:03}" for i in range(500)]
+        path.write_text("\n".join(["time,event,arm,s:id", *rows]) + "\n")
+        with mock.patch.object(cli_module, "_BLOCK_ROWS", block_rows):
+            assert _read_outcome(path) == _oracle_outcome(path)
+            labels, codes = read_dataset(path).factor("id")
+        assert len(labels) == 500 and codes.tolist() == list(range(500))
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    def test_packaged_cohort_splits_each_distinct_key_once(self, tmp_path, monkeypatch, quoted):
+        path = tmp_path / "cohort.csv"
+        write_dataset_csv(generate_prognostic_sample(load_oak_analog_spec()), path)
+        if quoted:
+            path.write_text("".join(f'"{line}"\n'.replace(",", '","') for line in path.read_text().splitlines()))
+        splits = []
+        typed = cli_module._typed_columns
+
+        def counting(blocks, split, *args):
+            return typed(blocks, lambda key: splits.append(key) or split(key), *args)
+
+        monkeypatch.setattr(cli_module, "_typed_columns", counting)
+        sample = read_dataset(path)
+        keys = set(zip(sample.event, sample.is_rx, *sample.strata.values()))
+        assert len(splits) == len(set(splits)) == len(keys) <= 64 and sample.n == 6000
 
     def test_packaged_cohort_reads_the_same_column_wise(self, tmp_path):
         # as written, with every cell quoted (as R's write.csv quotes text),
@@ -314,6 +376,9 @@ class TestReadDataset:
     @example(text="time,event,arm\n\n \t,\r\n", block_rows=1024)
     # a NUL after an event or arm is kept, so the cell is refused
     @example(text="time,event,arm\n1,1\x00,Rx\x00\n", block_rows=1024)
+    # float() reads "1.5\r" as 1.5: only the mixed line ends send these to csv
+    @example(text="time,event,arm\n1.5\r,1,Rx\n2,0,C\n", block_rows=1024)
+    @example(text="time,event,arm\r\n2,0,C\r\n1.5\r,1,Rx\r\n", block_rows=1)
     @settings(max_examples=300, deadline=None)
     def test_column_wise_read_matches_line_by_line(self, tmp_path_factory, text, block_rows):
         path = tmp_path_factory.mktemp("fuzz") / "d.csv"
