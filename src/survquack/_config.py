@@ -46,11 +46,14 @@ def _read_config(spec, what: str, schema) -> dict:
     seen = set()
     for section in parser.sections():
         head, sep, label = section.partition(":")
-        names = [k for k in schema if k == section or (label and k.startswith(head + sep))]
+        names = [k for k in schema if k == section or (sep and k.startswith(head + sep))]
         if not names:
             problems.append(f"unrecognized section [{section}]")
             continue
         seen.add(names[0])
+        if sep and not label:
+            problems.append(f"section [{section}] has an empty label; such sections are named [{names[0]}]")
+            continue
         types, required = schema[names[0]]
         fields = {}
         for key, raw in parser[section].items():

@@ -65,7 +65,6 @@ _SCENARIO_SCHEMA = {
             "allocation": float,
             "alpha": float,
             "overall_median": float,
-            "solve_subgroup": str,
             "replications": int,
             "master_seed": int,
         },
@@ -260,10 +259,21 @@ def _median_entry(value):
     return {"value": float(value), "reached": True}
 
 
+def _non_finite(value, path):
+    """The dotted path of the first float in ``value`` that is not finite, or None."""
+    if isinstance(value, float):
+        return None if np.isfinite(value) else path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    return next(filter(None, (_non_finite(v, f"{path}.{k}") for k, v in items)), None)
+
+
 def _guarded(sections, name, fn):
-    """Run one analysis section, embedding failures instead of aborting."""
+    """Run one analysis section, embedding failures (a non-finite float among them) instead of aborting."""
     try:
-        sections[name] = report_mod.section(data=fn())
+        data = fn()
+        if (field := _non_finite(data, name)) is not None:
+            raise NumericalError(f"{field} is not a finite number")
+        sections[name] = report_mod.section(data=data)
     except SurvquackError as exc:
         sections[name] = report_mod.section(error=f"{type(exc).__name__}: {exc}")
 

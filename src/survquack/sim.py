@@ -78,23 +78,17 @@ class SubgroupSpec:
     def is_open(self) -> bool:
         return self.rx_median is None and self.c_median is None
 
-    def _arm_dist(self, rx: bool) -> WeibullDist:
-        median = self.rx_median if rx else self.c_median
-        if median is None:
-            raise DomainError(f"subgroup {self.label!r} must pin each arm by its median")
-        return weibull_from_median(self.shape, median)
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to reproduce a simulation study."""
+    """Everything needed to reproduce a simulation study. ``overall_median``
+    is the shared arm median that the open subgroup, if any, is solved for."""
 
     subgroups: tuple
     n_total: int = 1000
     allocation: float = 0.5
     alpha: float = 0.05
     overall_median: float | None = None
-    solve_subgroup: str | None = None
     replications: int = 1000
     master_seed: int = DEFAULT_MASTER_SEED
 
@@ -154,7 +148,16 @@ class RealizedScenario:
         return np.min_scalar_type(len(self.subgroups) - 1)
 
 
-def _validate_config(config: ScenarioConfig):
+def realize_scenario(config: ScenarioConfig) -> RealizedScenario:
+    """Check ``config`` and resolve every subgroup's per-arm Weibull laws.
+
+    A subgroup with neither median is open, and at most one may be. Its
+    per-arm scales are chosen in closed form so each arm's mixture has
+    survival exactly 1/2 at ``overall_median``, which a config sets exactly
+    when it has an open subgroup and at least one pinned one; an impossible
+    target raises InfeasibleScenario. The realized arm medians are
+    re-checked to one part in 10^6.
+    """
     if config.n_total < 20:
         raise DomainError("n_total must be at least 20")
     if not (0.0 < config.allocation < 1.0):
@@ -168,72 +171,44 @@ def _validate_config(config: ScenarioConfig):
         raise DomainError("replications must be >= 1")
     if not config.subgroups:
         raise DomainError("a scenario needs at least one subgroup")
-    labels = [g.label for g in config.subgroups]
-    if len(set(labels)) != len(labels):
+    if len({g.label for g in config.subgroups}) != len(config.subgroups):
         raise DomainError("subgroup labels must be unique")
     _check_prevalences(g.prevalence for g in config.subgroups)
     for g in config.subgroups:
         if g.shape <= 0.0:
             raise DomainError(f"shape of {g.label!r} must be positive")
-        if not g.is_open:
-            g._arm_dist(True)
-            g._arm_dist(False)
+        if (g.rx_median is None) != (g.c_median is None):
+            raise DomainError(f"subgroup {g.label!r} must pin each arm by its median")
+    pinned = [g for g in config.subgroups if not g.is_open]
+    open_specs = [g for g in config.subgroups if g.is_open]
+    laws = {g.label: tuple(weibull_from_median(g.shape, m) for m in (g.rx_median, g.c_median)) for g in pinned}
 
-
-def realize_scenario(config: ScenarioConfig) -> RealizedScenario:
-    """Resolve every subgroup's per-arm Weibull laws, solving the open one.
-
-    With ``solve_subgroup`` set, that subgroup's per-arm scales are chosen
-    in closed form so each arm's mixture has survival exactly 1/2 at
-    ``overall_median``; an impossible target raises InfeasibleScenario.
-    The realized arm medians are re-checked to one part in 10^6.
-    """
-    _validate_config(config)
-    open_labels = [g.label for g in config.subgroups if g.is_open]
-    if config.solve_subgroup is None:
-        if open_labels:
-            raise DomainError(f"subgroup(s) {open_labels} lack medians but solve_subgroup is unset")
+    if len(open_specs) > 1:
+        raise DomainError(f"subgroups {[g.label for g in open_specs]} lack medians; at most one can be solved")
+    if not open_specs:
         if config.overall_median is not None:
-            raise DomainError("overall_median is only honored together with solve_subgroup")
+            raise DomainError("overall_median is only honored with a subgroup that lacks medians")
+    elif config.overall_median is None:
+        raise DomainError(f"subgroup {open_specs[0].label!r} lacks medians but overall_median is unset")
+    elif not pinned:
+        raise DomainError("solving a subgroup requires at least one pinned subgroup")
     else:
-        if config.overall_median is None:
-            raise DomainError("solve_subgroup requires overall_median")
-        if open_labels != [config.solve_subgroup]:
-            raise DomainError(
-                f"solve_subgroup={config.solve_subgroup!r} must name the one subgroup "
-                f"without medians (found {open_labels})"
-            )
-        if len(config.subgroups) < 2:
-            raise DomainError("solving a subgroup requires at least one pinned subgroup")
+        (spec,) = open_specs
+        prev_plus = 1.0 - spec.prevalence
 
-    pinned = {}
-    for g in config.subgroups:
-        if not g.is_open:
-            pinned[g.label] = (g._arm_dist(True), g._arm_dist(False))
-
-    solved = {}
-    if config.solve_subgroup is not None:
-        open_spec = next(g for g in config.subgroups if g.is_open)
-        prev_plus = 1.0 - open_spec.prevalence
-        for arm_idx in (0, 1):
-            # conditional mixture of the pinned subgroups within this arm
-            parts = tuple(
-                (g.prevalence / prev_plus, pinned[g.label][arm_idx])
-                for g in config.subgroups
-                if not g.is_open
-            )
+        def solved(arm):
+            # the pinned subgroups' conditional mixture in this arm; a lone one is its own law,
+            # as a one-part mixture scales by a weight that may miss 1.0 in the last bit
+            parts = tuple((g.prevalence / prev_plus, laws[g.label][arm]) for g in pinned)
             plus_curve = parts[0][1] if len(parts) == 1 else MixtureCurve(parts)
-            scale = solve_complement_scale(
-                open_spec.shape, config.overall_median, prev_plus, plus_curve
-            )
-            solved.setdefault(open_spec.label, []).append(WeibullDist(open_spec.shape, scale))
+            scale = solve_complement_scale(spec.shape, config.overall_median, prev_plus, plus_curve)
+            return WeibullDist(spec.shape, scale)
 
-    rows = []
-    for g in config.subgroups:
-        rx, c = pinned[g.label] if g.label in pinned else tuple(solved[g.label])
-        rows.append(RealizedSubgroup(g.label, g.prevalence, rx, c))
-    realized = RealizedScenario(config, tuple(rows))
+        laws[spec.label] = (solved(0), solved(1))
 
+    realized = RealizedScenario(
+        config, tuple(RealizedSubgroup(g.label, g.prevalence, *laws[g.label]) for g in config.subgroups)
+    )
     if config.overall_median is not None:
         for rx in (True, False):
             med = realized.arm_median(rx)

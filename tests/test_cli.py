@@ -551,6 +551,31 @@ class TestAnalyze:
         assert rep["sections"]["logrank"]["ok"] is True
         assert rep["sections"]["medians"]["ok"] is True
 
+    @pytest.mark.parametrize(
+        "rows, strata, failed",
+        [
+            (["1e300,1,Rx,a", "1e-300,1,C,b"], [], {"medians": "medians.time_ratio"}),
+            (
+                ["1e300,1,Rx,a"] * 5 + ["1e300,1,C,a", "1e-300,1,Rx,b"] + ["1e-300,1,C,b"] * 5,
+                ["--strata", "g", "--measure", "TR"],
+                {"medians": "medians.time_ratio", "stratified_audit_tr": "stratified_audit_tr.factors.0.marginal"},
+            ),
+        ],
+        ids=["time_ratio", "tr_audit_marginal"],
+    )
+    def test_non_finite_value_fails_its_section_and_names_the_field(self, tmp_path, capsys, rows, strata, failed):
+        # JSON holds no infinity: a ratio of times 600 decades apart once
+        # crashed the report instead of failing its section
+        path = tmp_path / "far_apart.csv"
+        path.write_text("time,event,arm,s:g\n" + "".join(f"{row}\n" for row in rows))
+        rc, out, _ = run_cli(["analyze", str(path), *strata], capsys)
+        assert rc == 0
+        sections = parse_report(out)["sections"]
+        for name, field in failed.items():
+            error = f"NumericalError: {field} is not a finite number"
+            assert sections[name] == {"data": None, "ok": False, "error": error}
+        assert sections["logrank"]["ok"] and sections["win_probability"]["ok"]
+
     def test_failed_section_table_holds_its_error(self, tmp_path, capsys):
         rows = [(float(t), 1, "Rx") for t in (10, 11, 12)]
         rows += [(float(t), 1, "C") for t in (1, 2, 3)]
@@ -958,14 +983,28 @@ class TestSimulate:
         assert rc == 2 and out == ""
         assert f"unknown key '{key}'" in err
 
-    @pytest.mark.parametrize("rule", ["quota", "stochastic"])
-    def test_membership_key_is_unknown(self, tmp_path, capsys, rule):
-        # membership is always stochastic, and the key is gone from the schema
+    @pytest.mark.parametrize(
+        "key, value",
+        [("membership", "quota"), ("membership", "stochastic"), ("solve_subgroup", "all")],
+        ids=["quota", "stochastic", "solve_subgroup"],
+    )
+    def test_membership_key_is_unknown(self, tmp_path, capsys, key, value):
+        # membership is always stochastic, and the open subgroup is found, not
+        # named: both keys are gone from the schema
         path = tmp_path / "membership.cfg"
-        path.write_text(SMALL_SCENARIO.replace("[scenario]\n", f"[scenario]\nmembership = {rule}\n"))
+        path.write_text(SMALL_SCENARIO.replace("[scenario]\n", f"[scenario]\n{key} = {value}\n"))
         rc, out, err = run_cli(["simulate", str(path)], capsys)
         assert rc == 2 and out == ""
-        assert "[scenario] unknown key 'membership'" in err
+        assert f"[scenario] unknown key '{key}'" in err
+
+    def test_empty_subgroup_label_is_named_as_such(self, tmp_path, capsys):
+        path = tmp_path / "empty_label.cfg"
+        path.write_text(SMALL_SCENARIO.replace("[subgroup:all]", "[subgroup:]"))
+        rc, out, err = run_cli(["simulate", str(path)], capsys)
+        assert rc == 2 and out == ""
+        assert err.splitlines()[1:] == [
+            "  - section [subgroup:] has an empty label; such sections are named [subgroup:<label>]"
+        ]
 
     def test_unknown_builtin(self, capsys):
         rc, _, err = run_cli(["simulate", "builtin:nope"], capsys)

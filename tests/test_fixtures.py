@@ -81,6 +81,17 @@ def test_spec_parse_failures(tmp_path, text, match):
         load_oak_analog_spec(path)
 
 
+def test_empty_factor_label_is_named_as_such(tmp_path):
+    path = tmp_path / "empty_label.cfg"
+    path.write_text(
+        "[dataset]\nn = 50\ntheta = 0.5\nshape = 1.0\nbase_scale = 9.0\nseed = 3\n"
+        "[factor:]\nlabels = a, b\nprevalence = 0.5\nmultipliers = 1, 2\n"
+    )
+    with pytest.raises(ValidationError) as excinfo:
+        load_oak_analog_spec(path)
+    assert excinfo.value.details == ["section [factor:] has an empty label; such sections are named [factor:<name>]"]
+
+
 def test_spec_missing_file_is_a_validation_error(tmp_path):
     with pytest.raises(ValidationError, match="cannot open config"):
         load_oak_analog_spec(tmp_path / "absent.cfg")

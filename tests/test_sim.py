@@ -65,7 +65,7 @@ def test_builtin_scenario_config_fields():
     assert cfg.allocation == 0.5
     assert cfg.alpha == 0.05
     assert cfg.overall_median == 8.0
-    assert cfg.solve_subgroup == "g-"
+    assert [g.label for g in cfg.subgroups if g.is_open] == ["g-"]
     assert cfg.replications == 1000
     gp, gm = cfg.subgroups
     assert (gp.label, gp.prevalence, gp.shape) == ("g+", 0.5, 1.05)
@@ -164,25 +164,34 @@ def test_subgroup_validation_gates():
 def test_solve_subgroup_wiring_is_checked():
     cfg = section3_config()
     gp, gm = cfg.subgroups
-    with pytest.raises(DomainError):
-        realize_scenario(_replace(cfg, solve_subgroup=None))
-    with pytest.raises(DomainError):
+    two_open = _replace(cfg, subgroups=(dataclasses.replace(gp, rx_median=None, c_median=None), gm))
+    with pytest.raises(DomainError, match=r"subgroups \['g\+', 'g-'\] lack medians; at most one can be solved"):
+        realize_scenario(two_open)
+    with pytest.raises(DomainError, match="subgroup 'g-' lacks medians but overall_median is unset"):
         realize_scenario(_replace(cfg, overall_median=None))
-    with pytest.raises(DomainError):
-        realize_scenario(_replace(cfg, solve_subgroup="g+"))
+    none_open = _replace(cfg, subgroups=(gp, dataclasses.replace(gm, rx_median=8.0, c_median=8.0)))
+    with pytest.raises(DomainError, match="overall_median is only honored with a subgroup that lacks medians"):
+        realize_scenario(none_open)
     pinned_only = ScenarioConfig(
         subgroups=(SubgroupSpec("all", 1.0, 1.0, rx_median=8.0, c_median=8.0),),
         overall_median=8.0,
     )
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="overall_median is only honored"):
         realize_scenario(pinned_only)
     lone_open = ScenarioConfig(
         subgroups=(SubgroupSpec("g-", 1.0, 1.2),),
         overall_median=8.0,
-        solve_subgroup="g-",
     )
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="solving a subgroup requires at least one pinned subgroup"):
         realize_scenario(lone_open)
+
+
+def test_open_subgroup_is_found_and_solved_to_the_bit():
+    # the packaged config names no subgroup to solve; g- is found open, and
+    # its scales are those of the config that named it, bit for bit
+    gp, gm = realize_scenario(section3_config()).subgroups
+    assert (gp.rx.scale, gp.c.scale) == (17.01280973535311, 8.506404867676554)
+    assert (gm.rx.scale, gm.c.scale) == (7.9330603336157, 14.329010790988683)
 
 
 def test_single_pinned_subgroup_needs_no_solving():
@@ -203,7 +212,6 @@ def test_infeasible_equal_median_target():
             SubgroupSpec("g-", 0.2, 1.0),
         ),
         overall_median=8.0,
-        solve_subgroup="g-",
         n_total=100,
         replications=5,
     )
