@@ -259,21 +259,15 @@ def _median_entry(value):
     return {"value": float(value), "reached": True}
 
 
-def _non_finite(value, path):
-    """The dotted path of the first float in ``value`` that is not finite, or None."""
-    if isinstance(value, float):
-        return None if np.isfinite(value) else path
-    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
-    return next(filter(None, (_non_finite(v, f"{path}.{k}") for k, v in items)), None)
+def _sections(**data):
+    """A report section of each keyword's data, named by its keyword (see ``report.section``)."""
+    return {name: report_mod.section(data=value, _path=name) for name, value in data.items()}
 
 
 def _guarded(sections, name, fn):
     """Run one analysis section, embedding failures (a non-finite float among them) instead of aborting."""
     try:
-        data = fn()
-        if (field := _non_finite(data, name)) is not None:
-            raise NumericalError(f"{field} is not a finite number")
-        sections[name] = report_mod.section(data=data)
+        sections[name] = report_mod.section(data=fn(), _path=name)
     except SurvquackError as exc:
         sections[name] = report_mod.section(error=f"{type(exc).__name__}: {exc}")
 
@@ -302,9 +296,8 @@ def _cmd_analyze(args):
         if f in factors[:i]:
             raise ValidationError(f"factor {f!r} is given more than once in --strata")
 
-    sections = {}
-    sections["dataset"] = report_mod.section(
-        data={
+    sections = _sections(
+        dataset={
             "n": sample.n,
             "n_rx": int(sample.is_rx.sum()),
             "n_c": int((~sample.is_rx).sum()),
@@ -322,7 +315,6 @@ def _cmd_analyze(args):
             "z": res.z,
             "p_two_sided": res.p_two_sided,
             "zero_variance": res.zero_variance,
-            "alpha": alpha,
             "rejected": bool(res.p_two_sided < alpha),
         }
 
@@ -365,7 +357,6 @@ def _cmd_analyze(args):
         def audit_section(measure=measure):
             comparisons = stratified_audit(sample, factors, measure=measure)
             return {
-                "measure": measure.value,
                 "factors": [
                     {
                         "factor": c.factor,
@@ -395,65 +386,52 @@ def _cmd_simulate(args):
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
     if args.replications is not None:
-        if args.replications < 1:
-            raise ValidationError("--replications must be >= 1")
-        config = dataclasses.replace(config, replications=int(args.replications))
+        config = dataclasses.replace(config, replications=args.replications)
     scenario = realize_scenario(config)
     study = run_study(scenario, workers=args.workers)
 
-    sections = {
-        "scenario": report_mod.section(
-            data={
-                "n_total": config.n_total,
-                "allocation": config.allocation,
-                "alpha": config.alpha,
-                "membership": "stochastic",  # the one rule; the report keeps the key
-                "overall_median": config.overall_median,
-                "arm_medians": {
-                    ARM_RX: scenario.arm_median(True),
-                    ARM_C: scenario.arm_median(False),
-                },
-                "subgroups": [
-                    {
-                        "label": g.label,
-                        "prevalence": g.prevalence,
-                        "shape": g.rx.shape,
-                        "rx_scale": g.rx.scale,
-                        "c_scale": g.c.scale,
-                        "rx_median": g.rx.median,
-                        "c_median": g.c.median,
-                        "time_ratio": g.time_ratio,
-                        "hazard_ratio": g.hazard_ratio,
-                    }
-                    for g in scenario.subgroups
-                ],
-            }
-        ),
-        "study": report_mod.section(
-            data={
-                "replications": study.replications,
-                "alpha": study.alpha,
-                "rejections": study.rejections,
-                "rx_longer": study.rx_longer,
-                "c_longer": study.c_longer,
-                "ties": study.ties,
-                "cox_rejections": study.cox_rejections,
-                "rejection_rate": study.rejection_rate,
-                "rx_longer_rate": study.rx_longer_rate,
-                "c_longer_rate": study.c_longer_rate,
-                "cox_rejection_rate": study.cox_rejection_rate,
-                "rejection_ci95": list(study.rejection_ci),
-                "rx_longer_ci95": list(study.rx_longer_ci),
-                "c_longer_ci95": list(study.c_longer_ci),
-            }
-        ),
-    }
-    inputs = {
-        "config": str(args.config),
-        "replications": config.replications,
-        "workers": args.workers,
-    }
-    return report_mod.build_report("simulate", config.master_seed, inputs, sections)
+    sections = _sections(
+        scenario={
+            "n_total": config.n_total,
+            "allocation": config.allocation,
+            "overall_median": config.overall_median,
+            "arm_medians": {
+                ARM_RX: scenario.arm_median(True),
+                ARM_C: scenario.arm_median(False),
+            },
+            "subgroups": [
+                {
+                    "label": g.label,
+                    "prevalence": g.prevalence,
+                    "shape": g.rx.shape,
+                    "rx_scale": g.rx.scale,
+                    "c_scale": g.c.scale,
+                    "rx_median": g.rx.median,
+                    "c_median": g.c.median,
+                    "time_ratio": g.time_ratio,
+                    "hazard_ratio": g.hazard_ratio,
+                }
+                for g in scenario.subgroups
+            ],
+        },
+        study={
+            "replications": study.replications,
+            "alpha": study.alpha,
+            "rejections": study.rejections,
+            "rx_longer": study.rx_longer,
+            "c_longer": study.c_longer,
+            "ties": study.ties,
+            "cox_rejections": study.cox_rejections,
+            "rejection_rate": study.rejection_rate,
+            "rx_longer_rate": study.rx_longer_rate,
+            "c_longer_rate": study.c_longer_rate,
+            "cox_rejection_rate": study.cox_rejection_rate,
+            "rejection_ci95": list(study.rejection_ci),
+            "rx_longer_ci95": list(study.rx_longer_ci),
+            "c_longer_ci95": list(study.c_longer_ci),
+        },
+    )
+    return report_mod.build_report("simulate", config.master_seed, {"config": str(args.config)}, sections)
 
 
 def _cmd_pivot_ci(args):
@@ -463,35 +441,23 @@ def _cmd_pivot_ci(args):
         raise UnsupportedCensoring(
             f"pivot-ci needs fully observed data; {censored} censored row(s) present"
         )
-    level = float(args.level)
     rx_t, _ = sample.arm(True)
     c_t, _ = sample.arm(False)
-    result = mw_pivot_ci(rx_t, c_t, level=level, seed=args.seed)
-    grid = {"min": float(result.grid[0]), "max": float(result.grid[-1]), "points": int(result.grid.size)}
-    sections = {
-        "pivot_ci": report_mod.section(
-            data={
-                "level": result.level,
-                "interval": [result.lo, result.hi],
-                "observed_count": result.observed_count,
-                "n_rx": result.n_rx,
-                "n_c": result.n_c,
-                "mc_reps": result.mc_reps,
-                "seed": result.seed,
-                "non_convex": False,  # one run of grid points; the report schema keeps the key
-                "empty": result.empty,
-                "accepted_points": int(np.asarray(result.accepted).sum()),
-                "grid": grid,
-            }
-        )
-    }
-    inputs = {
-        "dataset": str(args.dataset),
-        "level": level,
-        "mc_reps": result.mc_reps,
-        "grid": grid,
-    }
-    return report_mod.build_report("pivot-ci", result.seed, inputs, sections)
+    result = mw_pivot_ci(rx_t, c_t, level=args.level, seed=args.seed)
+    sections = _sections(
+        pivot_ci={
+            "level": result.level,
+            "interval": [result.lo, result.hi],
+            "observed_count": result.observed_count,
+            "n_rx": result.n_rx,
+            "n_c": result.n_c,
+            "mc_reps": result.mc_reps,
+            "empty": result.empty,
+            "accepted_points": int(np.asarray(result.accepted).sum()),
+            "grid": {"min": result.grid[0], "max": result.grid[-1], "points": result.grid.size},
+        }
+    )
+    return report_mod.build_report("pivot-ci", args.seed, {"dataset": str(args.dataset)}, sections)
 
 
 def _cmd_eq1_demo(args):
@@ -506,20 +472,18 @@ def _cmd_eq1_demo(args):
         "Mixing each arm's survival over strata first, then comparing the "
         "mixtures, keeps the overall summary anchored to the arms themselves."
     )
-    sections = {
-        "pooled_ratio": report_mod.section(
-            data={
-                "strata": [
-                    {"label": lab, "ratio": r, "weight": w}
-                    for lab, r, w in zip(("A", "B"), ratios, weights)
-                ],
-                "pooled": pooled,
-                "pooled_display": f"{pooled:.3f}",
-                "rule": "exp(sum(weight * ln(ratio)))",
-                "note": note,
-            }
-        )
-    }
+    sections = _sections(
+        pooled_ratio={
+            "strata": [
+                {"label": lab, "ratio": r, "weight": w}
+                for lab, r, w in zip(("A", "B"), ratios, weights)
+            ],
+            "pooled": pooled,
+            "pooled_display": f"{pooled:.3f}",
+            "rule": "exp(sum(weight * ln(ratio)))",
+            "note": note,
+        }
+    )
     return report_mod.build_report("eq1-demo", None, {}, sections)
 
 

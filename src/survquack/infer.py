@@ -359,7 +359,6 @@ class ConfidenceSet:
     n_rx: int
     n_c: int
     mc_reps: int
-    seed: int
     empty: bool
 
 
@@ -432,6 +431,5 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, seed=0) -> ConfidenceS
         n_rx=int(rx.size),
         n_c=int(c.size),
         mc_reps=MC_REPS,
-        seed=int(seed),
         empty=empty,
     )

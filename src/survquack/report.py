@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 from importlib import resources
 
 import numpy as np
 
 from ._version import __version__
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -31,51 +32,55 @@ __all__ = [
     "validate_report",
 ]
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 _COMMANDS = ("analyze", "simulate", "pivot-ci", "eq1-demo")
 
 
-def _jsonable(obj):
+def _jsonable(obj, path=()):
+    """``obj`` in JSON's types; a float that is not finite (JSON holds none) is
+    a NumericalError naming its ``path`` of keys and list indices, dot-joined."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v, (*path, k)) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_jsonable(v, (*path, i)) for i, v in enumerate(obj)]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return _jsonable(obj.tolist(), path)
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
+        if not math.isfinite(obj):
+            raise NumericalError(f"{'.'.join(map(str, path))} is not a finite number")
         return float(obj)
     if obj is None or isinstance(obj, str):
         return obj
     raise ValidationError(f"value of type {type(obj).__name__} cannot go into a report")
 
 
-def section(data=None, error=None) -> dict:
-    """One report section: ``ok`` is true exactly when there is no error."""
+def section(data=None, error=None, _path=None) -> dict:
+    """One report section: ``ok`` is true exactly when there is no error. ``data`` is converted
+    here, once; a float in it that is not finite is named by its path from the section name ``_path``."""
     if error is not None and data is not None:
         raise ValidationError("a section carries data or an error, not both")
-    return {"ok": error is None, "error": error, "data": data}
+    return {"ok": error is None, "error": error, "data": _jsonable(data, () if _path is None else (_path,))}
 
 
 def build_report(command: str, seed, inputs: dict, sections: dict) -> dict:
+    """The report document; ``sections`` holds ``section`` results, whose data is converted already."""
     if command not in _COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
-    return _jsonable(
-        {
-            "tool": "survquack",
-            "version": __version__,
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "created": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-            "seed": seed,
-            "inputs": inputs,
-            "sections": sections,
-        }
-    )
+    return {
+        "tool": "survquack",
+        "version": __version__,
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "seed": _jsonable(seed),
+        "inputs": _jsonable(inputs, ("inputs",)),
+        "sections": sections,
+    }
 
 
 def render(report: dict) -> str:

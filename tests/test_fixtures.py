@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from survquack import generate_prognostic_sample, load_oak_analog_spec
+from survquack import fixtures, generate_prognostic_sample, load_oak_analog_spec
 from survquack.cli import read_dataset
 from survquack.errors import DomainError, ValidationError
+from survquack.estim import SurvivalSample
 from survquack.fixtures import FactorSpec, OakAnalogSpec, write_dataset_csv
 
 
@@ -176,3 +177,24 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(sample.event, back.event)
     assert np.array_equal(sample.is_rx, back.is_rx)
     assert np.array_equal(sample.strata["grp"], back.strata["grp"])
+
+
+@pytest.mark.parametrize("block_rows", [2, fixtures._WRITE_ROWS])
+def test_csv_bytes_are_pinned(tmp_path, monkeypatch, block_rows):
+    # a censored row, a time that takes 17 digits and a label holding a comma,
+    # written in one block of rows or across two
+    monkeypatch.setattr(fixtures, "_WRITE_ROWS", block_rows)
+    sample = SurvivalSample(
+        np.array([0.1 + 0.2, 2.0, 7.5]),
+        np.array([True, False, True]),
+        np.array([True, False, False]),
+        {"site": np.array(["a,b", "c", "c"]), "grade": np.array([1, 2, 1])},
+    )
+    path = tmp_path / "pinned.csv"
+    write_dataset_csv(sample, path)
+    assert path.read_bytes() == (
+        b"time,event,arm,s:site,s:grade\r\n"
+        b'0.30000000000000004,1,Rx,"a,b",1\r\n'
+        b"2.0,0,C,c,2\r\n"
+        b"7.5,1,C,c,1\r\n"
+    )

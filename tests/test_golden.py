@@ -2,16 +2,17 @@
 
 Each case is the ``strip_volatile`` report of one CLI call, with the
 dataset path replaced by a placeholder. A ``simulate`` case runs without
-``--workers`` and with ``--workers 1`` and ``--workers 2``, and every
-report, its worker count replaced by a placeholder, must equal its one
-file. Integers, strings, booleans and nulls must match exactly and floats
-to 1e-12 relative, so that another host's libm cannot fail the suite; a
+``--workers`` and with ``--workers 1`` and ``--workers 2``: the three
+reports must render to the same text, and each must equal its one file.
+Integers, strings, booleans and nulls must match exactly and floats to
+1e-12 relative, so that another host's libm cannot fail the suite; a
 mismatch names the first differing path. A change that alters a golden
 file on purpose regenerates the corpus with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says which fields changed and why.
+which keeps each committed value the comparison accepts, so that the diff
+shows only real changes, and says which fields changed and why.
 """
 
 import json
@@ -25,12 +26,11 @@ import pytest
 from survquack.cli import main
 from survquack.estim import SurvivalSample
 from survquack.fixtures import generate_prognostic_sample, load_oak_analog_spec, write_dataset_csv
-from survquack.report import strip_volatile
+from survquack.report import render, strip_volatile
 from survquack.rng import derive_rng
 
 GOLDEN = Path(__file__).parent / "golden"
 DATASET = "<dataset>"
-WORKERS = "<workers>"
 AUDIT = ["--strata", "sex,histology,kras,egfr", "--measure", "HR", "--measure", "TR"]
 SIMULATE = ["simulate", "builtin:section3", "--replications", "500"]
 REL_TOL = 1e-12
@@ -71,17 +71,33 @@ CASES = {
     "simulate-section3-seed5": ([*SIMULATE, "--seed", "5"], None),
     "simulate-section3-seed99": ([*SIMULATE, "--seed", "99"], None),
 }
+SIMULATE_CASES = sorted(case for case, (argv, _) in CASES.items() if argv[0] == "simulate")
 # (case, --workers value or None for no flag): a simulate report must not
 # depend on the worker count, given or left to its default
 RUNS = [
     (case, workers)
-    for case, (argv, _) in sorted(CASES.items())
-    for workers in ((None, 1, 2) if argv[0] == "simulate" else (None,))
+    for case in sorted(CASES)
+    for workers in ((None, 1, 2) if case in SIMULATE_CASES else (None,))
+]
+# fields schema 2 dropped as constants or copies of another field: (inputs or section, key)
+DROPPED = [
+    ("inputs", "replications"),
+    ("inputs", "workers"),
+    ("inputs", "level"),
+    ("inputs", "mc_reps"),
+    ("inputs", "grid"),
+    ("scenario", "membership"),
+    ("scenario", "alpha"),
+    ("pivot_ci", "non_convex"),
+    ("pivot_ci", "seed"),
+    ("logrank", "alpha"),
+    ("stratified_audit_hr", "measure"),
+    ("stratified_audit_tr", "measure"),
 ]
 
 
 def _report(case, workdir, workers=None):
-    """The case's report, volatile fields, dataset path and worker count removed."""
+    """The case's report, volatile fields and dataset path removed."""
     argv, make = CASES[case]
     dataset, out = Path(workdir) / f"{case}.csv", Path(workdir) / f"{case}.json"
     if make is not None:
@@ -94,9 +110,6 @@ def _report(case, workdir, workers=None):
     if make is not None:
         assert report["inputs"]["dataset"] == str(dataset)
         report["inputs"]["dataset"] = DATASET
-    if argv[0] == "simulate":
-        assert report["inputs"]["workers"] == workers  # null without the flag
-        report["inputs"]["workers"] = WORKERS
     return report
 
 
@@ -125,6 +138,19 @@ def _first_difference(expected, actual, path="$"):
     return None
 
 
+def _kept(committed, fresh):
+    """``fresh``, keeping each part of ``committed`` at the same path that
+    ``_first_difference`` accepts, so that a regenerated file differs from
+    the committed one only where a value really changed."""
+    if _first_difference(committed, fresh) is None:
+        return committed
+    if isinstance(committed, dict) and isinstance(fresh, dict):
+        return {k: _kept(committed[k], v) if k in committed else v for k, v in fresh.items()}
+    if isinstance(committed, list) and isinstance(fresh, list) and len(committed) == len(fresh):
+        return [_kept(c, f) for c, f in zip(committed, fresh)]
+    return fresh
+
+
 def _run_id(case, workers):
     if CASES[case][0][0] != "simulate":
         return case
@@ -135,6 +161,20 @@ def _run_id(case, workers):
 def test_report_matches_golden(case, workers, tmp_path):
     expected = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
     assert _first_difference(expected, _report(case, tmp_path, workers)) is None
+
+
+@pytest.mark.parametrize("case", SIMULATE_CASES)
+def test_simulate_report_text_does_not_depend_on_workers(case, tmp_path):
+    texts = [render(_report(case, tmp_path, workers)) for workers in (None, 1, 2)]
+    assert texts[1] == texts[0] and texts[2] == texts[0]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_report_holds_no_dropped_field(case):
+    report = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
+    for where, key in DROPPED:
+        holder = report["inputs"] if where == "inputs" else report["sections"].get(where, {}).get("data")
+        assert key not in (holder or {}), f"{where}.{key}"
 
 
 @pytest.mark.parametrize(
@@ -157,15 +197,26 @@ def test_first_difference_names_the_first_differing_path(actual, where):
     assert found is None if where is None else found.startswith(where)
 
 
+def test_regeneration_keeps_committed_floats_within_tolerance():
+    committed = {"a": [1, {"b": 0.5}], "c": 0.25, "gone": True}
+    fresh = {"a": [1, {"b": 0.5 * (1 + 1e-13)}], "c": 0.25 * (1 + 1e-11), "new": "x"}
+    kept = _kept(committed, fresh)
+    assert kept == {"a": [1, {"b": 0.5}], "c": 0.25 * (1 + 1e-11), "new": "x"}
+    assert list(kept) == ["a", "c", "new"]
+
+
 def regenerate():
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
         for case in sorted(CASES):
-            text = json.dumps(_report(case, workdir), indent=2, sort_keys=False) + "\n"
-            (GOLDEN / f"{case}.json").write_text(text, encoding="utf-8")
-            print(f"wrote {GOLDEN / case}.json")
+            path = GOLDEN / f"{case}.json"
+            report = _report(case, workdir)
+            if path.exists():
+                report = _kept(json.loads(path.read_text(encoding="utf-8")), report)
+            path.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n", encoding="utf-8")
+            print(f"wrote {path}")
 
 
 if __name__ == "__main__":
