@@ -28,6 +28,10 @@ __all__ = [
     "sample_times",
 ]
 
+# the arms' labels in reports and errors
+ARM_RX = "Rx"
+ARM_C = "C"
+
 _LN2 = math.log(2.0)
 # bracket width, relative to its upper end, at which a mixture quantile
 # stops, so that the answer does not depend on the time unit
@@ -212,15 +216,17 @@ def quantile(curve: SurvivalCurve, p):
 
 
 def _quantile(curve, p):
-    final = curve.final_survival()
-    if final >= p:
-        raise NotReachedError(f"curve never falls to survival {p}")
+    # a step curve is read at its jumps alone, so that a curve ending
+    # exactly at p reaches p at its last jump
     jumps = curve.jump_times()
     if jumps is not None:
         hits = np.flatnonzero(np.asarray(curve.survival(jumps)) <= p)
         if hits.size == 0:
             raise NotReachedError(f"curve never falls to survival {p}")
         return float(jumps[hits[0]])
+    final = curve.final_survival()
+    if final >= p:
+        raise NotReachedError(f"curve never falls to survival {p}")
     if isinstance(curve, LehmannCurve):
         return _quantile(curve.reference, p ** (1.0 / curve.hr))
     if not isinstance(curve, MixtureCurve):
@@ -247,6 +253,18 @@ def _quantile(curve, p):
         else:
             hi, f_hi, f_lo, side = x, fx, f_lo * (0.5 if side > 0 else 1.0), 1
     return lo if f_lo <= 0.0 else hi
+
+
+def _arm_medians(rx_curve, c_curve):
+    """(Rx median, C median) of two arms' curves, by ``quantile``; a
+    NotReachedError names the first arm whose curve never falls to 1/2."""
+    medians = []
+    for arm, curve in ((ARM_RX, rx_curve), (ARM_C, c_curve)):
+        try:
+            medians.append(quantile(curve, 0.5))
+        except NotReachedError as exc:
+            raise NotReachedError(f"{arm} median never reached", arm=arm) from exc
+    return tuple(medians)
 
 
 def weibull_from_median(shape, median) -> WeibullDist:

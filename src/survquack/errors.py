@@ -1,4 +1,4 @@
-"""Exception taxonomy and sentinel values shared across the package."""
+"""Exception taxonomy shared across the package."""
 
 __all__ = [
     "SurvquackError",
@@ -8,7 +8,6 @@ __all__ = [
     "UnsupportedCensoring",
     "NotReachedError",
     "ValidationError",
-    "NOT_REACHED",
 ]
 
 
@@ -60,20 +59,3 @@ class ValidationError(SurvquackError):
     def __init__(self, message, details=None):
         super().__init__(message)
         self.details = list(details or [])
-
-
-class _NotReachedType:
-    """Sentinel for step-function estimates that never drop to the target level."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NotReached"
-
-
-NOT_REACHED = _NotReachedType()

@@ -15,14 +15,18 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dist import SurvivalCurve, WeibullDist, _as_times, _match, _positive
-from .errors import (
-    NOT_REACHED,
-    DomainError,
-    NotReachedError,
-    NumericalError,
-    UnsupportedCensoring,
+from .dist import (
+    ARM_C,
+    ARM_RX,
+    SurvivalCurve,
+    WeibullDist,
+    _arm_medians,
+    _as_times,
+    _match,
+    _positive,
+    quantile,
 )
+from .errors import DomainError, NotReachedError, NumericalError, UnsupportedCensoring
 
 __all__ = [
     "Measure",
@@ -41,9 +45,6 @@ __all__ = [
     "cox_fit_two_arm",
     "sample_tr",
 ]
-
-ARM_RX = "Rx"
-ARM_C = "C"
 
 
 class Measure(str, Enum):
@@ -211,6 +212,8 @@ class KMCurve(SurvivalCurve):
         object.__setattr__(self, "survival_after", np.asarray(self.survival_after, dtype=float))
 
     def survival(self, t):
+        if t is self.times:  # as ``quantile`` asks at ``jump_times()``: no search needed
+            return self.survival_after
         return self.sides(t)[1]
 
     def survival_left(self, t):
@@ -319,11 +322,11 @@ def km_fit(times, events) -> KMCurve:
 
 
 def km_median(curve: KMCurve):
-    """Smallest event time where the estimate is <= 1/2, else NOT_REACHED."""
-    hits = np.flatnonzero(curve.survival_after <= 0.5)
-    if hits.size == 0:
-        return NOT_REACHED
-    return float(curve.times[hits[0]])
+    """Smallest event time where the estimate is <= 1/2 (``quantile(curve, 0.5)``), else None."""
+    try:
+        return quantile(curve, 0.5)
+    except NotReachedError:
+        return None
 
 
 def weibull_mle(times, events) -> WeibullDist:
@@ -602,10 +605,5 @@ def sample_tr(sample: SurvivalSample) -> float:
     Raises NotReachedError (carrying the arm) when either curve never
     reaches its median.
     """
-    med_rx = km_median(sample.km(True))
-    if med_rx is NOT_REACHED:
-        raise NotReachedError("Rx median never reached", arm=ARM_RX)
-    med_c = km_median(sample.km(False))
-    if med_c is NOT_REACHED:
-        raise NotReachedError("C median never reached", arm=ARM_C)
+    med_rx, med_c = _arm_medians(sample.km(True), sample.km(False))
     return med_rx / med_c

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._pool import run_shares
 from .dist import _TINY, _positive
-from .errors import NOT_REACHED, DomainError
+from .errors import DomainError
 from .estim import ARM_C, ARM_RX, SurvivalSample, _pair_stats, km_median
 from .rng import derive_rng
 
@@ -70,13 +70,13 @@ class DecisionOutcome:
     """A claim plus the evidence it was based on.
 
     ``tie`` marks rejections that ended in NO_CLAIM because the medians
-    tied exactly or one of them was never reached.
+    tied exactly or one of them was never reached (and is None).
     """
 
     claim: Claim
     p_value: float
-    median_rx: object
-    median_c: object
+    median_rx: float | None
+    median_c: float | None
     tie: bool
     logrank: LogRankResult | None = None
 
@@ -116,7 +116,7 @@ def _decide(logrank, alpha, median_rx, median_c) -> DecisionOutcome:
     p = logrank.p_two_sided
     if p >= alpha:
         claim, tie = Claim.NO_CLAIM, False
-    elif median_rx is NOT_REACHED or median_c is NOT_REACHED or median_rx == median_c:
+    elif median_rx is None or median_c is None or median_rx == median_c:
         claim, tie = Claim.NO_CLAIM, True
     elif median_rx > median_c:
         claim, tie = Claim.RX_LONGER_MEDIAN, False

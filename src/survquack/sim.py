@@ -26,8 +26,8 @@ from .dist import (
     _TINY,
     MixtureCurve,
     WeibullDist,
+    _arm_medians,
     _check_prevalences,
-    quantile,
     solve_complement_scale,
     weibull_from_median,
 )
@@ -40,16 +40,15 @@ from .estim import (
     _complete_tables,
     _cox_rows,
     _logrank_terms,
-    tr_to_hr,
 )
 from .infer import Claim, _logrank_result, _wald, decision_procedure, wald_test_cox
 from .rng import _pcg64_states
+from .sme import SubgroupRow
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
     "SubgroupSpec",
     "ScenarioConfig",
-    "RealizedSubgroup",
     "RealizedScenario",
     "realize_scenario",
     "DirectionalErrorReport",
@@ -94,28 +93,9 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class RealizedSubgroup:
-    """A subgroup with both arms' Weibull laws pinned down."""
-
-    label: str
-    prevalence: float
-    rx: WeibullDist
-    c: WeibullDist
-
-    @property
-    def time_ratio(self) -> float:
-        return self.rx.median / self.c.median
-
-    @property
-    def hazard_ratio(self) -> float:
-        # both arms share the subgroup's shape, so the hazards are
-        # proportional within the subgroup
-        return tr_to_hr(self.time_ratio, self.rx.shape)
-
-
-@dataclass(frozen=True)
 class RealizedScenario:
-    """Scenario with every distribution resolved, ready to simulate."""
+    """Scenario with every distribution resolved, ready to simulate: each
+    subgroup is a ``SubgroupRow`` whose ingredients are its arms' Weibull laws."""
 
     config: ScenarioConfig
     subgroups: tuple
@@ -128,13 +108,13 @@ class RealizedScenario:
         return MixtureCurve(tuple((g.prevalence, g.rx if rx else g.c) for g in self.subgroups))
 
     def arm_median(self, rx: bool) -> float:
-        return self._arm_medians[bool(rx)]
+        return self._medians[0 if rx else 1]
 
     @cached_property
-    def _arm_medians(self) -> dict:
+    def _medians(self) -> tuple:
         # solved once per arm: realize_scenario checks both and the
         # simulate report prints both
-        return {rx: quantile(self.arm_mixture(rx), 0.5) for rx in (True, False)}
+        return _arm_medians(self.arm_mixture(True), self.arm_mixture(False))
 
     @cached_property
     def _cum_prevalence(self) -> np.ndarray:
@@ -207,7 +187,7 @@ def realize_scenario(config: ScenarioConfig) -> RealizedScenario:
         laws[spec.label] = (solved(0), solved(1))
 
     realized = RealizedScenario(
-        config, tuple(RealizedSubgroup(g.label, g.prevalence, *laws[g.label]) for g in config.subgroups)
+        config, tuple(SubgroupRow(g.label, g.prevalence, *laws[g.label]) for g in config.subgroups)
     )
     if config.overall_median is not None:
         for rx in (True, False):
@@ -402,7 +382,6 @@ class DirectionalErrorReport:
 
     replications: int
     alpha: float
-    master_seed: int
     rejections: int
     rx_longer: int
     c_longer: int
@@ -467,7 +446,6 @@ def run_study(scenario: RealizedScenario, workers: int | None = None) -> Directi
     return DirectionalErrorReport(
         replications=reps,
         alpha=scenario.config.alpha,
-        master_seed=scenario.config.master_seed,
         rejections=int(counts[_N_REJECT]),
         rx_longer=int(counts[_N_RX]),
         c_longer=int(counts[_N_C]),

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import MixtureCurve, SurvivalCurve, _check_prevalences, quantile
-from .errors import DomainError, NotReachedError, NumericalError, SurvquackError
+from .dist import MixtureCurve, SurvivalCurve, _arm_medians, _check_prevalences
+from .errors import DomainError, NumericalError, SurvquackError
 from .estim import Measure, SurvivalSample, hr_from_llp, sample_tr
 
 __all__ = [
@@ -127,13 +127,8 @@ def sme_overall_tr(table: SubgroupTable) -> float:
     """Overall time ratio: median of each arm's mixture curve, then divide."""
     if table.measure is not Measure.TR:
         raise DomainError("sme_overall_tr needs a TR table")
-    medians = {}
-    for arm, rx in (("Rx", True), ("C", False)):
-        try:
-            medians[arm] = quantile(table.arm_mixture(rx), 0.5)
-        except NotReachedError as exc:
-            raise NotReachedError(f"{arm} mixture median never reached", arm=arm) from exc
-    return medians["Rx"] / medians["C"]
+    med_rx, med_c = _arm_medians(table.arm_mixture(True), table.arm_mixture(False))
+    return med_rx / med_c
 
 
 def sme_overall_hr(table: SubgroupTable) -> float:

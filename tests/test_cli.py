@@ -22,7 +22,7 @@ import survquack.errors as errors_module
 
 from survquack._version import __version__
 from survquack.cli import main, parse_scenario_config, read_dataset
-from survquack.dist import quantile
+from survquack.dist import _arm_medians
 from survquack.errors import (
     DomainError,
     InfeasibleScenario,
@@ -376,6 +376,8 @@ class TestReadDataset:
     @example(text="time,event,arm\n\n \t,\r\n", block_rows=1024)
     # a NUL after an event or arm is kept, so the cell is refused
     @example(text="time,event,arm\n1,1\x00,Rx\x00\n", block_rows=1024)
+    # a record one field short, so its key holds one cell too few
+    @example(text="time,event,arm,s:g\n1,0,Rx\n1,0,Rx,a\n", block_rows=1024)
     # float() reads "1.5\r" as 1.5: only the mixed line ends send these to csv
     @example(text="time,event,arm\n1.5\r,1,Rx\n2,0,C\n", block_rows=1024)
     @example(text="time,event,arm\r\n2,0,C\r\n1.5\r,1,Rx\r\n", block_rows=1)
@@ -938,20 +940,20 @@ class TestSimulate:
     )
     def test_each_arm_median_is_solved_once(self, small_cfg, capsys, monkeypatch, config, medians):
         # realize_scenario checks a targeted scenario's arm medians and the
-        # report prints them: one mixture quantile per arm serves both
+        # report prints them: one solve of both arms' medians serves both
         calls = []
 
-        def counting(curve, p):
-            calls.append(p)
-            return quantile(curve, p)
+        def counting(rx_curve, c_curve):
+            calls.append((rx_curve, c_curve))
+            return _arm_medians(rx_curve, c_curve)
 
-        monkeypatch.setattr("survquack.sim.quantile", counting)
+        monkeypatch.setattr("survquack.sim._arm_medians", counting)
         config = small_cfg if config == "small" else config
         rc, out, _ = run_cli(["simulate", config, "--replications", "1"], capsys)
         assert rc == 0
         got = parse_report(out)["sections"]["scenario"]["data"]["arm_medians"]
         assert got == {arm: pytest.approx(median, rel=1e-9) for arm, median in medians.items()}
-        assert calls == [0.5, 0.5]
+        assert len(calls) == 1
 
     def test_replications_override(self, small_cfg, capsys):
         rc, out, _ = run_cli(

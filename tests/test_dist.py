@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from survquack import (
+    ARM_C,
+    ARM_RX,
     LehmannCurve,
     MixtureCurve,
     SurvivalCurve,
@@ -18,11 +20,12 @@ from survquack import (
     lehmann_transform,
     mixture_llp,
     quantile,
+    realize_scenario,
     sample_times,
     solve_complement_scale,
     weibull_from_median,
 )
-from survquack.errors import DomainError, InfeasibleScenario, NotReachedError
+from survquack.errors import DomainError, InfeasibleScenario, NotReachedError, NumericalError
 
 from oracles import bisect_complement_scale
 
@@ -92,6 +95,15 @@ def test_quantile_not_reached_on_plateaued_step_curve():
         quantile(km, 0.5)
 
 
+def test_quantile_not_reached_when_a_curve_without_jumps_ends_at_the_level():
+    # half the mass never dies, half is exponential: the mixture has no jumps
+    # to read, and it only tends to 1/2
+    mix = MixtureCurve(((0.5, km_fit([1.0, 2.0], [False, False])), (0.5, WeibullDist(1.0, 1.0))))
+    assert mix.jump_times() is None and mix.final_survival() == 0.5
+    with pytest.raises(NotReachedError, match="never falls to survival 0.5"):
+        quantile(mix, 0.5)
+
+
 def test_quantile_not_reached_when_the_summed_curve_ends_above_the_level():
     # math.fsum would round the weighted finals' exact sum to
     # 0.46499999999999997, below the level; summed in survival's order they
@@ -142,7 +154,7 @@ def test_mixture_llp_against_a_control_with_neither_jumps_nor_an_inverse_raises(
 
 
 def test_quantile_not_reached_when_no_jump_falls_to_the_level():
-    # the limit passes the "never falls to p" check, the jump scan finds no value at or below p
+    # a step curve is read at its jumps: its limit is below p, yet no jump falls to p
     assert _StepsAboveTheirLimit().final_survival() == 0.0 < 0.5
     with pytest.raises(NotReachedError, match="never falls to survival 0.5"):
         quantile(_StepsAboveTheirLimit(), 0.5)
@@ -409,3 +421,13 @@ def test_monotonicity(shape, scale, hr, pair):
 def test_scenario_medians_pinned(section3):
     for rx in (True, False):
         assert section3.arm_median(rx) == pytest.approx(8.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("off_rx, arm", [(True, ARM_RX), (False, ARM_C)])
+def test_a_realized_median_off_its_target_is_refused(section3, monkeypatch, off_rx, arm):
+    # the closed-form scales hit the target to rounding; 2e-6 off it is a numerical failure
+    off = 8.0 * (1.0 + 2e-6)
+    monkeypatch.setattr("survquack.sim._arm_medians", lambda rx, c: (off, 8.0) if off_rx else (8.0, off))
+    with pytest.raises(NumericalError, match="realized arm median missed the target") as excinfo:
+        realize_scenario(section3.config)
+    assert excinfo.value.diagnostics == {"arm": arm, "realized": off, "target": 8.0}

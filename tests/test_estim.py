@@ -5,13 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from survquack import (
     ARM_C,
     ARM_RX,
-    NOT_REACHED,
     SurvivalSample,
     WeibullDist,
     cox_fit_two_arm,
@@ -24,6 +23,7 @@ from survquack import (
     km_median,
     llp_from_hr,
     load_oak_analog_spec,
+    quantile,
     realize_scenario,
     run_study,
     sample_times,
@@ -184,8 +184,26 @@ def test_km_sides_are_both_limits_from_one_search():
 
 def test_km_median_examples():
     assert km_median(km_fit([1.0, 2.0, 3.0, 4.0], [True] * 4)) == 2.0
-    assert km_median(km_fit([1.0, 2.0, 3.0], [False] * 3)) is NOT_REACHED
-    assert repr(NOT_REACHED) == "NotReached"
+    assert km_median(km_fit([1.0, 2.0, 3.0], [False] * 3)) is None
+
+
+@given(
+    st.lists(st.tuples(st.integers(1, 6), st.booleans()), min_size=1, max_size=8)
+)
+# curves that fall to exactly 1/2 and stay there: at a death, after a tie
+@example([(1, True), (2, False)])
+@example([(1, True), (1, True), (2, False), (2, False)])
+@settings(max_examples=200, deadline=None)
+def test_km_median_is_the_product_limit_quantile(records):
+    times, events = zip(*records)
+    curve = km_fit(times, events)
+    # the smallest death time where the estimate is at most 1/2
+    reached = [u for u in sorted({t for t, e in records if e}) if km_by_hand(times, events, u) <= 0.5]
+    try:
+        q = quantile(curve, 0.5)
+    except NotReachedError:
+        q = None
+    assert km_median(curve) == q == (float(reached[0]) if reached else None)
 
 
 def test_km_median_of_scenario_sample(section3):

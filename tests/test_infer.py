@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from survquack import (
     Claim,
-    NOT_REACHED,
     SurvivalSample,
     WeibullDist,
     decision_procedure,
@@ -211,7 +210,7 @@ def test_decision_unreached_median_rejects_without_direction():
     )
     out = decision_procedure(rx, 0.05)
     assert out.p_value < 1e-6
-    assert out.median_rx is NOT_REACHED
+    assert out.median_rx is None
     assert out.claim is Claim.NO_CLAIM
     assert out.tie
 
@@ -239,7 +238,7 @@ def test_decision_claims_are_internally_consistent(data):
         # A directional call always rests on a rejection and ordered medians.
         assert out.p_value < 0.5
         assert not out.tie
-        assert out.median_rx is not NOT_REACHED and out.median_c is not NOT_REACHED
+        assert out.median_rx is not None and out.median_c is not None
         if out.claim is Claim.RX_LONGER_MEDIAN:
             assert out.median_rx > out.median_c
         else:

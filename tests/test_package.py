@@ -1,4 +1,4 @@
-"""The package's one public-name list, what importing it loads, and its config schemas."""
+"""The package's one public-name list, what importing it loads, its config schemas and its mutant list."""
 
 import ast
 import dataclasses
@@ -13,6 +13,8 @@ import pytest
 
 import survquack
 from survquack import cli, fixtures, sim
+
+import mutants
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -117,3 +119,17 @@ def test_study_tests_name_no_other_private_name():
         with open(os.path.join(os.path.dirname(__file__), name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         assert set(_private_names(tree, ("sim", "estim", "_pool"))) - _STUDY_TEST_PRIVATES == set(), name
+
+
+def test_each_mutant_applies_once_and_names_collected_tests():
+    # runs no mutant: tests/mutants.py does, on demand
+    for name, mutant in mutants.MUTANTS.items():
+        with open(mutants.ROOT / "src" / "survquack" / mutant.file, encoding="utf-8") as fh:
+            assert fh.read().count(mutant.text) == 1, name
+        assert mutant.tests and mutant.replacement != mutant.text, name
+    ids = sorted({node for mutant in mutants.MUTANTS.values() for node in mutant.tests})
+    argv = [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *ids]
+    done = subprocess.run(argv, cwd=mutants.ROOT, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    collected = done.stdout.splitlines()
+    assert [node for node in ids if not any(line.split("[")[0] == node for line in collected)] == []

@@ -24,6 +24,7 @@ from survquack import (
     mixture_llp,
     naive_stratified_ratio,
     sample_times,
+    sample_tr,
     sme_overall_hr,
     sme_overall_rr,
     sme_overall_tr,
@@ -190,11 +191,16 @@ def test_sme_tr_uniform_time_stretch():
 
 
 def test_sme_tr_of_the_balanced_scenario_is_one(section3):
-    rows = tuple(
-        SubgroupRow(g.label, g.prevalence, g.rx, g.c) for g in section3.subgroups
-    )
-    value = sme_overall_tr(SubgroupTable(Measure.TR, rows))
+    # a realized scenario's subgroups are the table's rows
+    value = sme_overall_tr(SubgroupTable(Measure.TR, section3.subgroups))
     assert abs(value - 1.0) < 1e-6
+
+
+def test_sme_tr_of_one_level_is_the_sample_tr():
+    # the Rx curve ends at exactly 1/2: both read its median at its last death
+    s = SurvivalSample.from_arms([1, 2, 3, 4], [1.5, 2.5, 3.5, 4.5], rx_events=[True, True, False, False])
+    table = SubgroupTable(Measure.TR, (SubgroupRow("all", 1.0, s.km(True), s.km(False)),))
+    assert sample_tr(s) == sme_overall_tr(table) == 0.8
 
 
 def test_sme_tr_unreached_median_names_the_arm():
