@@ -36,7 +36,7 @@ _LN2 = math.log(2.0)
 # bracket width, relative to its upper end, at which a mixture quantile
 # stops, so that the answer does not depend on the time unit
 _QUANTILE_TOL = 1e-12
-_TINY = np.finfo(float).tiny  # floor for uniforms, which can be exactly 0.0
+_TINY = np.finfo(float).tiny
 
 
 def _as_times(t):
@@ -315,7 +315,12 @@ def sample_times(dist: WeibullDist, rng, n):
     n = int(n)
     if n < 0:
         raise DomainError("sample size must be >= 0")
-    u = rng.random(n)
-    # rng.random() can return exactly 0.0, which would map to an infinite time
-    u = np.maximum(u, _TINY)
-    return dist.inverse_cumhaz(-np.log(u))
+    return dist.inverse_cumhaz(_unit_exponentials(rng.random(n)))
+
+
+def _unit_exponentials(u):
+    """-log u of an array of uniforms, in place; a uniform of exactly 0.0, which
+    ``Generator.random`` can return, counts as the smallest normal double."""
+    np.maximum(u, _TINY, out=u)
+    np.log(u, out=u)
+    return np.negative(u, out=u)

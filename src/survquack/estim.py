@@ -86,8 +86,7 @@ class SurvivalSample:
             raise DomainError("sample must hold a non-empty 1-d time array")
         if event.shape != time.shape or is_rx.shape != time.shape:
             raise DomainError("time, event and arm arrays must be aligned")
-        if not np.all(np.isfinite(time)) or np.any(time <= 0.0):
-            raise DomainError("observation times must be finite and > 0")
+        _observed_times(time)
         strata = {}
         for name, labels in dict(self.strata).items():
             arr = np.asarray(labels)
@@ -124,7 +123,12 @@ class SurvivalSample:
 
     @cached_property
     def _logrank(self):
-        """(O - E, variance) of the risk table, shared by the log-rank test and the Cox fit."""
+        """(O - E, variance) of the risk table, shared by the log-rank test and
+        the Cox fit; both need two arms and a death."""
+        if not self.is_rx.any() or self.is_rx.all():
+            raise DomainError("both arms must be present")
+        if not self.event.any():
+            raise DomainError("at least one death is required")
         return _logrank_terms(self.tables)
 
     @cached_property
@@ -189,6 +193,14 @@ class SurvivalSample:
         is_rx = np.zeros(time.size, bool)
         is_rx[: rx_times.size] = True
         return cls(time, event, is_rx)
+
+
+def _observed_times(times):
+    """``times`` as a float array, refused unless each is finite and positive."""
+    time = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(time)) or np.any(time <= 0.0):
+        raise DomainError("observation times must be finite and > 0")
+    return time
 
 
 @dataclass(frozen=True)
@@ -402,8 +414,7 @@ def weibull_mle(times, events) -> WeibullDist:
 
 
 def _pair_stats(rx_times, c_times):
-    rx = np.asarray(rx_times, dtype=float)
-    c = np.asarray(c_times, dtype=float)
+    rx, c = _observed_times(rx_times), _observed_times(c_times)
     if rx.size == 0 or c.size == 0:
         raise DomainError("both groups must be non-empty")
     cs = np.sort(c)
@@ -580,17 +591,13 @@ def cox_fit_two_arm(sample: SurvivalSample):
     """Breslow partial-likelihood fit of the single treatment coefficient.
 
     Returns (log hazard ratio, standard error) from the sample's risk
-    table. Monotone likelihoods (the arms separate the event order) are
-    reported as NumericalError rather than a huge estimate.
+    table; like the log-rank test, it needs two arms and a death. Monotone
+    likelihoods (the arms separate the event order) are reported as
+    NumericalError rather than a huge estimate.
     """
-    if not sample.is_rx.any() or sample.is_rx.all():
-        raise DomainError("both arms must be present")
-    tb = sample.tables
-    if tb.events.sum() == 0:
-        raise DomainError("at least one death is required")
-    (beta,), (se,), (code,) = _cox_rows(tb, *sample._logrank)
+    (beta,), (se,), (code,) = _cox_rows(sample.tables, *sample._logrank)
     if code == _LIMITS:
-        score_lo, score_hi = _cox_score_limits(_cox_counts(tb))
+        score_lo, score_hi = _cox_score_limits(_cox_counts(sample.tables))
         raise NumericalError(
             _MONOTONE, score_at_minus_inf=float(score_lo[0]), score_at_plus_inf=float(score_hi[0])
         )

@@ -12,7 +12,7 @@ from enum import Enum
 import numpy as np
 
 from ._pool import run_shares
-from .dist import _TINY, _positive
+from .dist import _positive, _unit_exponentials
 from .errors import DomainError
 from .estim import ARM_C, ARM_RX, SurvivalSample, _pair_stats, km_median
 from .rng import derive_rng
@@ -95,10 +95,6 @@ def logrank_test(sample: SurvivalSample) -> LogRankResult:
     Zero total variance (no informative event tables) is reported as
     p = 1 with ``zero_variance`` set instead of a division failure.
     """
-    if not sample.is_rx.any() or sample.is_rx.all():
-        raise DomainError("both arms must be present")
-    if not sample.event.any():
-        raise DomainError("at least one death is required")
     return _logrank_result(*sample._logrank)
 
 
@@ -112,17 +108,15 @@ def wald_test_cox(sample: SurvivalSample):
     return _wald(*sample.cox)
 
 
-def _decide(logrank, alpha, median_rx, median_c) -> DecisionOutcome:
-    p = logrank.p_two_sided
+def _claim(p, alpha, median_rx, median_c):
+    """(claim, tie) of the test-then-read-the-medians rule: no claim unless
+    p < alpha, then the arm with the longer median, or a tie when the
+    medians are equal or one was never reached (None)."""
     if p >= alpha:
-        claim, tie = Claim.NO_CLAIM, False
-    elif median_rx is None or median_c is None or median_rx == median_c:
-        claim, tie = Claim.NO_CLAIM, True
-    elif median_rx > median_c:
-        claim, tie = Claim.RX_LONGER_MEDIAN, False
-    else:
-        claim, tie = Claim.C_LONGER_MEDIAN, False
-    return DecisionOutcome(claim, p, median_rx, median_c, tie, logrank)
+        return Claim.NO_CLAIM, False
+    if median_rx is None or median_c is None or median_rx == median_c:
+        return Claim.NO_CLAIM, True
+    return (Claim.RX_LONGER_MEDIAN if median_rx > median_c else Claim.C_LONGER_MEDIAN), False
 
 
 def decision_procedure(sample: SurvivalSample, alpha) -> DecisionOutcome:
@@ -135,9 +129,10 @@ def decision_procedure(sample: SurvivalSample, alpha) -> DecisionOutcome:
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must lie in (0, 1)")
-    return _decide(
-        logrank_test(sample), alpha, km_median(sample.km(True)), km_median(sample.km(False))
-    )
+    logrank = logrank_test(sample)
+    median_rx, median_c = km_median(sample.km(True)), km_median(sample.km(False))
+    claim, tie = _claim(logrank.p_two_sided, alpha, median_rx, median_c)
+    return DecisionOutcome(claim, logrank.p_two_sided, median_rx, median_c, tie, logrank)
 
 
 def mw_pair_count(rx_times, c_times) -> float:
@@ -187,7 +182,7 @@ def _null_blocks(n, m, mc_reps, rng, rows):
     """Yield (v, u, keys, positions) for successive row blocks of the null
     rows ``rows``, a range within 0..mc_reps-1: v = -log a over ``m``
     reference uniforms a and u = -log b over ``n`` treated uniforms b per
-    row (each clamped at ``_TINY``), so that b ** (1 / theta) <= a reads
+    row (``dist._unit_exponentials``), so that b ** (1 / theta) <= a reads
     theta * v <= u, with the block's key buffer for ``_cross_counts``.
 
     ``rng`` is a PCG64 generator (as ``derive_rng`` returns) and is not
@@ -215,11 +210,7 @@ def _null_blocks(n, m, mc_reps, rng, rows):
         v, u = a[:size], b[:size]
         reference.random(out=v)
         treated.random(out=u)
-        for x in (v, u):
-            np.maximum(x, _TINY, out=x)
-            np.log(x, out=x)
-            np.negative(x, out=x)
-        yield v, u, keys[:size], positions
+        yield _unit_exponentials(v), _unit_exponentials(u), keys[:size], positions
 
 
 def _null_cut(level, mc_reps, n, m):

@@ -30,17 +30,23 @@ from .errors import DomainError
 __all__ = ["derive_rng", "encode_path_part"]
 
 
+def _integer(value, name):
+    """``value`` as an int, if it is an int or a numpy integer. A bool, a
+    float or a string is refused, where ``int()`` would run it silently as
+    some other seed or path."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def encode_path_part(part):
     """Map one path component to the integer fed into the spawn key."""
-    if isinstance(part, (bool,)):
-        raise DomainError("stream path parts must be nonnegative ints or strings")
-    if isinstance(part, (int, np.integer)):
-        if part < 0:
-            raise DomainError("integer stream path parts must be nonnegative")
-        return int(part)
     if isinstance(part, str):
         return _encode_tag(part)
-    raise DomainError(f"cannot encode stream path part of type {type(part).__name__}")
+    part = _integer(part, "a stream path part that is not a string")
+    if part < 0:
+        raise DomainError("integer stream path parts must be nonnegative")
+    return part
 
 
 @functools.lru_cache(maxsize=256)
@@ -51,7 +57,7 @@ def _encode_tag(tag):
 
 
 def _master_seed(master_seed):
-    seed = int(master_seed)
+    seed = _integer(master_seed, "master seed")
     if seed < 0:
         raise DomainError("master seed must be nonnegative")
     return seed
@@ -85,34 +91,24 @@ def _words(n):
 
 
 def _hashmix(value, const, mult=_MULT_A):
-    """SeedSequence's hashmix of ``value``, a Python int or a uint32 array
-    hashed element-wise; returns it with the next hash constant. ``mult``
-    steps the constant: ``_MULT_A`` while mixing entropy into the pool,
-    ``_MULT_B`` while generating state from it."""
+    """SeedSequence's hashmix of ``value``, a uint32 array hashed
+    element-wise; returns it with the next hash constant, a Python int.
+    ``mult`` steps the constant: ``_MULT_A`` while mixing entropy into the
+    pool, ``_MULT_B`` while generating state from it."""
     const_next = const * mult & _MASK32
-    if isinstance(value, int):
-        value = (value ^ const) * const_next & _MASK32
-    else:
-        value = (value ^ np.uint32(const)) * np.uint32(const_next)
+    value = (value ^ np.uint32(const)) * np.uint32(const_next)
     return value ^ value >> 16, const_next
 
 
 def _mix(x, y):
-    """SeedSequence's mix of pool word ``x`` with hashed word ``y``: two
-    Python ints, or a uint32 array ``x`` with a uint32 array or Python int."""
-    if isinstance(y, int):
-        y = _MIX_R * y & _MASK32
-        if isinstance(x, int):
-            value = (_MIX_L * x - y) & _MASK32
-        else:
-            value = np.uint32(_MIX_L) * x - np.uint32(y)
-    else:
-        value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    """SeedSequence's mix of pool words ``x`` with hashed words ``y``, uint32
+    arrays that broadcast."""
+    value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
     return value ^ value >> 16
 
 
 def _mix_in(pool, words, const):
-    """Mix entropy words beyond the pool's first four into every pool word."""
+    """Mix entropy words beyond the pool's first four, the rows of ``words``, into every pool word."""
     for word in words:
         for dst in range(_POOL):
             hashed, const = _hashmix(word, const)
@@ -125,7 +121,8 @@ def _seed_pool(seed):
     pool size as for any nonempty spawn key, are mixed in: the part of the
     hash that every stream under ``seed`` shares."""
     words = _words(seed)
-    words += [0] * (_POOL - len(words))
+    # one column: each row is a one-element array, as a word shared by many streams
+    words = np.array(words + [0] * (_POOL - len(words)), dtype=np.uint32)[:, None]
     pool, const = [], _INIT_A
     for word in words[:_POOL]:
         hashed, const = _hashmix(word, const)
@@ -144,16 +141,17 @@ def _pcg64_states(master_seed, reps, tails):
     of ``derive_rng(master_seed, rep, *tail)`` for each rep in ``reps``, for
     each tail in ``tails``.
 
-    The seed's part of the hash is computed once with Python ints. Each rep
-    is encoded, split into words and mixed into the pool once, as uint32
-    array arithmetic across the streams, grouped by how many 32-bit words
-    their rep takes. As a stream's spawn key is (rep, *tail), each tail then
-    continues from a copy of that pool; its words are the same in every
-    stream, so they are hashed as Python ints.
+    All of the hash is uint32 array arithmetic. The seed's part is computed
+    once, on one-element arrays. Each rep is encoded, split into words and
+    mixed into that pool once, across the streams, grouped by how many
+    32-bit words their rep takes. As a stream's spawn key is (rep, *tail),
+    each tail then continues from a copy of that pool; its words are the
+    same in every stream, so they are hashed once and broadcast.
     """
     seed = _master_seed(master_seed)
     tail_words = {
-        tail: [word for part in tail for word in _words(encode_path_part(part))] for tail in tails
+        tail: np.array([w for part in tail for w in _words(encode_path_part(part))], dtype=np.uint32)[:, None]
+        for tail in tails
     }
     pool0, const0 = _seed_pool(seed)
     reps = [_words(encode_path_part(rep)) for rep in reps]
@@ -163,7 +161,7 @@ def _pcg64_states(master_seed, reps, tails):
     states = {tail: [None] * len(reps) for tail in tails}
     for index in by_length.values():
         rep_words = np.array([reps[i] for i in index], dtype=np.uint32).T
-        rep_pool = [np.full(len(index), word, dtype=np.uint32) for word in pool0]
+        rep_pool = list(pool0)  # the rep's first word broadcasts every pool word to its streams
         rep_const = _mix_in(rep_pool, rep_words, const0)
         for tail, words in tail_words.items():
             pool = list(rep_pool)  # mixing rebinds the pool's words, never writes them

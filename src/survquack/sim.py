@@ -23,11 +23,11 @@ import numpy as np
 
 from ._pool import run_shares
 from .dist import (
-    _TINY,
     MixtureCurve,
     WeibullDist,
     _arm_medians,
     _check_prevalences,
+    _unit_exponentials,
     solve_complement_scale,
     weibull_from_median,
 )
@@ -35,15 +35,16 @@ from .errors import DomainError, NumericalError
 from .estim import (
     ARM_C,
     ARM_RX,
+    Measure,
     SurvivalSample,
     _complete_median_rank,
     _complete_tables,
     _cox_rows,
     _logrank_terms,
 )
-from .infer import Claim, _logrank_result, _wald, decision_procedure, wald_test_cox
+from .infer import Claim, _claim, _logrank_result, _wald, decision_procedure, wald_test_cox
 from .rng import _pcg64_states
-from .sme import SubgroupRow
+from .sme import SubgroupRow, SubgroupTable
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
@@ -104,9 +105,6 @@ class RealizedScenario:
     def n_rx(self) -> int:
         return int(round(self.config.allocation * self.config.n_total))
 
-    def arm_mixture(self, rx: bool) -> MixtureCurve:
-        return MixtureCurve(tuple((g.prevalence, g.rx if rx else g.c) for g in self.subgroups))
-
     def arm_median(self, rx: bool) -> float:
         return self._medians[0 if rx else 1]
 
@@ -114,7 +112,8 @@ class RealizedScenario:
     def _medians(self) -> tuple:
         # solved once per arm: realize_scenario checks both and the
         # simulate report prints both
-        return _arm_medians(self.arm_mixture(True), self.arm_mixture(False))
+        table = SubgroupTable(Measure.TR, self.subgroups)
+        return _arm_medians(table.arm_mixture(True), table.arm_mixture(False))
 
     @cached_property
     def _cum_prevalence(self) -> np.ndarray:
@@ -253,7 +252,7 @@ def _draw_block(scenario: RealizedScenario, streams, time, gen) -> np.ndarray:
         order = np.argsort(arm_g, axis=1, kind="stable")
         order += np.arange(0, u.size, u.shape[1])[:, None]
         cumhaz = np.empty(u.size)
-        cumhaz[order.ravel()] = -np.log(np.maximum(u, _TINY)).ravel()
+        cumhaz[order.ravel()] = _unit_exponentials(u).ravel()
         arm_time = np.empty(u.size)
         for gi, row in enumerate(scenario.subgroups):
             members = np.flatnonzero(arm_g == gi)
@@ -299,12 +298,12 @@ def _tally_block(scenario: RealizedScenario, time, counts):
 
     Every row is read off one block of risk tables, with the arithmetic of
     the per-sample path: the log-rank terms, both product-limit medians
-    (each the same order statistic of its arm in every row) and a row-wise
-    Cox fit. An irregular row (a tied time, or one that is not finite and
-    positive) or a row whose Cox fit fails is evaluated instead on its own
-    sample, built from its row, by ``decision_procedure`` and
-    ``wald_test_cox``, which give it the per-sample numbers and raise the
-    per-sample errors.
+    (each the same order statistic of its arm in every row), read by the
+    decision rule's own claim helper, and a row-wise Cox fit. An irregular
+    row (a tied time, or one that is not finite and positive) or a row
+    whose Cox fit fails is evaluated instead on its own sample, built from
+    its row, by ``decision_procedure`` and ``wald_test_cox``, which give it
+    the per-sample numbers and raise the per-sample errors.
     """
     alpha, n_rx = scenario.config.alpha, scenario.n_rx
     rows, n_total = time.shape
@@ -322,12 +321,12 @@ def _tally_block(scenario: RealizedScenario, time, counts):
         if fallback:
             sample = SurvivalSample(time[i].copy(), np.ones(n_total, bool), np.arange(n_total) < n_rx)
             outcome = decision_procedure(sample, alpha)
-            counter = _N_TIE if outcome.tie else _CLAIM_COUNTER.get(outcome.claim)
+            claim, tie = outcome.claim, outcome.tie
             p_cox = wald_test_cox(sample)[1]
         else:
-            p = _logrank_result(row_oe, row_v).p_two_sided
-            counter = None if p >= alpha else _N_TIE if m_rx == m_c else _N_RX if m_rx > m_c else _N_C
+            claim, tie = _claim(_logrank_result(row_oe, row_v).p_two_sided, alpha, m_rx, m_c)
             p_cox = _wald(row_beta, row_se)[1]
+        counter = _N_TIE if tie else _CLAIM_COUNTER.get(claim)
         if counter is not None:
             counts[_N_REJECT] += 1
             counts[counter] += 1

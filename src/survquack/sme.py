@@ -91,22 +91,19 @@ class SubgroupTable:
 def naive_stratified_ratio(pairs) -> float:
     """Prevalence-weighted geometric mean of per-stratum ratios.
 
-    ``pairs`` iterates (ratio, weight); weights must sum to 1 and ratios
-    must be positive. This is the pooling rule under audit: it commutes
-    with relabeling strata and with taking reciprocals, but it ignores
-    the arms' ingredients entirely.
+    ``pairs`` iterates (ratio, weight); the weights are prevalences, held
+    to the rule a ``MixtureCurve`` holds its own to, and ratios must be
+    positive. This is the pooling rule under audit: it commutes with
+    relabeling strata and with taking reciprocals, but it ignores the
+    arms' ingredients entirely.
     """
     pairs = [(float(r), float(w)) for r, w in pairs]
     if not pairs:
         raise DomainError("at least one (ratio, weight) pair is required")
-    for r, w in pairs:
+    for r, _ in pairs:
         if not (math.isfinite(r) and r > 0.0):
             raise DomainError(f"ratio {r!r} must be positive and finite")
-        if not (0.0 <= w <= 1.0):
-            raise DomainError(f"weight {w!r} outside [0, 1]")
-    total = math.fsum(w for _, w in pairs)
-    if abs(total - 1.0) > 1e-9:
-        raise DomainError(f"weights sum to {total!r}, not 1")
+    _check_prevalences(w for _, w in pairs)
     return math.exp(math.fsum(w * math.log(r) for r, w in pairs))
 
 
@@ -282,7 +279,7 @@ def stratified_audit(sample: SurvivalSample, factors, measure: Measure = Measure
             )
         prevalences = np.asarray([n for _, n, _, _ in usable], dtype=float)
         prevalences /= prevalences.sum()
-        # exact renormalization so the mixture constructor's 1e-12 check holds
+        # exact renormalization, so that the one prevalence check (dist) holds
         prevalences[-1] = 1.0 - prevalences[:-1].sum()
 
         naive = naive_stratified_ratio(zip((ratio for _, _, ratio, _ in usable), prevalences))

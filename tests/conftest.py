@@ -92,6 +92,32 @@ def usable_cpus(monkeypatch):
 
 
 @pytest.fixture(scope="session")
+def zero_first_state():
+    """(state, inc) of a PCG64 stream whose first two uniforms are exactly
+    0.0, as ``Generator.random`` can return: its first step lands on state 0,
+    whose output is 0. The constant is PCG64's multiplier."""
+    return -pow(0x2360ED051FC65DA44385DF649FCCF645, -1, 2**128) % 2**128, 1
+
+
+@pytest.fixture(scope="session")
+def zero_first_rng(zero_first_state):
+    """A function that makes a new generator on the stream of ``zero_first_state``."""
+    state, inc = zero_first_state
+
+    def make():
+        bits = np.random.PCG64(0)
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return np.random.Generator(bits)
+
+    return make
+
+
+@pytest.fixture(scope="session")
 def section3():
     return realize_scenario(parse_scenario_config("builtin:section3"))
 

@@ -12,7 +12,9 @@ from survquack import (
     ARM_C,
     ARM_RX,
     LehmannCurve,
+    Measure,
     MixtureCurve,
+    SubgroupTable,
     SurvivalCurve,
     WeibullDist,
     derive_rng,
@@ -77,7 +79,7 @@ def test_quantile_median_round_trip():
 
 
 def test_quantile_of_scenario_mixture(section3):
-    rx_mix = section3.arm_mixture(True)
+    rx_mix = SubgroupTable(Measure.TR, section3.subgroups).arm_mixture(True)
     assert quantile(rx_mix, 0.5) == pytest.approx(8.0, abs=1e-6)
 
 
@@ -365,6 +367,13 @@ def test_sample_times_one_uniform_per_subject():
     np.testing.assert_array_equal(both, np.concatenate([first, second]))
 
 
+def test_sample_times_draws_a_finite_time_from_a_zero_uniform(zero_first_rng):
+    w = WeibullDist(1.5, 2.0)
+    t = sample_times(w, zero_first_rng(), 3)
+    assert np.isfinite(t).all()
+    assert t[0] == t[1] == pytest.approx(w.inverse_cumhaz(-math.log(np.finfo(float).tiny)), rel=1e-12)
+
+
 def test_sample_times_median_converges():
     t = sample_times(WeibullDist(1.0, 1.0), derive_rng(31, "lln"), 1_000_000)
     assert np.median(t) == pytest.approx(LN2, abs=0.01)
@@ -380,6 +389,8 @@ def test_mixture_validates_components():
         MixtureCurve(((0.5, w), (0.6, w)))
     with pytest.raises(DomainError):
         MixtureCurve(((0.0, w), (1.0, w)))
+    with pytest.raises(DomainError, match="prevalences sum to"):
+        MixtureCurve(((0.5, w), (0.5 + 5e-10, w)))
     with pytest.raises(DomainError):
         MixtureCurve(((1.0, "not a curve"),))
 

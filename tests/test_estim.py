@@ -11,6 +11,8 @@ from scipy.optimize import brentq
 from survquack import (
     ARM_C,
     ARM_RX,
+    Measure,
+    SubgroupTable,
     SurvivalSample,
     WeibullDist,
     cox_fit_two_arm,
@@ -208,7 +210,7 @@ def test_km_median_is_the_product_limit_quantile(records):
 
 def test_km_median_of_scenario_sample(section3):
     rng = derive_rng(99, "median-check")
-    mix = section3.arm_mixture(True)
+    mix = SubgroupTable(Measure.TR, section3.subgroups).arm_mixture(True)
     draws = []
     for prevalence, comp in mix.components:
         k = int(round(500 * prevalence))
@@ -386,6 +388,15 @@ def test_empirical_llp_lehmann_theta_two():
     llp = empirical_llp(rx, c)
     assert llp == pytest.approx(0.333514795, rel=1e-9)  # frozen draw
     assert abs(llp - 1.0 / 3.0) < 0.01
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_empirical_llp_refuses_times_that_are_not_finite_and_positive(bad):
+    # a NaN Rx time once outlived every control: 0.8333 for the first call
+    with pytest.raises(DomainError, match="observation times must be finite and > 0"):
+        empirical_llp([bad, 2.0, 3.0], [1.0, 2.5])
+    with pytest.raises(DomainError, match="observation times must be finite and > 0"):
+        empirical_llp([2.0, 3.0], [1.0, bad])
 
 
 def test_empirical_llp_rejects_censoring():

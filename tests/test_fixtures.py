@@ -162,6 +162,17 @@ def test_generate_respects_prevalence_and_theta():
     assert abs(rx_lo.mean() - 20.0) < 1.2
 
 
+def test_a_zero_uniform_draws_a_finite_time(monkeypatch, zero_first_rng):
+    # each arm's stream of times starts with two uniforms of exactly 0.0
+    derive = fixtures.derive_rng
+    monkeypatch.setattr(
+        fixtures, "derive_rng", lambda seed, *path: zero_first_rng() if path[0] == "times" else derive(seed, *path)
+    )
+    factor = FactorSpec("grp", ("lo", "hi"), 0.5, (1.0, 2.0))
+    sample = generate_prognostic_sample(OakAnalogSpec(20, 0.5, 1.0, 10.0, 7, (factor,)))
+    assert np.isfinite(sample.time).all()
+
+
 # ------------------------------------------------------------ write_dataset_csv
 
 def test_csv_round_trip_is_exact(tmp_path):

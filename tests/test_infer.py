@@ -255,6 +255,25 @@ def test_mw_pair_count_examples():
     assert mw_pair_count([1.0], [1.0]) == 0.5
 
 
+def test_pair_counts_refuse_times_that_are_not_finite_and_positive():
+    # five NaN Rx times once counted as 50 wins, and the pivot returned
+    # (0.339, 2.83) with no warning
+    rx, c = [math.nan] * 5 + [1.0] * 5, [2.0] * 10
+    with pytest.raises(DomainError, match="observation times must be finite and > 0"):
+        mw_pair_count(rx, c)
+    with pytest.raises(DomainError, match="observation times must be finite and > 0"):
+        mw_pivot_ci(rx, c)
+    with pytest.raises(DomainError, match="observation times must be finite and > 0"):
+        mw_pair_count([1.0], [0.0])
+
+
+def test_null_blocks_draw_finite_values_from_a_zero_uniform(zero_first_rng):
+    # the stream's first two uniforms, row 0's first reference ones, are 0.0
+    v, u, _, _ = next(_null_blocks(3, 4, 10, zero_first_rng(), range(10)))
+    assert np.isfinite(v).all() and np.isfinite(u).all()
+    assert v[0, 0] == v[0, 1] == pytest.approx(-math.log(np.finfo(float).tiny), rel=1e-12)
+
+
 def test_mw_acceptance_region_bounds_and_determinism():
     lo, hi = mw_acceptance_region(4, 5, 1.0, 0.95, 4000, derive_rng(3, "region"))
     lo2, hi2 = mw_acceptance_region(4, 5, 1.0, 0.95, 4000, derive_rng(3, "region"))

@@ -77,6 +77,21 @@ def test_rejects_negative_master_seed():
         derive_rng(-1, "x")
 
 
+@pytest.mark.parametrize("seed", [1.9999, 2.0, True, "5", None])
+def test_master_seed_must_be_an_integer(seed):
+    # int() once ran 1.9999 and True as seed 1, and "5" as seed 5
+    with pytest.raises(DomainError, match="master seed must be an integer"):
+        derive_rng(seed)
+    with pytest.raises(DomainError, match="master seed must be an integer"):
+        _pcg64_states(seed, [0], [("membership",)])
+
+
+def test_numpy_integer_master_seeds_stay_valid():
+    for seed in (np.int64(5), np.uint32(5), np.int8(5)):
+        assert derive_rng(seed, "x").random() == derive_rng(5, "x").random()
+        assert _pcg64_states(seed, [0, 3], [("x",)]) == _pcg64_states(5, [0, 3], [("x",)])
+
+
 def test_empty_path_is_valid():
     a = derive_rng(5).random(3)
     b = derive_rng(5).random(3)

@@ -240,6 +240,18 @@ def test_simulate_sample_layout(small_scenario):
     assert set(np.unique(sample.strata["subgroup"])) <= {"g+", "g-"}
 
 
+def test_a_zero_uniform_draws_a_finite_time(small_scenario, zero_first_state):
+    # every stream's first two uniforms are 0.0: subjects 0 and 1 fall in
+    # the first subgroup and are its first two Rx members, so both take the
+    # time of the smallest normal uniform
+    streams = {tail: [zero_first_state] for tail in [("membership",), ("times", "Rx"), ("times", "C")]}
+    time = np.empty((1, small_scenario.config.n_total))
+    g_idx = sim._draw_block(small_scenario, streams, time, np.random.Generator(np.random.PCG64(0)))
+    assert np.isfinite(time).all() and g_idx[0, 0] == g_idx[0, 1] == 0
+    want = small_scenario.subgroups[0].rx.inverse_cumhaz(-math.log(np.finfo(float).tiny))
+    assert time[0, 0] == time[0, 1] == pytest.approx(want, rel=1e-12)
+
+
 def test_simulate_sample_is_deterministic(small_scenario):
     a = simulate_sample(small_scenario, 3)
     b = simulate_sample(small_scenario, 3)

@@ -89,6 +89,18 @@ def test_naive_validates_inputs():
         naive_stratified_ratio([(1.0, 0.5), (1.0, 0.4)])
 
 
+@pytest.mark.parametrize("weights", [(0.0, 1.0), (0.5, 0.5 + 5e-10)], ids=["zero", "sum-off-by-5e-10"])
+def test_naive_weights_follow_the_mixture_prevalence_rule(weights):
+    # both pooling rules accept the same prevalences: these weights once
+    # pooled naively to 2.0 and 1.0000000003
+    w = WeibullDist(1.0, 1.0)
+    with pytest.raises(DomainError) as mixture:
+        MixtureCurve(tuple((p, w) for p in weights))
+    with pytest.raises(DomainError) as naive:
+        naive_stratified_ratio(zip((0.5, 2.0), weights))
+    assert str(naive.value) == str(mixture.value)
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_naive_stays_inside_the_stratum_range(data):
