@@ -75,13 +75,10 @@ class SurvivalCurve:
     def survival(self, t):
         raise NotImplementedError
 
-    def survival_left(self, t):
-        """Left limit S(t-); differs from survival() only for step curves."""
-        return self.survival(t)
-
     def sides(self, t):
-        """(survival_left(t), survival(t)): both limits of the curve at ``t``."""
-        return self.survival_left(t), self.survival(t)
+        """(S(t-), S(t)): both limits of the curve at ``t``, which differ only for step curves."""
+        s = self.survival(t)
+        return s, s
 
     def inverse_cumhaz(self, s):
         """Time t at which the cumulative hazard -log S(t) equals ``s``.
@@ -147,8 +144,9 @@ class LehmannCurve(SurvivalCurve):
     def survival(self, t):
         return _match(np.power(self.reference.survival(t), self.hr), t)
 
-    def survival_left(self, t):
-        return _match(np.power(self.reference.survival_left(t), self.hr), t)
+    def sides(self, t):
+        left, right = self.reference.sides(t)
+        return _match(np.power(left, self.hr), t), _match(np.power(right, self.hr), t)
 
     def inverse_cumhaz(self, s):
         # the cumulative hazard is hr times the reference's
@@ -180,18 +178,20 @@ class MixtureCurve(SurvivalCurve):
             raise DomainError("mixture components must be SurvivalCurve instances")
         object.__setattr__(self, "components", comps)
 
-    def _accumulate(self, evaluate, t):
+    def survival(self, t):
         acc = None
         for p, c in self.components:
-            term = p * np.asarray(evaluate(c, t), dtype=float)
+            term = p * np.asarray(c.survival(t), dtype=float)
             acc = term if acc is None else acc + term
         return _match(acc, t)
 
-    def survival(self, t):
-        return self._accumulate(lambda c, x: c.survival(x), t)
-
-    def survival_left(self, t):
-        return self._accumulate(lambda c, x: c.survival_left(x), t)
+    def sides(self, t):
+        left = right = None
+        for p, c in self.components:
+            c_left, c_right = (p * np.asarray(side, dtype=float) for side in c.sides(t))
+            left = c_left if left is None else left + c_left
+            right = c_right if right is None else right + c_right
+        return _match(left, t), _match(right, t)
 
     def final_survival(self):
         # summed in survival's order, so that it equals the value after the last jump

@@ -228,11 +228,8 @@ class KMCurve(SurvivalCurve):
             return self.survival_after
         return self.sides(t)[1]
 
-    def survival_left(self, t):
-        return self.sides(t)[0]
-
     def sides(self, t):
-        """(survival_left(t), survival(t)) from one search: as the times are
+        """(S(t-), S(t)) from one search: as the times are
         distinct, a t on a jump is the only one whose right value is one row on."""
         tt = _as_times(t)
         idx = np.searchsorted(self.times, tt, side="left")

@@ -58,27 +58,24 @@ class LogRankResult:
 
 
 class Claim(Enum):
-    """What the test-then-declare procedure announces."""
+    """What the test-then-declare procedure announces: no claim without a
+    rejection, else the arm with the longer median, or a tie when the
+    medians are equal or one was never reached."""
 
     NO_CLAIM = "NoClaim"
     RX_LONGER_MEDIAN = "RxLongerMedian"
     C_LONGER_MEDIAN = "CLongerMedian"
+    TIE = "Tie"
 
 
 @dataclass(frozen=True)
 class DecisionOutcome:
-    """A claim plus the evidence it was based on.
-
-    ``tie`` marks rejections that ended in NO_CLAIM because the medians
-    tied exactly or one of them was never reached (and is None).
-    """
+    """A claim plus the evidence it was based on."""
 
     claim: Claim
-    p_value: float
     median_rx: float | None
     median_c: float | None
-    tie: bool
-    logrank: LogRankResult | None = None
+    logrank: LogRankResult
 
 
 def _logrank_result(oe, variance) -> LogRankResult:
@@ -108,31 +105,31 @@ def wald_test_cox(sample: SurvivalSample):
     return _wald(*sample.cox)
 
 
-def _claim(p, alpha, median_rx, median_c):
-    """(claim, tie) of the test-then-read-the-medians rule: no claim unless
-    p < alpha, then the arm with the longer median, or a tie when the
-    medians are equal or one was never reached (None)."""
+def _claim(p, alpha, median_rx, median_c) -> Claim:
+    """The test-then-read-the-medians rule: no claim unless p < alpha, then
+    the arm with the longer median, or a tie when the medians are equal or
+    one was never reached (None)."""
     if p >= alpha:
-        return Claim.NO_CLAIM, False
+        return Claim.NO_CLAIM
     if median_rx is None or median_c is None or median_rx == median_c:
-        return Claim.NO_CLAIM, True
-    return (Claim.RX_LONGER_MEDIAN if median_rx > median_c else Claim.C_LONGER_MEDIAN), False
+        return Claim.TIE
+    return Claim.RX_LONGER_MEDIAN if median_rx > median_c else Claim.C_LONGER_MEDIAN
 
 
 def decision_procedure(sample: SurvivalSample, alpha) -> DecisionOutcome:
     """Log-rank test at ``alpha``, then declare direction by comparing medians.
 
     The direction comes from the product-limit medians, not from the sign
-    of the test statistic. Exact median ties and never-reached medians
-    yield NO_CLAIM with the ``tie`` flag set.
+    of the test statistic. A rejection whose medians tie exactly or are
+    never reached yields TIE.
     """
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must lie in (0, 1)")
     logrank = logrank_test(sample)
     median_rx, median_c = km_median(sample.km(True)), km_median(sample.km(False))
-    claim, tie = _claim(logrank.p_two_sided, alpha, median_rx, median_c)
-    return DecisionOutcome(claim, logrank.p_two_sided, median_rx, median_c, tie, logrank)
+    claim = _claim(logrank.p_two_sided, alpha, median_rx, median_c)
+    return DecisionOutcome(claim, median_rx, median_c, logrank)
 
 
 def mw_pair_count(rx_times, c_times) -> float:
@@ -337,20 +334,28 @@ class ConfidenceSet:
     """Grid-based confidence set for the survival-curve exponent.
 
     ``accepted`` flags the grid points the pivot keeps, which
-    ``mw_pivot_ci`` always makes one run; (lo, hi) are its ends. ``empty``
-    marks the fallback to the full grid range after nothing was accepted.
+    ``mw_pivot_ci`` always makes one run; (lo, hi) are its ends, or the
+    grid's when nothing was accepted (``empty``).
     """
 
     grid: np.ndarray
     accepted: np.ndarray
-    lo: float
-    hi: float
     level: float
     observed_count: float
-    n_rx: int
-    n_c: int
-    mc_reps: int
-    empty: bool
+
+    @property
+    def empty(self) -> bool:
+        return not np.any(self.accepted)
+
+    # argmax finds the first accepted point from either end, or the end
+    # itself when none is accepted
+    @property
+    def lo(self) -> float:
+        return float(self.grid[np.argmax(self.accepted)])
+
+    @property
+    def hi(self) -> float:
+        return float(self.grid[-1 - np.argmax(self.accepted[::-1])])
 
 
 def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, seed=0) -> ConfidenceSet:
@@ -401,26 +406,9 @@ def mw_pivot_ci(rx_times, c_times, level=0.95, grid=None, seed=0) -> ConfidenceS
     # at most floor(observed); its high end is at least observed iff more
     # than k rows count at least ceil(observed)
     accepted = (at_most > k) & (MC_REPS - below > k)
-    idx = np.flatnonzero(accepted)
-    if idx.size == 0:
+    if not accepted.any():
         warnings.warn(
             "no grid exponent was accepted; reporting the widest grid interval",
             stacklevel=2,
         )
-        lo, hi = float(grid[0]), float(grid[-1])
-        empty = True
-    else:
-        lo, hi = float(grid[idx[0]]), float(grid[idx[-1]])
-        empty = False
-    return ConfidenceSet(
-        grid=grid,
-        accepted=accepted,
-        lo=lo,
-        hi=hi,
-        level=level,
-        observed_count=float(observed),
-        n_rx=int(rx.size),
-        n_c=int(c.size),
-        mc_reps=MC_REPS,
-        empty=empty,
-    )
+    return ConfidenceSet(grid=grid, accepted=accepted, level=level, observed_count=float(observed))

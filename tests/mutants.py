@@ -8,9 +8,12 @@ now reads the one statement. Run from the repository root:
 
     python tests/mutants.py [NAME ...]
 
-With no name every mutant runs. Each one is applied to a fresh temporary
-copy of src/ (with tests/ and pyproject.toml beside it, so that pytest
-imports the copy), each of its tests runs on its own with
+With no name every mutant runs. First each distinct test the chosen
+mutants name runs once on an unmodified temporary copy of the repository
+(src/, tests/, perfbench/, README.md and pyproject.toml, so that pytest
+imports the copy), and a mutant whose test fails there is reported as an
+ERROR, not as a catch. Then each mutant is applied to a fresh copy of the
+same files, each of its tests runs on its own with
 ``-x -q -p no:cacheprovider``, and one line reports it caught (every test
 failed) or survived (naming the tests that passed), with the time taken.
 The exit status is 1 if any mutant survived or its tests could not run.
@@ -125,7 +128,8 @@ MUTANTS = {
         ("tests/test_cli.py::TestReadDataset::test_plain_file_is_read_column_wise",),
     ),
     # One statement per rule. The claim rule: a study's block rows, its
-    # fallback rows and decision_procedure read one (claim, tie) helper
+    # fallback rows and decision_procedure read one helper, which returns
+    # one of the four claims
     "claim-tie-flipped": Mutant(
         "infer.py",
         "median_rx is None or median_c is None or median_rx == median_c:",
@@ -135,6 +139,52 @@ MUTANTS = {
             "tests/test_sim.py::test_tally_counts_a_rejection_whose_medians_tie",
             "tests/test_infer.py::test_decision_exact_median_tie_rejects_without_direction",
         ),
+    ),
+    # every trial adds 1 to its claim's counter, and a study's rejections
+    # are the sum of the three claims that follow one
+    "tie-counted-as-rx-longer": Mutant(
+        "sim.py",
+        "Claim.TIE: _N_TIE",
+        "Claim.TIE: _N_RX",
+        ("tests/test_sim.py::test_tally_counts_a_rejection_whose_medians_tie",),
+    ),
+    # a confidence set's ends are read off its accepted points
+    "pivot-hi-from-first-accepted": Mutant(
+        "infer.py",
+        "return float(self.grid[-1 - np.argmax(self.accepted[::-1])])",
+        "return float(self.grid[np.argmax(self.accepted)])",
+        (
+            "tests/test_infer.py::test_mw_pivot_identical_arms_straddles_one",
+            "tests/test_golden.py::test_report_matches_golden",
+        ),
+    ),
+    # a curve's left limit is asked for only through sides()
+    "mixture-sides-swapped": Mutant(
+        "dist.py",
+        "return _match(left, t), _match(right, t)",
+        "return _match(right, t), _match(left, t)",
+        ("tests/test_estim.py::test_lehmann_and_mixture_sides_are_both_limits",),
+    ),
+    "lehmann-sides-swapped": Mutant(
+        "dist.py",
+        "return _match(np.power(left, self.hr), t), _match(np.power(right, self.hr), t)",
+        "return _match(np.power(right, self.hr), t), _match(np.power(left, self.hr), t)",
+        ("tests/test_estim.py::test_lehmann_and_mixture_sides_are_both_limits",),
+    ),
+    # a quote-free text is split whole, its header row with the records
+    "header-dropped-unchecked": Mutant(
+        "cli.py",
+        """        if "\\r" in (joined := "".join(block)) or "\\n" in joined:  # a line end the split left
+            raise ValueError("mixed line ends")
+        if not first:
+            del block[0]  # the header, checked as the records are
+""",
+        """        if not first:
+            del block[0]  # the header, checked as the records are
+        if "\\r" in (joined := "".join(block)) or "\\n" in joined:  # a line end the split left
+            raise ValueError("mixed line ends")
+""",
+        ("tests/test_cli.py::TestReadDataset::test_column_wise_read_matches_line_by_line",),
     ),
     # a scenario's arm medians and the mixable TR and HR build their arms
     # by SubgroupTable.arm_mixture
@@ -248,38 +298,55 @@ MUTANTS = {
 }
 
 
-def run(name, mutant):
-    """Apply ``mutant`` to a fresh copy of src/ and run each of its tests
-    there on its own: {node ID: pytest's exit code}."""
+def run(tests, mutant=None):
+    """Run each of ``tests`` on its own in a fresh copy of the repository's
+    src/, tests/, perfbench/, README.md and pyproject.toml, with ``mutant``
+    applied to the copy of src/ if one is given: {node ID: pytest's exit code}."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
-        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        shutil.copytree(ROOT / "src", copy / "src", ignore=skip)
-        shutil.copytree(ROOT / "tests", copy / "tests", ignore=skip)
-        shutil.copy(ROOT / "pyproject.toml", copy)
-        path = copy / "src" / "survquack" / mutant.file
-        source = path.read_text(encoding="utf-8")
-        if source.count(mutant.text) != 1:
-            raise SystemExit(f"{name}: its text occurs {source.count(mutant.text)} times in {mutant.file}")
-        path.write_text(source.replace(mutant.text, mutant.replacement), encoding="utf-8")
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "out")
+        for tree in ("src", "tests", "perfbench"):
+            shutil.copytree(ROOT / tree, copy / tree, ignore=skip)
+        for name in ("README.md", "pyproject.toml"):
+            shutil.copy(ROOT / name, copy)
+        if mutant is not None:
+            path = copy / "src" / "survquack" / mutant.file
+            source = path.read_text(encoding="utf-8")
+            if source.count(mutant.text) != 1:
+                raise SystemExit(f"its text occurs {source.count(mutant.text)} times in {mutant.file}")
+            path.write_text(source.replace(mutant.text, mutant.replacement), encoding="utf-8")
         argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
         quiet = {"cwd": copy, "stdout": subprocess.DEVNULL, "stderr": subprocess.DEVNULL}
-        return {test: subprocess.run([*argv, test], **quiet).returncode for test in mutant.tests}
+        return {test: subprocess.run([*argv, test], **quiet).returncode for test in tests}
 
 
 def main(names):
     unknown = [name for name in names if name not in MUTANTS]
     if unknown:
         raise SystemExit(f"unknown mutant(s) {unknown}; known: {sorted(MUTANTS)}")
+    names = names or list(MUTANTS)
+    # a test that fails unmutated catches nothing
+    start = time.perf_counter()
+    tests = sorted({test for name in names for test in MUTANTS[name].tests})
+    broken = sorted(test for test, code in run(tests).items() if code != 0)
+    print(f"baseline: {len(tests) - len(broken)} of {len(tests)} tests pass unmutated"
+          f"{f', failing {broken}' if broken else ''} ({time.perf_counter() - start:.1f} s)", flush=True)
     survived = 0
-    for name in names or MUTANTS:
+    for name in names:
         start = time.perf_counter()
-        codes = run(name, MUTANTS[name])
+        mutant = MUTANTS[name]
+        unmutated = [test for test in mutant.tests if test in broken]
+        codes = {} if unmutated else run(mutant.tests, mutant)
         # 1: the test failed; 0: it passed; any other code: pytest could not run it
         passed = [test for test, code in codes.items() if code == 0]
         errors = sorted({code for code in codes.values()} - {0, 1})
-        outcome = f"ERROR (pytest exit {errors})" if errors else f"SURVIVED {passed}" if passed else "caught"
-        survived += bool(passed or errors)
+        if unmutated:
+            outcome = f"ERROR (failing unmutated: {unmutated})"
+        elif errors:
+            outcome = f"ERROR (pytest exit {errors})"
+        else:
+            outcome = f"SURVIVED {passed}" if passed else "caught"
+        survived += outcome != "caught"
         print(f"{outcome} {name} ({time.perf_counter() - start:.1f} s)", flush=True)
     return 1 if survived else 0
 

@@ -381,6 +381,8 @@ class TestReadDataset:
     # float() reads "1.5\r" as 1.5: only the mixed line ends send these to csv
     @example(text="time,event,arm\n1.5\r,1,Rx\n2,0,C\n", block_rows=1024)
     @example(text="time,event,arm\r\n2,0,C\r\n1.5\r,1,Rx\r\n", block_rows=1)
+    # the header is split with the records: its mixed line ends send the file to csv too
+    @example(text="time,event,arm,s:g\n1,0,Rx,a\n1,0,Rx,a\r\n1,0,Rx,a\n", block_rows=1)
     @settings(max_examples=300, deadline=None)
     def test_column_wise_read_matches_line_by_line(self, tmp_path_factory, text, block_rows):
         path = tmp_path_factory.mktemp("fuzz") / "d.csv"

@@ -11,7 +11,9 @@ from scipy.optimize import brentq
 from survquack import (
     ARM_C,
     ARM_RX,
+    LehmannCurve,
     Measure,
+    MixtureCurve,
     SubgroupTable,
     SurvivalSample,
     WeibullDist,
@@ -81,7 +83,7 @@ def test_km_single_subject():
     km = km_fit([5.0], [True])
     assert km.survival(4.999) == 1.0
     assert km.survival(5.0) == 0.0
-    assert km.survival_left(5.0) == 1.0
+    assert km.sides(5.0) == (1.0, 0.0)
 
 
 def test_km_rejects_bad_input():
@@ -150,10 +152,13 @@ def test_km_read_off_the_shared_table_with_a_censored_last_observation():
 
 
 def _assert_sides(curve, t):
+    # the left limit at t is the value at the next double below t (at 0, at
+    # 0 itself), as no jump falls strictly between the two
     left, right = curve.sides(t)
-    assert np.asarray(left).tobytes() == np.asarray(curve.survival_left(t)).tobytes()
+    before = np.nextafter(t, 0.0)
+    assert np.asarray(left).tobytes() == np.asarray(curve.survival(before)).tobytes()
     assert np.asarray(right).tobytes() == np.asarray(curve.survival(t)).tobytes()
-    assert type(left) is type(curve.survival_left(t)) and type(right) is type(curve.survival(t))
+    assert type(left) is type(right) is type(curve.survival(t))
 
 
 def test_km_sides_are_both_limits_from_one_search():
@@ -180,6 +185,22 @@ def test_km_sides_are_both_limits_from_one_search():
     for times in ([1.0, 1.0], [2.0, 1.0]):
         with pytest.raises(DomainError, match="strictly increasing"):
             estim.KMCurve(times, [0.5, 0.25])
+
+
+def test_lehmann_and_mixture_sides_are_both_limits():
+    a = km_fit([1.0, 2.0, 4.0], [True, False, True])
+    b = km_fit([2.0, 3.0, 3.0], [True, True, True])
+    t = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0])
+    for curve in (LehmannCurve(a, 2.0), MixtureCurve(((0.25, a), (0.75, LehmannCurve(b, 0.5))))):
+        for x in (t, 1.0, 3.0, 3.5):
+            _assert_sides(curve, x)
+    # a continuous component's two limits are both its value
+    weibull = WeibullDist(1.5, 3.0)
+    assert weibull.sides(2.0) == (weibull.survival(2.0),) * 2
+    mixed = MixtureCurve(((0.5, a), (0.5, weibull)))
+    left, right = mixed.sides(t)
+    np.testing.assert_array_equal(right, mixed.survival(t))
+    np.testing.assert_array_equal(left, 0.5 * a.sides(t)[0] + 0.5 * weibull.survival(t))
 
 
 # ------------------------------------------------------------------- km_median

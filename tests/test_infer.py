@@ -170,8 +170,7 @@ def test_decision_identical_arms_makes_no_claim():
     t = [1.0, 2.0, 3.0, 4.0, 5.0]
     out = decision_procedure(SurvivalSample.from_arms(t, t), 0.05)
     assert out.claim is Claim.NO_CLAIM
-    assert out.p_value == 1.0
-    assert not out.tie
+    assert out.logrank.p_two_sided == 1.0
 
 
 def test_decision_declares_longer_rx_median():
@@ -180,7 +179,7 @@ def test_decision_declares_longer_rx_median():
     c = sample_times(weibull_from_median(1.0, 6.0), rng, 250)
     out = decision_procedure(SurvivalSample.from_arms(rx, c), 0.05)
     assert out.claim is Claim.RX_LONGER_MEDIAN
-    assert out.p_value < 1e-6
+    assert out.logrank.p_two_sided < 1e-6
     assert out.median_rx > out.median_c
     assert out.logrank is not None
     swapped = decision_procedure(SurvivalSample.from_arms(c, rx), 0.05)
@@ -195,10 +194,9 @@ def test_decision_exact_median_tie_rejects_without_direction():
     out = decision_procedure(SurvivalSample.from_arms(rx, c), 0.05)
     assert out.logrank.observed_minus_expected == -5.0
     assert out.logrank.variance == pytest.approx(100.0 / 39.0 + 25.0 / 19.0, rel=1e-15)
-    assert out.p_value == pytest.approx(0.011136039105306389, rel=1e-12)
+    assert out.logrank.p_two_sided == pytest.approx(0.011136039105306389, rel=1e-12)
     assert out.median_rx == out.median_c == 5.0
-    assert out.claim is Claim.NO_CLAIM
-    assert out.tie
+    assert out.claim is Claim.TIE
 
 
 def test_decision_unreached_median_rejects_without_direction():
@@ -209,10 +207,9 @@ def test_decision_unreached_median_rejects_without_direction():
         c_events=np.ones(15, bool),
     )
     out = decision_procedure(rx, 0.05)
-    assert out.p_value < 1e-6
+    assert out.logrank.p_two_sided < 1e-6
     assert out.median_rx is None
-    assert out.claim is Claim.NO_CLAIM
-    assert out.tie
+    assert out.claim is Claim.TIE
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, float("nan")])
@@ -234,17 +231,17 @@ def test_decision_claims_are_internally_consistent(data):
     assume(any(rx_e) or any(c_e))
     s = SurvivalSample.from_arms(rx_t, c_t, rx_events=rx_e, c_events=c_e)
     out = decision_procedure(s, 0.5)
-    if out.claim is not Claim.NO_CLAIM:
-        # A directional call always rests on a rejection and ordered medians.
-        assert out.p_value < 0.5
-        assert not out.tie
+    # every claim but NO_CLAIM rests on a rejection
+    assert (out.claim is Claim.NO_CLAIM) == (out.logrank.p_two_sided >= 0.5)
+    if out.claim is Claim.TIE:
+        assert out.median_rx is None or out.median_c is None or out.median_rx == out.median_c
+    elif out.claim is not Claim.NO_CLAIM:
+        # A directional call rests on ordered medians.
         assert out.median_rx is not None and out.median_c is not None
         if out.claim is Claim.RX_LONGER_MEDIAN:
             assert out.median_rx > out.median_c
         else:
             assert out.median_rx < out.median_c
-    elif out.p_value < 0.5:
-        assert out.tie
 
 
 # ---------------------------------------------------------------- mw machinery
@@ -576,8 +573,9 @@ def test_mw_pivot_identical_arms_straddles_one():
     assert ci.lo < 1.0 < ci.hi
     assert not ci.empty and _one_run(ci.accepted)
     assert ci.accepted.sum() > 0
-    assert ci.n_rx == ci.n_c == 8
-    assert ci.level == 0.95 and ci.mc_reps == MC_REPS == 2000
+    accepted = ci.grid[ci.accepted]
+    assert (ci.lo, ci.hi) == (accepted[0], accepted[-1])
+    assert ci.level == 0.95 and MC_REPS == 2000
 
 
 def test_mw_pivot_rx_dominating_pushes_hull_below_one():

@@ -32,7 +32,7 @@ from survquack import (
 from survquack import _pool, rng, sim
 from survquack.cli import main, parse_scenario_config
 from survquack.errors import DomainError, InfeasibleScenario, NumericalError
-from survquack.sim import DirectionalErrorReport, simulate_sample, wilson_interval
+from survquack.sim import simulate_sample, wilson_interval
 
 from oracles import bisect_complement_scale, draw_trial
 
@@ -273,7 +273,7 @@ def _oracle_rows(scenario, reps):
 
 
 def _per_sample_tally(scenario, rows, alpha=None):
-    """[rejections, Rx longer, C longer, ties, Cox rejections] of the trials
+    """[no claims, Rx longer, C longer, ties, Cox rejections] of the trials
     whose times are ``rows``, each read on its own sample by the per-sample
     procedure at ``alpha`` (by default the config's)."""
     alpha = scenario.config.alpha if alpha is None else alpha
@@ -282,10 +282,10 @@ def _per_sample_tally(scenario, rows, alpha=None):
         sample = _sample(scenario, time)
         outcome = decision_procedure(sample, alpha)
         hits = (
-            outcome.claim is not Claim.NO_CLAIM or outcome.tie,
+            outcome.claim is Claim.NO_CLAIM,
             outcome.claim is Claim.RX_LONGER_MEDIAN,
             outcome.claim is Claim.C_LONGER_MEDIAN,
-            outcome.tie,
+            outcome.claim is Claim.TIE,
             wald_test_cox(sample)[1] < alpha,
         )
         counts = [count + bool(hit) for count, hit in zip(counts, hits)]
@@ -376,8 +376,8 @@ def test_tally_counts_a_rejection_whose_medians_tie(monkeypatch):
 
     monkeypatch.setattr(sim, "_draw_block", draw)
     outcome = decision_procedure(SurvivalSample.from_arms(rx, c), 0.05)
-    assert outcome.p_value < 0.05 and outcome.tie and outcome.claim is Claim.NO_CLAIM
-    assert list(sim._tally_chunk(scenario, range(3))) == [3, 0, 0, 3, 3]
+    assert outcome.logrank.p_two_sided < 0.05 and outcome.claim is Claim.TIE
+    assert list(sim._tally_chunk(scenario, range(3))) == [0, 0, 0, 3, 3]
     report = run_study(scenario, workers=1)
     assert (report.rejections, report.rx_longer, report.c_longer, report.ties) == (3, 0, 0, 3)
 
@@ -407,7 +407,7 @@ def test_tally_matches_each_row_at_its_own_p_values(config, reps):
     scenario = realize_scenario(config)
     for rep, time in enumerate(_oracle_rows(scenario, range(reps))):
         sample = _sample(scenario, time)
-        p_values = (decision_procedure(sample, 0.5).p_value, wald_test_cox(sample)[1])
+        p_values = (decision_procedure(sample, 0.5).logrank.p_two_sided, wald_test_cox(sample)[1])
         for alpha in sorted({p * (1.0 + side * 1e-12) for p in p_values for side in (-1, 1)}):
             if 0.0 < alpha < 1.0:
                 got = sim._tally_chunk(_at_alpha(scenario, alpha), [rep])
@@ -482,7 +482,7 @@ def test_run_study_blocks_are_invisible():
     scenario = realize_scenario(section3_config(replications=reps))
     seq = run_study(scenario, workers=1)
     assert run_study(scenario, workers=2) == seq
-    counts = (seq.rejections, seq.rx_longer, seq.c_longer, seq.ties, seq.cox_rejections)
+    counts = (reps - seq.rejections, seq.rx_longer, seq.c_longer, seq.ties, seq.cox_rejections)
     assert list(counts) == _per_sample_tally(scenario, _oracle_rows(scenario, range(reps)))
 
 
@@ -940,11 +940,3 @@ def test_wilson_edges_and_validation():
     with pytest.raises(DomainError):
         wilson_interval(5, 10, level=1.0)
 
-
-def test_report_refuses_claim_buckets_that_miss_the_rejections():
-    with pytest.raises(NumericalError, match="do not add up") as excinfo:
-        DirectionalErrorReport(
-            replications=10, alpha=0.05, rejections=4, rx_longer=2, c_longer=1, ties=0,
-            cox_rejections=4,
-        )
-    assert excinfo.value.diagnostics == {"rejections": 4, "buckets": (2, 1, 0)}
