@@ -59,31 +59,6 @@ _ARMS = {ARM_RX: True, ARM_C: False}
 _BLOCK_ROWS = 1024  # records a tokenizer hands to the typed conversion at a time
 _LINE_END = re.compile(r"\r\n?|\n")  # as a file opened with newline="" splits its lines
 
-# typed INI schemas: section (or "prefix:<placeholder>") -> ({key: parse}, required keys)
-_SCENARIO_SCHEMA = {
-    "scenario": (
-        {
-            "n_total": int,
-            "allocation": float,
-            "alpha": float,
-            "overall_median": float,
-            "replications": int,
-            "master_seed": int,
-        },
-        (),
-    ),
-    "subgroup:<label>": (
-        {
-            "prevalence": float,
-            "shape": float,
-            "rx_median": float,
-            "c_median": float,
-        },
-        ("prevalence", "shape"),
-    ),
-}
-
-
 def read_dataset(path) -> SurvivalSample:
     """Parse a dataset CSV into a sample, or fail with line diagnostics.
 
@@ -252,10 +227,7 @@ def _refusal(path, reader, width, i_time, i_event, i_arm):
 
 def parse_scenario_config(spec: str) -> ScenarioConfig:
     """Parse an INI scenario config ([scenario] plus [subgroup:<label>])."""
-    sections = _read_config(spec, "scenario", _SCENARIO_SCHEMA)
-    fields = sections.pop("scenario")
-    subgroups = tuple(SubgroupSpec(label=s.split(":", 1)[1], **f) for s, f in sections.items())
-    return ScenarioConfig(subgroups=subgroups, **fields)
+    return _read_config(spec, "scenario", "scenario", ScenarioConfig, "subgroup", SubgroupSpec)
 
 
 def _median_entry(value):

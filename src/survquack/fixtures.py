@@ -22,7 +22,7 @@ from ._config import _read_config
 from .dist import _unit_exponentials
 from .errors import DomainError
 from .estim import ARM_C, ARM_RX, SurvivalSample
-from .rng import derive_rng
+from .rng import _integer, derive_rng
 
 __all__ = [
     "FactorSpec",
@@ -39,9 +39,9 @@ class FactorSpec:
     and a control-arm scale multiplier per label."""
 
     name: str
-    labels: tuple
+    labels: tuple[str, str]
     prevalence: float
-    multipliers: tuple
+    multipliers: tuple[float, float]
 
     def __post_init__(self):
         if len(self.labels) != 2 or len(self.multipliers) != 2:
@@ -55,7 +55,8 @@ class FactorSpec:
 
 @dataclass(frozen=True)
 class OakAnalogSpec:
-    """Generator parameters for the stratified fixture."""
+    """Generator parameters for the stratified fixture. The fields but
+    ``factors`` are the keys of a fixture config's [dataset] section."""
 
     n: int
     theta: float
@@ -65,7 +66,7 @@ class OakAnalogSpec:
     factors: tuple
 
     def __post_init__(self):
-        if self.n < 4:
+        if _integer(self.n, "n") < 4:
             raise DomainError("fixture needs at least 4 subjects")
         for name, v in (("theta", self.theta), ("shape", self.shape), ("base_scale", self.base_scale)):
             if not (math.isfinite(v) and v > 0.0):
@@ -77,42 +78,15 @@ class OakAnalogSpec:
             raise DomainError("factor names must be unique")
 
 
-def _pair(cast):
-    """Parser for two comma-separated values."""
-
-    def parse(raw):
-        parts = [p.strip() for p in raw.split(",")]
-        if len(parts) != 2:
-            raise ValueError(f"expected two comma-separated values, got {raw!r}")
-        return tuple(cast(p) for p in parts)
-
-    return parse
-
-
 # dataset rows ``write_dataset_csv`` converts to Python values at a time: whole
 # columns of strings would add about 2 MB to the peak of a 6,000-row write
 _WRITE_ROWS = 256
 
-_SPEC_SCHEMA = {
-    "dataset": (
-        {"n": int, "theta": float, "shape": float, "base_scale": float, "seed": int},
-        ("n", "theta", "shape", "base_scale", "seed"),
-    ),
-    "factor:<name>": (
-        {"labels": _pair(str), "prevalence": float, "multipliers": _pair(float)},
-        ("labels", "prevalence", "multipliers"),
-    ),
-}
-
 
 def load_oak_analog_spec(path=None) -> OakAnalogSpec:
     """Read a fixture spec from an INI file (default: the packaged one)."""
-    sections = _read_config(
-        "builtin:oak_analog" if path is None else path, "fixture config", _SPEC_SCHEMA
-    )
-    dataset = sections.pop("dataset")
-    factors = tuple(FactorSpec(s.split(":", 1)[1], **f) for s, f in sections.items())
-    return OakAnalogSpec(factors=factors, **dataset)
+    path = "builtin:oak_analog" if path is None else path
+    return _read_config(path, "fixture config", "dataset", OakAnalogSpec, "factor", FactorSpec)
 
 
 def generate_prognostic_sample(spec: OakAnalogSpec) -> SurvivalSample:

@@ -4,7 +4,6 @@ Mann-Whitney pivot confidence set for the survival-curve exponent."""
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -15,7 +14,7 @@ from ._pool import run_shares
 from .dist import _positive, _unit_exponentials
 from .errors import DomainError
 from .estim import ARM_C, ARM_RX, SurvivalSample, _pair_stats, km_median
-from .rng import derive_rng
+from .rng import _integer, derive_rng
 
 __all__ = [
     "MC_REPS",
@@ -219,7 +218,7 @@ def _null_cut(level, mc_reps, n, m):
         raise DomainError("confidence level must lie strictly inside (0, 1)")
     sizes = ((mc_reps, "mc_reps"), (n, f"{ARM_RX} arm size n"), (m, f"{ARM_C} arm size m"))
     for value, name in sizes:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        if _integer(value, name) < 1:
             raise DomainError(f"{name} must be a whole number of at least 1, got {value!r}")
     return int(math.floor(0.5 * (1.0 - level) * mc_reps))
 

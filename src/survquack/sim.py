@@ -43,7 +43,7 @@ from .estim import (
     _logrank_terms,
 )
 from .infer import Claim, _claim, _logrank_result, _wald, decision_procedure, wald_test_cox
-from .rng import _pcg64_states
+from .rng import _integer, _pcg64_states
 from .sme import SubgroupRow, SubgroupTable
 
 __all__ = [
@@ -82,7 +82,8 @@ class SubgroupSpec:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything needed to reproduce a simulation study. ``overall_median``
-    is the shared arm median that the open subgroup, if any, is solved for."""
+    is the shared arm median that the open subgroup, if any, is solved for.
+    The fields but ``subgroups`` are a scenario config's keys (``_config``)."""
 
     subgroups: tuple
     n_total: int = 1000
@@ -137,7 +138,7 @@ def realize_scenario(config: ScenarioConfig) -> RealizedScenario:
     target raises InfeasibleScenario. The realized arm medians are
     re-checked to one part in 10^6.
     """
-    if config.n_total < 20:
+    if _integer(config.n_total, "n_total") < 20:
         raise DomainError("n_total must be at least 20")
     if not (0.0 < config.allocation < 1.0):
         raise DomainError("allocation must lie strictly inside (0, 1)")
@@ -146,7 +147,7 @@ def realize_scenario(config: ScenarioConfig) -> RealizedScenario:
         raise DomainError("allocation leaves an arm empty")
     if not (0.0 < config.alpha <= 0.5):
         raise DomainError("alpha must lie in (0, 0.5]")
-    if config.replications < 1:
+    if _integer(config.replications, "replications") < 1:
         raise DomainError("replications must be >= 1")
     if not config.subgroups:
         raise DomainError("a scenario needs at least one subgroup")

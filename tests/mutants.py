@@ -295,6 +295,36 @@ MUTANTS = {
         "",
         ("tests/test_infer.py::test_mw_acceptance_region_streams_blocks_like_one_fresh_draw",),
     ),
+    # A config's dataclass is its schema: a key is required exactly when
+    # its field has no default, and a two-cell field takes two cells
+    "required-keys-inverted": Mutant(
+        "_config.py",
+        "f.default is dataclasses.MISSING",
+        "f.default is not dataclasses.MISSING",
+        (
+            "tests/test_fixtures.py::test_spec_parse_failures",
+            "tests/test_cli.py::TestSimulate::test_small_config_deterministic_and_matches_library",
+        ),
+    ),
+    "cell-count-unchecked": Mutant(
+        "_config.py",
+        "if len(parts) != 2:",
+        "if False:",
+        ("tests/test_fixtures.py::test_spec_parse_failures",),
+    ),
+    # seeds, stream path parts, a study's sizes, the fixture's size and the
+    # pivot's sizes are held to one integer rule
+    "integer-rule-takes-bools": Mutant(
+        "rng.py",
+        "if isinstance(value, bool) or not isinstance(value, (int, np.integer)):",
+        "if not isinstance(value, (int, np.integer)):",
+        (
+            "tests/test_rng.py::test_master_seed_must_be_an_integer",
+            "tests/test_sim.py::test_config_validation_gates",
+            "tests/test_fixtures.py::test_oak_spec_validation",
+            "tests/test_infer.py::test_mw_acceptance_region_rejects_bad_arm_sizes_and_draw_counts",
+        ),
+    ),
 }
 
 

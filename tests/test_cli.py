@@ -1016,11 +1016,14 @@ class TestSimulate:
 
     def test_config_problems_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
-        path.write_text("[scenario]\nn_total = sixty\nbogus = 1\n")
+        path.write_text(
+            "[scenario]\nn_total = sixty\nbogus = 1\n[subgroup:a]\nprevalence = 1.0\nshape = 1.0\nrx_median = soon\n"
+        )
         rc, _, err = run_cli(["simulate", str(path)], capsys)
         assert rc == 2
         assert "cannot parse 'sixty'" in err
         assert "unknown key 'bogus'" in err
+        assert "[subgroup:a] rx_median: cannot parse 'soon'" in err
 
     def test_no_subgroups_reported(self, tmp_path, capsys):
         path = tmp_path / "empty_groups.cfg"

@@ -119,6 +119,9 @@ def test_oak_spec_validation():
         OakAnalogSpec(50, 0.5, 1.0, 9.0, 1, ())
     with pytest.raises(DomainError):
         OakAnalogSpec(50, 0.5, 1.0, 9.0, 1, (factor, factor))
+    for n in (50.0, True, "50"):
+        with pytest.raises(DomainError, match=f"n must be an integer, got {n!r}"):
+            OakAnalogSpec(n, 0.5, 1.0, 9.0, 1, (factor,))
 
 
 # ------------------------------------------------- generate_prognostic_sample

@@ -145,6 +145,10 @@ def test_config_validation_gates():
         realize_scenario(_replace(cfg, replications=0))
     with pytest.raises(DomainError):
         realize_scenario(_replace(cfg, subgroups=()))
+    # sizes follow the seeds' integer rule: a bool, a float or a string is refused
+    for field, value in (("n_total", 100.0), ("replications", 60.0), ("replications", True), ("n_total", "100")):
+        with pytest.raises(DomainError, match=f"{field} must be an integer, got {value!r}"):
+            realize_scenario(_replace(cfg, **{field: value}))
 
 
 def test_subgroup_validation_gates():
